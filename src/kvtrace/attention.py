@@ -1,15 +1,18 @@
 """Decode-phase attention over the cache tiers, plus the exact oracle.
 
 ``attend_full_precision`` is the reference: softmax(q . K^T / sqrt(d)) . V
-in float32. ``attend_mixed`` runs the same computation against a tiered
-cache, with quantized tiers dequantized on the fly and, for every pooled
-outlier token, the logit and value row at its absolute position overwritten
-by the pool's full-precision copy. Overwriting (rather than appending extra
-positions) keeps exactly one logit per true token, so no softmax mass is
-double-counted.
+in float32. ``attend_mixed`` runs the same computation in place over the
+cache's row buffer (``TieredCache.attended_kv``), where every quantized
+group was dequantized once when it was written and, for every pooled
+outlier token, the row at its absolute position holds the pool's
+full-precision copy. Overwriting (rather than appending extra positions)
+keeps exactly one logit per true token, so no softmax mass is
+double-counted. ``reconstructed_kv`` builds the same matrices from scratch
+by dequantizing every block; it is the slow reference for tests.
 
-Both calls read the cache without mutating it; any number may run
-concurrently while no writer is active.
+The first ``attend_mixed`` on a cache converts its buffer to the dense
+layout, so that call mutates the cache and must not race a writer or
+another first read; later calls only read it.
 """
 
 from __future__ import annotations
@@ -64,7 +67,8 @@ def reconstructed_kv(cache: TieredCache) -> tuple[np.ndarray, np.ndarray]:
 
     Quantized blocks are dequantized, pending rows copied verbatim, and
     rows at pooled positions replaced with the pool's full-precision
-    entries.
+    entries. This is the slow reference for ``TieredCache.attended_kv``,
+    which holds the same values without rebuilding them.
     """
     parts_k = [b.to_matrix() for b in cache.quantized_k] + [cache.pending_k]
     parts_v = [b.to_matrix() for b in cache.quantized_v] + [cache.pending_v]
@@ -88,8 +92,7 @@ def attend_mixed(q, cache: TieredCache) -> AttentionResult:
         raise ContractViolation(f"query must have shape ({cache.config.head_dim},)")
     if cache.total_tokens == 0:
         raise ContractViolation("cannot attend over an empty cache")
-    keys, values = reconstructed_kv(cache)
-    return attend_full_precision(q, keys, values)
+    return attend_full_precision(q, *cache.attended_kv())
 
 
 def l1_error(a, b) -> float:

@@ -8,11 +8,21 @@ Three tiers hold every token exactly once:
     the group being filled and the ``residual`` most recent tokens;
   * outlier pool: full-precision rows of pooled outlier tokens, which are
     additionally shadowed in the quantized store by their mean-substituted
-    rows (attention resolves the duplication by overwriting their logits).
+    rows (attention resolves the duplication by overwriting their rows).
 
 Appending the token that brings the pending count to ``group_size +
 residual`` quantizes the oldest ``group_size`` pending rows, so the newest
 ``residual`` tokens are always full precision.
+
+Rows live in one float32 buffer each for K and V. Until attention first
+reads the cache, the buffer holds only the pending rows (at most
+``group_size + residual``, compacted after each quantization), so a cache
+that is only written keeps that small, fixed footprint. The first
+``attended_kv`` call makes the buffer dense: row i holds position i, every
+block is dequantized into it once, and pooled positions hold the pool's
+full-precision rows. From then on each quantization writes its block's
+dequantized rows in place, restores the shadow row of every token the pool
+evicted, and rewrites the pool rows; the buffer grows geometrically.
 
 Each cache is single-writer; distinct (layer, head) caches are independent
 and may be driven in parallel.
@@ -87,6 +97,12 @@ class MemoryBreakdown:
         return self.quantized_bits + self.param_bits + self.pending_bits + self.pool_bits
 
 
+def _doubled(buf: np.ndarray) -> np.ndarray:
+    grown = np.empty((2 * buf.shape[0], buf.shape[1]), dtype=buf.dtype)
+    grown[: buf.shape[0]] = buf
+    return grown
+
+
 class TieredCache:
     """Streaming KV cache for a single (layer, head) pair."""
 
@@ -104,9 +120,15 @@ class TieredCache:
         self.total_tokens = 0
         self.quantized_tokens = 0
         cap = config.group_size + config.residual
-        self._pending_k = np.empty((cap, config.head_dim), dtype=np.float32)
-        self._pending_v = np.empty((cap, config.head_dim), dtype=np.float32)
+        self._k = np.empty((cap, config.head_dim), dtype=np.float32)
+        self._v = np.empty((cap, config.head_dim), dtype=np.float32)
         self._pending_count = 0
+        self._dense = False
+
+    @property
+    def _pending_start(self) -> int:
+        # Buffer row of the oldest pending token; once dense, row i holds position i.
+        return self.quantized_tokens if self._dense else 0
 
     @property
     def pending_rows(self) -> int:
@@ -115,11 +137,11 @@ class TieredCache:
     @property
     def pending_k(self) -> np.ndarray:
         """Full-precision pending keys (view; do not mutate)."""
-        return self._pending_k[: self._pending_count]
+        return self._k[self._pending_start : self._pending_start + self._pending_count]
 
     @property
     def pending_v(self) -> np.ndarray:
-        return self._pending_v[: self._pending_count]
+        return self._v[self._pending_start : self._pending_start + self._pending_count]
 
     def append(self, k_row, v_row) -> None:
         """Add one token's key/value rows, quantizing a group when due."""
@@ -131,12 +153,28 @@ class TieredCache:
         if not (np.isfinite(k_row).all() and np.isfinite(v_row).all()):
             raise ContractViolation("rows contain NaN or Inf")
 
-        self._pending_k[self._pending_count] = k_row
-        self._pending_v[self._pending_count] = v_row
+        row = self._pending_start + self._pending_count
+        if row == self._k.shape[0]:
+            self._k, self._v = _doubled(self._k), _doubled(self._v)
+        self._k[row] = k_row
+        self._v[row] = v_row
         self._pending_count += 1
         self.total_tokens += 1
         if self._pending_count - self.config.residual >= self.config.group_size:
             self.quantize_oldest_group()
+
+    def attended_kv(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (total_tokens, d) keys and values attention reads.
+
+        Quantized positions hold dequantized rows, pooled positions the
+        pool's full-precision rows, pending positions their exact rows.
+        The first call converts the buffer to the dense layout; the views
+        are valid until the next append and must not be mutated.
+        """
+        if not self._dense:
+            self._make_dense()
+        n = self.total_tokens
+        return self._k[:n], self._v[:n]
 
     def quantize_oldest_group(self) -> None:
         """Quantize the oldest ``group_size`` pending rows into the store.
@@ -152,9 +190,11 @@ class TieredCache:
                 f"need {g} pending rows to quantize, have {self._pending_count}"
             )
         base = self.quantized_tokens
-        group_k = self._pending_k[:g].copy()
-        group_v = self._pending_v[:g].copy()
+        start = self._pending_start
+        group_k = self._k[start : start + g].copy()
+        group_v = self._v[start : start + g].copy()
 
+        evicted = []
         if self.pool.capacity > 0 and not self.pool.frozen:
             scores = score_tokens(group_k)
             candidates = [
@@ -166,24 +206,53 @@ class TieredCache:
                 )
                 for i in range(g)
             ]
-            selected, _evicted = self.pool.update(candidates)
+            selected, evicted = self.pool.update(candidates)
             if selected:
                 in_group = [p - base for p in selected]
                 group_k, group_v = substitute_means(group_k, group_v, in_group)
                 self.substituted_positions |= selected
 
         if self.passthrough:
-            self.quantized_k.append(PassthroughBlock(group_k))
-            self.quantized_v.append(PassthroughBlock(group_v))
+            block_k, block_v = PassthroughBlock(group_k), PassthroughBlock(group_v)
         else:
-            self.quantized_k.append(quantize_keys_channelwise(group_k, self.config.bits))
-            self.quantized_v.append(quantize_values_tokenwise(group_v, self.config.bits))
+            block_k = quantize_keys_channelwise(group_k, self.config.bits)
+            block_v = quantize_values_tokenwise(group_v, self.config.bits)
+        self.quantized_k.append(block_k)
+        self.quantized_v.append(block_v)
         self.quantized_tokens += g
+        self._pending_count -= g
 
-        remaining = self._pending_count - g
-        self._pending_k[:remaining] = self._pending_k[g : self._pending_count]
-        self._pending_v[:remaining] = self._pending_v[g : self._pending_count]
-        self._pending_count = remaining
+        if self._dense:
+            self._k[base : base + g] = block_k.to_matrix()
+            self._v[base : base + g] = block_v.to_matrix()
+            for entry in evicted:
+                block, row = divmod(entry.position, g)
+                self._k[entry.position] = self.quantized_k[block].to_matrix()[row]
+                self._v[entry.position] = self.quantized_v[block].to_matrix()[row]
+            self._write_pool_rows()
+        else:
+            remaining = self._pending_count
+            self._k[:remaining] = self._k[g : g + remaining]
+            self._v[:remaining] = self._v[g : g + remaining]
+
+    def _make_dense(self) -> None:
+        g = self.config.group_size
+        shape = (max(1, self.total_tokens), self.config.head_dim)
+        k = np.empty(shape, dtype=np.float32)
+        v = np.empty(shape, dtype=np.float32)
+        for i, (block_k, block_v) in enumerate(zip(self.quantized_k, self.quantized_v)):
+            k[i * g : (i + 1) * g] = block_k.to_matrix()
+            v[i * g : (i + 1) * g] = block_v.to_matrix()
+        k[self.quantized_tokens : self.total_tokens] = self.pending_k
+        v[self.quantized_tokens : self.total_tokens] = self.pending_v
+        self._k, self._v = k, v
+        self._dense = True
+        self._write_pool_rows()
+
+    def _write_pool_rows(self) -> None:
+        for entry in self.pool.entries:
+            self._k[entry.position] = entry.key
+            self._v[entry.position] = entry.value
 
     def memory_usage(self) -> MemoryBreakdown:
         """Current footprint under fp16-equivalent accounting."""

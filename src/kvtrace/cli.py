@@ -13,11 +13,13 @@ Flag defaults reproduce the reference setting (2-bit codes, groups of 128,
 residual 32, 3 pooled outliers with layers 0-1 skipped, auxiliary pool 32).
 Outputs are deterministic given ``--seed``; every randomized component
 derives its stream from the root seed via SeedSequence(root, (layer,
-head)). ``simulate`` computes a per-step full-precision oracle, so it is
-quadratic in sequence length; intended for desk-scale traces (<= 8k
-tokens).
+head)). At decode step t, ``simulate`` runs mixed attention and a
+full-precision oracle, each O(t*d); quantized groups are dequantized once,
+when written, not again per step. Those two attentions make it quadratic
+in sequence length; intended for desk-scale traces (<= 8k tokens).
 
-Exit codes: 0 on success, 1 on bad flags, 2 on trace parse errors.
+Exit codes: 0 on success, 1 on bad flags or values (including an
+unwritable ``--out``), 2 on a missing, unreadable or malformed trace file.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 
 from .attention import attend_full_precision, attend_mixed, l1_error
 from .cache import EngineConfig, TieredCache
-from .errors import ContractViolation, TraceFormatError
+from .errors import ContractViolation, DegenerateColumnError, TraceFormatError
 from .quant import FP16_BITS
 from .report import (
     Criterion,
@@ -45,6 +47,10 @@ MODES = ("fp16", "baseline", "ott")
 
 
 class _UsageError(Exception):
+    pass
+
+
+class _UnreadableTrace(Exception):
     pass
 
 
@@ -154,15 +160,31 @@ def _spec_from_args(args, seed: int) -> SyntheticSpec:
     )
 
 
+def _int_list(flag: str, text: str) -> list[int]:
+    """Parse a comma-separated integer flag value; empty items are skipped."""
+    try:
+        return [int(s) for s in str(text).split(",") if s.strip() != ""]
+    except ValueError:
+        raise _UsageError(f"{flag} expects comma-separated integers, got {text!r}") from None
+
+
+def _check_index(flag: str, value: int, size: int) -> None:
+    if not 0 <= value < size:
+        raise _UsageError(f"{flag} {value} out of range [0, {size})")
+
+
 def _load_trace(args, seed: int) -> Trace:
     if getattr(args, "trace", None):
-        return read_trace(args.trace)
+        try:
+            return read_trace(args.trace)
+        except OSError as exc:
+            raise _UnreadableTrace(exc) from None
     spec = _spec_from_args(args, seed)
     return generate_synthetic(spec, args.layers, args.heads, args.head_dim, args.seq_len)
 
 
 def _config_from_args(args, trace: Trace) -> EngineConfig:
-    skip = tuple(int(s) for s in str(args.skip_layers).split(",") if s.strip() != "")
+    skip = tuple(_int_list("--skip-layers", args.skip_layers))
     outlier_num = 0 if args.mode == "baseline" else args.outlier_num
     return EngineConfig(
         bits=args.bits,
@@ -243,6 +265,8 @@ def _cmd_compare_criteria(args) -> int:
     for trial in range(args.trials):
         trace = _load_trace(args, args.seed + trial)
         layer = args.layer if args.layer is not None else trace.header.n_layers - 1
+        _check_index("--layer", layer, trace.header.n_layers)
+        _check_index("--head", args.head, trace.header.n_heads)
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=args.seed + trial, spawn_key=(layer, args.head, 1))
         )
@@ -271,8 +295,8 @@ def _cmd_compare_criteria(args) -> int:
 
 
 def _cmd_ratio_curve(args) -> int:
-    seq_lens = [int(s) for s in str(args.seq_lens).split(",") if s.strip() != ""]
-    skip = tuple(int(s) for s in str(args.skip_layers).split(",") if s.strip() != "")
+    seq_lens = _int_list("--seq-lens", args.seq_lens)
+    skip = tuple(_int_list("--skip-layers", args.skip_layers))
     config = EngineConfig(
         bits=args.bits,
         group_size=args.group_size,
@@ -305,10 +329,13 @@ def _cmd_mem_estimate(args) -> int:
 
 def _cmd_decile_stats(args) -> int:
     trace = _load_trace(args, args.seed)
+    _check_index("--layer", args.layer, trace.header.n_layers)
+    _check_index("--head", args.head, trace.header.n_heads)
     keys = trace.k[args.layer, args.head]
     channel = args.channel
     if channel is None:
         channel = int(np.abs(keys).mean(axis=0).argmax())
+    _check_index("--channel", channel, trace.header.head_dim)
     stats = decile_stats(keys[:, channel])
     if args.out:
         write_csv(
@@ -339,16 +366,10 @@ def run(argv=None) -> int:
         return _COMMANDS[args.subcommand](args)
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ContractViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except TraceFormatError as exc:
+    except (TraceFormatError, _UnreadableTrace) as exc:
         print(f"trace error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (_UsageError, ContractViolation, DegenerateColumnError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolation
-from .tensor import row_l1_norm
 
 
 @dataclass
@@ -46,7 +45,7 @@ def score_tokens(keys: np.ndarray) -> np.ndarray:
     """Per-row L1 norms of a (G, d) key matrix."""
     if keys.ndim != 2 or keys.shape[0] < 1:
         raise ContractViolation("score_tokens expects a non-empty 2-D key matrix")
-    return np.array([row_l1_norm(keys, i) for i in range(keys.shape[0])])
+    return np.abs(keys).sum(axis=1, dtype=np.float64)
 
 
 def _rank(entry: OutlierEntry) -> tuple[float, int]:

@@ -10,8 +10,12 @@ deliberate: it gives the one-sided reconstruction bound
     0 <= x - dequant(quant(x)) <= step
 
 for every x inside the group's [x_min, x_max], exact at lattice points.
-Group variants quantize keys per channel (one parameter line per column)
-and values per token (one line per row).
+In floating point the code is the highest level whose float64
+reconstruction is <= x, and step is shrunk by a few ulps wherever
+round-off would leave a lattice cell wider than step, so the bound holds
+exactly as ``dequantize`` computes it. Group variants quantize keys per
+channel (one parameter line per column) and values per token (one line
+per row).
 
 All functions are pure and safe to call concurrently.
 """
@@ -63,8 +67,8 @@ def _line_params(x: np.ndarray, bits: int) -> QuantParams:
     levels = (1 << bits) - 1
     step = (x_max - x_min) / levels
     # Guard float round-off: nudge step down until the top code reconstructs
-    # at or below x_max, so floor((x_max - x_min) / step) reaches the top
-    # level and the one-sided error bound holds at the extremes.
+    # at or below x_max, so x_max gets the top level and the one-sided error
+    # bound holds at the extremes.
     while step > 0 and x_min + levels * step > x_max:
         step = math.nextafter(step, 0.0)
     return QuantParams(x_min=x_min, step=step, bits=bits)
@@ -90,16 +94,23 @@ def quantize_uniform(x, bits: int) -> tuple[np.ndarray, QuantParams]:
     levels = (1 << bits) - 1
     if params.step == 0.0:
         return np.zeros(x.size, dtype=np.int64), params
-    codes = np.floor((x - params.x_min) / params.step).astype(np.int64)
-    np.clip(codes, 0, levels, out=codes)
-    # Float division can round a quotient up across a cell boundary; nudge
-    # those codes back down so the one-sided error bound holds exactly.
-    codes[codes * params.step + params.x_min > x] -= 1
-    np.clip(codes, 0, levels, out=codes)
-    # In exact arithmetic the maximum scales to precisely the top level;
-    # pin it there (the adjusted step keeps its reconstruction <= x_max).
-    codes[x == x.max()] = levels
-    return codes, params
+    step = params.step
+    while True:
+        # Each code is the highest level whose reconstruction, computed with
+        # the float64 operations of ``dequantize``, is <= x; so the error is
+        # >= 0 exactly, and lattice-aligned inputs reconstruct exactly.
+        lattice = np.arange(levels + 1) * step + params.x_min
+        codes = np.searchsorted(lattice, x, side="right") - 1
+        excess = float((x - lattice[codes]).max()) - step
+        # excess > 0: round-off made a lattice cell wider than step (by a few
+        # ulps of the levels), so some x has no code within the bound.
+        # Shrinking step by the excess narrows the cells; the top level only
+        # moves down, so it stays <= x_max. An excess of a whole step means
+        # the line spans too few float64 values for any step to meet the
+        # bound (never the case for float32 data), so stop there.
+        if not 0.0 < excess < step:
+            return codes, QuantParams(x_min=params.x_min, step=step, bits=bits)
+        step = min(math.nextafter(step, 0.0), step - excess)
 
 
 def dequantize(codes, params: QuantParams) -> np.ndarray:

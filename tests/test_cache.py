@@ -5,9 +5,12 @@ from kvtrace import (
     ContractViolation,
     EngineConfig,
     TieredCache,
+    attend_full_precision,
+    attend_mixed,
     quantize_keys_channelwise,
     quantize_values_tokenwise,
 )
+from kvtrace.attention import reconstructed_kv
 
 
 def fill(cache, rows_k, rows_v):
@@ -207,3 +210,67 @@ class TestMemoryUsage:
                 totals.append(cache.memory_usage().total_bits)
         assert len(totals) > 5
         assert all(a < b for a, b in zip(totals, totals[1:]))
+
+
+class TestAttendedKv:
+    """The in-place read buffer against the slow from-scratch reference."""
+
+    # (outlier_num, aux_capacity): pool off, frozen from the start, and
+    # pools that evict and then freeze after a few groups.
+    POOLS = [(0, 0), (1, 0), (1, 4), (2, 1), (3, 2), (3, 4)]
+
+    @staticmethod
+    def schedules(g, r):
+        mid_group = g // 2 + 1
+        several_groups = 3 * g + r + 1
+        return [(0, 1), (mid_group, 3), (several_groups, 1), (several_groups, 4)]
+
+    @staticmethod
+    def check_read(cache, q):
+        ref_k, ref_v = reconstructed_kv(cache)
+        keys, values = cache.attended_kv()
+        np.testing.assert_array_equal(keys, ref_k)
+        np.testing.assert_array_equal(values, ref_v)
+        got = attend_mixed(q, cache)
+        want = attend_full_precision(q, ref_k, ref_v)
+        np.testing.assert_array_equal(got.output, want.output)
+        np.testing.assert_array_equal(got.weights, want.weights)
+        np.testing.assert_array_equal(got.scores, want.scores)
+
+    @pytest.mark.parametrize("passthrough", [False, True])
+    @pytest.mark.parametrize("r", [0, 3])
+    @pytest.mark.parametrize("g", [1, 4, 16])
+    def test_bit_equal_to_reference(self, g, r, passthrough):
+        d = 4
+        n = 6 * g + r + 2
+        rng = np.random.default_rng(1000 * g + 10 * r + passthrough)
+        # Norms shrink over the sequence, so later groups keep displacing
+        # pool members: evictions happen until the auxiliary list fills.
+        shrink = np.linspace(3.0, 0.1, n)[:, None] * rng.uniform(0.5, 1.5, size=(n, 1))
+        keys = (random_rows(rng, n, d) * shrink).astype(np.float32)
+        values = random_rows(rng, n, d)
+        queries = random_rows(rng, n, d)
+        froze = evicted = 0
+        for outlier_num, aux in self.POOLS:
+            cfg = EngineConfig(group_size=g, residual=r, outlier_num=outlier_num,
+                               skip_layers=(), aux_capacity=aux, head_dim=d)
+            for first, every in self.schedules(g, r):
+                cache = TieredCache(cfg, layer=0, passthrough=passthrough)
+                for t in range(n):
+                    cache.append(keys[t], values[t])
+                    if t >= first and (t - first) % every == 0:
+                        self.check_read(cache, queries[t])
+                self.check_read(cache, queries[-1])
+                froze += outlier_num > 0 and aux > 0 and cache.pool.frozen
+                evicted += len(cache.pool.aux)
+        assert froze and evicted
+
+    def test_unread_cache_stays_at_pending_capacity(self):
+        rng = np.random.default_rng(47)
+        g, r, d = 16, 3, 4
+        cfg = EngineConfig(group_size=g, residual=r, outlier_num=3, skip_layers=(),
+                           aux_capacity=4, head_dim=d)
+        cache = TieredCache(cfg, layer=0)
+        fill(cache, random_rows(rng, 20 * g + r, d), random_rows(rng, 20 * g + r, d))
+        assert len(cache.quantized_k) == 20
+        assert cache._k.shape[0] <= g + r and cache._v.shape[0] <= g + r

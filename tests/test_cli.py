@@ -1,6 +1,7 @@
 import numpy as np
+import pytest
 
-from kvtrace import read_rows, read_trace
+from kvtrace import Trace, TraceHeader, read_rows, read_trace, write_trace
 from kvtrace.cli import run
 
 
@@ -148,3 +149,37 @@ class TestDecileStatsCommand:
         lines = csv.read_text().strip().splitlines()
         assert lines[0].startswith("decile_1,")
         assert len(lines) == 2
+
+
+SMALL = ["--layers", "2", "--heads", "1", "--head-dim", "8", "--seq-len", "64"]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["decile-stats", *SMALL, "--layer", "-1"], 1),
+        (["decile-stats", *SMALL, "--layer", "2"], 1),
+        (["decile-stats", *SMALL, "--head", "1"], 1),
+        (["decile-stats", *SMALL, "--head", "-1"], 1),
+        (["decile-stats", *SMALL, "--channel", "8"], 1),
+        (["decile-stats", *SMALL, "--channel", "-1"], 1),
+        (["compare-criteria", *SMALL, "--layer", "-1"], 1),
+        (["compare-criteria", *SMALL, "--layer", "2"], 1),
+        (["compare-criteria", *SMALL, "--head", "1"], 1),
+        (["simulate", *SMALL, "--skip-layers", "0,x"], 1),
+        (["ratio-curve", "--seq-lens", "128", "--skip-layers", "1;2"], 1),
+        (["ratio-curve", "--seq-lens", "12a"], 1),
+        (["simulate", "--trace", "{tmp}/missing.kvt"], 2),
+        (["decile-stats", "--trace", "{tmp}/missing.kvt"], 2),
+        (["simulate", *SMALL, "--out", "{tmp}/no-such-dir/steps.csv"], 1),
+        (["decile-stats", "--trace", "{tmp}/constant.kvt"], 1),
+    ],
+)
+def test_bad_input_exits_with_one_line_error(argv, code, tmp_path, capsys):
+    zeros = np.zeros((1, 1, 8, 2), dtype=np.float32)
+    write_trace(tmp_path / "constant.kvt", Trace(TraceHeader(1, 1, 2, 8), zeros, zeros, zeros))
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    assert run(argv) == code
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("trace error:" if code == 2 else "error:")

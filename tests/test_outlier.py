@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from kvtrace import ContractViolation, OutlierEntry, OutlierPool, score_tokens, substitute_means
+from kvtrace import (
+    ContractViolation,
+    OutlierEntry,
+    OutlierPool,
+    row_l1_norm,
+    score_tokens,
+    substitute_means,
+)
 
 
 def make_entry(position, score, d=4):
@@ -33,6 +40,16 @@ class TestScoreTokens:
         for i in range(128):
             want = sum(abs(float(v)) for v in keys[i])
             assert got[i] == want
+
+    @pytest.mark.parametrize(
+        "width", list(range(1, 70)) + [100, 127, 128, 129, 200, 257, 513]
+    )
+    def test_bit_equal_to_per_row_norm(self, width):
+        rng = np.random.default_rng(width)
+        scales = 10.0 ** rng.uniform(-3, 3, size=(128, 1))
+        keys = (rng.standard_normal((128, width)) * scales).astype(np.float32)
+        want = np.array([row_l1_norm(keys, i) for i in range(128)])
+        np.testing.assert_array_equal(score_tokens(keys), want)
 
 
 class TestPoolUpdate:
