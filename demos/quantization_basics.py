@@ -55,8 +55,8 @@ group = rng.standard_normal((128, 8))
 k_block = quantize_keys_channelwise(group, bits=2)
 v_block = quantize_values_tokenwise(group, bits=2)
 print(f"group shape {group.shape}")
-print(f"channel-wise block: {len(k_block.params)} parameter lines (one per channel)")
-print(f"token-wise block  : {len(v_block.params)} parameter lines (one per token)")
+print(f"channel-wise block: {len(k_block.steps)} parameter lines (one per channel)")
+print(f"token-wise block  : {len(v_block.steps)} parameter lines (one per token)")
 print(f"packed payload    : {len(k_block.codes)} bytes for {group.size} 2-bit codes")
 print()
 

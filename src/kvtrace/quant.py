@@ -13,9 +13,16 @@ for every x inside the group's [x_min, x_max], exact at lattice points.
 In floating point the code is the highest level whose float64
 reconstruction is <= x, and step is shrunk by a few ulps wherever
 round-off would leave a lattice cell wider than step, so the bound holds
-exactly as ``dequantize`` computes it. Group variants quantize keys per
-channel (one parameter line per column) and values per token (one line
-per row).
+exactly as ``dequantize`` computes it.
+
+Group variants quantize keys per channel (one parameter line per column)
+and values per token (one line per row), all lines of a group in one
+vectorized pass: every line's min, max and step at once, the step nudge
+and shrink repeated only on the lines that still need them, and each code
+found by a binary search over the float64 lattice, one code bit per pass.
+``quantize_uniform`` is the one-line case of the same pass. A
+``QuantizedBlock`` holds the packed codes plus two float64 arrays,
+``mins`` and ``steps``, with one entry per parameter line.
 
 All functions are pure and safe to call concurrently.
 """
@@ -23,7 +30,6 @@ All functions are pure and safe to call concurrently.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,18 +66,60 @@ class QuantParams:
             raise ContractViolation("step must be nonnegative")
 
 
-def _line_params(x: np.ndarray, bits: int) -> QuantParams:
-    """Quantization parameters for a 1-D float64 line."""
-    x_min = float(x.min())
-    x_max = float(x.max())
+def _floor_codes(lines: np.ndarray, mins: np.ndarray, steps: np.ndarray, bits: int) -> np.ndarray:
+    """Per element, the highest level whose float64 reconstruction is <= x.
+
+    The reconstructions ``k * step + x_min`` (the float64 operations of
+    ``dequantize``) are non-decreasing in k and level 0 is x_min, so the
+    code is found by binary search, one code bit per pass from the top:
+    ``bits`` passes, none building anything larger than the lines. The
+    first probe is the same level for every element.
+    """
+    top = 1 << (bits - 1)
+    codes = np.where((top * steps + mins)[:, None] <= lines, top, 0)
+    for b in reversed(range(bits - 1)):
+        trial = codes + (1 << b)
+        codes = np.where(trial * steps[:, None] + mins[:, None] <= lines, trial, codes)
+    return codes
+
+
+def _quantize_lines(lines: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Quantize each row of a finite, non-empty float64 (L, n) matrix.
+
+    Returns ``(codes, mins, steps)``: int64 codes of shape (L, n) and the
+    float64 zero point and step of each row.
+    """
     levels = (1 << bits) - 1
-    step = (x_max - x_min) / levels
-    # Guard float round-off: nudge step down until the top code reconstructs
-    # at or below x_max, so x_max gets the top level and the one-sided error
-    # bound holds at the extremes.
-    while step > 0 and x_min + levels * step > x_max:
-        step = math.nextafter(step, 0.0)
-    return QuantParams(x_min=x_min, step=step, bits=bits)
+    mins = lines.min(axis=1)
+    maxs = lines.max(axis=1)
+    steps = (maxs - mins) / levels
+    # Guard float round-off: nudge each step down until the top code
+    # reconstructs at or below x_max, so x_max gets the top level and the
+    # one-sided error bound holds at the extremes.
+    nudge = np.flatnonzero((steps > 0) & (mins + levels * steps > maxs))
+    while nudge.size:
+        steps[nudge] = np.nextafter(steps[nudge], 0.0)
+        nudge = nudge[(steps[nudge] > 0) & (mins[nudge] + levels * steps[nudge] > maxs[nudge])]
+
+    # Constant rows (step 0) keep all-zero codes.
+    codes = np.zeros(lines.shape, dtype=np.int64)
+    todo = np.flatnonzero(steps > 0)
+    while todo.size:
+        x = lines if todo.size == len(lines) else lines[todo]
+        step = steps[todo]
+        c = _floor_codes(x, mins[todo], step, bits)
+        codes[todo] = c
+        excess = (x - (c * step[:, None] + mins[todo, None])).max(axis=1) - step
+        # excess > 0: round-off made a lattice cell wider than step (by a few
+        # ulps of the levels), so some x has no code within the bound.
+        # Shrinking step by the excess narrows the cells; the top level only
+        # moves down, so it stays <= x_max. An excess of a whole step means
+        # the row spans too few float64 values for any step to meet the
+        # bound (never the case for float32 data), so that row stops there.
+        shrink = (0.0 < excess) & (excess < step)
+        todo, step, excess = todo[shrink], step[shrink], excess[shrink]
+        steps[todo] = np.minimum(np.nextafter(step, 0.0), step - excess)
+    return codes, mins, steps
 
 
 def quantize_uniform(x, bits: int) -> tuple[np.ndarray, QuantParams]:
@@ -89,28 +137,8 @@ def quantize_uniform(x, bits: int) -> tuple[np.ndarray, QuantParams]:
         raise ContractViolation("quantize_uniform expects a non-empty 1-D vector")
     if not np.isfinite(x).all():
         raise ContractViolation("quantize_uniform input contains NaN or Inf")
-
-    params = _line_params(x, bits)
-    levels = (1 << bits) - 1
-    if params.step == 0.0:
-        return np.zeros(x.size, dtype=np.int64), params
-    step = params.step
-    while True:
-        # Each code is the highest level whose reconstruction, computed with
-        # the float64 operations of ``dequantize``, is <= x; so the error is
-        # >= 0 exactly, and lattice-aligned inputs reconstruct exactly.
-        lattice = np.arange(levels + 1) * step + params.x_min
-        codes = np.searchsorted(lattice, x, side="right") - 1
-        excess = float((x - lattice[codes]).max()) - step
-        # excess > 0: round-off made a lattice cell wider than step (by a few
-        # ulps of the levels), so some x has no code within the bound.
-        # Shrinking step by the excess narrows the cells; the top level only
-        # moves down, so it stays <= x_max. An excess of a whole step means
-        # the line spans too few float64 values for any step to meet the
-        # bound (never the case for float32 data), so stop there.
-        if not 0.0 < excess < step:
-            return codes, QuantParams(x_min=params.x_min, step=step, bits=bits)
-        step = min(math.nextafter(step, 0.0), step - excess)
+    codes, mins, steps = _quantize_lines(x[None, :], bits)
+    return codes[0], QuantParams(x_min=float(mins[0]), step=float(steps[0]), bits=bits)
 
 
 def dequantize(codes, params: QuantParams) -> np.ndarray:
@@ -122,30 +150,46 @@ def dequantize(codes, params: QuantParams) -> np.ndarray:
     return codes * params.step + params.x_min
 
 
-@dataclass
+@dataclass(eq=False)
 class QuantizedBlock:
     """Bit-packed codes plus per-line parameters for one group of tokens.
 
     Codes are packed little-endian within bytes, in row-major element
-    order. ``params`` holds one line per channel (PER_CHANNEL) or one per
-    token row (PER_TOKEN).
+    order. ``mins`` and ``steps`` are float64 arrays with one entry per
+    channel (PER_CHANNEL) or per token row (PER_TOKEN).
     """
 
     codes: bytes
     group_axis: GroupAxis
-    params: list[QuantParams]
+    mins: np.ndarray = field(repr=False)
+    steps: np.ndarray = field(repr=False)
     n_tokens: int
     n_channels: int
     bits: int
 
     def __post_init__(self):
+        self.mins = np.asarray(self.mins, dtype=np.float64)
+        self.steps = np.asarray(self.steps, dtype=np.float64)
+        if not 1 <= self.bits <= 8:
+            raise ContractViolation(f"bits must be in [1, 8], got {self.bits}")
         expected = self.n_channels if self.group_axis is GroupAxis.PER_CHANNEL else self.n_tokens
-        if len(self.params) != expected:
+        if self.mins.shape != (expected,) or self.steps.shape != (expected,):
             raise ContractViolation(
-                f"expected {expected} parameter lines, got {len(self.params)}"
+                f"expected {expected} parameter lines, got mins {self.mins.shape} "
+                f"and steps {self.steps.shape}"
             )
+        if not np.isfinite(self.steps).all() or (self.steps < 0).any():
+            raise ContractViolation("steps must be finite and nonnegative")
         if len(self.codes) != _packed_size(self.n_tokens * self.n_channels, self.bits):
             raise ContractViolation("packed code length does not match block shape")
+
+    @property
+    def params(self) -> list[QuantParams]:
+        """One :class:`QuantParams` per line, built from ``mins`` and ``steps``."""
+        return [
+            QuantParams(x_min=m, step=s, bits=self.bits)
+            for m, s in zip(self.mins.tolist(), self.steps.tolist())
+        ]
 
     @property
     def code_bits(self) -> int:
@@ -155,7 +199,7 @@ class QuantizedBlock:
     @property
     def param_bits(self) -> int:
         """Two stored values, accounted 16 bits each, per parameter line."""
-        return len(self.params) * 2 * FP16_BITS
+        return self.steps.size * 2 * FP16_BITS
 
     def code_matrix(self) -> np.ndarray:
         """Unpacked integer codes, shape (n_tokens, n_channels)."""
@@ -164,13 +208,11 @@ class QuantizedBlock:
 
     def to_matrix(self) -> np.ndarray:
         """Dequantize to a float32 (n_tokens, n_channels) matrix."""
-        codes = self.code_matrix().astype(np.float64)
-        steps = np.array([p.step for p in self.params])
-        mins = np.array([p.x_min for p in self.params])
+        codes = self.code_matrix()
         if self.group_axis is GroupAxis.PER_CHANNEL:
-            out = codes * steps[None, :] + mins[None, :]
+            out = codes * self.steps[None, :] + self.mins[None, :]
         else:
-            out = codes * steps[:, None] + mins[:, None]
+            out = codes * self.steps[:, None] + self.mins[:, None]
         return out.astype(np.float32)
 
 
@@ -215,20 +257,20 @@ def _quantize_group(group: np.ndarray, bits: int, axis: GroupAxis) -> QuantizedB
         raise ContractViolation("group must be a non-empty 2-D matrix")
     if not np.isfinite(group).all():
         raise ContractViolation("group contains NaN or Inf")
+    if not 1 <= bits <= 8:
+        raise ContractViolation(f"bits must be in [1, 8], got {bits}")
 
     n_tokens, n_channels = group.shape
-    lines = group.T if axis is GroupAxis.PER_CHANNEL else group
-    codes = np.empty((lines.shape[0], lines.shape[1]), dtype=np.int64)
-    params: list[QuantParams] = []
-    for i, line in enumerate(lines):
-        codes[i], p = quantize_uniform(line, bits)
-        params.append(p)
     if axis is GroupAxis.PER_CHANNEL:
+        codes, mins, steps = _quantize_lines(np.ascontiguousarray(group.T), bits)
         codes = codes.T
+    else:
+        codes, mins, steps = _quantize_lines(group, bits)
     return QuantizedBlock(
         codes=pack_codes(codes.reshape(-1), bits),
         group_axis=axis,
-        params=params,
+        mins=mins,
+        steps=steps,
         n_tokens=n_tokens,
         n_channels=n_channels,
         bits=bits,

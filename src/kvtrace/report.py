@@ -156,6 +156,10 @@ CSV_COLUMNS = [
 ]
 
 
+# Most tokens ``ratio_curve`` draws in one random call.
+_DRAW_CHUNK = 512
+
+
 def ratio_curve(
     config: EngineConfig,
     seq_lens: list[int],
@@ -193,11 +197,12 @@ def ratio_curve(
     token = 0
     for target in seq_lens:
         while token < target:
-            cache.append(
-                rng.standard_normal(d).astype(np.float32),
-                rng.standard_normal(d).astype(np.float32),
-            )
-            token += 1
+            # One draw per chunk is the same stream, in the same order, as
+            # a key draw then a value draw per token.
+            n = min(_DRAW_CHUNK, target - token)
+            for k_row, v_row in rng.standard_normal((n, 2, d)).astype(np.float32):
+                cache.append(k_row, v_row)
+            token += n
         usage = cache.memory_usage()
         fp16_bits = 2 * target * d * FP16_BITS
         rows.append(

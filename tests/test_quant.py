@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from kvtrace import (
     ContractViolation,
     GroupAxis,
+    QuantizedBlock,
     dequantize,
     pack_codes,
     quantize_keys_channelwise,
@@ -29,6 +31,135 @@ def oracle_quantize(x, bits):
         c = math.floor((xi - x_min) / q)
         codes.append(max(0, min(levels, c)))
     return codes, x_min, q
+
+
+def reference_quantize_line(x, bits):
+    """Slow per-line reference for the vectorized quantizer.
+
+    Returns ``(codes, x_min, step)``. The step is nudged down until the top
+    code reconstructs at or below x_max; each code is then the highest
+    level whose float64 reconstruction is <= x (``searchsorted`` on the
+    lattice), and step shrinks by the excess wherever round-off left a
+    lattice cell wider than step.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    levels = (1 << bits) - 1
+    x_min = float(x.min())
+    x_max = float(x.max())
+    step = (x_max - x_min) / levels
+    while step > 0 and x_min + levels * step > x_max:
+        step = math.nextafter(step, 0.0)
+    if step == 0.0:
+        return np.zeros(x.size, dtype=np.int64), x_min, step
+    while True:
+        lattice = np.arange(levels + 1) * step + x_min
+        codes = np.searchsorted(lattice, x, side="right") - 1
+        excess = float((x - lattice[codes]).max()) - step
+        if not 0.0 < excess < step:
+            return codes, x_min, step
+        step = min(math.nextafter(step, 0.0), step - excess)
+
+
+# Inputs hypothesis found where round-off left the dequantized cell just
+# below 0 wider than step, so no code met the bound for the tiny value.
+ROUND_OFF_LINES = [
+    [0.0, -1.0, -2.2673522785835693e-33],
+    [0.0, -1.0, -1.1754943508222875e-38],
+    [0.0, -42.5, -1.401298464324817e-45],
+]
+
+
+def bits_of(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+def assert_matches_reference(lines, bits):
+    """Quantize each row of ``lines`` three ways, bit-equal to the reference.
+
+    The rows are the key channels of ``lines.T``, the value tokens of
+    ``lines``, and single lines for quantize_uniform. Returns the
+    reference steps.
+    """
+    lines = np.asarray(lines, dtype=np.float64)
+    ref = [reference_quantize_line(line, bits) for line in lines]
+    ref_codes = np.array([c for c, _, _ in ref])
+    ref_mins = bits_of([m for _, m, _ in ref])
+    ref_steps = bits_of([s for _, _, s in ref])
+    keys = quantize_keys_channelwise(lines.T, bits)
+    values = quantize_values_tokenwise(lines, bits)
+    np.testing.assert_array_equal(keys.code_matrix().T, ref_codes)
+    np.testing.assert_array_equal(values.code_matrix(), ref_codes)
+    for block in (keys, values):
+        np.testing.assert_array_equal(bits_of(block.mins), ref_mins)
+        np.testing.assert_array_equal(bits_of(block.steps), ref_steps)
+    for i, line in enumerate(lines):
+        codes, p = quantize_uniform(line, bits)
+        np.testing.assert_array_equal(codes, ref_codes[i])
+        assert bits_of([p.x_min, p.step]).tolist() == [ref_mins[i], ref_steps[i]]
+    return ref_steps.view(np.float64)
+
+
+class TestAgainstReference:
+    """The one vectorized pass, bit for bit against the per-line reference."""
+
+    @staticmethod
+    def lines(rng, n_lines, width, kind):
+        x = rng.standard_normal((n_lines, width)) * 10.0 ** rng.integers(-4, 5)
+        if kind == "float32":
+            x = x.astype(np.float32)
+        elif kind == "subnormal":
+            x = (rng.standard_normal((n_lines, width)) * 1e-42).astype(np.float32)
+        elif kind == "integer":
+            x = rng.integers(-3, 4, size=(n_lines, width)).astype(np.float64)
+        x = x.astype(np.float64)
+        x[0] = x[0, 0]  # one constant line per group
+        return x
+
+    @pytest.mark.parametrize("bits", range(1, 9))
+    def test_all_widths(self, bits):
+        rng = np.random.default_rng(100 + bits)
+        kinds = ["float64", "float32", "subnormal", "integer"]
+        for width in range(1, 130):
+            assert_matches_reference(self.lines(rng, 3, width, kinds[width % len(kinds)]), bits)
+
+    @pytest.mark.parametrize("bits", range(1, 9))
+    def test_round_off_lines_mixed_with_ordinary_lines(self, bits):
+        rng = np.random.default_rng(200 + bits)
+        ordinary = rng.standard_normal((4, 3)).astype(np.float32).astype(np.float64)
+        group = np.array(ROUND_OFF_LINES[:1] + [ordinary[0]] + ROUND_OFF_LINES[1:]
+                         + list(ordinary[1:]) + [[2.5, 2.5, 2.5]])
+        steps = assert_matches_reference(group, bits)
+        if bits == 2:
+            # the excess shrink runs for the round-off lines and no others
+            levels = (1 << bits) - 1
+            plain = (group.max(axis=1) - group.min(axis=1)) / levels
+            shrunk = steps < plain
+            assert shrunk[[0, 2, 3]].all() and not shrunk[[1, 4, 5, 6, 7]].any()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        hnp.arrays(
+            np.float32,
+            st.tuples(st.integers(1, 12), st.integers(1, 12)),
+            elements=st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, width=32),
+        ),
+        st.integers(min_value=1, max_value=8),
+    )
+    @example(group=np.array(ROUND_OFF_LINES, dtype=np.float32), bits=2)
+    @example(group=np.array(ROUND_OFF_LINES, dtype=np.float32).T.copy(), bits=2)
+    def test_group_bound_property(self, group, bits):
+        x = group.astype(np.float64)
+        for block, lines in (
+            (quantize_keys_channelwise(x, bits), x.T),
+            (quantize_values_tokenwise(x, bits), x),
+        ):
+            codes = block.code_matrix()
+            if block.group_axis is GroupAxis.PER_CHANNEL:
+                codes = codes.T
+            for line, line_codes, p in zip(lines, codes, block.params):
+                err = line - dequantize(line_codes, p)
+                assert err.min() >= 0.0
+                assert err.max() <= p.step or p.step == 0.0
 
 
 class TestQuantizeUniform:
@@ -199,6 +330,55 @@ class TestGroupQuantizers:
     def test_empty_group_rejected(self):
         with pytest.raises(ContractViolation):
             quantize_keys_channelwise(np.zeros((0, 4)), 2)
+
+
+class TestQuantizedBlockChecks:
+    @staticmethod
+    def fields(**overrides):
+        # a valid 2-bit per-channel block of 4 tokens x 3 channels
+        kw = dict(codes=bytes(3), group_axis=GroupAxis.PER_CHANNEL, mins=np.zeros(3),
+                  steps=np.ones(3), n_tokens=4, n_channels=3, bits=2)
+        kw.update(overrides)
+        return kw
+
+    def test_valid_block_and_params_view(self):
+        block = QuantizedBlock(**self.fields(mins=[0.5, -1.0, 2.0], steps=[1.0, 0.0, 0.25]))
+        assert [(p.x_min, p.step, p.bits) for p in block.params] == [
+            (0.5, 1.0, 2), (-1.0, 0.0, 2), (2.0, 0.25, 2)
+        ]
+        assert block.mins.dtype == block.steps.dtype == np.float64
+        assert block.param_bits == 3 * 2 * 16
+
+    @pytest.mark.parametrize("bits", [0, 9])
+    def test_rejects_bits_out_of_range(self, bits):
+        codes = bytes((4 * 3 * bits + 7) // 8)
+        with pytest.raises(ContractViolation, match="bits"):
+            QuantizedBlock(**self.fields(bits=bits, codes=codes))
+
+    @pytest.mark.parametrize("bad", [-1e-300, float("nan"), float("inf")])
+    def test_rejects_negative_or_nonfinite_step(self, bad):
+        with pytest.raises(ContractViolation, match="steps"):
+            QuantizedBlock(**self.fields(steps=[1.0, bad, 1.0]))
+
+    @pytest.mark.parametrize(
+        "override",
+        [{"mins": np.zeros(4)}, {"steps": np.zeros(4)}, {"group_axis": GroupAxis.PER_TOKEN}],
+    )
+    def test_rejects_parameter_count_off_the_group_axis(self, override):
+        with pytest.raises(ContractViolation, match="parameter lines"):
+            QuantizedBlock(**self.fields(**override))
+
+    def test_rejects_packed_length_off_the_shape(self):
+        with pytest.raises(ContractViolation, match="packed"):
+            QuantizedBlock(**self.fields(codes=bytes(4)))
+
+    def test_group_quantizers_keep_input_checks(self):
+        with pytest.raises(ContractViolation):
+            quantize_values_tokenwise(np.array([[1.0, np.inf]]), 2)
+        with pytest.raises(ContractViolation):
+            quantize_keys_channelwise(np.zeros(4), 2)
+        with pytest.raises(ContractViolation):
+            quantize_keys_channelwise(np.zeros((2, 2)), 9)
 
 
 class TestPacking:

@@ -7,6 +7,7 @@ from kvtrace import (
     EngineConfig,
     ExperimentRow,
     SyntheticSpec,
+    TieredCache,
     compare_criteria,
     estimate_kv_bytes,
     generate_synthetic,
@@ -115,6 +116,31 @@ class TestRatioCurve:
     def test_unsorted_lengths_rejected(self):
         with pytest.raises(ContractViolation):
             ratio_curve(EngineConfig(), [128, 64])
+
+    def test_chunked_draws_equal_per_row_draws(self, monkeypatch):
+        cfg = EngineConfig(group_size=8, residual=2, outlier_num=2, skip_layers=(), head_dim=5)
+        lengths = [5, 700, 1300]
+        appended, snapshots = [], []
+        append, memory_usage = TieredCache.append, TieredCache.memory_usage
+
+        def recording_append(cache, k_row, v_row):
+            appended.append((np.array(k_row), np.array(v_row)))
+            append(cache, k_row, v_row)
+
+        def recording_usage(cache):
+            snapshots.append(cache.total_tokens)
+            return memory_usage(cache)
+
+        monkeypatch.setattr(TieredCache, "append", recording_append)
+        monkeypatch.setattr(TieredCache, "memory_usage", recording_usage)
+        ratio_curve(cfg, lengths, seed=7)
+        assert snapshots == lengths
+        rng = np.random.default_rng(7)
+        assert len(appended) == lengths[-1]
+        for k_row, v_row in appended:
+            np.testing.assert_array_equal(k_row, rng.standard_normal(5).astype(np.float32))
+            np.testing.assert_array_equal(v_row, rng.standard_normal(5).astype(np.float32))
+            assert k_row.dtype == v_row.dtype == np.float32
 
     def test_ott_layer_includes_pool_overhead(self):
         cfg = EngineConfig(group_size=8, residual=0, outlier_num=2, head_dim=4)
