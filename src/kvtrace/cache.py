@@ -12,7 +12,11 @@ Three tiers hold every token exactly once:
 
 Appending the token that brings the pending count to ``group_size +
 residual`` quantizes the oldest ``group_size`` pending rows, so the newest
-``residual`` tokens are always full precision.
+``residual`` tokens are always full precision. ``append`` adds one token;
+``extend`` adds an (n, d) chunk, checked once, and copies it in slices
+that end exactly where per-token appends would quantize, so a cache fed
+in chunks is bit-identical to one fed token by token. A rejected row or
+chunk leaves the cache unchanged.
 
 Rows live in one float32 buffer each for K and V. Until attention first
 reads the cache, the buffer holds only the pending rows (at most
@@ -59,8 +63,6 @@ class EngineConfig:
     outlier_num: int = 3
     skip_layers: tuple[int, ...] = (0, 1)
     aux_capacity: int = 32
-    n_layers: int = 1
-    n_heads: int = 1
     head_dim: int = 64
 
     def __post_init__(self):
@@ -70,8 +72,8 @@ class EngineConfig:
             raise ContractViolation("group_size must be >= 1")
         if self.residual < 0 or self.outlier_num < 0 or self.aux_capacity < 0:
             raise ContractViolation("residual, outlier_num, aux_capacity must be >= 0")
-        if self.n_layers < 1 or self.n_heads < 1 or self.head_dim < 1:
-            raise ContractViolation("dimensions must be >= 1")
+        if self.head_dim < 1:
+            raise ContractViolation("head_dim must be >= 1")
 
     def outlier_capacity(self, layer: int) -> int:
         """Pool capacity for one layer (0 on skipped layers)."""
@@ -119,9 +121,10 @@ class TieredCache:
         self.substituted_positions: set[int] = set()
         self.total_tokens = 0
         self.quantized_tokens = 0
-        cap = config.group_size + config.residual
-        self._k = np.empty((cap, config.head_dim), dtype=np.float32)
-        self._v = np.empty((cap, config.head_dim), dtype=np.float32)
+        # Pending count at which the oldest group is quantized.
+        self._trigger = config.group_size + config.residual
+        self._k = np.empty((self._trigger, config.head_dim), dtype=np.float32)
+        self._v = np.empty((self._trigger, config.head_dim), dtype=np.float32)
         self._pending_count = 0
         self._dense = False
 
@@ -150,17 +153,41 @@ class TieredCache:
         d = self.config.head_dim
         if k_row.shape != (d,) or v_row.shape != (d,):
             raise ContractViolation(f"rows must have shape ({d},)")
-        if not (np.isfinite(k_row).all() and np.isfinite(v_row).all()):
+        if not np.isfinite(np.concatenate((k_row, v_row))).all():
             raise ContractViolation("rows contain NaN or Inf")
+        self._store(k_row, v_row, 1)
 
+    def extend(self, k_rows, v_rows) -> None:
+        """Add an (n, d) chunk of key/value rows exactly as n appends would.
+
+        The chunk is checked once, up front, so a bad chunk raises before
+        any row is stored. Rows are copied in slices that each end where
+        a per-row append would quantize a group.
+        """
+        k_rows = np.asarray(k_rows, dtype=np.float32)
+        v_rows = np.asarray(v_rows, dtype=np.float32)
+        d = self.config.head_dim
+        if k_rows.ndim != 2 or k_rows.shape[1] != d or v_rows.shape != k_rows.shape:
+            raise ContractViolation(f"chunks must be matching (n, {d}) matrices")
+        if not np.isfinite(np.concatenate((k_rows, v_rows))).all():
+            raise ContractViolation("rows contain NaN or Inf")
+        done = 0
+        while done < len(k_rows):
+            take = min(len(k_rows) - done, self._trigger - self._pending_count)
+            self._store(k_rows[done : done + take], v_rows[done : done + take], take)
+            done += take
+
+    def _store(self, k_rows, v_rows, n: int) -> None:
+        # The one writer: copies n checked rows (a (d,) row when n is 1)
+        # that do not run past the next trigger, then quantizes if due.
         row = self._pending_start + self._pending_count
-        if row == self._k.shape[0]:
+        while row + n > len(self._k):
             self._k, self._v = _doubled(self._k), _doubled(self._v)
-        self._k[row] = k_row
-        self._v[row] = v_row
-        self._pending_count += 1
-        self.total_tokens += 1
-        if self._pending_count - self.config.residual >= self.config.group_size:
+        self._k[row : row + n] = k_rows
+        self._v[row : row + n] = v_rows
+        self._pending_count += n
+        self.total_tokens += n
+        if self._pending_count >= self._trigger:
             self.quantize_oldest_group()
 
     def attended_kv(self) -> tuple[np.ndarray, np.ndarray]:
@@ -196,17 +223,18 @@ class TieredCache:
 
         evicted = []
         if self.pool.capacity > 0 and not self.pool.frozen:
-            scores = score_tokens(group_k)
+            # Candidates hold row views of the group copy; only the winners'
+            # rows are copied, so no pool or aux row keeps a group alive.
             candidates = [
-                OutlierEntry(
-                    position=base + i,
-                    key=group_k[i].copy(),
-                    value=group_v[i].copy(),
-                    score=float(scores[i]),
+                OutlierEntry(position=base + i, key=k, value=v, score=score)
+                for i, (k, v, score) in enumerate(
+                    zip(group_k, group_v, score_tokens(group_k).tolist())
                 )
-                for i in range(g)
             ]
             selected, evicted = self.pool.update(candidates)
+            for entry in self.pool.entries:
+                if entry.position in selected:
+                    entry.key, entry.value = entry.key.copy(), entry.value.copy()
             if selected:
                 in_group = [p - base for p in selected]
                 group_k, group_v = substitute_means(group_k, group_v, in_group)

@@ -193,8 +193,6 @@ def _config_from_args(args, trace: Trace) -> EngineConfig:
         outlier_num=outlier_num,
         skip_layers=skip,
         aux_capacity=args.aux_capacity,
-        n_layers=trace.header.n_layers,
-        n_heads=trace.header.n_heads,
         head_dim=trace.header.head_dim,
     )
 

@@ -292,7 +292,13 @@ def _packed_size(count: int, bits: int) -> int:
 
 
 def pack_codes(codes, bits: int) -> bytes:
-    """Pack integer codes at ``bits`` bits each, little-endian within bytes."""
+    """Pack integer codes at ``bits`` bits each, little-endian within bytes.
+
+    Code i occupies bits ``i * bits`` to ``(i + 1) * bits - 1`` of the
+    stream, and stream bit j is bit ``j % 8`` of byte ``j // 8``. Eight
+    codes fill exactly ``bits`` bytes, so each run of eight is built as one
+    little-endian uint64 word of which the low ``bits`` bytes are kept.
+    """
     if not 1 <= bits <= 8:
         raise ContractViolation(f"bits must be in [1, 8], got {bits}")
     codes = np.asarray(codes, dtype=np.int64)
@@ -302,11 +308,11 @@ def pack_codes(codes, bits: int) -> bytes:
         return b""
     if codes.min() < 0 or codes.max() >= (1 << bits):
         raise ContractViolation(f"codes overflow {bits} bits")
-    u8 = codes.astype(np.uint8)
-    # One bit column per code bit, LSB first; the flattened stream is then
-    # packed so bit i of the stream lands in bit (i % 8) of byte (i // 8).
-    bit_cols = (u8[:, None] >> np.arange(bits, dtype=np.uint8)) & 1
-    return np.packbits(bit_cols.reshape(-1), bitorder="little").tobytes()
+    words = np.zeros((-(-codes.size // 8), 8), dtype=np.uint64)
+    words.reshape(-1)[: codes.size] = codes
+    words = (words << _word_shifts(bits)).sum(axis=1, dtype=np.uint64)
+    packed = words.astype("<u8").view(np.uint8).reshape(-1, 8)[:, :bits]
+    return packed.tobytes()[: _packed_size(codes.size, bits)]
 
 
 def unpack_codes(data: bytes, bits: int, count: int) -> np.ndarray:
@@ -317,10 +323,20 @@ def unpack_codes(data: bytes, bits: int, count: int) -> np.ndarray:
         raise ContractViolation("count must be nonnegative")
     if count == 0:
         return np.zeros(0, dtype=np.int64)
-    if len(data) < _packed_size(count, bits):
+    size = _packed_size(count, bits)
+    if len(data) < size:
         raise ContractViolation(
-            f"need {_packed_size(count, bits)} bytes for {count} codes, got {len(data)}"
+            f"need {size} bytes for {count} codes, got {len(data)}"
         )
-    stream = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
-    bit_cols = stream[: count * bits].reshape(count, bits).astype(np.int64)
-    return bit_cols @ (1 << np.arange(bits, dtype=np.int64))
+    n_words = -(-count // 8)
+    stream = bytes(data[:size]).ljust(n_words * bits, b"\0")
+    word_bytes = np.zeros((n_words, 8), dtype=np.uint8)
+    word_bytes[:, :bits] = np.frombuffer(stream, dtype=np.uint8).reshape(n_words, bits)
+    words = word_bytes.view("<u8")
+    codes = (words >> _word_shifts(bits)) & np.uint64((1 << bits) - 1)
+    return codes.reshape(-1)[:count].astype(np.int64)
+
+
+def _word_shifts(bits: int) -> np.ndarray:
+    # Offset of each of a word's eight codes.
+    return np.arange(0, 8 * bits, bits, dtype=np.uint64)

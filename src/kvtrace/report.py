@@ -170,12 +170,12 @@ def ratio_curve(
 ) -> list[ExperimentRow]:
     """Compression ratio against fp16 accounting at increasing lengths.
 
-    Replays one representative (layer, head) cache token by token and
-    snapshots the memory breakdown at each requested length. By default
-    the replayed layer is the lowest index where outlier pooling is
-    active, so the configured pool overhead is included. Below
-    ``group_size + residual`` tokens nothing is quantized and the ratio is
-    exactly 1.
+    Feeds one representative (layer, head) cache chunks of random rows,
+    which is identical to a token-by-token replay, and snapshots the
+    memory breakdown at each requested length. By default the replayed
+    layer is the lowest index where outlier pooling is active, so the
+    configured pool overhead is included. Below ``group_size + residual``
+    tokens nothing is quantized and the ratio is exactly 1.
     """
     if list(seq_lens) != sorted(seq_lens) or any(s < 1 for s in seq_lens):
         raise ContractViolation("seq_lens must be positive and sorted ascending")
@@ -200,8 +200,8 @@ def ratio_curve(
             # One draw per chunk is the same stream, in the same order, as
             # a key draw then a value draw per token.
             n = min(_DRAW_CHUNK, target - token)
-            for k_row, v_row in rng.standard_normal((n, 2, d)).astype(np.float32):
-                cache.append(k_row, v_row)
+            kv = rng.standard_normal((n, 2, d)).astype(np.float32)
+            cache.extend(kv[:, 0], kv[:, 1])
             token += n
         usage = cache.memory_usage()
         fp16_bits = 2 * target * d * FP16_BITS

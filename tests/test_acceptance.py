@@ -165,8 +165,7 @@ def test_criterion_5_lossless_equivalence():
 def _replay_error(trace, head, outlier_num):
     cfg = EngineConfig(
         bits=2, group_size=128, residual=32, outlier_num=outlier_num,
-        skip_layers=(), aux_capacity=32, n_layers=1, n_heads=trace.header.n_heads,
-        head_dim=trace.header.head_dim,
+        skip_layers=(), aux_capacity=32, head_dim=trace.header.head_dim,
     )
     cache = TieredCache(cfg, layer=0)
     seq_len = trace.header.seq_len

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+import kvtrace.cache
 from kvtrace import (
     ContractViolation,
     EngineConfig,
+    OutlierEntry,
+    OutlierPool,
     TieredCache,
     attend_full_precision,
     attend_mixed,
@@ -20,6 +23,34 @@ def fill(cache, rows_k, rows_v):
 
 def random_rows(rng, n, d):
     return rng.standard_normal((n, d)).astype(np.float32)
+
+
+def shrinking_keys(rng, n, d):
+    # Norms shrink over the sequence, so later groups keep displacing pool
+    # members: evictions happen until the auxiliary list fills.
+    shrink = np.linspace(3.0, 0.1, n)[:, None] * rng.uniform(0.5, 1.5, size=(n, 1))
+    return (random_rows(rng, n, d) * shrink).astype(np.float32)
+
+
+def pool_rows(entries):
+    return [(e.position, e.score, e.key.tolist(), e.value.tolist()) for e in entries]
+
+
+def assert_same_cache(a, b):
+    """Every block, pending row, pool member and accounting figure agrees."""
+    assert (a.total_tokens, a.quantized_tokens, a.pending_rows) == (
+        b.total_tokens, b.quantized_tokens, b.pending_rows)
+    np.testing.assert_array_equal(a.pending_k, b.pending_k)
+    np.testing.assert_array_equal(a.pending_v, b.pending_v)
+    for x, y in zip(a.quantized_k + a.quantized_v, b.quantized_k + b.quantized_v, strict=True):
+        assert type(x) is type(y)
+        assert {k: np.asarray(v).tolist() for k, v in vars(x).items()} == {
+            k: np.asarray(v).tolist() for k, v in vars(y).items()}
+    assert pool_rows(a.pool.entries) == pool_rows(b.pool.entries)
+    assert pool_rows(a.pool.aux) == pool_rows(b.pool.aux)
+    assert a.pool.frozen == b.pool.frozen
+    assert a.substituted_positions == b.substituted_positions
+    assert a.memory_usage() == b.memory_usage()
 
 
 class TestEngineConfig:
@@ -244,10 +275,7 @@ class TestAttendedKv:
         d = 4
         n = 6 * g + r + 2
         rng = np.random.default_rng(1000 * g + 10 * r + passthrough)
-        # Norms shrink over the sequence, so later groups keep displacing
-        # pool members: evictions happen until the auxiliary list fills.
-        shrink = np.linspace(3.0, 0.1, n)[:, None] * rng.uniform(0.5, 1.5, size=(n, 1))
-        keys = (random_rows(rng, n, d) * shrink).astype(np.float32)
+        keys = shrinking_keys(rng, n, d)
         values = random_rows(rng, n, d)
         queries = random_rows(rng, n, d)
         froze = evicted = 0
@@ -274,3 +302,188 @@ class TestAttendedKv:
         fill(cache, random_rows(rng, 20 * g + r, d), random_rows(rng, 20 * g + r, d))
         assert len(cache.quantized_k) == 20
         assert cache._k.shape[0] <= g + r and cache._v.shape[0] <= g + r
+
+
+class TestExtend:
+    """Chunked writes against per-row appends of the same rows."""
+
+    # (outlier_num, aux_capacity): every outlier_num 0-3 and aux 0-4.
+    POOLS = [(0, 0), (1, 0), (1, 4), (2, 1), (3, 2), (3, 3), (2, 4)]
+
+    @staticmethod
+    def chunks(n, size):
+        # Size 0 puts an empty chunk before every row.
+        pattern = [0, 1] if size == 0 else [size]
+        start = 0
+        while start < n:
+            for step in pattern:
+                yield start, min(start + step, n)
+                start = min(start + step, n)
+        yield n, n
+
+    @staticmethod
+    def read(cache):
+        keys, values = cache.attended_kv()
+        return keys.copy(), values.copy()
+
+    def rowwise(self, cfg, passthrough, keys, values, read_at):
+        cache = TieredCache(cfg, layer=0, passthrough=passthrough)
+        snapshot = None
+        for t in range(len(keys) + 1):
+            if t == read_at:
+                snapshot = self.read(cache)
+            if t < len(keys):
+                cache.append(keys[t], values[t])
+        return cache, snapshot
+
+    @pytest.mark.parametrize("passthrough", [False, True])
+    @pytest.mark.parametrize("r", [0, 3])
+    @pytest.mark.parametrize("g", [1, 4, 16])
+    def test_bit_identical_to_per_row_append(self, g, r, passthrough):
+        d = 4
+        n = 4 * g + r + 2
+        rng = np.random.default_rng(2000 * g + 10 * r + passthrough)
+        keys = shrinking_keys(rng, n, d)
+        values = random_rows(rng, n, d)
+        evicted = froze = 0
+        for outlier_num, aux in self.POOLS:
+            cfg = EngineConfig(group_size=g, residual=r, outlier_num=outlier_num,
+                               skip_layers=(), aux_capacity=aux, head_dim=d)
+            references = {}
+            for size in sorted({0, 1, 5, g, g + r, 3 * g + 1, n}):
+                boundaries = [stop for _start, stop in self.chunks(n, size)]
+                between = next(t for t in boundaries if t > 0)
+                for read_at in (0, between, n):
+                    if read_at not in references:
+                        references[read_at] = self.rowwise(cfg, passthrough, keys, values, read_at)
+                    reference, want = references[read_at]
+                    cache = TieredCache(cfg, layer=0, passthrough=passthrough)
+                    if read_at == 0:
+                        got = self.read(cache)
+                    for start, stop in self.chunks(n, size):
+                        cache.extend(keys[start:stop], values[start:stop])
+                        if stop == read_at:
+                            got = self.read(cache)
+                    np.testing.assert_array_equal(got[0], want[0])
+                    np.testing.assert_array_equal(got[1], want[1])
+                    assert_same_cache(cache, reference)
+                    for x, y in zip(self.read(cache), self.read(reference)):
+                        np.testing.assert_array_equal(x, y)
+            evicted += len(reference.pool.aux)
+            froze += reference.pool.frozen
+        assert evicted and froze
+
+    @staticmethod
+    def fed_pair(seed):
+        # Two caches in the same state: three groups in, pool full, dense.
+        cfg = EngineConfig(group_size=4, residual=3, outlier_num=2, skip_layers=(),
+                           aux_capacity=4, head_dim=3)
+        rng = np.random.default_rng(seed)
+        keys, values = shrinking_keys(rng, 17, 3), random_rows(rng, 17, 3)
+        pair = [TieredCache(cfg, layer=0) for _ in range(2)]
+        for cache in pair:
+            cache.extend(keys, values)
+            cache.attended_kv()
+        return pair
+
+    @pytest.mark.parametrize(
+        "k_shape, v_shape",
+        [((5, 4), (5, 4)), ((5, 2), (5, 2)), ((5, 3), (6, 3)), ((5, 3), (5, 4)),
+         ((3,), (3,)), ((1, 5, 3), (1, 5, 3))],
+    )
+    def test_rejects_bad_shapes(self, k_shape, v_shape):
+        cache, twin = self.fed_pair(0)
+        with pytest.raises(ContractViolation):
+            cache.extend(np.ones(k_shape), np.ones(v_shape))
+        assert_same_cache(cache, twin)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["key", "value"])
+    def test_rejects_non_finite_rows_atomically(self, bad, side):
+        rng = np.random.default_rng(1)
+        good_k, good_v = random_rows(rng, 6, 3), random_rows(rng, 6, 3)
+        for row in range(6):
+            cache, twin = self.fed_pair(0)
+            k, v = good_k.copy(), good_v.copy()
+            (k if side == "key" else v)[row, row % 3] = bad
+            # Six rows cross a group boundary, so a partial write would show.
+            with pytest.raises(ContractViolation, match="NaN or Inf"):
+                cache.extend(k, v)
+            assert_same_cache(cache, twin)
+            for x, y in zip(cache.attended_kv(), twin.attended_kv()):
+                np.testing.assert_array_equal(x, y)
+            cache.extend(good_k, good_v)
+            twin.extend(good_k, good_v)
+            assert_same_cache(cache, twin)
+
+    def test_append_rejects_non_finite_rows(self):
+        cache, twin = self.fed_pair(2)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ContractViolation, match="NaN or Inf"):
+                cache.append([0.0, bad, 0.0], [0.0, 0.0, 0.0])
+            with pytest.raises(ContractViolation, match="NaN or Inf"):
+                cache.append([0.0, 0.0, 0.0], [bad, 0.0, 0.0])
+        assert_same_cache(cache, twin)
+
+
+class TestPoolCandidates:
+    """Candidates are row views of the group copy; only winners are copied."""
+
+    @staticmethod
+    def replay(seed, g, outlier_num, aux):
+        cfg = EngineConfig(group_size=g, residual=2, outlier_num=outlier_num,
+                           skip_layers=(), aux_capacity=aux, head_dim=4)
+        rng = np.random.default_rng(seed)
+        n = 12 * g + 2
+        cache = TieredCache(cfg, layer=0)
+        fill(cache, shrinking_keys(rng, n, 4), random_rows(rng, n, 4))
+        return cache
+
+    @staticmethod
+    def record_updates(monkeypatch, log):
+        update = OutlierPool.update
+
+        def recording_update(pool, candidates):
+            # The arrays the candidates' rows live in, before winners are copied.
+            bases = {id(a.base): a.base for c in candidates for a in (c.key, c.value)}
+            selected, evicted = update(pool, candidates)
+            log.append((list(bases.values()), set(selected), [e.position for e in evicted]))
+            return selected, evicted
+
+        monkeypatch.setattr(OutlierPool, "update", recording_update)
+
+    @pytest.mark.parametrize("g", [1, 4, 16])
+    def test_matches_all_copy_reference(self, monkeypatch, g):
+        class CopiedEntry(OutlierEntry):
+            def __post_init__(self):
+                self.key, self.value = self.key.copy(), self.value.copy()
+
+        for outlier_num, aux in [(1, 0), (1, 4), (2, 2), (3, 3), (3, 4)]:
+            views, copies = [], []
+            with monkeypatch.context() as m:
+                self.record_updates(m, views)
+                cache = self.replay(g, g, outlier_num, aux)
+            with monkeypatch.context() as m:
+                m.setattr(kvtrace.cache, "OutlierEntry", CopiedEntry)
+                self.record_updates(m, copies)
+                reference = self.replay(g, g, outlier_num, aux)
+            assert len(views) == len(reference.quantized_k) or reference.pool.frozen
+            assert [v[1:] for v in views] == [c[1:] for c in copies]
+            assert_same_cache(cache, reference)
+
+    def test_no_pool_row_shares_a_group_buffer(self, monkeypatch):
+        log = []
+        self.record_updates(monkeypatch, log)
+        cache = self.replay(5, 8, outlier_num=3, aux=4)
+        # Candidates are views, so each update sees the group's K and V copies.
+        assert all(len(bases) == 2 and all(b is not None for b in bases) for bases, _, _ in log)
+        groups = [group for bases, _, _ in log for group in bases]
+        stored = cache.pool.entries + cache.pool.aux
+        assert sum(len(selected) for _, selected, _ in log) > cache.pool.capacity
+        assert cache.pool.aux and len(cache.pool.entries) == 3
+        for entry in stored:
+            for row in (entry.key, entry.value):
+                for group in groups:
+                    assert not np.shares_memory(row, group)
+                assert not np.shares_memory(row, cache._k)
+                assert not np.shares_memory(row, cache._v)

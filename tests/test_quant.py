@@ -33,6 +33,23 @@ def oracle_quantize(x, bits):
     return codes, x_min, q
 
 
+def reference_pack_codes(codes, bits):
+    """The bit-column form of the packed byte format, the word packer's reference.
+
+    Each code contributes ``bits`` bit columns, LSB first; the flattened
+    stream is packed so stream bit i lands in bit (i % 8) of byte (i // 8).
+    """
+    u8 = np.asarray(codes, dtype=np.int64).astype(np.uint8)
+    bit_cols = (u8[:, None] >> np.arange(bits, dtype=np.uint8)) & 1
+    return np.packbits(bit_cols.reshape(-1), bitorder="little").tobytes()
+
+
+def reference_unpack_codes(data, bits, count):
+    stream = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
+    bit_cols = stream[: count * bits].reshape(count, bits).astype(np.int64)
+    return bit_cols @ (1 << np.arange(bits, dtype=np.int64))
+
+
 def reference_quantize_line(x, bits):
     """Slow per-line reference for the vectorized quantizer.
 
@@ -404,6 +421,28 @@ class TestPacking:
             packed = pack_codes(codes, bits)
             np.testing.assert_array_equal(unpack_codes(packed, bits, codes.size), codes)
 
+    SWEEP_LENGTHS = [*range(70), 127, 128, 129, 8191, 8192, 8193]
+
+    @pytest.mark.parametrize("bits", range(1, 9))
+    def test_bytes_equal_bit_column_reference(self, bits):
+        rng = np.random.default_rng(bits)
+        for n in self.SWEEP_LENGTHS:
+            codes = rng.integers(0, 1 << bits, size=n)
+            packed = pack_codes(codes, bits)
+            assert packed == reference_pack_codes(codes, bits)
+            np.testing.assert_array_equal(unpack_codes(packed, bits, n), codes)
+            np.testing.assert_array_equal(reference_unpack_codes(packed, bits, n), codes)
+            top = np.full(n, (1 << bits) - 1)
+            assert pack_codes(top, bits) == reference_pack_codes(top, bits)
+            np.testing.assert_array_equal(unpack_codes(pack_codes(top, bits), bits, n), top)
+
+    def test_unpack_ignores_bytes_past_the_codes(self):
+        codes = np.array([3, 1, 2])
+        packed = pack_codes(codes, 2) + b"\xff\xff"
+        np.testing.assert_array_equal(unpack_codes(packed, 2, 3), codes)
+        with pytest.raises(ContractViolation):
+            unpack_codes(pack_codes(codes, 8)[:2], 8, 3)
+
     def test_overflow_rejected(self):
         with pytest.raises(ContractViolation):
             pack_codes([4], 2)
@@ -422,4 +461,5 @@ class TestPacking:
     def test_round_trip_property(self, case):
         bits, codes = case
         packed = pack_codes(codes, bits)
+        assert packed == reference_pack_codes(codes, bits)
         assert unpack_codes(packed, bits, len(codes)).tolist() == codes

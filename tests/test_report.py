@@ -121,17 +121,17 @@ class TestRatioCurve:
         cfg = EngineConfig(group_size=8, residual=2, outlier_num=2, skip_layers=(), head_dim=5)
         lengths = [5, 700, 1300]
         appended, snapshots = [], []
-        append, memory_usage = TieredCache.append, TieredCache.memory_usage
+        extend, memory_usage = TieredCache.extend, TieredCache.memory_usage
 
-        def recording_append(cache, k_row, v_row):
-            appended.append((np.array(k_row), np.array(v_row)))
-            append(cache, k_row, v_row)
+        def recording_extend(cache, k_rows, v_rows):
+            appended.extend((np.array(k), np.array(v)) for k, v in zip(k_rows, v_rows))
+            extend(cache, k_rows, v_rows)
 
         def recording_usage(cache):
             snapshots.append(cache.total_tokens)
             return memory_usage(cache)
 
-        monkeypatch.setattr(TieredCache, "append", recording_append)
+        monkeypatch.setattr(TieredCache, "extend", recording_extend)
         monkeypatch.setattr(TieredCache, "memory_usage", recording_usage)
         ratio_curve(cfg, lengths, seed=7)
         assert snapshots == lengths
