@@ -5,7 +5,7 @@ tiered, group-quantized KV cache, measures attention-output error against
 a full-precision oracle, and accounts memory against an fp16 baseline.
 """
 
-from .attention import AttentionResult, attend_full_precision, attend_mixed, l1_error
+from .attention import AttentionResult, attend_full_precision, attend_mixed, l1_error, softmax
 from .cache import EngineConfig, MemoryBreakdown, TieredCache
 from .errors import ContractViolation, DegenerateColumnError, TraceFormatError
 from .outlier import OutlierEntry, OutlierPool, score_tokens, substitute_means
@@ -30,7 +30,6 @@ from .report import (
     read_rows,
     write_rows,
 )
-from .tensor import matmul_t, row_l1_norm, softmax
 from .trace import (
     SyntheticSpec,
     Trace,
@@ -70,7 +69,6 @@ __all__ = [
     "estimate_kv_bytes",
     "generate_synthetic",
     "l1_error",
-    "matmul_t",
     "pack_codes",
     "quantize_keys_channelwise",
     "quantize_uniform",
@@ -78,7 +76,6 @@ __all__ = [
     "ratio_curve",
     "read_rows",
     "read_trace",
-    "row_l1_norm",
     "score_tokens",
     "softmax",
     "substitute_means",

@@ -23,7 +23,21 @@ import numpy as np
 
 from .cache import TieredCache
 from .errors import ContractViolation
-from .tensor import softmax
+
+
+def softmax(v) -> np.ndarray:
+    """Numerically stable softmax (max-subtracted) over a 1-D vector.
+
+    The output is a probability vector: nonnegative, summing to 1 within
+    1e-6, for any finite input including large magnitudes.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim != 1 or v.size == 0:
+        raise ContractViolation("softmax input must be a non-empty 1-D vector")
+    if not np.isfinite(v).all():
+        raise ContractViolation("softmax input contains NaN or Inf")
+    e = np.exp(v - v.max())
+    return (e / e.sum()).astype(np.float32)
 
 
 @dataclass

@@ -44,6 +44,8 @@ from .report import (
 from .trace import SyntheticSpec, Trace, generate_synthetic, read_trace, write_trace, decile_stats
 
 MODES = ("fp16", "baseline", "ott")
+# Memory fields ``simulate`` sums over its caches and prints, in this order.
+_USAGE_KEYS = ("quantized_bits", "param_bits", "pending_bits", "pool_bits", "total_bits")
 
 
 class _UsageError(Exception):
@@ -183,17 +185,15 @@ def _load_trace(args, seed: int) -> Trace:
     return generate_synthetic(spec, args.layers, args.heads, args.head_dim, args.seq_len)
 
 
-def _config_from_args(args, trace: Trace) -> EngineConfig:
-    skip = tuple(_int_list("--skip-layers", args.skip_layers))
-    outlier_num = 0 if args.mode == "baseline" else args.outlier_num
+def _config_from_args(args, head_dim: int) -> EngineConfig:
     return EngineConfig(
         bits=args.bits,
         group_size=args.group_size,
         residual=args.residual,
-        outlier_num=outlier_num,
-        skip_layers=skip,
+        outlier_num=0 if args.mode == "baseline" else args.outlier_num,
+        skip_layers=tuple(_int_list("--skip-layers", args.skip_layers)),
         aux_capacity=args.aux_capacity,
-        head_dim=trace.header.head_dim,
+        head_dim=head_dim,
     )
 
 
@@ -208,23 +208,22 @@ def _cmd_gen_synthetic(args) -> int:
 
 def _cmd_simulate(args) -> int:
     trace = _load_trace(args, args.seed)
-    config = _config_from_args(args, trace)
+    config = _config_from_args(args, trace.header.head_dim)
     h = trace.header
     steps = h.seq_len
+    fp16_bits = h.n_layers * h.n_heads * 2 * steps * h.head_dim * FP16_BITS
+    step_errors = np.zeros(steps)
 
     if args.mode == "fp16":
         # Mixed attention is the oracle itself; every per-step error is 0.
-        step_errors = np.zeros(steps)
-        fp16_bits = h.n_layers * h.n_heads * 2 * steps * h.head_dim * FP16_BITS
-        usage = {"quantized_bits": 0, "param_bits": 0,
-                 "pending_bits": fp16_bits, "pool_bits": 0, "total_bits": fp16_bits}
+        usage = dict.fromkeys(_USAGE_KEYS, 0)
+        usage["pending_bits"] = usage["total_bits"] = fp16_bits
     else:
         caches = {
             (layer, head): TieredCache(config, layer=layer)
             for layer in range(h.n_layers)
             for head in range(h.n_heads)
         }
-        step_errors = np.zeros(steps)
         for t in range(steps):
             total = 0.0
             for (layer, head), cache in caches.items():
@@ -237,31 +236,27 @@ def _cmd_simulate(args) -> int:
                 total += l1_error(mixed.output, oracle.output)
             step_errors[t] = total / len(caches)
         breakdowns = [c.memory_usage() for c in caches.values()]
-        usage = {
-            "quantized_bits": sum(b.quantized_bits for b in breakdowns),
-            "param_bits": sum(b.param_bits for b in breakdowns),
-            "pending_bits": sum(b.pending_bits for b in breakdowns),
-            "pool_bits": sum(b.pool_bits for b in breakdowns),
-            "total_bits": sum(b.total_bits for b in breakdowns),
-        }
+        usage = {key: sum(getattr(b, key) for b in breakdowns) for key in _USAGE_KEYS}
 
     if args.out:
         write_csv(args.out, ["step", "l1_error"],
                   [[t, float(step_errors[t])] for t in range(steps)])
-    fp16_bits = h.n_layers * h.n_heads * 2 * steps * h.head_dim * FP16_BITS
     print(f"mode={args.mode} steps={steps} aggregate_l1_error={step_errors.mean():.6g}")
-    for key in ("quantized_bits", "param_bits", "pending_bits", "pool_bits", "total_bits"):
+    for key in _USAGE_KEYS:
         print(f"{key}={usage[key]}")
     print(f"ratio_vs_fp16={fp16_bits / usage['total_bits']:.6g}")
     return 0
 
 
 def _cmd_compare_criteria(args) -> int:
+    if args.trials < 1:
+        raise _UsageError(f"--trials must be >= 1, got {args.trials}")
     if args.trace and args.trials != 1:
         raise _UsageError("--trials requires synthetic traces (omit --trace)")
     results = {c: [] for c in Criterion}
     for trial in range(args.trials):
         trace = _load_trace(args, args.seed + trial)
+        config = _config_from_args(args, trace.header.head_dim)
         layer = args.layer if args.layer is not None else trace.header.n_layers - 1
         _check_index("--layer", layer, trace.header.n_layers)
         _check_index("--head", args.head, trace.header.n_heads)
@@ -273,8 +268,8 @@ def _cmd_compare_criteria(args) -> int:
                 trace,
                 args.budget,
                 criterion,
-                args.bits,
-                group_size=args.group_size,
+                config.bits,
+                group_size=config.group_size,
                 layer=layer,
                 head=args.head,
                 rng=rng,
@@ -294,16 +289,7 @@ def _cmd_compare_criteria(args) -> int:
 
 def _cmd_ratio_curve(args) -> int:
     seq_lens = _int_list("--seq-lens", args.seq_lens)
-    skip = tuple(_int_list("--skip-layers", args.skip_layers))
-    config = EngineConfig(
-        bits=args.bits,
-        group_size=args.group_size,
-        residual=args.residual,
-        outlier_num=0 if args.mode == "baseline" else args.outlier_num,
-        skip_layers=skip,
-        aux_capacity=args.aux_capacity,
-        head_dim=args.head_dim,
-    )
+    config = _config_from_args(args, args.head_dim)
     rows = ratio_curve(config, seq_lens, passthrough=args.mode == "fp16", seed=args.seed)
     if args.out:
         write_rows(args.out, rows)

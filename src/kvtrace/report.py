@@ -16,12 +16,7 @@ import numpy as np
 from .attention import attend_full_precision, l1_error
 from .cache import EngineConfig, TieredCache
 from .errors import ContractViolation
-from .quant import (
-    FP16_BITS,
-    PassthroughBlock,
-    quantize_keys_channelwise,
-    quantize_values_tokenwise,
-)
+from .quant import FP16_BITS, quantize_keys_channelwise, quantize_values_tokenwise
 from .trace import Trace
 
 
@@ -85,6 +80,8 @@ def compare_criteria(
     seq_len = trace.header.seq_len
     if not 0 <= budget < seq_len:
         raise ContractViolation(f"budget must be in [0, seq_len), got {budget}")
+    if group_size < 1:
+        raise ContractViolation(f"group_size must be >= 1, got {group_size}")
     keys = trace.k[layer, head]
     values = trace.v[layer, head]
     query = trace.q[layer, head, -1]
@@ -106,17 +103,13 @@ def compare_criteria(
 
     k_hat = keys.copy()
     v_hat = values.copy()
-    for start in range(0, seq_len, group_size):
-        block = np.arange(start, min(start + group_size, seq_len))
-        idx = block[~mask[block]]
-        if idx.size == 0:
-            continue
-        if passthrough:
-            k_hat[idx] = PassthroughBlock(keys[idx]).to_matrix()
-            v_hat[idx] = PassthroughBlock(values[idx]).to_matrix()
-        else:
-            k_hat[idx] = quantize_keys_channelwise(keys[idx], bits).to_matrix()
-            v_hat[idx] = quantize_values_tokenwise(values[idx], bits).to_matrix()
+    if not passthrough:
+        for start in range(0, seq_len, group_size):
+            block = np.arange(start, min(start + group_size, seq_len))
+            idx = block[~mask[block]]
+            if idx.size:
+                k_hat[idx] = quantize_keys_channelwise(keys[idx], bits).to_matrix()
+                v_hat[idx] = quantize_values_tokenwise(values[idx], bits).to_matrix()
 
     mixed = attend_full_precision(query, k_hat, v_hat)
     oracle = attend_full_precision(query, keys, values)
@@ -164,7 +157,6 @@ def ratio_curve(
     config: EngineConfig,
     seq_lens: list[int],
     *,
-    layer: int | None = None,
     passthrough: bool = False,
     seed: int = 0,
 ) -> list[ExperimentRow]:
@@ -172,17 +164,16 @@ def ratio_curve(
 
     Feeds one representative (layer, head) cache chunks of random rows,
     which is identical to a token-by-token replay, and snapshots the
-    memory breakdown at each requested length. By default the replayed
-    layer is the lowest index where outlier pooling is active, so the
-    configured pool overhead is included. Below ``group_size + residual``
-    tokens nothing is quantized and the ratio is exactly 1.
+    memory breakdown at each requested length. The replayed layer is the
+    lowest index where outlier pooling is active, so the configured pool
+    overhead is included. Below ``group_size + residual`` tokens nothing
+    is quantized and the ratio is exactly 1.
     """
     if list(seq_lens) != sorted(seq_lens) or any(s < 1 for s in seq_lens):
         raise ContractViolation("seq_lens must be positive and sorted ascending")
-    if layer is None:
-        layer = 0
-        while layer in config.skip_layers:
-            layer += 1
+    layer = 0
+    while layer in config.skip_layers:
+        layer += 1
     cache = TieredCache(config, layer=layer, passthrough=passthrough)
     if passthrough:
         mode = "fp16"
@@ -231,11 +222,7 @@ def _format_value(value) -> str:
 
 def write_rows(path, rows: list[ExperimentRow]) -> None:
     """Write experiment rows as CSV with the fixed column order."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow([_format_value(getattr(row, col)) for col in CSV_COLUMNS])
+    write_csv(path, CSV_COLUMNS, [[getattr(row, col) for col in CSV_COLUMNS] for row in rows])
 
 
 def read_rows(path) -> list[ExperimentRow]:

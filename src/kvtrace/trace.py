@@ -22,7 +22,7 @@ file.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -40,10 +40,10 @@ class TraceHeader:
     seq_len: int
 
     def __post_init__(self):
-        for name in ("n_layers", "n_heads", "head_dim", "seq_len"):
-            v = getattr(self, name)
+        for field in fields(self):
+            v = getattr(self, field.name)
             if not 1 <= v <= 0xFFFFFFFF:
-                raise ContractViolation(f"{name} must be in [1, 2**32), got {v}")
+                raise ContractViolation(f"{field.name} must be in [1, 2**32), got {v}")
 
 
 @dataclass
@@ -72,9 +72,8 @@ def write_trace(path, trace: Trace) -> None:
         f.write(MAGIC)
         f.write(_HEADER.pack(h.n_layers, h.n_heads, h.head_dim, h.seq_len))
         for layer in range(h.n_layers):
-            for head in range(h.n_heads):
-                for arr in (trace.q, trace.k, trace.v):
-                    f.write(np.ascontiguousarray(arr[layer, head], dtype="<f4").tobytes())
+            # One layer as (heads, 3, seq_len, head_dim): per head, Q then K then V.
+            f.write(np.stack((trace.q[layer], trace.k[layer], trace.v[layer]), axis=1, dtype="<f4"))
 
 
 def read_trace(path) -> Trace:
@@ -89,35 +88,24 @@ def read_trace(path) -> Trace:
     header_end = len(MAGIC) + _HEADER.size
     if len(data) < header_end:
         raise TraceFormatError("truncated file: header incomplete", offset=len(data))
-    n_layers, n_heads, head_dim, seq_len = _HEADER.unpack(data[len(MAGIC) : header_end])
-    for name, v in (
-        ("n_layers", n_layers),
-        ("n_heads", n_heads),
-        ("head_dim", head_dim),
-        ("seq_len", seq_len),
-    ):
+    dims = _HEADER.unpack(data[len(MAGIC) : header_end])
+    for field, v in zip(fields(TraceHeader), dims):
         if v < 1:
-            raise TraceFormatError(f"{name} must be >= 1, got {v}", offset=len(MAGIC))
+            raise TraceFormatError(f"{field.name} must be >= 1, got {v}", offset=len(MAGIC))
+    n_layers, n_heads, head_dim, seq_len = dims
 
-    per_matrix = seq_len * head_dim * 4
-    expected = header_end + n_layers * n_heads * 3 * per_matrix
+    expected = header_end + n_layers * n_heads * 3 * seq_len * head_dim * 4
     if len(data) < expected:
         raise TraceFormatError("truncated file: payload incomplete", offset=len(data))
     if len(data) > expected:
         raise TraceFormatError("trailing bytes after payload", offset=expected)
 
-    header = TraceHeader(n_layers, n_heads, head_dim, seq_len)
-    shape = (n_layers, n_heads, seq_len, head_dim)
-    q = np.empty(shape, dtype=np.float32)
-    k = np.empty(shape, dtype=np.float32)
-    v = np.empty(shape, dtype=np.float32)
-    off = header_end
-    for layer in range(n_layers):
-        for head in range(n_heads):
-            for arr in (q, k, v):
-                flat = np.frombuffer(data, dtype="<f4", count=seq_len * head_dim, offset=off)
-                arr[layer, head] = flat.reshape(seq_len, head_dim)
-                off += per_matrix
+    header = TraceHeader(*dims)
+    qkv = np.frombuffer(data, dtype="<f4", offset=header_end)
+    qkv = qkv.reshape(n_layers, n_heads, 3, seq_len, head_dim)
+    # astype copies, so the trace owns writable arrays even where a slice of
+    # the read-only buffer is already contiguous (one layer and one head).
+    q, k, v = (qkv[:, :, i].astype(np.float32) for i in range(3))
     return Trace(header=header, q=q, k=k, v=v)
 
 

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kvtrace import (
     ContractViolation,
@@ -14,6 +16,7 @@ from kvtrace import (
     generate_synthetic,
     l1_error,
     pack_codes,
+    softmax,
 )
 
 
@@ -37,6 +40,13 @@ def scalar_attention(q, keys, values):
     return np.array(out), np.array(weights)
 
 
+def scalar_softmax(v):
+    mx = max(v)
+    exps = [math.exp(x - mx) for x in v]
+    s = sum(exps)
+    return [e / s for e in exps]
+
+
 def build_cache(keys, values, **cfg_kwargs):
     cfg_kwargs.setdefault("head_dim", keys.shape[1])
     cfg = EngineConfig(skip_layers=(), **cfg_kwargs)
@@ -44,6 +54,39 @@ def build_cache(keys, values, **cfg_kwargs):
     for k, v in zip(keys, values):
         cache.append(k, v)
     return cache
+
+
+class TestSoftmax:
+    def test_symmetry(self):
+        np.testing.assert_allclose(softmax([0.0, 0.0]), [0.5, 0.5])
+
+    def test_singleton(self):
+        np.testing.assert_allclose(softmax([42.0]), [1.0])
+
+    def test_matches_direct_formula(self):
+        got = softmax([1.0, 2.0, 3.0])
+        np.testing.assert_allclose(got, scalar_softmax([1.0, 2.0, 3.0]), atol=1e-7)
+
+    def test_empty_rejected(self):
+        with pytest.raises(ContractViolation):
+            softmax([])
+
+    def test_nan_rejected(self):
+        with pytest.raises(ContractViolation):
+            softmax([1.0, float("nan")])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.floats(min_value=-1e4, max_value=1e4, allow_nan=False),
+            min_size=1,
+            max_size=50,
+        )
+    )
+    def test_probability_vector(self, values):
+        w = softmax(values)
+        assert (w >= 0).all()
+        assert abs(float(w.sum()) - 1.0) <= 1e-6
 
 
 class TestFullPrecision:

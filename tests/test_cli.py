@@ -173,6 +173,10 @@ SMALL = ["--layers", "2", "--heads", "1", "--head-dim", "8", "--seq-len", "64"]
         (["decile-stats", "--trace", "{tmp}/missing.kvt"], 2),
         (["simulate", *SMALL, "--out", "{tmp}/no-such-dir/steps.csv"], 1),
         (["decile-stats", "--trace", "{tmp}/constant.kvt"], 1),
+        (["compare-criteria", *SMALL, "--group-size", "0"], 1),
+        (["compare-criteria", *SMALL, "--group-size", "-5"], 1),
+        (["compare-criteria", *SMALL, "--trials", "0"], 1),
+        (["compare-criteria", *SMALL, "--trials", "-1"], 1),
     ],
 )
 def test_bad_input_exits_with_one_line_error(argv, code, tmp_path, capsys):

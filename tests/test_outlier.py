@@ -5,7 +5,6 @@ from kvtrace import (
     ContractViolation,
     OutlierEntry,
     OutlierPool,
-    row_l1_norm,
     score_tokens,
     substitute_means,
 )
@@ -15,6 +14,11 @@ def make_entry(position, score, d=4):
     key = np.zeros(d, dtype=np.float32)
     key[0] = score  # L1 of the key equals the requested score
     return OutlierEntry.from_rows(position, key, np.zeros(d, dtype=np.float32))
+
+
+def row_l1_norm(m, row):
+    """Per-row reference for ``score_tokens``: one float64 sum of |row|."""
+    return float(np.abs(m[row]).sum(dtype=np.float64))
 
 
 def brute_force_pool(history, capacity):

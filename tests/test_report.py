@@ -65,6 +65,13 @@ class TestCompareCriteria:
         with pytest.raises(ContractViolation):
             compare_criteria(trace, 256, Criterion.RANDOM, 2)
 
+    @pytest.mark.parametrize("passthrough", [False, True])
+    @pytest.mark.parametrize("group_size", [0, -5])
+    def test_group_size_bounds(self, trace, group_size, passthrough):
+        with pytest.raises(ContractViolation):
+            compare_criteria(trace, 3, Criterion.SMALLEST_KEY, 2, group_size=group_size,
+                             passthrough=passthrough)
+
     def test_smallest_key_wins_on_planted_trace(self, trace):
         rng = np.random.default_rng(1)
         errs = {
@@ -163,6 +170,15 @@ class TestCsvRoundTrip:
         # floats survive at six significant digits
         assert back[0].ratio_vs_fp16 == float(f"{rows[0].ratio_vs_fp16:.6g}")
         assert back[0].l1_output_error == 1.25
+
+    def test_exact_bytes(self, tmp_path):
+        rows = [ExperimentRow("ott", 2, 128, 32, 3, 4096, None, 1_000_000, 6.402317891)]
+        path = tmp_path / "rows.csv"
+        write_rows(path, rows)
+        assert path.read_bytes() == (
+            b"mode,bits,group_size,residual,outlier_num,seq_len,l1_output_error,total_bits,ratio_vs_fp16\r\n"
+            b"ott,2,128,32,3,4096,,1000000,6.40232\r\n"
+        )
 
     def test_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -1,4 +1,5 @@
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -48,6 +49,31 @@ class TestFileRoundTrip:
         h1 = hashlib.sha256(p1.read_bytes()).hexdigest()
         h2 = hashlib.sha256(p2.read_bytes()).hexdigest()
         assert h1 == h2
+
+    def test_layout_matches_nested_loop_reference(self, tmp_path):
+        # Non-square on purpose, so a swapped axis changes the bytes.
+        trace = tiny_trace(np.random.default_rng(56), layers=2, heads=3, seq=5, dim=4)
+        path = tmp_path / "layout.kvt"
+        write_trace(path, trace)
+        want = b"KVTRACE1" + struct.pack("<4I", 2, 3, 4, 5)
+        for layer in range(2):
+            for head in range(3):
+                for arr in (trace.q, trace.k, trace.v):
+                    want += arr[layer, head].astype("<f4").tobytes()
+        assert path.read_bytes() == want
+
+    @pytest.mark.parametrize("layers, heads", [(2, 3), (1, 1)])
+    def test_read_returns_owned_writable_arrays(self, tmp_path, layers, heads):
+        trace = tiny_trace(np.random.default_rng(57), layers=layers, heads=heads, seq=5, dim=4)
+        path = tmp_path / "owned.kvt"
+        write_trace(path, trace)
+        back = read_trace(path)
+        for name in ("q", "k", "v"):
+            got, want = getattr(back, name), getattr(trace, name)
+            assert got.dtype == np.float32
+            assert got.flags.c_contiguous and got.flags.writeable
+            np.testing.assert_array_equal(got, want)
+        assert not np.shares_memory(back.q, back.k)
 
     def test_corrupted_magic(self, tmp_path):
         path = tmp_path / "bad.kvt"
