@@ -8,7 +8,7 @@ list, and freezes for good once that list fills.
 
 import numpy as np
 
-from kvtrace import OutlierEntry, OutlierPool, score_tokens, substitute_means
+from kvtrace import OutlierPool, score_tokens, substitute_means
 
 rng = np.random.default_rng(1)
 
@@ -21,33 +21,35 @@ print(f"token 2 stands out with score {scores[2]:.2f}")
 print()
 
 print("=== Competition until the auxiliary pool fills ===")
-pool = OutlierPool(capacity=2, aux_capacity=3)
+pool = OutlierPool(capacity=2, aux_capacity=3, head_dim=4)
 position = 0
 step = 0
 while not pool.frozen:
-    group = []
-    for i in range(4):
+    keys = []
+    for _ in range(4):
         key = rng.uniform(4.5, 5.5, size=4).astype(np.float32)
         if rng.random() < 0.4:
             key *= float(rng.uniform(0.01, 0.2))  # plant a low-magnitude token
-        group.append(OutlierEntry.from_rows(position, key, key.copy()))
-        position += 1
-    selected, evicted = pool.update(group)
-    members = sorted((e.position, round(e.score, 2)) for e in pool.entries)
-    print(f"update {step}: selected {sorted(selected)} evicted "
-          f"{[e.position for e in evicted]} -> pool {members} "
-          f"aux {[e.position for e in pool.aux]} frozen={pool.frozen}")
+        keys.append(key)
+    keys = np.array(keys)
+    # Values are irrelevant to the competition; reuse the keys.
+    selected, evicted = pool.update(np.arange(position, position + 4), score_tokens(keys), keys, keys)
+    position += 4
+    members = sorted(zip(pool.positions.tolist(), [round(s, 2) for s in pool.scores.tolist()]))
+    print(f"update {step}: selected {sorted(selected.tolist())} evicted "
+          f"{evicted.tolist()} -> pool {members} "
+          f"aux {pool.aux_positions.tolist()} frozen={pool.frozen}")
     step += 1
 print("three evictions filled the auxiliary pool; identification stops here")
 print()
 
 print("=== Freezing is permanent ===")
-before = pool.positions
+before = pool.positions.copy()
+zero = np.zeros((1, 4), dtype=np.float32)
 for _ in range(1000):
-    entry = OutlierEntry.from_rows(position, np.zeros(4, dtype=np.float32), np.zeros(4, dtype=np.float32))
+    pool.update([position], [0.0], zero, zero)
     position += 1
-    pool.update([entry])
-print(f"after 1000 zero-score candidates, membership unchanged: {pool.positions == before}")
+print(f"after 1000 zero-score candidates, membership unchanged: {np.array_equal(pool.positions, before)}")
 print()
 
 print("=== Mean substitution shrinks the channel range ===")

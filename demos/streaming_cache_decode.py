@@ -45,13 +45,13 @@ def replay(outlier_num):
 print("=== Baseline: plain group quantization (no outlier pool) ===")
 cache, base_errs = replay(outlier_num=0)
 print(f"blocks {len(cache.quantized_k)}, pending {cache.pending_rows}, "
-      f"pool empty: {not cache.pool.entries}")
+      f"pool empty: {cache.pool.positions.size == 0}")
 print(f"mean per-step L1 error: {base_errs.mean():.4f}")
 print()
 
 print("=== With outlier-token tracking (pool capacity 3) ===")
 cache, ott_errs = replay(outlier_num=3)
-print(f"pooled positions: {sorted(cache.pool.positions)}")
+print(f"pooled positions: {sorted(cache.pool.positions.tolist())}")
 print(f"mean-substituted positions: {sorted(cache.substituted_positions)}")
 print(f"mean per-step L1 error: {ott_errs.mean():.4f}")
 print()

@@ -8,7 +8,7 @@ a full-precision oracle, and accounts memory against an fp16 baseline.
 from .attention import AttentionResult, attend_full_precision, attend_mixed, l1_error, softmax
 from .cache import EngineConfig, MemoryBreakdown, TieredCache
 from .errors import ContractViolation, DegenerateColumnError, TraceFormatError
-from .outlier import OutlierEntry, OutlierPool, score_tokens, substitute_means
+from .outlier import OutlierPool, score_tokens, substitute_means
 from .quant import (
     GroupAxis,
     PassthroughBlock,
@@ -51,7 +51,6 @@ __all__ = [
     "ExperimentRow",
     "GroupAxis",
     "MemoryBreakdown",
-    "OutlierEntry",
     "OutlierPool",
     "PassthroughBlock",
     "QuantParams",

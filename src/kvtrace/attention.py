@@ -81,16 +81,15 @@ def reconstructed_kv(cache: TieredCache) -> tuple[np.ndarray, np.ndarray]:
 
     Quantized blocks are dequantized, pending rows copied verbatim, and
     rows at pooled positions replaced with the pool's full-precision
-    entries. This is the slow reference for ``TieredCache.attended_kv``,
+    rows. This is the slow reference for ``TieredCache.attended_kv``,
     which holds the same values without rebuilding them.
     """
     parts_k = [b.to_matrix() for b in cache.quantized_k] + [cache.pending_k]
     parts_v = [b.to_matrix() for b in cache.quantized_v] + [cache.pending_v]
     keys = np.concatenate(parts_k, axis=0) if cache.total_tokens else np.empty((0, cache.config.head_dim), np.float32)
     values = np.concatenate(parts_v, axis=0) if cache.total_tokens else np.empty((0, cache.config.head_dim), np.float32)
-    for entry in cache.pool.entries:
-        keys[entry.position] = entry.key
-        values[entry.position] = entry.value
+    keys[cache.pool.positions] = cache.pool.keys
+    values[cache.pool.positions] = cache.pool.values
     return keys, values
 
 

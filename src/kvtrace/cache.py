@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolation
-from .outlier import OutlierEntry, OutlierPool, score_tokens, substitute_means
+from .outlier import OutlierPool, score_tokens, substitute_means
 from .quant import (
     FP16_BITS,
     PassthroughBlock,
@@ -115,6 +115,7 @@ class TieredCache:
         self.pool = OutlierPool(
             capacity=config.outlier_capacity(layer),
             aux_capacity=config.aux_capacity,
+            head_dim=config.head_dim,
         )
         self.quantized_k: list = []
         self.quantized_v: list = []
@@ -221,24 +222,15 @@ class TieredCache:
         group_k = self._k[start : start + g].copy()
         group_v = self._v[start : start + g].copy()
 
-        evicted = []
+        evicted = ()
         if self.pool.capacity > 0 and not self.pool.frozen:
-            # Candidates hold row views of the group copy; only the winners'
-            # rows are copied, so no pool or aux row keeps a group alive.
-            candidates = [
-                OutlierEntry(position=base + i, key=k, value=v, score=score)
-                for i, (k, v, score) in enumerate(
-                    zip(group_k, group_v, score_tokens(group_k).tolist())
-                )
-            ]
-            selected, evicted = self.pool.update(candidates)
-            for entry in self.pool.entries:
-                if entry.position in selected:
-                    entry.key, entry.value = entry.key.copy(), entry.value.copy()
-            if selected:
-                in_group = [p - base for p in selected]
-                group_k, group_v = substitute_means(group_k, group_v, in_group)
-                self.substituted_positions |= selected
+            # Positional: perfbench's tracer counts candidates as len(args[1]).
+            selected, evicted = self.pool.update(
+                np.arange(base, base + g), score_tokens(group_k), group_k, group_v
+            )
+            if selected.size:
+                group_k, group_v = substitute_means(group_k, group_v, selected - base)
+                self.substituted_positions.update(selected.tolist())
 
         if self.passthrough:
             block_k, block_v = PassthroughBlock(group_k), PassthroughBlock(group_v)
@@ -253,10 +245,10 @@ class TieredCache:
         if self._dense:
             self._k[base : base + g] = block_k.to_matrix()
             self._v[base : base + g] = block_v.to_matrix()
-            for entry in evicted:
-                block, row = divmod(entry.position, g)
-                self._k[entry.position] = self.quantized_k[block].to_matrix()[row]
-                self._v[entry.position] = self.quantized_v[block].to_matrix()[row]
+            for position in evicted:
+                block, row = divmod(position, g)
+                self._k[position] = self.quantized_k[block].to_matrix()[row]
+                self._v[position] = self.quantized_v[block].to_matrix()[row]
             self._write_pool_rows()
         else:
             remaining = self._pending_count
@@ -278,9 +270,8 @@ class TieredCache:
         self._write_pool_rows()
 
     def _write_pool_rows(self) -> None:
-        for entry in self.pool.entries:
-            self._k[entry.position] = entry.key
-            self._v[entry.position] = entry.value
+        self._k[self.pool.positions] = self.pool.keys
+        self._v[self.pool.positions] = self.pool.values
 
     def memory_usage(self) -> MemoryBreakdown:
         """Current footprint under fp16-equivalent accounting."""
@@ -290,7 +281,7 @@ class TieredCache:
         param_bits = sum(b.param_bits for b in self.quantized_k + self.quantized_v)
         d = self.config.head_dim
         pending_bits = self._pending_count * d * FP16_BITS * 2
-        pool_rows = len(self.pool.entries) + len(self.pool.aux)
+        pool_rows = self.pool.positions.size + self.pool.aux_positions.size
         pool_bits = pool_rows * d * FP16_BITS * 2
         return MemoryBreakdown(
             quantized_bits=quantized_bits,

@@ -61,9 +61,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_engine_flags(p: argparse.ArgumentParser) -> None:
+def _add_quant_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bits", type=int, default=2, help="code width in bits (default 2)")
     p.add_argument("--group-size", type=int, default=128, help="tokens per quantized group")
+
+
+def _add_engine_flags(p: argparse.ArgumentParser) -> None:
+    _add_quant_flags(p)
     p.add_argument("--residual", type=int, default=32, help="recent tokens kept full precision")
     p.add_argument("--outlier-num", type=int, default=3, help="outlier pool capacity per (layer, head)")
     p.add_argument(
@@ -108,7 +112,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out", help="per-step CSV path (default: no file, summary only)")
 
     p = sub.add_parser("compare-criteria", help="retention-criteria error comparison")
-    _add_engine_flags(p)
+    _add_quant_flags(p)
+    p.add_argument("--mode", choices=("ott", "fp16"), default="ott", help="ott (quantize) or fp16")
     _add_generator_flags(p)
     p.add_argument("--trace", help="trace file; omitted = synthetic from generator flags")
     p.add_argument("--budget", type=int, default=3, help="retained tokens per criterion")
@@ -190,7 +195,7 @@ def _config_from_args(args, head_dim: int) -> EngineConfig:
         bits=args.bits,
         group_size=args.group_size,
         residual=args.residual,
-        outlier_num=0 if args.mode == "baseline" else args.outlier_num,
+        outlier_num=args.outlier_num if args.mode == "ott" else 0,
         skip_layers=tuple(_int_list("--skip-layers", args.skip_layers)),
         aux_capacity=args.aux_capacity,
         head_dim=head_dim,
@@ -256,7 +261,6 @@ def _cmd_compare_criteria(args) -> int:
     results = {c: [] for c in Criterion}
     for trial in range(args.trials):
         trace = _load_trace(args, args.seed + trial)
-        config = _config_from_args(args, trace.header.head_dim)
         layer = args.layer if args.layer is not None else trace.header.n_layers - 1
         _check_index("--layer", layer, trace.header.n_layers)
         _check_index("--head", args.head, trace.header.n_heads)
@@ -268,8 +272,8 @@ def _cmd_compare_criteria(args) -> int:
                 trace,
                 args.budget,
                 criterion,
-                config.bits,
-                group_size=config.group_size,
+                args.bits,
+                group_size=args.group_size,
                 layer=layer,
                 head=args.head,
                 rng=rng,

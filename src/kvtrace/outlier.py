@@ -4,8 +4,9 @@ A token's outlier score is the L1 norm of its key row; smaller scores mark
 tokens whose keys undercut the otherwise-uniform spread of high-magnitude
 channels, which is exactly what inflates the quantization step for the
 whole group. The pool keeps the lowest-scoring tokens seen so far at full
-precision. Tokens evicted from the pool land in a bounded auxiliary list;
-once that list is full the pool freezes permanently.
+precision, as arrays ranked by one ``np.lexsort`` over (score, position).
+Tokens evicted from the pool land in a bounded auxiliary list; once that
+list is full the pool freezes permanently.
 
 One pool belongs to one (layer, head) cache and has a single writer;
 distinct pools may update in parallel.
@@ -13,32 +14,11 @@ distinct pools may update in parallel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import ContractViolation
 
-
-@dataclass
-class OutlierEntry:
-    """Full-precision key/value rows for one pooled token.
-
-    The score is cached at insertion; key rows are immutable after
-    projection so it never goes stale.
-    """
-
-    position: int
-    key: np.ndarray
-    value: np.ndarray
-    score: float
-
-    @classmethod
-    def from_rows(cls, position: int, key, value) -> "OutlierEntry":
-        key = np.asarray(key, dtype=np.float32)
-        value = np.asarray(value, dtype=np.float32)
-        score = float(np.abs(key).sum(dtype=np.float64))
-        return cls(position=position, key=key, value=value, score=score)
+_NO_POSITIONS = np.empty(0, dtype=np.int64)
 
 
 def score_tokens(keys: np.ndarray) -> np.ndarray:
@@ -48,71 +28,67 @@ def score_tokens(keys: np.ndarray) -> np.ndarray:
     return np.abs(keys).sum(axis=1, dtype=np.float64)
 
 
-def _rank(entry: OutlierEntry) -> tuple[float, int]:
-    # Ties on score break toward the smaller sequence position.
-    return (entry.score, entry.position)
-
-
-@dataclass
 class OutlierPool:
     """Fixed-capacity pool of lowest-score tokens with an eviction ledger.
 
-    ``update`` keeps the pool equal to the ``capacity`` smallest-score
-    tokens over everything presented so far (ties to the smaller
-    position). Members that lose their slot move to ``aux``; when ``aux``
-    reaches ``aux_capacity`` the pool freezes and all later updates are
-    no-ops.
+    ``positions`` (int64), ``scores`` (float64) and the full-precision
+    ``keys`` and ``values`` ((n, head_dim) float32) hold the members in
+    rank order: ascending score, ties to the smaller position. Members
+    that lose their slot move to ``aux_positions``/``aux_keys``/
+    ``aux_values`` in the order they were evicted; once ``aux_capacity``
+    rows are there the pool is frozen and every later update is a no-op.
     """
 
-    capacity: int
-    aux_capacity: int = 32
-    entries: list[OutlierEntry] = field(default_factory=list)
-    aux: list[OutlierEntry] = field(default_factory=list)
-    frozen: bool = False
-
-    def __post_init__(self):
-        if self.capacity < 0 or self.aux_capacity < 0:
+    def __init__(self, capacity: int, aux_capacity: int = 32, head_dim: int = 64):
+        if capacity < 0 or aux_capacity < 0:
             raise ContractViolation("pool capacities must be nonnegative")
-        if len(self.aux) >= self.aux_capacity:
-            self.frozen = True
+        self.capacity, self.aux_capacity = capacity, aux_capacity
+        self.positions = self.aux_positions = _NO_POSITIONS
+        self.scores = np.empty(0, dtype=np.float64)
+        self.keys = self.values = np.empty((0, head_dim), dtype=np.float32)
+        self.aux_keys = self.aux_values = self.keys
 
     @property
-    def positions(self) -> set[int]:
-        return {e.position for e in self.entries}
+    def frozen(self) -> bool:
+        return len(self.aux_positions) >= self.aux_capacity
 
-    def update(self, candidates: list[OutlierEntry]) -> tuple[set[int], list[OutlierEntry]]:
-        """Let ``candidates`` compete with the current members.
+    def update(self, positions, scores, keys, values) -> tuple[np.ndarray, np.ndarray]:
+        """Let candidate tokens compete with the current members.
 
-        Returns:
-            ``(selected_positions, evicted)``: positions of candidates that
-            won a slot, and former members that lost theirs (already
-            appended to ``aux``). A frozen or zero-capacity pool returns
-            empty results and stays unchanged.
+        The candidates' positions, scores and key/value rows are given row
+        for row; the pool keeps copies of the winners' rows. Returns
+        ``(selected, evicted)`` as int64 positions: winning candidates in
+        rank order, and members that lost their slot in member rank order.
+        A frozen or zero-capacity pool returns empty arrays, unchanged.
         """
         if self.frozen or self.capacity == 0:
-            return set(), []
+            return _NO_POSITIONS, _NO_POSITIONS
+        positions = np.asarray(positions, dtype=np.int64)
+        if not len(positions) == len(scores) == len(keys) == len(values):
+            raise ContractViolation("candidate positions, scores and rows differ in length")
+        seen = set(self.positions.tolist())
+        for p in positions.tolist():
+            if p in seen:
+                raise ContractViolation(f"duplicate position {p} in pool update")
+            seen.add(p)
 
-        seen = {e.position for e in self.entries}
-        for c in candidates:
-            if c.position in seen:
-                raise ContractViolation(f"duplicate position {c.position} in pool update")
-            seen.add(c.position)
+        all_positions = np.concatenate((self.positions, positions))
+        all_scores = np.concatenate((self.scores, scores), dtype=np.float64)
+        winners = np.lexsort((all_positions, all_scores))[: self.capacity]
+        members = len(self.positions)
+        lost = np.ones(members, dtype=bool)
+        lost[winners[winners < members]] = False
+        selected = all_positions[winners[winners >= members]]
+        evicted = self.positions[lost]
 
-        ranked = sorted(self.entries + list(candidates), key=_rank)
-        winners = ranked[: self.capacity]
-        winner_positions = {e.position for e in winners}
-
-        old_positions = self.positions
-        selected = {
-            e.position for e in winners if e.position not in old_positions
-        }
-        evicted = [e for e in self.entries if e.position not in winner_positions]
-
-        self.entries = winners
-        room = self.aux_capacity - len(self.aux)
-        self.aux.extend(evicted[:room])
-        if len(self.aux) >= self.aux_capacity:
-            self.frozen = True
+        room = self.aux_capacity - len(self.aux_positions)
+        self.aux_positions = np.concatenate((self.aux_positions, evicted[:room]))
+        self.aux_keys = np.concatenate((self.aux_keys, self.keys[lost][:room]))
+        self.aux_values = np.concatenate((self.aux_values, self.values[lost][:room]))
+        self.positions = all_positions[winners]
+        self.scores = all_scores[winners]
+        self.keys = np.concatenate((self.keys, keys), dtype=np.float32)[winners]
+        self.values = np.concatenate((self.values, values), dtype=np.float32)[winners]
         return selected, evicted
 
 

@@ -82,6 +82,8 @@ def compare_criteria(
         raise ContractViolation(f"budget must be in [0, seq_len), got {budget}")
     if group_size < 1:
         raise ContractViolation(f"group_size must be >= 1, got {group_size}")
+    if not 1 <= bits <= 8:
+        raise ContractViolation(f"bits must be in [1, 8], got {bits}")
     keys = trace.k[layer, head]
     values = trace.v[layer, head]
     query = trace.q[layer, head, -1]

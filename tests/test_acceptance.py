@@ -15,7 +15,6 @@ import pytest
 from kvtrace import (
     Criterion,
     EngineConfig,
-    OutlierEntry,
     OutlierPool,
     SyntheticSpec,
     TieredCache,
@@ -28,6 +27,7 @@ from kvtrace import (
     l1_error,
     quantize_uniform,
     ratio_curve,
+    score_tokens,
 )
 from kvtrace.cli import run
 
@@ -114,27 +114,24 @@ def test_criterion_4_pool_oracle():
         for _ in range(100):
             capacity = int(rng.integers(1, 7))
             n_tokens = int(rng.integers(256, 10_001))
-            scores = rng.uniform(0.0, 1.0, size=n_tokens)
-            pool = OutlierPool(capacity=capacity, aux_capacity=32)
-            history: list[tuple[float, int]] = []
+            keys = np.zeros((n_tokens, 2), dtype=np.float32)
+            keys[:, 0] = rng.uniform(0.0, 1.0, size=n_tokens)
+            scores = score_tokens(keys)
+            positions = np.arange(n_tokens)
+            pool = OutlierPool(capacity=capacity, aux_capacity=32, head_dim=2)
             frozen_members = None
-            position = 0
             for start in range(0, n_tokens, 128):
-                chunk = scores[start : start + 128]
-                group = []
-                for s in chunk:
-                    key = np.array([s, 0.0], dtype=np.float32)
-                    group.append(OutlierEntry.from_rows(position, key, key))
-                    history.append((float(abs(s)), position))
-                    position += 1
+                group = slice(start, start + 128)
                 was_frozen = pool.frozen
-                pool.update(group)
+                pool.update(positions[group], scores[group], keys[group], keys[group])
                 if not was_frozen:
-                    expected = {p for _, p in sorted(history)[:capacity]}
-                    assert pool.positions == expected
-                    frozen_members = pool.positions
+                    # Independent oracle: rank the whole prefix seen so far.
+                    end = min(start + 128, n_tokens)
+                    ranked = np.lexsort((positions[:end], scores[:end]))
+                    np.testing.assert_array_equal(pool.positions, positions[ranked[:capacity]])
+                    frozen_members = pool.positions.copy()
                 else:
-                    assert pool.positions == frozen_members
+                    np.testing.assert_array_equal(pool.positions, frozen_members)
 
 
 def test_criterion_5_lossless_equivalence():

@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-import kvtrace.cache
 from kvtrace import (
     ContractViolation,
     EngineConfig,
-    OutlierEntry,
     OutlierPool,
     TieredCache,
     attend_full_precision,
@@ -32,8 +30,9 @@ def shrinking_keys(rng, n, d):
     return (random_rows(rng, n, d) * shrink).astype(np.float32)
 
 
-def pool_rows(entries):
-    return [(e.position, e.score, e.key.tolist(), e.value.tolist()) for e in entries]
+def pool_fields(pool):
+    return [getattr(pool, name).tolist() for name in (
+        "positions", "scores", "keys", "values", "aux_positions", "aux_keys", "aux_values")]
 
 
 def assert_same_cache(a, b):
@@ -46,8 +45,7 @@ def assert_same_cache(a, b):
         assert type(x) is type(y)
         assert {k: np.asarray(v).tolist() for k, v in vars(x).items()} == {
             k: np.asarray(v).tolist() for k, v in vars(y).items()}
-    assert pool_rows(a.pool.entries) == pool_rows(b.pool.entries)
-    assert pool_rows(a.pool.aux) == pool_rows(b.pool.aux)
+    assert pool_fields(a.pool) == pool_fields(b.pool)
     assert a.pool.frozen == b.pool.frozen
     assert a.substituted_positions == b.substituted_positions
     assert a.memory_usage() == b.memory_usage()
@@ -173,15 +171,15 @@ class TestOutlierPath:
         values = random_rows(rng, g, d)
         fill(cache, keys, values)
 
-        assert cache.pool.positions == {5}
+        assert cache.pool.positions.tolist() == [5]
         assert cache.substituted_positions == {5}
         group_mean = keys.mean(axis=0)
         recon = cache.quantized_k[0].to_matrix()[5]
         step = max(p.step for p in cache.quantized_k[0].params)
         assert np.abs(recon - group_mean).max() <= step + 1e-6
         # the pooled entry keeps the original full-precision rows
-        np.testing.assert_array_equal(cache.pool.entries[0].key, keys[5])
-        np.testing.assert_array_equal(cache.pool.entries[0].value, values[5])
+        np.testing.assert_array_equal(cache.pool.keys[0], keys[5])
+        np.testing.assert_array_equal(cache.pool.values[0], values[5])
 
     def test_pool_swap_sends_loser_to_aux(self):
         rng = np.random.default_rng(37)
@@ -193,10 +191,10 @@ class TestOutlierPath:
         second = rng.uniform(4.5, 5.5, size=(g, d)).astype(np.float32)
         second[6] = 0.01  # lower score: wins the slot in group 2
         fill(cache, first, random_rows(rng, g, d))
-        assert cache.pool.positions == {2}
+        assert cache.pool.positions.tolist() == [2]
         fill(cache, second, random_rows(rng, g, d))
-        assert cache.pool.positions == {g + 6}
-        assert [e.position for e in cache.pool.aux] == [2]
+        assert cache.pool.positions.tolist() == [g + 6]
+        assert cache.pool.aux_positions.tolist() == [2]
         assert cache.substituted_positions == {2, g + 6}
 
 
@@ -290,7 +288,7 @@ class TestAttendedKv:
                         self.check_read(cache, queries[t])
                 self.check_read(cache, queries[-1])
                 froze += outlier_num > 0 and aux > 0 and cache.pool.frozen
-                evicted += len(cache.pool.aux)
+                evicted += cache.pool.aux_positions.size
         assert froze and evicted
 
     def test_unread_cache_stays_at_pending_capacity(self):
@@ -369,7 +367,7 @@ class TestExtend:
                     assert_same_cache(cache, reference)
                     for x, y in zip(self.read(cache), self.read(reference)):
                         np.testing.assert_array_equal(x, y)
-            evicted += len(reference.pool.aux)
+            evicted += reference.pool.aux_positions.size
             froze += reference.pool.frozen
         assert evicted and froze
 
@@ -427,63 +425,28 @@ class TestExtend:
 
 
 class TestPoolCandidates:
-    """Candidates are row views of the group copy; only winners are copied."""
+    """The pool stores copies: no pool or aux row aliases a group or the cache."""
 
-    @staticmethod
-    def replay(seed, g, outlier_num, aux):
-        cfg = EngineConfig(group_size=g, residual=2, outlier_num=outlier_num,
-                           skip_layers=(), aux_capacity=aux, head_dim=4)
-        rng = np.random.default_rng(seed)
+    def test_no_pool_row_shares_a_group_buffer(self, monkeypatch):
+        groups = []
+        update = OutlierPool.update
+
+        def recording_update(pool, positions, scores, keys, values):
+            groups.extend((keys, values))
+            return update(pool, positions, scores, keys, values)
+
+        monkeypatch.setattr(OutlierPool, "update", recording_update)
+        g = 8
+        cfg = EngineConfig(group_size=g, residual=2, outlier_num=3,
+                           skip_layers=(), aux_capacity=4, head_dim=4)
+        rng = np.random.default_rng(5)
         n = 12 * g + 2
         cache = TieredCache(cfg, layer=0)
         fill(cache, shrinking_keys(rng, n, 4), random_rows(rng, n, 4))
-        return cache
-
-    @staticmethod
-    def record_updates(monkeypatch, log):
-        update = OutlierPool.update
-
-        def recording_update(pool, candidates):
-            # The arrays the candidates' rows live in, before winners are copied.
-            bases = {id(a.base): a.base for c in candidates for a in (c.key, c.value)}
-            selected, evicted = update(pool, candidates)
-            log.append((list(bases.values()), set(selected), [e.position for e in evicted]))
-            return selected, evicted
-
-        monkeypatch.setattr(OutlierPool, "update", recording_update)
-
-    @pytest.mark.parametrize("g", [1, 4, 16])
-    def test_matches_all_copy_reference(self, monkeypatch, g):
-        class CopiedEntry(OutlierEntry):
-            def __post_init__(self):
-                self.key, self.value = self.key.copy(), self.value.copy()
-
-        for outlier_num, aux in [(1, 0), (1, 4), (2, 2), (3, 3), (3, 4)]:
-            views, copies = [], []
-            with monkeypatch.context() as m:
-                self.record_updates(m, views)
-                cache = self.replay(g, g, outlier_num, aux)
-            with monkeypatch.context() as m:
-                m.setattr(kvtrace.cache, "OutlierEntry", CopiedEntry)
-                self.record_updates(m, copies)
-                reference = self.replay(g, g, outlier_num, aux)
-            assert len(views) == len(reference.quantized_k) or reference.pool.frozen
-            assert [v[1:] for v in views] == [c[1:] for c in copies]
-            assert_same_cache(cache, reference)
-
-    def test_no_pool_row_shares_a_group_buffer(self, monkeypatch):
-        log = []
-        self.record_updates(monkeypatch, log)
-        cache = self.replay(5, 8, outlier_num=3, aux=4)
-        # Candidates are views, so each update sees the group's K and V copies.
-        assert all(len(bases) == 2 and all(b is not None for b in bases) for bases, _, _ in log)
-        groups = [group for bases, _, _ in log for group in bases]
-        stored = cache.pool.entries + cache.pool.aux
-        assert sum(len(selected) for _, selected, _ in log) > cache.pool.capacity
-        assert cache.pool.aux and len(cache.pool.entries) == 3
-        for entry in stored:
-            for row in (entry.key, entry.value):
-                for group in groups:
-                    assert not np.shares_memory(row, group)
-                assert not np.shares_memory(row, cache._k)
-                assert not np.shares_memory(row, cache._v)
+        cache.attended_kv()
+        pool = cache.pool
+        assert pool.aux_positions.size and pool.positions.size == 3
+        assert len(groups) >= 2 * (len(pool.aux_positions) + 1)
+        for stored in (pool.keys, pool.values, pool.aux_keys, pool.aux_values):
+            for buffer in groups + [cache._k, cache._v]:
+                assert not np.shares_memory(stored, buffer)

@@ -124,6 +124,16 @@ class TestRatioCurveCommand:
         rows = read_rows(csv)
         assert rows[0].ratio_vs_fp16 == 1.0
 
+    def test_fp16_mode_is_exactly_lossless(self, tmp_path, capsys):
+        # The fp16 control stores every row at 16 bits and pools nothing.
+        csv = tmp_path / "ratio.csv"
+        assert run(["ratio-curve", "--seq-lens", "128,1024,8192", "--mode", "fp16",
+                    "--out", str(csv)]) == 0
+        rows = read_rows(csv)
+        assert [r.seq_len for r in rows] == [128, 1024, 8192]
+        assert all(r.ratio_vs_fp16 == 1.0 and r.outlier_num == 0 for r in rows)
+        assert all(line.endswith("ratio_vs_fp16=1") for line in out_lines(capsys))
+
     def test_prints_rows(self, capsys):
         assert run(["ratio-curve", "--seq-lens", "128,1024", "--head-dim", "16"]) == 0
         lines = out_lines(capsys)
@@ -177,6 +187,12 @@ SMALL = ["--layers", "2", "--heads", "1", "--head-dim", "8", "--seq-len", "64"]
         (["compare-criteria", *SMALL, "--group-size", "-5"], 1),
         (["compare-criteria", *SMALL, "--trials", "0"], 1),
         (["compare-criteria", *SMALL, "--trials", "-1"], 1),
+        (["compare-criteria", *SMALL, "--residual", "7"], 1),
+        (["compare-criteria", *SMALL, "--outlier-num", "5"], 1),
+        (["compare-criteria", *SMALL, "--skip-layers", "1"], 1),
+        (["compare-criteria", *SMALL, "--aux-capacity", "0"], 1),
+        (["compare-criteria", *SMALL, "--mode", "baseline"], 1),
+        (["compare-criteria", *SMALL, "--bits", "9", "--mode", "fp16"], 1),
     ],
 )
 def test_bad_input_exits_with_one_line_error(argv, code, tmp_path, capsys):

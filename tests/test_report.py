@@ -72,6 +72,12 @@ class TestCompareCriteria:
             compare_criteria(trace, 3, Criterion.SMALLEST_KEY, 2, group_size=group_size,
                              passthrough=passthrough)
 
+    @pytest.mark.parametrize("passthrough", [False, True])
+    @pytest.mark.parametrize("bits", [0, 9])
+    def test_bits_bounds(self, trace, bits, passthrough):
+        with pytest.raises(ContractViolation, match="bits"):
+            compare_criteria(trace, 3, Criterion.SMALLEST_KEY, bits, passthrough=passthrough)
+
     def test_smallest_key_wins_on_planted_trace(self, trace):
         rng = np.random.default_rng(1)
         errs = {
