@@ -23,8 +23,9 @@ print()
 print("=== Competition until the auxiliary pool fills ===")
 pool = OutlierPool(capacity=2, aux_capacity=3, head_dim=4)
 position = 0
-step = 0
-while not pool.frozen:
+for step in range(100):
+    if pool.frozen:
+        break
     keys = []
     for _ in range(4):
         key = rng.uniform(4.5, 5.5, size=4).astype(np.float32)
@@ -39,7 +40,7 @@ while not pool.frozen:
     print(f"update {step}: selected {sorted(selected.tolist())} evicted "
           f"{evicted.tolist()} -> pool {members} "
           f"aux {pool.aux_positions.tolist()} frozen={pool.frozen}")
-    step += 1
+assert pool.frozen
 print("three evictions filled the auxiliary pool; identification stops here")
 print()
 

@@ -17,6 +17,7 @@ another first read; later calls only read it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,13 +32,18 @@ def softmax(v) -> np.ndarray:
     The output is a probability vector: nonnegative, summing to 1 within
     1e-6, for any finite input including large magnitudes.
     """
-    v = np.asarray(v, dtype=np.float64)
+    v = np.asarray(v)
     if v.ndim != 1 or v.size == 0:
         raise ContractViolation("softmax input must be a non-empty 1-D vector")
-    if not np.isfinite(v).all():
+    # Both reductions propagate NaN, and an infinity is an extreme. The
+    # ufunc reductions are what ``max``/``min``/``sum`` call, minus a wrapper.
+    top = np.maximum.reduce(v)
+    if not (math.isfinite(top) and math.isfinite(np.minimum.reduce(v))):
         raise ContractViolation("softmax input contains NaN or Inf")
-    e = np.exp(v - v.max())
-    return (e / e.sum()).astype(np.float32)
+    e = np.subtract(v, top, dtype=np.float64)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e)
+    return e.astype(np.float32)
 
 
 @dataclass
@@ -66,14 +72,11 @@ def attend_full_precision(q, keys, values) -> AttentionResult:
         raise ContractViolation("attention needs at least one cached token")
 
     d = q.shape[0]
-    scores = (keys @ q) / np.float32(np.sqrt(d))
+    scores = keys @ q
+    scores /= np.float32(math.sqrt(d))
     weights = softmax(scores)
-    output = weights @ values
-    return AttentionResult(
-        output=output.astype(np.float32),
-        weights=weights,
-        scores=scores.astype(np.float32),
-    )
+    # float32 throughout: q, keys and values are float32, and so are the weights.
+    return AttentionResult(output=weights @ values, weights=weights, scores=scores)
 
 
 def reconstructed_kv(cache: TieredCache) -> tuple[np.ndarray, np.ndarray]:
@@ -110,8 +113,9 @@ def attend_mixed(q, cache: TieredCache) -> AttentionResult:
 
 def l1_error(a, b) -> float:
     """Sum of absolute element differences between two equal-length vectors."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a = np.asarray(a)
+    b = np.asarray(b)
     if a.shape != b.shape:
         raise ContractViolation(f"length mismatch: {a.shape} vs {b.shape}")
-    return float(np.abs(a - b).sum())
+    diff = np.subtract(a, b, dtype=np.float64)
+    return float(np.add.reduce(np.abs(diff, out=diff)))

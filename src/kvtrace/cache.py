@@ -34,6 +34,7 @@ and may be driven in parallel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,6 +100,14 @@ class MemoryBreakdown:
         return self.quantized_bits + self.param_bits + self.pending_bits + self.pool_bits
 
 
+def _check_finite(k_rows: np.ndarray, v_rows: np.ndarray) -> None:
+    # A float64 sum of float32 values cannot overflow, so it is finite
+    # exactly when every value is: NaN and infinities carry through it.
+    total = np.add.reduce(k_rows, axis=None, dtype=np.float64)
+    if not math.isfinite(total + np.add.reduce(v_rows, axis=None, dtype=np.float64)):
+        raise ContractViolation("rows contain NaN or Inf")
+
+
 def _doubled(buf: np.ndarray) -> np.ndarray:
     grown = np.empty((2 * buf.shape[0], buf.shape[1]), dtype=buf.dtype)
     grown[: buf.shape[0]] = buf
@@ -154,8 +163,7 @@ class TieredCache:
         d = self.config.head_dim
         if k_row.shape != (d,) or v_row.shape != (d,):
             raise ContractViolation(f"rows must have shape ({d},)")
-        if not np.isfinite(np.concatenate((k_row, v_row))).all():
-            raise ContractViolation("rows contain NaN or Inf")
+        _check_finite(k_row, v_row)
         self._store(k_row, v_row, 1)
 
     def extend(self, k_rows, v_rows) -> None:
@@ -170,8 +178,7 @@ class TieredCache:
         d = self.config.head_dim
         if k_rows.ndim != 2 or k_rows.shape[1] != d or v_rows.shape != k_rows.shape:
             raise ContractViolation(f"chunks must be matching (n, {d}) matrices")
-        if not np.isfinite(np.concatenate((k_rows, v_rows))).all():
-            raise ContractViolation("rows contain NaN or Inf")
+        _check_finite(k_rows, v_rows)
         done = 0
         while done < len(k_rows):
             take = min(len(k_rows) - done, self._trigger - self._pending_count)
@@ -247,8 +254,8 @@ class TieredCache:
             self._v[base : base + g] = block_v.to_matrix()
             for position in evicted:
                 block, row = divmod(position, g)
-                self._k[position] = self.quantized_k[block].to_matrix()[row]
-                self._v[position] = self.quantized_v[block].to_matrix()[row]
+                self._k[position] = self.quantized_k[block].dequantize_row(row)
+                self._v[position] = self.quantized_v[block].dequantize_row(row)
             self._write_pool_rows()
         else:
             remaining = self._pending_count

@@ -13,7 +13,9 @@ Flag defaults reproduce the reference setting (2-bit codes, groups of 128,
 residual 32, 3 pooled outliers with layers 0-1 skipped, auxiliary pool 32).
 Outputs are deterministic given ``--seed``; every randomized component
 derives its stream from the root seed via SeedSequence(root, (layer,
-head)). At decode step t, ``simulate`` runs mixed attention and a
+head)). ``simulate`` replays one (layer, head) cache at a time through
+every step and drops it before building the next, so it holds the trace
+plus one cache. At decode step t it runs mixed attention and a
 full-precision oracle, each O(t*d); quantized groups are dequantized once,
 when written, not again per step. Those two attentions make it quadratic
 in sequence length; intended for desk-scale traces (<= 8k tokens).
@@ -224,24 +226,27 @@ def _cmd_simulate(args) -> int:
         usage = dict.fromkeys(_USAGE_KEYS, 0)
         usage["pending_bits"] = usage["total_bits"] = fp16_bits
     else:
-        caches = {
-            (layer, head): TieredCache(config, layer=layer)
-            for layer in range(h.n_layers)
-            for head in range(h.n_heads)
-        }
-        for t in range(steps):
-            total = 0.0
-            for (layer, head), cache in caches.items():
-                cache.append(trace.k[layer, head, t], trace.v[layer, head, t])
-                q = trace.q[layer, head, t]
-                mixed = attend_mixed(q, cache)
-                oracle = attend_full_precision(
-                    q, trace.k[layer, head, : t + 1], trace.v[layer, head, : t + 1]
-                )
-                total += l1_error(mixed.output, oracle.output)
-            step_errors[t] = total / len(caches)
-        breakdowns = [c.memory_usage() for c in caches.values()]
-        usage = {key: sum(getattr(b, key) for b in breakdowns) for key in _USAGE_KEYS}
+        # One cache at a time: layers and heads are independent, so each
+        # replays all its steps and is dropped before the next is built.
+        # Adding each cache's error vector in (layer, head) order sums
+        # every step exactly as a step-major loop over all caches would.
+        usage = dict.fromkeys(_USAGE_KEYS, 0)
+        for layer in range(h.n_layers):
+            for head in range(h.n_heads):
+                cache = TieredCache(config, layer=layer)
+                q, k, v = trace.q[layer, head], trace.k[layer, head], trace.v[layer, head]
+                errors = np.empty(steps)
+                for t in range(steps):
+                    cache.append(k[t], v[t])
+                    mixed = attend_mixed(q[t], cache)
+                    oracle = attend_full_precision(q[t], k[: t + 1], v[: t + 1])
+                    errors[t] = l1_error(mixed.output, oracle.output)
+                step_errors += errors
+                breakdown = cache.memory_usage()
+                for key in _USAGE_KEYS:
+                    usage[key] += getattr(breakdown, key)
+                del cache
+        step_errors /= h.n_layers * h.n_heads
 
     if args.out:
         write_csv(args.out, ["step", "l1_error"],

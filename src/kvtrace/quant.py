@@ -215,6 +215,24 @@ class QuantizedBlock:
             out = codes * self.steps[:, None] + self.mins[:, None]
         return out.astype(np.float32)
 
+    def dequantize_row(self, i: int) -> np.ndarray:
+        """Dequantize token row ``i`` alone; bit-identical to ``to_matrix()[i]``.
+
+        Only the packed words that hold the row's codes are unpacked (eight
+        codes fill one word of ``bits`` bytes).
+        """
+        if not 0 <= i < self.n_tokens:
+            raise ContractViolation(f"row {i} out of range [0, {self.n_tokens})")
+        start = i * self.n_channels
+        word = start // 8
+        count = start + self.n_channels - 8 * word
+        first = word * self.bits
+        data = self.codes[first : first + _packed_size(count, self.bits)]
+        codes = unpack_codes(data, self.bits, count)[start - 8 * word :]
+        if self.group_axis is GroupAxis.PER_CHANNEL:
+            return (codes * self.steps + self.mins).astype(np.float32)
+        return (codes * self.steps[i] + self.mins[i]).astype(np.float32)
+
 
 @dataclass
 class PassthroughBlock:
@@ -249,6 +267,9 @@ class PassthroughBlock:
 
     def to_matrix(self) -> np.ndarray:
         return self.data
+
+    def dequantize_row(self, i: int) -> np.ndarray:
+        return self.data[i]
 
 
 def _quantize_group(group: np.ndarray, bits: int, axis: GroupAxis) -> QuantizedBlock:

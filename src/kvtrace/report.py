@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -173,6 +173,9 @@ def ratio_curve(
     """
     if list(seq_lens) != sorted(seq_lens) or any(s < 1 for s in seq_lens):
         raise ContractViolation("seq_lens must be positive and sorted ascending")
+    if passthrough:
+        # The lossless control stores every row at 16 bits and pools nothing.
+        config = replace(config, outlier_num=0)
     layer = 0
     while layer in config.skip_layers:
         layer += 1

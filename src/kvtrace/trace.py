@@ -21,6 +21,9 @@ file.
 
 from __future__ import annotations
 
+import io
+import os
+import stat
 import struct
 from dataclasses import dataclass, fields
 
@@ -77,35 +80,56 @@ def write_trace(path, trace: Trace) -> None:
 
 
 def read_trace(path) -> Trace:
-    """Parse a KVTRACE1 file, raising :class:`TraceFormatError` on damage."""
-    with open(path, "rb") as f:
-        data = f.read()
+    """Parse a KVTRACE1 file, raising :class:`TraceFormatError` on damage.
 
-    if len(data) < len(MAGIC):
-        raise TraceFormatError("truncated file: magic missing", offset=len(data))
-    if data[: len(MAGIC)] != MAGIC:
-        raise TraceFormatError("bad magic", offset=0)
+    Each (layer, head) Q, K and V block of a regular file is read straight
+    into its place in the trace's preallocated arrays, so reading holds
+    nothing besides the trace itself: no copy of the file and no converted
+    copy of the arrays.
+    """
+    with open(path, "rb") as f:
+        info = os.fstat(f.fileno())
+        if stat.S_ISREG(info.st_mode):
+            return _read_blocks(f, info.st_size)
+        # A pipe has no size up front: read it whole, then parse from memory.
+        data = f.read()
+    return _read_blocks(io.BytesIO(data), len(data))
+
+
+def _read_blocks(f, size: int) -> Trace:
     header_end = len(MAGIC) + _HEADER.size
-    if len(data) < header_end:
-        raise TraceFormatError("truncated file: header incomplete", offset=len(data))
-    dims = _HEADER.unpack(data[len(MAGIC) : header_end])
+    prefix = f.read(header_end)
+    if len(prefix) < len(MAGIC):
+        raise TraceFormatError("truncated file: magic missing", offset=len(prefix))
+    if prefix[: len(MAGIC)] != MAGIC:
+        raise TraceFormatError("bad magic", offset=0)
+    if len(prefix) < header_end:
+        raise TraceFormatError("truncated file: header incomplete", offset=len(prefix))
+    dims = _HEADER.unpack(prefix[len(MAGIC) :])
     for field, v in zip(fields(TraceHeader), dims):
         if v < 1:
             raise TraceFormatError(f"{field.name} must be >= 1, got {v}", offset=len(MAGIC))
     n_layers, n_heads, head_dim, seq_len = dims
 
     expected = header_end + n_layers * n_heads * 3 * seq_len * head_dim * 4
-    if len(data) < expected:
-        raise TraceFormatError("truncated file: payload incomplete", offset=len(data))
-    if len(data) > expected:
+    if size < expected:
+        raise TraceFormatError("truncated file: payload incomplete", offset=size)
+    if size > expected:
         raise TraceFormatError("trailing bytes after payload", offset=expected)
 
     header = TraceHeader(*dims)
-    qkv = np.frombuffer(data, dtype="<f4", offset=header_end)
-    qkv = qkv.reshape(n_layers, n_heads, 3, seq_len, head_dim)
-    # astype copies, so the trace owns writable arrays even where a slice of
-    # the read-only buffer is already contiguous (one layer and one head).
-    q, k, v = (qkv[:, :, i].astype(np.float32) for i in range(3))
+    shape = (n_layers, n_heads, seq_len, head_dim)
+    q, k, v = (np.empty(shape, dtype="<f4") for _ in range(3))
+    offset = header_end
+    for layer in range(n_layers):
+        for head in range(n_heads):
+            for arr in (q, k, v):
+                block = arr[layer, head]
+                got = f.readinto(block)
+                offset += got
+                # The file can shrink after its size was taken.
+                if got != block.nbytes:
+                    raise TraceFormatError("truncated file: payload incomplete", offset=offset)
     return Trace(header=header, q=q, k=k, v=v)
 
 

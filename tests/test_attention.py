@@ -75,6 +75,21 @@ class TestSoftmax:
         with pytest.raises(ContractViolation):
             softmax([1.0, float("nan")])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_non_finite_rejected_anywhere(self, bad, where):
+        values = [1.0, -2.0, 3.0]
+        values[where] = bad
+        with pytest.raises(ContractViolation, match="NaN or Inf"):
+            softmax(values)
+        with pytest.raises(ContractViolation, match="NaN or Inf"):
+            softmax(np.array(values, dtype=np.float32))
+
+    def test_input_left_unchanged(self):
+        v = np.array([1.0, 2.0, 3.0])
+        softmax(v)
+        np.testing.assert_array_equal(v, [1.0, 2.0, 3.0])
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.lists(
@@ -151,6 +166,17 @@ class TestMixedAttention:
         res = attend_mixed(np.array([0.1, 0.2], dtype=np.float32), cache)
         np.testing.assert_allclose(res.weights, [1.0])
         np.testing.assert_allclose(res.output, [5.0, -1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("channel", [0, 3])
+    def test_non_finite_query_rejected(self, bad, channel):
+        rng = np.random.default_rng(44)
+        keys = rng.standard_normal((40, 4)).astype(np.float32)
+        cache = build_cache(keys, keys, group_size=8, residual=2)
+        q = rng.standard_normal(4).astype(np.float32)
+        q[channel] = bad
+        with pytest.raises(ContractViolation, match="NaN or Inf"):
+            attend_mixed(q, cache)
 
     def test_empty_cache_rejected(self):
         cache = TieredCache(EngineConfig(head_dim=2), layer=2)

@@ -423,6 +423,19 @@ class TestExtend:
                 cache.append([0.0, 0.0, 0.0], [bad, 0.0, 0.0])
         assert_same_cache(cache, twin)
 
+    def test_extreme_finite_rows_accepted(self):
+        # Their float32 sum overflows; every value is still finite.
+        big = np.float32(3e38)
+        rows = np.array([[big, big, big], [-big, -big, -big], [big, -big, big]], dtype=np.float32)
+        cfg = EngineConfig(group_size=8, residual=2, outlier_num=0, head_dim=3)
+        appended, extended = TieredCache(cfg), TieredCache(cfg)
+        for k, v in zip(rows, rows[::-1]):
+            appended.append(k, v)
+        extended.extend(rows, rows[::-1])
+        for cache in (appended, extended):
+            np.testing.assert_array_equal(cache.pending_k, rows)
+            np.testing.assert_array_equal(cache.pending_v, rows[::-1])
+
 
 class TestPoolCandidates:
     """The pool stores copies: no pool or aux row aliases a group or the cache."""

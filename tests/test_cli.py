@@ -1,8 +1,28 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from kvtrace import Trace, TraceHeader, read_rows, read_trace, write_trace
+from kvtrace import (
+    EngineConfig,
+    SyntheticSpec,
+    TieredCache,
+    Trace,
+    TraceHeader,
+    attend_full_precision,
+    attend_mixed,
+    cli,
+    generate_synthetic,
+    l1_error,
+    read_rows,
+    read_trace,
+    write_trace,
+)
 from kvtrace.cli import run
+from kvtrace.report import write_csv
+
+USAGE_KEYS = ("quantized_bits", "param_bits", "pending_bits", "pool_bits", "total_bits")
 
 
 def out_lines(capsys):
@@ -95,6 +115,110 @@ class TestSimulate:
         assert run(argv + ["--out", str(a)]) == 0
         assert run(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+def step_major_replay(trace, config):
+    """Slow reference for ``simulate``: every cache alive, each step visits them all.
+
+    Returns the per-step mean errors, the summed memory fields and the caches.
+    """
+    h = trace.header
+    caches = {
+        (layer, head): TieredCache(config, layer=layer)
+        for layer in range(h.n_layers)
+        for head in range(h.n_heads)
+    }
+    step_errors = np.zeros(h.seq_len)
+    for t in range(h.seq_len):
+        total = 0.0
+        for (layer, head), cache in caches.items():
+            cache.append(trace.k[layer, head, t], trace.v[layer, head, t])
+            q = trace.q[layer, head, t]
+            mixed = attend_mixed(q, cache)
+            oracle = attend_full_precision(
+                q, trace.k[layer, head, : t + 1], trace.v[layer, head, : t + 1]
+            )
+            total += l1_error(mixed.output, oracle.output)
+        step_errors[t] = total / len(caches)
+    breakdowns = [c.memory_usage() for c in caches.values()]
+    usage = {key: sum(getattr(b, key) for b in breakdowns) for key in USAGE_KEYS}
+    return step_errors, usage, caches
+
+
+def engine_flags(cfg):
+    return ["--bits", str(cfg.bits), "--group-size", str(cfg.group_size),
+            "--residual", str(cfg.residual), "--outlier-num", str(cfg.outlier_num),
+            "--skip-layers", ",".join(map(str, cfg.skip_layers)),
+            "--aux-capacity", str(cfg.aux_capacity)]
+
+
+# name: ((layers, heads, head_dim, seq_len), engine settings)
+REPLAY_CASES = {
+    "pooled": ((3, 2, 8, 300), EngineConfig(group_size=16, residual=3, skip_layers=(0,))),
+    # Pools on layer 2 evict until the 2-slot auxiliary pool fills, then freeze.
+    "evicting": ((3, 2, 8, 2048), EngineConfig(group_size=16, residual=3, aux_capacity=2)),
+    "four_bit": ((2, 2, 8, 300), EngineConfig(bits=4, group_size=16, residual=3, outlier_num=2,
+                                             aux_capacity=2, skip_layers=())),
+}
+
+
+class TestLayerByLayerReplay:
+    """``simulate`` replays one cache at a time; the step-major loop is the reference."""
+
+    @pytest.mark.parametrize("mode", ["ott", "baseline"])
+    @pytest.mark.parametrize("case", sorted(REPLAY_CASES))
+    def test_bit_identical_to_step_major_reference(self, tmp_path, monkeypatch, capsys, case, mode):
+        (layers, heads, head_dim, seq_len), cfg = REPLAY_CASES[case]
+        trace = generate_synthetic(SyntheticSpec(seed=2), layers, heads, head_dim, seq_len)
+        path = tmp_path / "t.kvt"
+        write_trace(path, trace)
+        recorded = []
+
+        def recording_write_csv(out, header, rows):
+            recorded.append(rows)
+            write_csv(out, header, rows)
+
+        monkeypatch.setattr(cli, "write_csv", recording_write_csv)
+        got_csv = tmp_path / "got.csv"
+        argv = ["simulate", "--trace", str(path), "--mode", mode, *engine_flags(cfg), "--out", str(got_csv)]
+        assert run(argv) == 0
+        got_lines = out_lines(capsys)
+
+        outlier_num = cfg.outlier_num if mode == "ott" else 0
+        config = replace(cfg, outlier_num=outlier_num, head_dim=head_dim)
+        want, usage, caches = step_major_replay(trace, config)
+        got = np.array([row[1] for row in recorded[0]])
+        assert got.tobytes() == want.tobytes()
+        want_csv = tmp_path / "want.csv"
+        write_csv(want_csv, ["step", "l1_error"], [[t, float(e)] for t, e in enumerate(want)])
+        assert got_csv.read_bytes() == want_csv.read_bytes()
+        fp16_bits = layers * heads * 2 * seq_len * head_dim * 16
+        assert got_lines == [
+            f"mode={mode} steps={seq_len} aggregate_l1_error={want.mean():.6g}",
+            *(f"{key}={usage[key]}" for key in USAGE_KEYS),
+            f"ratio_vs_fp16={fp16_bits / usage['total_bits']:.6g}",
+        ]
+        if case == "evicting" and mode == "ott":
+            pooled = [c.pool for c in caches.values() if c.pool.capacity]
+            assert pooled and all(p.frozen and p.aux_positions.size == 2 for p in pooled)
+
+    def test_memory_above_trace_does_not_grow_with_caches(self, tmp_path, capsys):
+        head_dim, seq_len = 32, 512
+        flags = ["--group-size", "16", "--residual", "3", "--skip-layers", ""]
+        extra = {}
+        # The first run only warms imports and numpy's caches.
+        for layers, heads in [(1, 1), (1, 1), (2, 3)]:
+            path = tmp_path / f"t{layers}x{heads}.kvt"
+            write_trace(path, generate_synthetic(SyntheticSpec(seed=4), layers, heads, head_dim, seq_len))
+            tracemalloc.start()
+            try:
+                assert run(["simulate", "--trace", str(path), *flags]) == 0
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            extra[layers * heads] = peak - 3 * layers * heads * seq_len * head_dim * 4
+        # One cache's dense K and V buffers alone take 128 KiB here.
+        assert extra[6] <= extra[1] + 64 * 1024
 
 
 class TestCompareCriteriaCommand:

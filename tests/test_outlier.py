@@ -184,9 +184,12 @@ class TestPoolUpdate:
         rng = np.random.default_rng(23)
         pool = OutlierPool(capacity=2, aux_capacity=2, head_dim=4)
         position = 0
-        while not pool.frozen:
+        for _ in range(100):
+            if pool.frozen:
+                break
             offer(pool, range(position, position + 4), rng.uniform(0, 10, size=4))
             position += 4
+        assert pool.frozen
         frozen_members = pool.positions.tolist()
         frozen_aux = pool.aux_positions.tolist()
         for _ in range(200):

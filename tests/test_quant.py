@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 from kvtrace import (
     ContractViolation,
     GroupAxis,
+    PassthroughBlock,
     QuantizedBlock,
     dequantize,
     pack_codes,
@@ -396,6 +397,31 @@ class TestQuantizedBlockChecks:
             quantize_keys_channelwise(np.zeros(4), 2)
         with pytest.raises(ContractViolation):
             quantize_keys_channelwise(np.zeros((2, 2)), 9)
+
+
+class TestDequantizeRow:
+    # (17, 5): 85 codes, so rows start mid-word and the last word is partial.
+    @pytest.mark.parametrize("shape", [(128, 64), (17, 5), (3, 1)])
+    @pytest.mark.parametrize("bits", range(1, 9))
+    @pytest.mark.parametrize("quantize", [quantize_keys_channelwise, quantize_values_tokenwise])
+    def test_bit_identical_to_matrix_row(self, quantize, bits, shape):
+        rng = np.random.default_rng(bits)
+        block = quantize(rng.standard_normal(shape).astype(np.float32) * 3, bits)
+        full = block.to_matrix()
+        for row in range(shape[0]):
+            got = block.dequantize_row(row)
+            assert got.dtype == np.float32 and got.shape == (shape[1],)
+            assert got.tobytes() == full[row].tobytes()
+
+    def test_passthrough_row(self):
+        data = np.arange(12, dtype=np.float32).reshape(4, 3)
+        assert PassthroughBlock(data).dequantize_row(2).tobytes() == data[2].tobytes()
+
+    @pytest.mark.parametrize("row", [-1, 4])
+    def test_out_of_range_rejected(self, row):
+        block = quantize_values_tokenwise(np.ones((4, 3)), 2)
+        with pytest.raises(ContractViolation, match="out of range"):
+            block.dequantize_row(row)
 
 
 class TestPacking:

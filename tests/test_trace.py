@@ -1,5 +1,8 @@
 import hashlib
+import io
+import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from kvtrace import (
     read_trace,
     write_trace,
 )
+from kvtrace import trace as trace_module
 from kvtrace.trace import planted_positions
 
 
@@ -74,6 +78,74 @@ class TestFileRoundTrip:
             assert got.flags.c_contiguous and got.flags.writeable
             np.testing.assert_array_equal(got, want)
         assert not np.shares_memory(back.q, back.k)
+
+    def test_read_peak_is_the_payload(self, tmp_path):
+        # Blocks are read into the trace's own arrays: no whole-file bytes
+        # object and no converted copy lives beside them.
+        trace = generate_synthetic(SyntheticSpec(seed=5), 4, 2, 32, 512)
+        path = tmp_path / "peak.kvt"
+        write_trace(path, trace)
+        payload = 3 * trace.q.nbytes
+        tracemalloc.start()
+        try:
+            back = read_trace(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(back.v, trace.v)
+        assert peak <= payload + 64 * 1024
+
+    @pytest.mark.parametrize("short_block", [0, 5])
+    def test_short_read_rejected(self, tmp_path, monkeypatch, short_block):
+        # The file shrinks after its size was taken: one block read comes
+        # back short, and the reader must notice rather than keep garbage.
+        trace = tiny_trace(np.random.default_rng(58), layers=2, heads=1, seq=4, dim=3)
+        path = tmp_path / "shrunk.kvt"
+        write_trace(path, trace)
+        calls = []
+
+        class ShortReader(io.BufferedReader):
+            def readinto(self, buffer):
+                calls.append(1)
+                view = memoryview(buffer).cast("B")
+                if len(calls) == short_block + 1:
+                    view = view[:-4]
+                return super().readinto(view)
+
+        monkeypatch.setattr(trace_module, "open", lambda p, mode: ShortReader(io.FileIO(p, mode)),
+                            raising=False)
+        block = 4 * 3 * 4
+        with pytest.raises(TraceFormatError, match="payload incomplete") as exc:
+            read_trace(path)
+        assert exc.value.offset == 8 + 16 + short_block * block + block - 4
+        assert len(calls) == short_block + 1
+
+    @pytest.mark.parametrize("damage", ["none", "truncated", "trailing", "magic"])
+    def test_pipe_reads_like_a_file(self, tmp_path, damage):
+        # A pipe has no size to check up front; it must still parse, and
+        # fail, exactly as the same bytes in a regular file do.
+        path = tmp_path / "t.kvt"
+        write_trace(path, tiny_trace(np.random.default_rng(59), layers=2, heads=2, seq=5, dim=4))
+        data = path.read_bytes()
+        data = {"none": data, "truncated": data[:-7], "trailing": data + b"xx",
+                "magic": b"X" + data[1:]}[damage]
+        path.write_bytes(data)
+
+        def parse(source):
+            try:
+                trace = read_trace(source)
+            except TraceFormatError as exc:
+                return str(exc), exc.offset
+            return [a.tobytes() for a in (trace.q, trace.k, trace.v)]
+
+        r, w = os.pipe()
+        os.write(w, data)  # well under a pipe's buffer
+        os.close(w)
+        try:
+            from_pipe = parse(f"/dev/fd/{r}")
+        finally:
+            os.close(r)
+        assert from_pipe == parse(path)
 
     def test_corrupted_magic(self, tmp_path):
         path = tmp_path / "bad.kvt"
