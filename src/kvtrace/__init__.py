@@ -37,6 +37,7 @@ from .trace import (
     decile_stats,
     generate_synthetic,
     read_trace,
+    read_trace_header,
     write_trace,
 )
 
@@ -75,6 +76,7 @@ __all__ = [
     "ratio_curve",
     "read_rows",
     "read_trace",
+    "read_trace_header",
     "score_tokens",
     "softmax",
     "substitute_means",

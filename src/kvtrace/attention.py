@@ -35,18 +35,21 @@ def softmax(v) -> np.ndarray:
     v = np.asarray(v)
     if v.ndim != 1 or v.size == 0:
         raise ContractViolation("softmax input must be a non-empty 1-D vector")
-    # Both reductions propagate NaN, and an infinity is an extreme. The
-    # ufunc reductions are what ``max``/``min``/``sum`` call, minus a wrapper.
-    top = np.maximum.reduce(v)
-    if not (math.isfinite(top) and math.isfinite(np.minimum.reduce(v))):
+    # ``argmax``/``argmin`` pick the first NaN if there is one, and an
+    # infinity is an extreme, so checking both picks checks every value.
+    # Each costs about half a ufunc reduction.
+    top = v.item(v.argmax())
+    if not (math.isfinite(top) and math.isfinite(v.item(v.argmin()))):
         raise ContractViolation("softmax input contains NaN or Inf")
-    e = np.subtract(v, top, dtype=np.float64)
-    np.exp(e, out=e)
-    e /= np.add.reduce(e)
+    # In place on one float64 copy; a positional ``out`` parses faster.
+    e = v.astype(np.float64)
+    np.subtract(e, top, e)
+    np.exp(e, e)
+    np.divide(e, np.add.reduce(e), e)
     return e.astype(np.float32)
 
 
-@dataclass
+@dataclass(slots=True)
 class AttentionResult:
     """Output row plus the per-position weights and pre-softmax logits."""
 
@@ -64,19 +67,25 @@ def attend_full_precision(q, keys, values) -> AttentionResult:
         raise ContractViolation("query must be 1-D")
     if keys.ndim != 2 or values.ndim != 2:
         raise ContractViolation("keys and values must be 2-D")
-    if keys.shape[0] != values.shape[0]:
+    (n, keys_d), (values_n, values_d) = keys.shape, values.shape
+    if n != values_n:
         raise ContractViolation("keys and values must cover the same tokens")
-    if keys.shape[1] != q.shape[0] or values.shape[1] != q.shape[0]:
+    d = q.shape[0]
+    if keys_d != d or values_d != d:
         raise ContractViolation("width mismatch between query and cache rows")
-    if keys.shape[0] == 0:
+    if n == 0:
         raise ContractViolation("attention needs at least one cached token")
 
-    d = q.shape[0]
-    scores = keys @ q
-    scores /= np.float32(math.sqrt(d))
+    # ``ndarray.dot`` skips ``@``'s dispatch. On C-contiguous rows both
+    # make the same BLAS call; on strided rows they can round differently.
+    contiguous = keys.flags.c_contiguous and values.flags.c_contiguous
+    scores = keys.dot(q) if contiguous else keys @ q
+    # A Python float divisor is rounded to float32 first, like the scores.
+    np.divide(scores, math.sqrt(d), scores)
     weights = softmax(scores)
     # float32 throughout: q, keys and values are float32, and so are the weights.
-    return AttentionResult(output=weights @ values, weights=weights, scores=scores)
+    output = weights.dot(values) if contiguous else weights @ values
+    return AttentionResult(output, weights, scores)
 
 
 def reconstructed_kv(cache: TieredCache) -> tuple[np.ndarray, np.ndarray]:
@@ -104,11 +113,15 @@ def attend_mixed(q, cache: TieredCache) -> AttentionResult:
     quantized rows at pooled positions.
     """
     q = np.asarray(q, dtype=np.float32)
-    if q.shape != (cache.config.head_dim,):
+    if q.shape != cache._row_shape:
         raise ContractViolation(f"query must have shape ({cache.config.head_dim},)")
-    if cache.total_tokens == 0:
+    n = cache.total_tokens
+    if n == 0:
         raise ContractViolation("cannot attend over an empty cache")
-    return attend_full_precision(q, *cache.attended_kv())
+    # ``attended_kv`` inlined: this runs once per decode step.
+    if not cache._dense:
+        cache._make_dense()
+    return attend_full_precision(q, cache._k[:n], cache._v[:n])
 
 
 def l1_error(a, b) -> float:

@@ -21,12 +21,13 @@ chunk leaves the cache unchanged.
 Rows live in one float32 buffer each for K and V. Until attention first
 reads the cache, the buffer holds only the pending rows (at most
 ``group_size + residual``, compacted after each quantization), so a cache
-that is only written keeps that small, fixed footprint. The first
-``attended_kv`` call makes the buffer dense: row i holds position i, every
-block is dequantized into it once, and pooled positions hold the pool's
-full-precision rows. From then on each quantization writes its block's
-dequantized rows in place, restores the shadow row of every token the pool
-evicted, and rewrites the pool rows; the buffer grows geometrically.
+that is only written keeps that small, fixed footprint. The first read
+(``attended_kv`` or ``attend_mixed``) makes the buffer dense: row i holds
+position i, every block is dequantized into it once, and pooled positions
+hold the pool's full-precision rows. From then on each quantization writes
+its block's dequantized rows in place, restores the shadow row of every
+token the pool evicted, and rewrites the pool rows; the buffer grows
+geometrically.
 
 Each cache is single-writer; distinct (layer, head) caches are independent
 and may be driven in parallel.
@@ -100,11 +101,10 @@ class MemoryBreakdown:
         return self.quantized_bits + self.param_bits + self.pending_bits + self.pool_bits
 
 
-def _check_finite(k_rows: np.ndarray, v_rows: np.ndarray) -> None:
+def _check_finite(rows: np.ndarray) -> None:
     # A float64 sum of float32 values cannot overflow, so it is finite
     # exactly when every value is: NaN and infinities carry through it.
-    total = np.add.reduce(k_rows, axis=None, dtype=np.float64)
-    if not math.isfinite(total + np.add.reduce(v_rows, axis=None, dtype=np.float64)):
+    if not math.isfinite(np.add.reduce(rows, axis=None, dtype=np.float64)):
         raise ContractViolation("rows contain NaN or Inf")
 
 
@@ -135,13 +135,13 @@ class TieredCache:
         self._trigger = config.group_size + config.residual
         self._k = np.empty((self._trigger, config.head_dim), dtype=np.float32)
         self._v = np.empty((self._trigger, config.head_dim), dtype=np.float32)
+        self._row_shape = (config.head_dim,)
+        self._pair = np.empty((2, config.head_dim), dtype=np.float32)
         self._pending_count = 0
+        # Buffer row of the oldest pending token: 0 until the buffer is
+        # dense, then ``quantized_tokens`` (row i holds position i).
+        self._pending_start = 0
         self._dense = False
-
-    @property
-    def _pending_start(self) -> int:
-        # Buffer row of the oldest pending token; once dense, row i holds position i.
-        return self.quantized_tokens if self._dense else 0
 
     @property
     def pending_rows(self) -> int:
@@ -160,10 +160,13 @@ class TieredCache:
         """Add one token's key/value rows, quantizing a group when due."""
         k_row = np.asarray(k_row, dtype=np.float32)
         v_row = np.asarray(v_row, dtype=np.float32)
-        d = self.config.head_dim
-        if k_row.shape != (d,) or v_row.shape != (d,):
-            raise ContractViolation(f"rows must have shape ({d},)")
-        _check_finite(k_row, v_row)
+        if k_row.shape != self._row_shape or v_row.shape != self._row_shape:
+            raise ContractViolation(f"rows must have shape ({self.config.head_dim},)")
+        # Side by side, one sum checks both rows: a float64 reduction
+        # costs more than the two copies it saves.
+        self._pair[0] = k_row
+        self._pair[1] = v_row
+        _check_finite(self._pair)
         self._store(k_row, v_row, 1)
 
     def extend(self, k_rows, v_rows) -> None:
@@ -178,7 +181,8 @@ class TieredCache:
         d = self.config.head_dim
         if k_rows.ndim != 2 or k_rows.shape[1] != d or v_rows.shape != k_rows.shape:
             raise ContractViolation(f"chunks must be matching (n, {d}) matrices")
-        _check_finite(k_rows, v_rows)
+        _check_finite(k_rows)
+        _check_finite(v_rows)
         done = 0
         while done < len(k_rows):
             take = min(len(k_rows) - done, self._trigger - self._pending_count)
@@ -250,6 +254,7 @@ class TieredCache:
         self._pending_count -= g
 
         if self._dense:
+            self._pending_start = self.quantized_tokens
             self._k[base : base + g] = block_k.to_matrix()
             self._v[base : base + g] = block_v.to_matrix()
             for position in evicted:
@@ -273,6 +278,7 @@ class TieredCache:
         k[self.quantized_tokens : self.total_tokens] = self.pending_k
         v[self.quantized_tokens : self.total_tokens] = self.pending_v
         self._k, self._v = k, v
+        self._pending_start = self.quantized_tokens
         self._dense = True
         self._write_pool_rows()
 

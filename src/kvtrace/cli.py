@@ -15,10 +15,14 @@ Outputs are deterministic given ``--seed``; every randomized component
 derives its stream from the root seed via SeedSequence(root, (layer,
 head)). ``simulate`` replays one (layer, head) cache at a time through
 every step and drops it before building the next, so it holds the trace
-plus one cache. At decode step t it runs mixed attention and a
-full-precision oracle, each O(t*d); quantized groups are dequantized once,
-when written, not again per step. Those two attentions make it quadratic
-in sequence length; intended for desk-scale traces (<= 8k tokens).
+plus one cache. At decode step t it appends one row, runs mixed attention
+and a full-precision oracle, each O(t*d), and keeps both output rows;
+quantized groups are dequantized once, when written, not again per step.
+The cache's per-step L1 errors come from one pass over those rows when its
+replay ends. The two attentions make it quadratic in sequence length;
+intended for desk-scale traces (<= 8k tokens). ``simulate --mode fp16``
+needs no replay: it checks the trace file's header and size and reads no
+payload.
 
 Exit codes: 0 on success, 1 on bad flags or values (including an
 unwritable ``--out``), 2 on a missing, unreadable or malformed trace file.
@@ -31,7 +35,7 @@ import sys
 
 import numpy as np
 
-from .attention import attend_full_precision, attend_mixed, l1_error
+from .attention import attend_full_precision, attend_mixed
 from .cache import EngineConfig, TieredCache
 from .errors import ContractViolation, DegenerateColumnError, TraceFormatError
 from .quant import FP16_BITS
@@ -43,7 +47,15 @@ from .report import (
     write_csv,
     write_rows,
 )
-from .trace import SyntheticSpec, Trace, generate_synthetic, read_trace, write_trace, decile_stats
+from .trace import (
+    SyntheticSpec,
+    Trace,
+    decile_stats,
+    generate_synthetic,
+    read_trace,
+    read_trace_header,
+    write_trace,
+)
 
 MODES = ("fp16", "baseline", "ott")
 # Memory fields ``simulate`` sums over its caches and prints, in this order.
@@ -182,12 +194,16 @@ def _check_index(flag: str, value: int, size: int) -> None:
         raise _UsageError(f"{flag} {value} out of range [0, {size})")
 
 
+def _read_file(reader, path):
+    try:
+        return reader(path)
+    except OSError as exc:
+        raise _UnreadableTrace(exc) from None
+
+
 def _load_trace(args, seed: int) -> Trace:
     if getattr(args, "trace", None):
-        try:
-            return read_trace(args.trace)
-        except OSError as exc:
-            raise _UnreadableTrace(exc) from None
+        return _read_file(read_trace, args.trace)
     spec = _spec_from_args(args, seed)
     return generate_synthetic(spec, args.layers, args.heads, args.head_dim, args.seq_len)
 
@@ -213,10 +229,25 @@ def _cmd_gen_synthetic(args) -> int:
     return 0
 
 
+def _row_l1_errors(mixed: np.ndarray, oracle: np.ndarray) -> np.ndarray:
+    """``l1_error`` of each row pair of two (T, d) matrices.
+
+    The differences are laid out in C order, so each row is summed along a
+    contiguous axis in the same float64 pairwise order as ``l1_error``: the
+    T values are bit-identical to T calls of it.
+    """
+    diff = np.subtract(mixed, oracle, dtype=np.float64, order="C")
+    return np.add.reduce(np.abs(diff, out=diff), axis=1)
+
+
 def _cmd_simulate(args) -> int:
-    trace = _load_trace(args, args.seed)
-    config = _config_from_args(args, trace.header.head_dim)
-    h = trace.header
+    if args.mode == "fp16" and args.trace:
+        # fp16 needs only the shape: the file is checked, its payload unread.
+        h = _read_file(read_trace_header, args.trace)
+    else:
+        trace = _load_trace(args, args.seed)
+        h = trace.header
+    config = _config_from_args(args, h.head_dim)
     steps = h.seq_len
     fp16_bits = h.n_layers * h.n_heads * 2 * steps * h.head_dim * FP16_BITS
     step_errors = np.zeros(steps)
@@ -230,22 +261,24 @@ def _cmd_simulate(args) -> int:
         # replays all its steps and is dropped before the next is built.
         # Adding each cache's error vector in (layer, head) order sums
         # every step exactly as a step-major loop over all caches would.
+        # Each step keeps its two output rows; the cache's T errors come
+        # from one ``_row_l1_errors`` pass when its replay ends.
         usage = dict.fromkeys(_USAGE_KEYS, 0)
         for layer in range(h.n_layers):
             for head in range(h.n_heads):
                 cache = TieredCache(config, layer=layer)
                 q, k, v = trace.q[layer, head], trace.k[layer, head], trace.v[layer, head]
-                errors = np.empty(steps)
-                for t in range(steps):
-                    cache.append(k[t], v[t])
-                    mixed = attend_mixed(q[t], cache)
-                    oracle = attend_full_precision(q[t], k[: t + 1], v[: t + 1])
-                    errors[t] = l1_error(mixed.output, oracle.output)
-                step_errors += errors
+                mixed = np.empty((steps, h.head_dim), dtype=np.float32)
+                oracle = np.empty_like(mixed)
+                for t, (q_t, k_t, v_t) in enumerate(zip(q, k, v)):
+                    cache.append(k_t, v_t)
+                    mixed[t] = attend_mixed(q_t, cache).output
+                    oracle[t] = attend_full_precision(q_t, k[: t + 1], v[: t + 1]).output
+                step_errors += _row_l1_errors(mixed, oracle)
                 breakdown = cache.memory_usage()
                 for key in _USAGE_KEYS:
                     usage[key] += getattr(breakdown, key)
-                del cache
+                del cache, mixed, oracle
         step_errors /= h.n_layers * h.n_heads
 
     if args.out:

@@ -33,6 +33,8 @@ from .errors import ContractViolation, DegenerateColumnError, TraceFormatError
 
 MAGIC = b"KVTRACE1"
 _HEADER = struct.Struct("<4I")
+_HEADER_END = len(MAGIC) + _HEADER.size
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass(frozen=True)
@@ -87,23 +89,38 @@ def read_trace(path) -> Trace:
     nothing besides the trace itself: no copy of the file and no converted
     copy of the arrays.
     """
+    return _parse(path, _read_blocks)
+
+
+def read_trace_header(path) -> TraceHeader:
+    """Check a KVTRACE1 file's header and size, reading no payload.
+
+    A damaged header, or a size the header does not account for, raises
+    the same :class:`TraceFormatError`, with the same offset, as
+    :func:`read_trace`. Only a short read while copying the payload, from
+    a file that shrinks after its size was taken, goes unnoticed.
+    """
+    return _parse(path, _read_header)
+
+
+def _parse(path, parse):
     with open(path, "rb") as f:
         info = os.fstat(f.fileno())
         if stat.S_ISREG(info.st_mode):
-            return _read_blocks(f, info.st_size)
+            return parse(f, info.st_size)
         # A pipe has no size up front: read it whole, then parse from memory.
         data = f.read()
-    return _read_blocks(io.BytesIO(data), len(data))
+    return parse(io.BytesIO(data), len(data))
 
 
-def _read_blocks(f, size: int) -> Trace:
-    header_end = len(MAGIC) + _HEADER.size
-    prefix = f.read(header_end)
+def _read_header(f, size: int) -> TraceHeader:
+    # Reads only the magic and the four header fields from ``f``.
+    prefix = f.read(_HEADER_END)
     if len(prefix) < len(MAGIC):
         raise TraceFormatError("truncated file: magic missing", offset=len(prefix))
     if prefix[: len(MAGIC)] != MAGIC:
         raise TraceFormatError("bad magic", offset=0)
-    if len(prefix) < header_end:
+    if len(prefix) < _HEADER_END:
         raise TraceFormatError("truncated file: header incomplete", offset=len(prefix))
     dims = _HEADER.unpack(prefix[len(MAGIC) :])
     for field, v in zip(fields(TraceHeader), dims):
@@ -111,18 +128,21 @@ def _read_blocks(f, size: int) -> Trace:
             raise TraceFormatError(f"{field.name} must be >= 1, got {v}", offset=len(MAGIC))
     n_layers, n_heads, head_dim, seq_len = dims
 
-    expected = header_end + n_layers * n_heads * 3 * seq_len * head_dim * 4
+    expected = _HEADER_END + n_layers * n_heads * 3 * seq_len * head_dim * 4
     if size < expected:
         raise TraceFormatError("truncated file: payload incomplete", offset=size)
     if size > expected:
         raise TraceFormatError("trailing bytes after payload", offset=expected)
+    return TraceHeader(*dims)
 
-    header = TraceHeader(*dims)
-    shape = (n_layers, n_heads, seq_len, head_dim)
+
+def _read_blocks(f, size: int) -> Trace:
+    h = _read_header(f, size)
+    shape = (h.n_layers, h.n_heads, h.seq_len, h.head_dim)
     q, k, v = (np.empty(shape, dtype="<f4") for _ in range(3))
-    offset = header_end
-    for layer in range(n_layers):
-        for head in range(n_heads):
+    offset = _HEADER_END
+    for layer in range(h.n_layers):
+        for head in range(h.n_heads):
             for arr in (q, k, v):
                 block = arr[layer, head]
                 got = f.readinto(block)
@@ -130,7 +150,7 @@ def _read_blocks(f, size: int) -> Trace:
                 # The file can shrink after its size was taken.
                 if got != block.nbytes:
                     raise TraceFormatError("truncated file: payload incomplete", offset=offset)
-    return Trace(header=header, q=q, k=k, v=v)
+    return Trace(header=h, q=q, k=k, v=v)
 
 
 @dataclass(frozen=True)
@@ -154,11 +174,21 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        # The trace is float32, so "finite" means finite in float32; a NaN
+        # fails the comparison too.
+        for name in ("mu", "sigma", "q_scale"):
+            value = getattr(self, name)
+            if not abs(value) <= _FLOAT32_MAX:
+                raise ContractViolation(f"{name} must be finite in float32, got {value}")
+        if self.sigma < 0:
+            raise ContractViolation(f"sigma must be >= 0, got {self.sigma}")
         if not 0 < self.eps <= self.delta < self.mu - self.sigma:
             raise ContractViolation(
                 "need 0 < eps <= delta < mu - sigma, got "
                 f"eps={self.eps}, delta={self.delta}, mu-sigma={self.mu - self.sigma}"
             )
+        if self.mu + self.sigma > _FLOAT32_MAX:
+            raise ContractViolation(f"mu + sigma must be finite in float32, got {self.mu + self.sigma}")
         if self.m < 0 or self.outlier_channels < 0:
             raise ContractViolation("m and outlier_channels must be >= 0")
         if self.q_scale < 0:

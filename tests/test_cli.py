@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 from dataclasses import replace
 
@@ -9,6 +10,7 @@ from kvtrace import (
     SyntheticSpec,
     TieredCache,
     Trace,
+    TraceFormatError,
     TraceHeader,
     attend_full_precision,
     attend_mixed,
@@ -221,6 +223,80 @@ class TestLayerByLayerReplay:
         assert extra[6] <= extra[1] + 64 * 1024
 
 
+class TestFp16SimulateReadsOnlyTheHeader:
+    """fp16 errors are 0 and its bits follow from the shape: no payload is read."""
+
+    def test_peak_far_below_payload(self, tmp_path, capsys):
+        path = tmp_path / "big.kvt"
+        trace = generate_synthetic(SyntheticSpec(seed=6), 2, 4, 64, 1024)
+        write_trace(path, trace)
+        payload = 3 * trace.q.nbytes  # 6 MiB
+        del trace
+        argv = ["simulate", "--trace", str(path), "--mode", "fp16"]
+        assert run(argv) == 0  # warms imports and argparse
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            assert run(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < payload / 20
+        fp16_bits = 2 * 4 * 2 * 1024 * 64 * 16
+        assert out_lines(capsys) == [
+            "mode=fp16 steps=1024 aggregate_l1_error=0",
+            "quantized_bits=0",
+            "param_bits=0",
+            f"pending_bits={fp16_bits}",
+            "pool_bits=0",
+            f"total_bits={fp16_bits}",
+            "ratio_vs_fp16=1",
+        ]
+
+    @pytest.mark.parametrize(
+        "damage", ["magic_missing", "magic", "header", "zero_dim", "payload", "trailing"]
+    )
+    def test_damaged_file_fails_as_a_full_read_does(self, tmp_path, capsys, damage):
+        path = tmp_path / "t.kvt"
+        write_trace(path, generate_synthetic(SyntheticSpec(seed=7), 1, 2, 8, 40))
+        data = path.read_bytes()
+        path.write_bytes({
+            "magic_missing": data[:5],
+            "magic": b"X" + data[1:],
+            "header": data[:15],
+            "zero_dim": data[:12] + bytes(4) + data[16:],
+            "payload": data[:-7],
+            "trailing": data + b"xx",
+        }[damage])
+        with pytest.raises(TraceFormatError) as exc:
+            read_trace(path)
+        for mode in ("fp16", "ott"):
+            assert run(["simulate", "--trace", str(path), "--mode", mode]) == 2
+            assert capsys.readouterr().err == f"trace error: {exc.value}\n"
+
+    @pytest.mark.parametrize("damage", ["none", "payload", "trailing"])
+    def test_pipe_is_read_whole(self, tmp_path, capsys, damage):
+        path = tmp_path / "t.kvt"
+        write_trace(path, generate_synthetic(SyntheticSpec(seed=8), 1, 2, 4, 40))
+        data = path.read_bytes()
+        data = {"none": data, "payload": data[:-7], "trailing": data + b"xx"}[damage]
+        path.write_bytes(data)
+
+        def simulate(source):
+            code = run(["simulate", "--trace", source, "--mode", "fp16"])
+            return code, capsys.readouterr()
+
+        r, w = os.pipe()
+        os.write(w, data)  # well under a pipe's buffer
+        os.close(w)
+        try:
+            from_pipe = simulate(f"/dev/fd/{r}")
+        finally:
+            os.close(r)
+        assert from_pipe == simulate(str(path))
+        assert from_pipe[0] == (0 if damage == "none" else 2)
+
+
 class TestCompareCriteriaCommand:
     def test_writes_csv(self, tmp_path, capsys):
         csv = tmp_path / "crit.csv"
@@ -317,6 +393,10 @@ SMALL = ["--layers", "2", "--heads", "1", "--head-dim", "8", "--seq-len", "64"]
         (["compare-criteria", *SMALL, "--aux-capacity", "0"], 1),
         (["compare-criteria", *SMALL, "--mode", "baseline"], 1),
         (["compare-criteria", *SMALL, "--bits", "9", "--mode", "fp16"], 1),
+        (["simulate", *SMALL, "--sigma", "-1"], 1),
+        (["gen-synthetic", *SMALL, "--mu", "inf", "--out", "{tmp}/inf.kvt"], 1),
+        (["gen-synthetic", *SMALL, "--q-scale", "nan", "--out", "{tmp}/nan.kvt"], 1),
+        (["gen-synthetic", *SMALL, "--mu", "1e39", "--out", "{tmp}/big.kvt"], 1),
     ],
 )
 def test_bad_input_exits_with_one_line_error(argv, code, tmp_path, capsys):

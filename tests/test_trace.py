@@ -17,6 +17,7 @@ from kvtrace import (
     decile_stats,
     generate_synthetic,
     read_trace,
+    read_trace_header,
     write_trace,
 )
 from kvtrace import trace as trace_module
@@ -78,6 +79,11 @@ class TestFileRoundTrip:
             assert got.flags.c_contiguous and got.flags.writeable
             np.testing.assert_array_equal(got, want)
         assert not np.shares_memory(back.q, back.k)
+
+    def test_header_read_matches_full_read(self, tmp_path):
+        path = tmp_path / "t.kvt"
+        write_trace(path, tiny_trace(np.random.default_rng(60), layers=2, heads=3, seq=5, dim=4))
+        assert read_trace_header(path) == read_trace(path).header == TraceHeader(2, 3, 4, 5)
 
     def test_read_peak_is_the_payload(self, tmp_path):
         # Blocks are read into the trace's own arrays: no whole-file bytes
@@ -245,6 +251,33 @@ class TestSyntheticGenerator:
             SyntheticSpec(eps=2.0, delta=1.0)
         with pytest.raises(ContractViolation):
             SyntheticSpec(mu=1.0, sigma=0.9, eps=0.2, delta=0.2)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("q_scale", float("nan"), "q_scale must be finite in float32"),
+            ("q_scale", float("inf"), "q_scale must be finite in float32"),
+            ("q_scale", 1e39, "q_scale must be finite in float32"),
+            ("mu", float("inf"), "mu must be finite in float32"),
+            ("mu", float("nan"), "mu must be finite in float32"),
+            ("sigma", float("nan"), "sigma must be finite in float32"),
+            ("sigma", -1.0, "sigma must be >= 0"),
+            ("sigma", 3e38, "need 0 < eps"),
+        ],
+    )
+    def test_generator_floats_must_be_finite(self, field, value, message):
+        # Before this check a NaN q_scale built a trace whose queries only
+        # failed much later, in softmax; a negative sigma or an infinite mu
+        # crashed inside numpy's generator.
+        with pytest.raises(ContractViolation, match=message):
+            SyntheticSpec(**{field: value})
+
+    def test_band_top_must_be_finite_in_float32(self):
+        with pytest.raises(ContractViolation, match="mu \\+ sigma must be finite in float32"):
+            SyntheticSpec(mu=3e38, sigma=1e38)
+        big = SyntheticSpec(mu=3e38, sigma=0.0)
+        trace = generate_synthetic(big, 1, 1, 4, 30)
+        assert np.isfinite(trace.k).all()
 
     def test_m_bounded_by_sequence(self):
         with pytest.raises(ContractViolation):
