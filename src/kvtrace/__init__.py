@@ -5,7 +5,7 @@ tiered, group-quantized KV cache, measures attention-output error against
 a full-precision oracle, and accounts memory against an fp16 baseline.
 """
 
-from .attention import AttentionResult, attend_full_precision, attend_mixed, l1_error, softmax
+from .attention import AttentionResult, attend_full_precision, attend_mixed, l1_error, row_l1_errors, softmax
 from .cache import EngineConfig, MemoryBreakdown, TieredCache
 from .errors import ContractViolation, DegenerateColumnError, TraceFormatError
 from .outlier import OutlierPool, score_tokens, substitute_means
@@ -77,6 +77,7 @@ __all__ = [
     "read_rows",
     "read_trace",
     "read_trace_header",
+    "row_l1_errors",
     "score_tokens",
     "softmax",
     "substitute_means",

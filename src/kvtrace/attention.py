@@ -67,25 +67,19 @@ def attend_full_precision(q, keys, values) -> AttentionResult:
         raise ContractViolation("query must be 1-D")
     if keys.ndim != 2 or values.ndim != 2:
         raise ContractViolation("keys and values must be 2-D")
-    (n, keys_d), (values_n, values_d) = keys.shape, values.shape
-    if n != values_n:
+    if keys.shape[0] != values.shape[0]:
         raise ContractViolation("keys and values must cover the same tokens")
-    d = q.shape[0]
-    if keys_d != d or values_d != d:
+    if keys.shape[1] != q.shape[0] or values.shape[1] != q.shape[0]:
         raise ContractViolation("width mismatch between query and cache rows")
-    if n == 0:
+    if keys.shape[0] == 0:
         raise ContractViolation("attention needs at least one cached token")
 
-    # ``ndarray.dot`` skips ``@``'s dispatch. On C-contiguous rows both
-    # make the same BLAS call; on strided rows they can round differently.
-    contiguous = keys.flags.c_contiguous and values.flags.c_contiguous
-    scores = keys.dot(q) if contiguous else keys @ q
-    # A Python float divisor is rounded to float32 first, like the scores.
-    np.divide(scores, math.sqrt(d), scores)
+    d = q.shape[0]
+    scores = keys @ q
+    scores /= np.float32(math.sqrt(d))
     weights = softmax(scores)
     # float32 throughout: q, keys and values are float32, and so are the weights.
-    output = weights.dot(values) if contiguous else weights @ values
-    return AttentionResult(output, weights, scores)
+    return AttentionResult(output=weights @ values, weights=weights, scores=scores)
 
 
 def reconstructed_kv(cache: TieredCache) -> tuple[np.ndarray, np.ndarray]:
@@ -113,22 +107,28 @@ def attend_mixed(q, cache: TieredCache) -> AttentionResult:
     quantized rows at pooled positions.
     """
     q = np.asarray(q, dtype=np.float32)
-    if q.shape != cache._row_shape:
+    if q.shape != (cache.config.head_dim,):
         raise ContractViolation(f"query must have shape ({cache.config.head_dim},)")
-    n = cache.total_tokens
-    if n == 0:
+    if cache.total_tokens == 0:
         raise ContractViolation("cannot attend over an empty cache")
-    # ``attended_kv`` inlined: this runs once per decode step.
-    if not cache._dense:
-        cache._make_dense()
-    return attend_full_precision(q, cache._k[:n], cache._v[:n])
+    return attend_full_precision(q, *cache.attended_kv())
 
 
-def l1_error(a, b) -> float:
-    """Sum of absolute element differences between two equal-length vectors."""
+def row_l1_errors(a, b) -> np.ndarray:
+    """Sum of absolute element differences along the last axis of two equal-shape arrays.
+
+    The differences are summed in float64 over a C-ordered copy, so each
+    row adds up in numpy's pairwise order along a contiguous axis, and row
+    i's sum is the same float whatever the inputs' layout or row count.
+    """
     a = np.asarray(a)
     b = np.asarray(b)
     if a.shape != b.shape:
         raise ContractViolation(f"length mismatch: {a.shape} vs {b.shape}")
-    diff = np.subtract(a, b, dtype=np.float64)
-    return float(np.add.reduce(np.abs(diff, out=diff)))
+    diff = np.subtract(a, b, dtype=np.float64, order="C")
+    return np.add.reduce(np.abs(diff, out=diff), axis=-1)
+
+
+def l1_error(a, b) -> float:
+    """Sum of absolute element differences between two equal-length vectors."""
+    return float(row_l1_errors(a, b))

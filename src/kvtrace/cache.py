@@ -21,13 +21,12 @@ chunk leaves the cache unchanged.
 Rows live in one float32 buffer each for K and V. Until attention first
 reads the cache, the buffer holds only the pending rows (at most
 ``group_size + residual``, compacted after each quantization), so a cache
-that is only written keeps that small, fixed footprint. The first read
-(``attended_kv`` or ``attend_mixed``) makes the buffer dense: row i holds
-position i, every block is dequantized into it once, and pooled positions
-hold the pool's full-precision rows. From then on each quantization writes
-its block's dequantized rows in place, restores the shadow row of every
-token the pool evicted, and rewrites the pool rows; the buffer grows
-geometrically.
+that is only written keeps that small, fixed footprint. The first
+``attended_kv`` call makes the buffer dense: row i holds position i, every
+block is dequantized into it once, and pooled positions hold the pool's
+full-precision rows. From then on each quantization writes its block's
+dequantized rows in place, restores the shadow row of every token the pool
+evicted, and rewrites the pool rows; the buffer grows geometrically.
 
 Each cache is single-writer; distinct (layer, head) caches are independent
 and may be driven in parallel.
@@ -135,13 +134,14 @@ class TieredCache:
         self._trigger = config.group_size + config.residual
         self._k = np.empty((self._trigger, config.head_dim), dtype=np.float32)
         self._v = np.empty((self._trigger, config.head_dim), dtype=np.float32)
-        self._row_shape = (config.head_dim,)
         self._pair = np.empty((2, config.head_dim), dtype=np.float32)
         self._pending_count = 0
-        # Buffer row of the oldest pending token: 0 until the buffer is
-        # dense, then ``quantized_tokens`` (row i holds position i).
-        self._pending_start = 0
         self._dense = False
+
+    @property
+    def _pending_start(self) -> int:
+        # Buffer row of the oldest pending token; once dense, row i holds position i.
+        return self.quantized_tokens if self._dense else 0
 
     @property
     def pending_rows(self) -> int:
@@ -160,8 +160,9 @@ class TieredCache:
         """Add one token's key/value rows, quantizing a group when due."""
         k_row = np.asarray(k_row, dtype=np.float32)
         v_row = np.asarray(v_row, dtype=np.float32)
-        if k_row.shape != self._row_shape or v_row.shape != self._row_shape:
-            raise ContractViolation(f"rows must have shape ({self.config.head_dim},)")
+        d = self.config.head_dim
+        if k_row.shape != (d,) or v_row.shape != (d,):
+            raise ContractViolation(f"rows must have shape ({d},)")
         # Side by side, one sum checks both rows: a float64 reduction
         # costs more than the two copies it saves.
         self._pair[0] = k_row
@@ -254,7 +255,6 @@ class TieredCache:
         self._pending_count -= g
 
         if self._dense:
-            self._pending_start = self.quantized_tokens
             self._k[base : base + g] = block_k.to_matrix()
             self._v[base : base + g] = block_v.to_matrix()
             for position in evicted:
@@ -278,7 +278,6 @@ class TieredCache:
         k[self.quantized_tokens : self.total_tokens] = self.pending_k
         v[self.quantized_tokens : self.total_tokens] = self.pending_v
         self._k, self._v = k, v
-        self._pending_start = self.quantized_tokens
         self._dense = True
         self._write_pool_rows()
 

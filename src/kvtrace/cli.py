@@ -35,7 +35,7 @@ import sys
 
 import numpy as np
 
-from .attention import attend_full_precision, attend_mixed
+from .attention import attend_full_precision, attend_mixed, row_l1_errors
 from .cache import EngineConfig, TieredCache
 from .errors import ContractViolation, DegenerateColumnError, TraceFormatError
 from .quant import FP16_BITS
@@ -229,17 +229,6 @@ def _cmd_gen_synthetic(args) -> int:
     return 0
 
 
-def _row_l1_errors(mixed: np.ndarray, oracle: np.ndarray) -> np.ndarray:
-    """``l1_error`` of each row pair of two (T, d) matrices.
-
-    The differences are laid out in C order, so each row is summed along a
-    contiguous axis in the same float64 pairwise order as ``l1_error``: the
-    T values are bit-identical to T calls of it.
-    """
-    diff = np.subtract(mixed, oracle, dtype=np.float64, order="C")
-    return np.add.reduce(np.abs(diff, out=diff), axis=1)
-
-
 def _cmd_simulate(args) -> int:
     if args.mode == "fp16" and args.trace:
         # fp16 needs only the shape: the file is checked, its payload unread.
@@ -262,7 +251,7 @@ def _cmd_simulate(args) -> int:
         # Adding each cache's error vector in (layer, head) order sums
         # every step exactly as a step-major loop over all caches would.
         # Each step keeps its two output rows; the cache's T errors come
-        # from one ``_row_l1_errors`` pass when its replay ends.
+        # from one ``row_l1_errors`` pass when its replay ends.
         usage = dict.fromkeys(_USAGE_KEYS, 0)
         for layer in range(h.n_layers):
             for head in range(h.n_heads):
@@ -274,7 +263,7 @@ def _cmd_simulate(args) -> int:
                     cache.append(k_t, v_t)
                     mixed[t] = attend_mixed(q_t, cache).output
                     oracle[t] = attend_full_precision(q_t, k[: t + 1], v[: t + 1]).output
-                step_errors += _row_l1_errors(mixed, oracle)
+                step_errors += row_l1_errors(mixed, oracle)
                 breakdown = cache.memory_usage()
                 for key in _USAGE_KEYS:
                     usage[key] += getattr(breakdown, key)

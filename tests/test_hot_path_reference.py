@@ -1,11 +1,12 @@
 """The decode step's fast paths against the slow code they replaced.
 
-``softmax``, ``attend_full_precision``, ``attend_mixed``,
-``TieredCache.append`` and the per-cache L1 pass of ``simulate`` were
-rewritten to make fewer and cheaper numpy calls. The code they replaced is
-kept here as the reference. Every fast path must match it bit for bit, on
-float32, float64 and non-contiguous inputs, and must reject the same inputs
-with the same message.
+``softmax``, ``TieredCache.append`` and ``l1_error`` were rewritten to make
+fewer and cheaper numpy calls, and ``simulate`` takes each cache's per-step
+L1 errors in one ``row_l1_errors`` pass. The code they replaced is kept
+here as the reference, and ``attend_full_precision`` and ``attend_mixed``,
+which run the new ``softmax``, are held to it too. Every fast path must
+match it bit for bit, on float32, float64 and non-contiguous inputs, and
+must reject the same inputs with the same message.
 """
 
 import math
@@ -19,9 +20,10 @@ from kvtrace import (
     TieredCache,
     attend_full_precision,
     attend_mixed,
+    l1_error,
+    row_l1_errors,
     softmax,
 )
-from kvtrace.cli import _row_l1_errors
 
 
 def reference_softmax(v):
@@ -99,6 +101,7 @@ def layouts(d, pool=POOL):
         ("float32", q, keys, values),
         ("float64", q.astype(np.float64), keys.astype(np.float64), values.astype(np.float64)),
         ("row-strided", QUERIES[: 2 * d : 2], pool[::2, :d], pool[1::2, d : 2 * d]),
+        ("strided-query", QUERIES[: 2 * d : 2], keys, values),
         ("column-strided", q, pool[:MAX_LEN, : 2 * d : 2], pool[MAX_LEN:, 1 : 2 * d : 2]),
         ("fortran", q, np.asfortranarray(keys), np.asfortranarray(values)),
     ]
@@ -244,4 +247,18 @@ class TestRowL1Errors:
         for _name, _q, mixed, oracle in layouts(d, WIDE):
             want = reference_row_l1_errors(mixed, oracle)
             for steps in lengths:
-                assert_same_bits(_row_l1_errors(mixed[:steps], oracle[:steps]), want[:steps])
+                assert_same_bits(row_l1_errors(mixed[:steps], oracle[:steps]), want[:steps])
+            for t in lengths:
+                assert l1_error(mixed[t - 1], oracle[t - 1]) == want[t - 1]
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [([1.0], [1.0, 2.0]), (np.zeros((2, 3)), np.zeros((3, 2))), (np.zeros(3), np.zeros((1, 3)))],
+    )
+    def test_same_rejection(self, a, b):
+        with pytest.raises(ContractViolation) as want:
+            reference_l1_error(a, b)
+        for function in (l1_error, row_l1_errors):
+            with pytest.raises(ContractViolation) as got:
+                function(a, b)
+            assert str(got.value) == str(want.value)
