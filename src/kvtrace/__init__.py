@@ -11,7 +11,6 @@ from .errors import ContractViolation, DegenerateColumnError, TraceFormatError
 from .outlier import OutlierPool, score_tokens, substitute_means
 from .quant import (
     GroupAxis,
-    PassthroughBlock,
     QuantParams,
     QuantizedBlock,
     dequantize,
@@ -53,7 +52,6 @@ __all__ = [
     "GroupAxis",
     "MemoryBreakdown",
     "OutlierPool",
-    "PassthroughBlock",
     "QuantParams",
     "QuantizedBlock",
     "SyntheticSpec",

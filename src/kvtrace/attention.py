@@ -7,8 +7,8 @@ group was dequantized once when it was written and, for every pooled
 outlier token, the row at its absolute position holds the pool's
 full-precision copy. Overwriting (rather than appending extra positions)
 keeps exactly one logit per true token, so no softmax mass is
-double-counted. ``reconstructed_kv`` builds the same matrices from scratch
-by dequantizing every block; it is the slow reference for tests.
+double-counted. A passthrough cache's buffer holds exactly the rows it
+was fed.
 
 The first ``attend_mixed`` on a cache converts its buffer to the dense
 layout, so that call mutates the cache and must not race a writer or
@@ -80,23 +80,6 @@ def attend_full_precision(q, keys, values) -> AttentionResult:
     weights = softmax(scores)
     # float32 throughout: q, keys and values are float32, and so are the weights.
     return AttentionResult(output=weights @ values, weights=weights, scores=scores)
-
-
-def reconstructed_kv(cache: TieredCache) -> tuple[np.ndarray, np.ndarray]:
-    """Materialize the cache as full (total_tokens, d) key/value matrices.
-
-    Quantized blocks are dequantized, pending rows copied verbatim, and
-    rows at pooled positions replaced with the pool's full-precision
-    rows. This is the slow reference for ``TieredCache.attended_kv``,
-    which holds the same values without rebuilding them.
-    """
-    parts_k = [b.to_matrix() for b in cache.quantized_k] + [cache.pending_k]
-    parts_v = [b.to_matrix() for b in cache.quantized_v] + [cache.pending_v]
-    keys = np.concatenate(parts_k, axis=0) if cache.total_tokens else np.empty((0, cache.config.head_dim), np.float32)
-    values = np.concatenate(parts_v, axis=0) if cache.total_tokens else np.empty((0, cache.config.head_dim), np.float32)
-    keys[cache.pool.positions] = cache.pool.keys
-    values[cache.pool.positions] = cache.pool.values
-    return keys, values
 
 
 def attend_mixed(q, cache: TieredCache) -> AttentionResult:

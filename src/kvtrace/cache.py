@@ -16,7 +16,9 @@ residual`` quantizes the oldest ``group_size`` pending rows, so the newest
 ``extend`` adds an (n, d) chunk, checked once, and copies it in slices
 that end exactly where per-token appends would quantize, so a cache fed
 in chunks is bit-identical to one fed token by token. A rejected row or
-chunk leaves the cache unchanged.
+chunk leaves the cache unchanged. A ``passthrough`` cache is the lossless
+control: its trigger is never reached, so every row stays pending at full
+precision and nothing is quantized or pooled.
 
 Rows live in one float32 buffer each for K and V. Until attention first
 reads the cache, the buffer holds only the pending rows (at most
@@ -35,18 +37,18 @@ and may be driven in parallel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractViolation
 from .outlier import OutlierPool, score_tokens, substitute_means
-from .quant import (
-    FP16_BITS,
-    PassthroughBlock,
-    quantize_keys_channelwise,
-    quantize_values_tokenwise,
-)
+from .quant import quantize_keys_channelwise, quantize_values_tokenwise
+
+# Bits accounted per stored value in the fp16-equivalent memory model.
+# Parameters are held as wider floats in memory but deployed as fp16.
+FP16_BITS = 16
 
 
 @dataclass(frozen=True)
@@ -130,10 +132,12 @@ class TieredCache:
         self.substituted_positions: set[int] = set()
         self.total_tokens = 0
         self.quantized_tokens = 0
-        # Pending count at which the oldest group is quantized.
-        self._trigger = config.group_size + config.residual
-        self._k = np.empty((self._trigger, config.head_dim), dtype=np.float32)
-        self._v = np.empty((self._trigger, config.head_dim), dtype=np.float32)
+        rows = config.group_size + config.residual
+        # Pending count at which the oldest group is quantized; a lossless
+        # cache never reaches it, so every row stays pending.
+        self._trigger = sys.maxsize if passthrough else rows
+        self._k = np.empty((rows, config.head_dim), dtype=np.float32)
+        self._v = np.empty((rows, config.head_dim), dtype=np.float32)
         self._pair = np.empty((2, config.head_dim), dtype=np.float32)
         self._pending_count = 0
         self._dense = False
@@ -222,8 +226,11 @@ class TieredCache:
         When this layer pools outliers and the pool is not frozen, the
         group's tokens first compete for pool slots; winners keep their
         full-precision rows in the pool and are mean-substituted in the
-        group before quantization.
+        group before quantization. A passthrough cache refuses: it is
+        lossless.
         """
+        if self.passthrough:
+            raise ContractViolation("a passthrough cache quantizes nothing")
         g = self.config.group_size
         if self._pending_count < g:
             raise ContractViolation(
@@ -244,11 +251,8 @@ class TieredCache:
                 group_k, group_v = substitute_means(group_k, group_v, selected - base)
                 self.substituted_positions.update(selected.tolist())
 
-        if self.passthrough:
-            block_k, block_v = PassthroughBlock(group_k), PassthroughBlock(group_v)
-        else:
-            block_k = quantize_keys_channelwise(group_k, self.config.bits)
-            block_v = quantize_values_tokenwise(group_v, self.config.bits)
+        block_k = quantize_keys_channelwise(group_k, self.config.bits)
+        block_v = quantize_values_tokenwise(group_v, self.config.bits)
         self.quantized_k.append(block_k)
         self.quantized_v.append(block_v)
         self.quantized_tokens += g
@@ -286,18 +290,17 @@ class TieredCache:
         self._v[self.pool.positions] = self.pool.values
 
     def memory_usage(self) -> MemoryBreakdown:
-        """Current footprint under fp16-equivalent accounting."""
-        quantized_bits = sum(
-            b.code_bits for b in self.quantized_k + self.quantized_v
-        )
-        param_bits = sum(b.param_bits for b in self.quantized_k + self.quantized_v)
+        """Current footprint under fp16-equivalent accounting.
+
+        Closed form from the tier sizes: each quantized group of G tokens
+        has d key lines (per channel) and G value lines (per token).
+        """
         d = self.config.head_dim
-        pending_bits = self._pending_count * d * FP16_BITS * 2
+        groups = self.quantized_tokens // self.config.group_size
         pool_rows = self.pool.positions.size + self.pool.aux_positions.size
-        pool_bits = pool_rows * d * FP16_BITS * 2
         return MemoryBreakdown(
-            quantized_bits=quantized_bits,
-            param_bits=param_bits,
-            pending_bits=pending_bits,
-            pool_bits=pool_bits,
+            quantized_bits=2 * self.quantized_tokens * d * self.config.bits,
+            param_bits=groups * (d + self.config.group_size) * 2 * FP16_BITS,
+            pending_bits=self._pending_count * d * FP16_BITS * 2,
+            pool_bits=pool_rows * d * FP16_BITS * 2,
         )

@@ -36,9 +36,8 @@ import sys
 import numpy as np
 
 from .attention import attend_full_precision, attend_mixed, row_l1_errors
-from .cache import EngineConfig, TieredCache
+from .cache import FP16_BITS, EngineConfig, TieredCache
 from .errors import ContractViolation, DegenerateColumnError, TraceFormatError
-from .quant import FP16_BITS
 from .report import (
     Criterion,
     compare_criteria,
@@ -378,7 +377,10 @@ def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.subcommand](args)
+        # Explicit checks report non-finite values in one error line;
+        # numpy's overflow warnings would only add lines before it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _COMMANDS[args.subcommand](args)
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
     except (TraceFormatError, _UnreadableTrace) as exc:

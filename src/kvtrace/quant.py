@@ -22,7 +22,8 @@ and shrink repeated only on the lines that still need them, and each code
 found by a binary search over the float64 lattice, one code bit per pass.
 ``quantize_uniform`` is the one-line case of the same pass. A
 ``QuantizedBlock`` holds the packed codes plus two float64 arrays,
-``mins`` and ``steps``, with one entry per parameter line.
+``mins`` and ``steps``, with one entry per parameter line; it is the only
+block type, and ``TieredCache.memory_usage`` accounts for its bits.
 
 All functions are pure and safe to call concurrently.
 """
@@ -35,10 +36,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolation
-
-# Bits accounted per stored value in the fp16-equivalent memory model.
-# Parameters are held as wider floats in memory but deployed as fp16.
-FP16_BITS = 16
 
 
 class GroupAxis(enum.Enum):
@@ -191,16 +188,6 @@ class QuantizedBlock:
             for m, s in zip(self.mins.tolist(), self.steps.tolist())
         ]
 
-    @property
-    def code_bits(self) -> int:
-        """Payload bits in the fp16-equivalent memory model."""
-        return self.n_tokens * self.n_channels * self.bits
-
-    @property
-    def param_bits(self) -> int:
-        """Two stored values, accounted 16 bits each, per parameter line."""
-        return self.steps.size * 2 * FP16_BITS
-
     def code_matrix(self) -> np.ndarray:
         """Unpacked integer codes, shape (n_tokens, n_channels)."""
         flat = unpack_codes(self.codes, self.bits, self.n_tokens * self.n_channels)
@@ -232,44 +219,6 @@ class QuantizedBlock:
         if self.group_axis is GroupAxis.PER_CHANNEL:
             return (codes * self.steps + self.mins).astype(np.float32)
         return (codes * self.steps[i] + self.mins[i]).astype(np.float32)
-
-
-@dataclass
-class PassthroughBlock:
-    """Lossless stand-in for a quantized block.
-
-    Stores the group verbatim and reconstructs it bit-exactly; accounted as
-    16 bits per value with no parameter overhead. This exists for
-    equivalence testing and fp16-style accounting, not as a compression
-    mode.
-    """
-
-    data: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float32)
-
-    @property
-    def n_tokens(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def n_channels(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def code_bits(self) -> int:
-        return self.n_tokens * self.n_channels * FP16_BITS
-
-    @property
-    def param_bits(self) -> int:
-        return 0
-
-    def to_matrix(self) -> np.ndarray:
-        return self.data
-
-    def dequantize_row(self, i: int) -> np.ndarray:
-        return self.data[i]
 
 
 def _quantize_group(group: np.ndarray, bits: int, axis: GroupAxis) -> QuantizedBlock:

@@ -14,9 +14,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .attention import attend_full_precision, l1_error
-from .cache import EngineConfig, TieredCache
+from .cache import FP16_BITS, EngineConfig, TieredCache
 from .errors import ContractViolation
-from .quant import FP16_BITS, quantize_keys_channelwise, quantize_values_tokenwise
+from .quant import quantize_keys_channelwise, quantize_values_tokenwise
 from .trace import Trace
 
 
@@ -174,7 +174,7 @@ def ratio_curve(
     if list(seq_lens) != sorted(seq_lens) or any(s < 1 for s in seq_lens):
         raise ContractViolation("seq_lens must be positive and sorted ascending")
     if passthrough:
-        # The lossless control stores every row at 16 bits and pools nothing.
+        # The lossless control pools nothing; its rows report outlier_num 0.
         config = replace(config, outlier_num=0)
     layer = 0
     while layer in config.skip_layers:

@@ -4,6 +4,7 @@ import pytest
 from kvtrace import (
     ContractViolation,
     EngineConfig,
+    MemoryBreakdown,
     OutlierPool,
     TieredCache,
     attend_full_precision,
@@ -11,7 +12,6 @@ from kvtrace import (
     quantize_keys_channelwise,
     quantize_values_tokenwise,
 )
-from kvtrace.attention import reconstructed_kv
 
 
 def fill(cache, rows_k, rows_v):
@@ -28,6 +28,40 @@ def shrinking_keys(rng, n, d):
     # members: evictions happen until the auxiliary list fills.
     shrink = np.linspace(3.0, 0.1, n)[:, None] * rng.uniform(0.5, 1.5, size=(n, 1))
     return (random_rows(rng, n, d) * shrink).astype(np.float32)
+
+
+def reconstructed_kv(cache):
+    """The cache as full (total_tokens, d) key/value matrices, built from scratch.
+
+    Quantized blocks are dequantized, pending rows copied verbatim, and
+    rows at pooled positions replaced with the pool's full-precision rows:
+    the slow reference for ``TieredCache.attended_kv``.
+    """
+    if not cache.total_tokens:
+        empty = np.empty((0, cache.config.head_dim), np.float32)
+        return empty, empty.copy()
+    keys = np.concatenate([b.to_matrix() for b in cache.quantized_k] + [cache.pending_k])
+    values = np.concatenate([b.to_matrix() for b in cache.quantized_v] + [cache.pending_v])
+    keys[cache.pool.positions] = cache.pool.keys
+    values[cache.pool.positions] = cache.pool.values
+    return keys, values
+
+
+def per_block_memory_usage(cache):
+    """The slow reference for ``memory_usage``: what the stored arrays hold.
+
+    Each block is charged its codes at its width and two 16-bit values per
+    parameter line; pending and pool rows at 16 bits per value.
+    """
+    blocks = cache.quantized_k + cache.quantized_v
+    full_rows = [cache.pending_k, cache.pending_v, cache.pool.keys, cache.pool.values,
+                 cache.pool.aux_keys, cache.pool.aux_values]
+    return MemoryBreakdown(
+        quantized_bits=sum(b.n_tokens * b.n_channels * b.bits for b in blocks),
+        param_bits=sum((b.mins.size + b.steps.size) * 16 for b in blocks),
+        pending_bits=sum(rows.size * 16 for rows in full_rows[:2]),
+        pool_bits=sum(rows.size * 16 for rows in full_rows[2:]),
+    )
 
 
 def pool_fields(pool):
@@ -240,6 +274,80 @@ class TestMemoryUsage:
         assert len(totals) > 5
         assert all(a < b for a, b in zip(totals, totals[1:]))
 
+    @pytest.mark.parametrize("bits", [1, 2, 8])
+    @pytest.mark.parametrize("d", [1, 5])
+    @pytest.mark.parametrize("r", [0, 3])
+    @pytest.mark.parametrize("g", [1, 4, 16])
+    def test_closed_form_matches_per_block_sum(self, g, r, d, bits):
+        n = 6 * g + r + 3
+        rng = np.random.default_rng(100 * g + 10 * r + d + bits)
+        keys, values = shrinking_keys(rng, n, d), random_rows(rng, n, d)
+        evicted = 0
+        # (outlier_num, aux_capacity, layer): pool off, on, and skipped.
+        for outlier_num, aux, layer in [(0, 0, 0), (2, 1, 0), (3, 4, 0), (3, 4, 1)]:
+            cfg = EngineConfig(bits=bits, group_size=g, residual=r, outlier_num=outlier_num,
+                               skip_layers=(1,), aux_capacity=aux, head_dim=d)
+            cache = TieredCache(cfg, layer=layer)
+            assert cache.memory_usage() == per_block_memory_usage(cache)
+            for t in range(n):
+                cache.append(keys[t], values[t])
+                assert cache.memory_usage() == per_block_memory_usage(cache)
+            evicted += cache.pool.aux_positions.size
+        assert evicted
+
+
+class TestPassthrough:
+    """The lossless control quantizes and pools nothing."""
+
+    G, R, D = 4, 3, 5
+
+    def fed(self, feed):
+        # Pooling on with room to evict, so any quantization would show.
+        cfg = EngineConfig(group_size=self.G, residual=self.R, outlier_num=3,
+                           skip_layers=(), aux_capacity=2, head_dim=self.D)
+        rng = np.random.default_rng(48)
+        n = 5 * (self.G + self.R) + 2
+        keys, values = shrinking_keys(rng, n, self.D), random_rows(rng, n, self.D)
+        cache = TieredCache(cfg, layer=0, passthrough=True)
+        fed = feed(cache, keys, values)
+        return cache, keys[:fed], values[:fed]
+
+    @staticmethod
+    def by_append(cache, keys, values):
+        fill(cache, keys, values)
+        return len(keys)
+
+    @staticmethod
+    def by_extend(cache, keys, values):
+        for start in range(0, len(keys), 5):
+            cache.extend(keys[start : start + 5], values[start : start + 5])
+            if start == 10:
+                cache.attended_kv()  # dense from here on
+        return len(keys)
+
+    @pytest.mark.parametrize("feed", ["by_append", "by_extend"])
+    def test_every_row_stays_pending(self, feed):
+        cache, keys, values = self.fed(getattr(self, feed))
+        t = len(keys)
+        assert cache.total_tokens == cache.pending_rows == t
+        assert cache.quantized_tokens == 0 and not cache.quantized_k and not cache.quantized_v
+        assert cache.pool.positions.size == cache.pool.aux_positions.size == 0
+        assert not cache.substituted_positions
+        got_k, got_v = cache.attended_kv()
+        assert got_k.tobytes() == keys.tobytes() and got_v.tobytes() == values.tobytes()
+        usage = cache.memory_usage()
+        assert (usage.quantized_bits, usage.param_bits, usage.pending_bits, usage.pool_bits) == (
+            0, 0, 2 * t * self.D * 16, 0)
+        assert usage == per_block_memory_usage(cache)
+
+    def test_quantize_oldest_group_refused(self):
+        cache, keys, values = self.fed(self.by_append)
+        twin, _, _ = self.fed(self.by_append)
+        with pytest.raises(ContractViolation, match="passthrough"):
+            cache.quantize_oldest_group()
+        assert_same_cache(cache, twin)
+        assert cache.attended_kv()[0].tobytes() == keys.tobytes()
+
 
 class TestAttendedKv:
     """The in-place read buffer against the slow from-scratch reference."""
@@ -289,7 +397,9 @@ class TestAttendedKv:
                 self.check_read(cache, queries[-1])
                 froze += outlier_num > 0 and aux > 0 and cache.pool.frozen
                 evicted += cache.pool.aux_positions.size
-        assert froze and evicted
+                if passthrough:
+                    assert cache.quantized_tokens == 0 and cache.pool.positions.size == 0
+        assert passthrough or (froze and evicted)
 
     def test_unread_cache_stays_at_pending_capacity(self):
         rng = np.random.default_rng(47)
@@ -369,7 +479,9 @@ class TestExtend:
                         np.testing.assert_array_equal(x, y)
             evicted += reference.pool.aux_positions.size
             froze += reference.pool.frozen
-        assert evicted and froze
+            if passthrough:
+                assert reference.quantized_tokens == 0 and reference.pool.positions.size == 0
+        assert passthrough or (froze and evicted)
 
     @staticmethod
     def fed_pair(seed):

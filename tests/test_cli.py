@@ -397,8 +397,12 @@ SMALL = ["--layers", "2", "--heads", "1", "--head-dim", "8", "--seq-len", "64"]
         (["gen-synthetic", *SMALL, "--mu", "inf", "--out", "{tmp}/inf.kvt"], 1),
         (["gen-synthetic", *SMALL, "--q-scale", "nan", "--out", "{tmp}/nan.kvt"], 1),
         (["gen-synthetic", *SMALL, "--mu", "1e39", "--out", "{tmp}/big.kvt"], 1),
+        (["simulate", *SMALL, "--q-scale", "3e38"], 1),
     ],
 )
+# Pytest would capture a numpy warning away from capsys; turned into an
+# error here, it fails the test as it would add a line to stderr.
+@pytest.mark.filterwarnings("error")
 def test_bad_input_exits_with_one_line_error(argv, code, tmp_path, capsys):
     zeros = np.zeros((1, 1, 8, 2), dtype=np.float32)
     write_trace(tmp_path / "constant.kvt", Trace(TraceHeader(1, 1, 2, 8), zeros, zeros, zeros))

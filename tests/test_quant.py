@@ -9,7 +9,6 @@ from hypothesis.extra import numpy as hnp
 from kvtrace import (
     ContractViolation,
     GroupAxis,
-    PassthroughBlock,
     QuantizedBlock,
     dequantize,
     pack_codes,
@@ -365,7 +364,6 @@ class TestQuantizedBlockChecks:
             (0.5, 1.0, 2), (-1.0, 0.0, 2), (2.0, 0.25, 2)
         ]
         assert block.mins.dtype == block.steps.dtype == np.float64
-        assert block.param_bits == 3 * 2 * 16
 
     @pytest.mark.parametrize("bits", [0, 9])
     def test_rejects_bits_out_of_range(self, bits):
@@ -412,10 +410,6 @@ class TestDequantizeRow:
             got = block.dequantize_row(row)
             assert got.dtype == np.float32 and got.shape == (shape[1],)
             assert got.tobytes() == full[row].tobytes()
-
-    def test_passthrough_row(self):
-        data = np.arange(12, dtype=np.float32).reshape(4, 3)
-        assert PassthroughBlock(data).dequantize_row(2).tobytes() == data[2].tobytes()
 
     @pytest.mark.parametrize("row", [-1, 4])
     def test_out_of_range_rejected(self, row):
