@@ -31,6 +31,8 @@ unwritable ``--out``), 2 on a missing, unreadable or malformed trace file.
 from __future__ import annotations
 
 import argparse
+import functools
+import shutil
 import sys
 
 import numpy as np
@@ -109,22 +111,28 @@ def _add_generator_flags(p: argparse.ArgumentParser, seq_len_default: int = 1024
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="kvtrace", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    # argparse makes a formatter per added argument, and each asks the
+    # terminal for its width unless given it; ask once (argparse's width).
+    width = shutil.get_terminal_size().columns - 2
+    raw = functools.partial(argparse.RawDescriptionHelpFormatter, width=width)
+    parser = _Parser(prog="kvtrace", description=__doc__, formatter_class=raw)
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    plain = functools.partial(argparse.HelpFormatter, width=width)
+    add_parser = functools.partial(sub.add_parser, formatter_class=plain)
 
-    p = sub.add_parser("gen-synthetic", help="write a synthetic trace file")
+    p = add_parser("gen-synthetic", help="write a synthetic trace file")
     _add_generator_flags(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output trace path")
 
-    p = sub.add_parser("simulate", help="replay a trace and measure per-step L1 error")
+    p = add_parser("simulate", help="replay a trace and measure per-step L1 error")
     _add_engine_flags(p)
     _add_generator_flags(p)
     p.add_argument("--trace", help="trace file; omitted = synthetic from generator flags")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="per-step CSV path (default: no file, summary only)")
 
-    p = sub.add_parser("compare-criteria", help="retention-criteria error comparison")
+    p = add_parser("compare-criteria", help="retention-criteria error comparison")
     _add_quant_flags(p)
     p.add_argument("--mode", choices=("ott", "fp16"), default="ott", help="ott (quantize) or fp16")
     _add_generator_flags(p)
@@ -136,7 +144,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="CSV path (default: print)")
 
-    p = sub.add_parser("ratio-curve", help="compression ratio vs fp16 accounting")
+    p = add_parser("ratio-curve", help="compression ratio vs fp16 accounting")
     _add_engine_flags(p)
     p.add_argument("--head-dim", type=int, default=64)
     p.add_argument(
@@ -147,7 +155,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="CSV path (default: print)")
 
-    p = sub.add_parser("mem-estimate", help="full-precision KV cache footprint")
+    p = add_parser("mem-estimate", help="full-precision KV cache footprint")
     p.add_argument("--layers", type=int, required=True)
     p.add_argument("--heads", type=int, required=True)
     p.add_argument("--head-dim", type=int, required=True)
@@ -155,7 +163,7 @@ def build_parser() -> _Parser:
     p.add_argument("--batch", type=int, required=True)
     p.add_argument("--bytes-per-value", type=int, default=2, help="2 for fp16 (default)")
 
-    p = sub.add_parser("decile-stats", help="decile histogram of one key channel")
+    p = add_parser("decile-stats", help="decile histogram of one key channel")
     _add_generator_flags(p)
     p.add_argument("--trace", help="trace file; omitted = synthetic from generator flags")
     p.add_argument("--layer", type=int, default=0)

@@ -18,8 +18,15 @@ exactly as ``dequantize`` computes it.
 Group variants quantize keys per channel (one parameter line per column)
 and values per token (one line per row), all lines of a group in one
 vectorized pass: every line's min, max and step at once, the step nudge
-and shrink repeated only on the lines that still need them, and each code
-found by a binary search over the float64 lattice, one code bit per pass.
+and shrink repeated only on the lines that still need them. Each code is
+estimated as ``floor((x - x_min) / step)`` and checked through its
+float64 residual ``x - (code * step + x_min)``: a negative residual means
+the estimate is too high, and only a residual within a derived
+round-off bound ``tol`` of a whole step can hide one that is too low (see
+``_quantize_lines``). Those few elements are settled against the lattice;
+the cost of the pass does not depend on ``bits``. Codes stay ``uint8``
+from the finder to the packer, which joins each word's eight codes in
+three shift-and-merge rounds.
 ``quantize_uniform`` is the one-line case of the same pass. A
 ``QuantizedBlock`` holds the packed codes plus two float64 arrays,
 ``mins`` and ``steps``, with one entry per parameter line; it is the only
@@ -63,28 +70,75 @@ class QuantParams:
             raise ContractViolation("step must be nonnegative")
 
 
-def _floor_codes(lines: np.ndarray, mins: np.ndarray, steps: np.ndarray, bits: int) -> np.ndarray:
+def _floor_codes(
+    lines: np.ndarray, mins: np.ndarray, steps: np.ndarray, tol: np.ndarray, levels: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Per element, the highest level whose float64 reconstruction is <= x.
 
-    The reconstructions ``k * step + x_min`` (the float64 operations of
-    ``dequantize``) are non-decreasing in k and level 0 is x_min, so the
-    code is found by binary search, one code bit per pass from the top:
-    ``bits`` passes, none building anything larger than the lines. The
-    first probe is the same level for every element.
+    ``lines`` is (m, n); ``mins``, ``steps`` and ``tol`` are (m, 1) columns.
+    Returns the codes (float64, integer-valued) and the residuals
+    ``x - (code * step + x_min)``, the float64 operations of ``dequantize``.
+    The estimate ``floor((x - x_min) / step + 2**-32)``, capped at
+    ``levels``, is right for all but a few elements; two tests on the
+    residual flag every wrong one (``_quantize_lines`` derives why), and
+    only the flagged elements are settled against the lattice.
     """
-    top = 1 << (bits - 1)
-    codes = np.where((top * steps + mins)[:, None] <= lines, top, 0)
-    for b in reversed(range(bits - 1)):
-        trial = codes + (1 << b)
-        codes = np.where(trial * steps[:, None] + mins[:, None] <= lines, trial, codes)
-    return codes
+    # Full-size copies of the columns: arithmetic against a broadcast column
+    # runs one short inner loop per line, a copy of it does not.
+    lo = np.empty_like(lines)
+    np.copyto(lo, mins)
+    width = np.empty_like(lines)
+    np.copyto(width, steps)
+    codes = lines - lo
+    codes /= width
+    # Values on a lattice point (x_max above all) often land a hair below
+    # their level; lifting the estimate by far more than that round-off
+    # keeps them off the settle path.
+    codes += 2.0**-32
+    np.floor(codes, out=codes)
+    np.minimum(codes, levels, out=codes)
+    resid = codes * width
+    resid += lo
+    np.subtract(lines, resid, out=resid)
+    unsure = resid >= steps - tol
+    unsure |= resid < 0
+    if unsure.any():
+        i, j = np.nonzero(unsure)
+        x, step, x_min, k = lines[i, j], steps[i, 0], mins[i, 0], codes[i, j]
+        while (high := k * step + x_min > x).any():
+            k -= high
+        while (low := (k < levels) & ((k + 1) * step + x_min <= x)).any():
+            k += low
+        codes[i, j] = k
+        resid[i, j] = x - (k * step + x_min)
+    return codes, resid
 
 
 def _quantize_lines(lines: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Quantize each row of a finite, non-empty float64 (L, n) matrix.
 
-    Returns ``(codes, mins, steps)``: int64 codes of shape (L, n) and the
-    float64 zero point and step of each row.
+    Returns ``(codes, mins, steps)``: uint8 codes of shape (L, n), laid out
+    in memory like ``lines``, and the float64 zero point and step of each
+    row.
+
+    Each code c is first estimated (see ``_floor_codes``) and checked
+    through its residual ``r = x - (c * step + x_min)``, the float64
+    operations of ``dequantize``. The estimate is too high exactly
+    when ``r < 0``, since a rounded difference has the sign of the exact
+    one. It can be too low only if ``r >= step - tol``. With u = 2**-53 and
+    X = |x_min| + |x_max| + levels * step, a lattice point ``fl(fl(k *
+    step) + x_min)`` lies within ``2u * X + 2**-1074`` of ``k * step +
+    x_min`` (the subnormal term is the underflow of the product; sums with
+    a subnormal result are exact). So if level c + 1 reconstructs at or
+    below x, then ``x - fl(c * step + x_min) >= step - 4u * X - 2**-1073``,
+    and rounding that subtraction, whose operands are each below X in
+    magnitude, costs at most ``2u * X`` more: ``r >= step - 6u * X -
+    2**-1073``. ``tol = 16 * 2**-52 * X + 4 * 2**-1074`` is over four
+    times that bound, which also covers the rounding of ``tol`` and of
+    ``step - tol``. Only elements failing one of the two tests (none, for
+    most groups) are settled, one level at a time, so the result is
+    exactly the highest level whose reconstruction is <= x, for any
+    ``bits``.
     """
     levels = (1 << bits) - 1
     mins = lines.min(axis=1)
@@ -97,16 +151,19 @@ def _quantize_lines(lines: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarra
     while nudge.size:
         steps[nudge] = np.nextafter(steps[nudge], 0.0)
         nudge = nudge[(steps[nudge] > 0) & (mins[nudge] + levels * steps[nudge] > maxs[nudge])]
+    # The steps below only shrink, so this bound stays valid for them.
+    tol = 16 * 2.0**-52 * (np.abs(mins) + np.abs(maxs) + levels * steps) + 4 * 2.0**-1074
 
     # Constant rows (step 0) keep all-zero codes.
-    codes = np.zeros(lines.shape, dtype=np.int64)
+    codes = np.zeros_like(lines, dtype=np.uint8)
     todo = np.flatnonzero(steps > 0)
     while todo.size:
-        x = lines if todo.size == len(lines) else lines[todo]
+        rows = slice(None) if todo.size == len(lines) else todo
         step = steps[todo]
-        c = _floor_codes(x, mins[todo], step, bits)
-        codes[todo] = c
-        excess = (x - (c * step[:, None] + mins[todo, None])).max(axis=1) - step
+        codes[rows], resid = _floor_codes(
+            lines[rows], mins[rows, None], step[:, None], tol[rows, None], levels
+        )
+        excess = resid.max(axis=1) - step
         # excess > 0: round-off made a lattice cell wider than step (by a few
         # ulps of the levels), so some x has no code within the bound.
         # Shrinking step by the excess narrows the cells; the top level only
@@ -135,7 +192,8 @@ def quantize_uniform(x, bits: int) -> tuple[np.ndarray, QuantParams]:
     if not np.isfinite(x).all():
         raise ContractViolation("quantize_uniform input contains NaN or Inf")
     codes, mins, steps = _quantize_lines(x[None, :], bits)
-    return codes[0], QuantParams(x_min=float(mins[0]), step=float(steps[0]), bits=bits)
+    params = QuantParams(x_min=float(mins[0]), step=float(steps[0]), bits=bits)
+    return codes[0].astype(np.int64), params
 
 
 def dequantize(codes, params: QuantParams) -> np.ndarray:
@@ -195,7 +253,8 @@ class QuantizedBlock:
 
     def to_matrix(self) -> np.ndarray:
         """Dequantize to a float32 (n_tokens, n_channels) matrix."""
-        codes = self.code_matrix()
+        codes = _unpack(self.codes, self.bits, self.n_tokens * self.n_channels)
+        codes = codes.reshape(self.n_tokens, self.n_channels)
         if self.group_axis is GroupAxis.PER_CHANNEL:
             out = codes * self.steps[None, :] + self.mins[None, :]
         else:
@@ -215,14 +274,17 @@ class QuantizedBlock:
         count = start + self.n_channels - 8 * word
         first = word * self.bits
         data = self.codes[first : first + _packed_size(count, self.bits)]
-        codes = unpack_codes(data, self.bits, count)[start - 8 * word :]
+        codes = _unpack(data, self.bits, count)[start - 8 * word :]
         if self.group_axis is GroupAxis.PER_CHANNEL:
             return (codes * self.steps + self.mins).astype(np.float32)
         return (codes * self.steps[i] + self.mins[i]).astype(np.float32)
 
 
 def _quantize_group(group: np.ndarray, bits: int, axis: GroupAxis) -> QuantizedBlock:
-    group = np.asarray(group, dtype=np.float64)
+    # Value rows are laid out as columns, like a key group's channels:
+    # numpy reduces across contiguous lines faster than along each one.
+    order = "F" if axis is GroupAxis.PER_TOKEN else "K"
+    group = np.asarray(group, dtype=np.float64, order=order)
     if group.ndim != 2 or group.size == 0:
         raise ContractViolation("group must be a non-empty 2-D matrix")
     if not np.isfinite(group).all():
@@ -232,12 +294,12 @@ def _quantize_group(group: np.ndarray, bits: int, axis: GroupAxis) -> QuantizedB
 
     n_tokens, n_channels = group.shape
     if axis is GroupAxis.PER_CHANNEL:
-        codes, mins, steps = _quantize_lines(np.ascontiguousarray(group.T), bits)
+        codes, mins, steps = _quantize_lines(group.T, bits)
         codes = codes.T
     else:
         codes, mins, steps = _quantize_lines(group, bits)
     return QuantizedBlock(
-        codes=pack_codes(codes.reshape(-1), bits),
+        codes=_pack(codes.reshape(-1), bits),
         group_axis=axis,
         mins=mins,
         steps=steps,
@@ -266,8 +328,8 @@ def pack_codes(codes, bits: int) -> bytes:
 
     Code i occupies bits ``i * bits`` to ``(i + 1) * bits - 1`` of the
     stream, and stream bit j is bit ``j % 8`` of byte ``j // 8``. Eight
-    codes fill exactly ``bits`` bytes, so each run of eight is built as one
-    little-endian uint64 word of which the low ``bits`` bytes are kept.
+    codes fill exactly ``bits`` bytes: one little-endian uint64 word of
+    which the low ``bits`` bytes are kept.
     """
     if not 1 <= bits <= 8:
         raise ContractViolation(f"bits must be in [1, 8], got {bits}")
@@ -278,11 +340,7 @@ def pack_codes(codes, bits: int) -> bytes:
         return b""
     if codes.min() < 0 or codes.max() >= (1 << bits):
         raise ContractViolation(f"codes overflow {bits} bits")
-    words = np.zeros((-(-codes.size // 8), 8), dtype=np.uint64)
-    words.reshape(-1)[: codes.size] = codes
-    words = (words << _word_shifts(bits)).sum(axis=1, dtype=np.uint64)
-    packed = words.astype("<u8").view(np.uint8).reshape(-1, 8)[:, :bits]
-    return packed.tobytes()[: _packed_size(codes.size, bits)]
+    return _pack(codes, bits)
 
 
 def unpack_codes(data: bytes, bits: int, count: int) -> np.ndarray:
@@ -291,22 +349,45 @@ def unpack_codes(data: bytes, bits: int, count: int) -> np.ndarray:
         raise ContractViolation(f"bits must be in [1, 8], got {bits}")
     if count < 0:
         raise ContractViolation("count must be nonnegative")
-    if count == 0:
-        return np.zeros(0, dtype=np.int64)
     size = _packed_size(count, bits)
     if len(data) < size:
         raise ContractViolation(
             f"need {size} bytes for {count} codes, got {len(data)}"
         )
+    return _unpack(data, bits, count).astype(np.int64)
+
+
+# Offset of each of a word's eight codes.
+_WORD_SHIFTS = {bits: np.arange(0, 8 * bits, bits, dtype=np.uint64) for bits in range(1, 9)}
+
+def _pack(codes: np.ndarray, bits: int) -> bytes:
+    """:func:`pack_codes` for a 1-D array of codes known to fit in ``bits``.
+
+    Eight codes start one per byte of a uint64 word, and three rounds join
+    neighbouring lanes: a lane of 2 * half bits holding lo + hi * 2**half,
+    both parts ``width`` bits wide, becomes lo | hi << width by subtracting
+    hi * (2**half - 2**width).
+    """
+    n = codes.size
+    buf = np.zeros(-(-n // 8) * 8, dtype=np.uint8)
+    buf[:n] = codes
+    for lane, half, width in (("<u2", 8, bits), ("<u4", 16, 2 * bits), ("<u8", 32, 4 * bits)):
+        words = buf.view(lane)
+        words -= (words >> half) * ((1 << half) - (1 << width))
+    return buf.reshape(-1, 8)[:, :bits].tobytes()[: _packed_size(n, bits)]
+
+
+def _unpack(data: bytes, bits: int, count: int) -> np.ndarray:
+    """uint8 codes from ``data``, which holds at least their packed size.
+
+    Each word is shifted by all eight code offsets at once. Undoing
+    ``_pack``'s rounds instead touches fewer bytes but takes twelve numpy
+    calls, which made ``dequantize_row`` slower.
+    """
     n_words = -(-count // 8)
-    stream = bytes(data[:size]).ljust(n_words * bits, b"\0")
+    stream = bytes(data[: _packed_size(count, bits)]).ljust(n_words * bits, b"\0")
     word_bytes = np.zeros((n_words, 8), dtype=np.uint8)
     word_bytes[:, :bits] = np.frombuffer(stream, dtype=np.uint8).reshape(n_words, bits)
-    words = word_bytes.view("<u8")
-    codes = (words >> _word_shifts(bits)) & np.uint64((1 << bits) - 1)
-    return codes.reshape(-1)[:count].astype(np.int64)
-
-
-def _word_shifts(bits: int) -> np.ndarray:
-    # Offset of each of a word's eight codes.
-    return np.arange(0, 8 * bits, bits, dtype=np.uint64)
+    codes = (word_bytes.view("<u8") >> _WORD_SHIFTS[bits]).astype(np.uint8)
+    codes &= np.uint8((1 << bits) - 1)
+    return codes.reshape(-1)[:count]

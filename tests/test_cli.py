@@ -1,4 +1,6 @@
+import argparse
 import os
+import shutil
 import tracemalloc
 from dataclasses import replace
 
@@ -48,6 +50,35 @@ class TestExitCodes:
     def test_help_returns_zero(self, capsys):
         assert run(["--help"]) == 0
         assert "subcommand" in capsys.readouterr().out or True
+
+
+class TestParser:
+    def test_one_terminal_query_per_build(self, monkeypatch):
+        calls = []
+        real = shutil.get_terminal_size
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(shutil, "get_terminal_size", counting)
+        cli.build_parser()
+        assert len(calls) <= 1
+
+    @pytest.mark.parametrize("columns", ["40", "80", "132"])
+    def test_help_text_as_argparse_formats_it(self, monkeypatch, capsys, columns):
+        # The reference: argparse's own formatters, each asking the terminal.
+        monkeypatch.setenv("COLUMNS", columns)
+        parser = cli.build_parser()
+        (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        cases = [([], parser, argparse.RawDescriptionHelpFormatter)]
+        cases += [([name], p, argparse.HelpFormatter) for name, p in subparsers.choices.items()]
+        assert len(cases) == 7
+        for argv, p, reference_formatter in cases:
+            assert run(argv + ["--help"]) == 0
+            got = capsys.readouterr().out
+            p.formatter_class = reference_formatter
+            assert got == p.format_help()
 
 
 class TestMemEstimate:

@@ -17,6 +17,7 @@ from kvtrace import (
     quantize_values_tokenwise,
     unpack_codes,
 )
+from kvtrace import quant
 
 
 def oracle_quantize(x, bits):
@@ -48,6 +49,46 @@ def reference_unpack_codes(data, bits, count):
     stream = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
     bit_cols = stream[: count * bits].reshape(count, bits).astype(np.int64)
     return bit_cols @ (1 << np.arange(bits, dtype=np.int64))
+
+
+def reference_floor_codes(lines, mins, steps, bits):
+    """The binary-search code finder the estimate-and-settle finder replaced.
+
+    Per element, the highest level whose float64 reconstruction
+    ``k * step + x_min`` is <= x: the reconstructions are non-decreasing
+    in k and level 0 is x_min, so one code bit is fixed per pass from the
+    top: ``bits`` passes over the lines.
+    """
+    top = 1 << (bits - 1)
+    codes = np.where((top * steps + mins)[:, None] <= lines, top, 0)
+    for b in reversed(range(bits - 1)):
+        trial = codes + (1 << b)
+        codes = np.where(trial * steps[:, None] + mins[:, None] <= lines, trial, codes)
+    return codes
+
+
+def reference_word_shifts(bits):
+    return np.arange(0, 8 * bits, bits, dtype=np.uint64)
+
+
+def reference_word_pack(codes, bits):
+    """The sum-reduction word packer ``_pack`` replaced (codes in range)."""
+    codes = np.asarray(codes, dtype=np.int64)
+    words = np.zeros((-(-codes.size // 8), 8), dtype=np.uint64)
+    words.reshape(-1)[: codes.size] = codes
+    words = (words << reference_word_shifts(bits)).sum(axis=1, dtype=np.uint64)
+    packed = words.astype("<u8").view(np.uint8).reshape(-1, 8)[:, :bits]
+    return packed.tobytes()[: (codes.size * bits + 7) // 8]
+
+
+def reference_word_unpack(data, bits, count):
+    """The word unpacker that returned int64 codes of length ``count``."""
+    n_words = -(-count // 8)
+    stream = bytes(data[: (count * bits + 7) // 8]).ljust(n_words * bits, b"\0")
+    word_bytes = np.zeros((n_words, 8), dtype=np.uint8)
+    word_bytes[:, :bits] = np.frombuffer(stream, dtype=np.uint8).reshape(n_words, bits)
+    codes = (word_bytes.view("<u8") >> reference_word_shifts(bits)) & np.uint64((1 << bits) - 1)
+    return codes.reshape(-1)[:count].astype(np.int64)
 
 
 def reference_quantize_line(x, bits):
@@ -177,6 +218,90 @@ class TestAgainstReference:
                 err = line - dequantize(line_codes, p)
                 assert err.min() >= 0.0
                 assert err.max() <= p.step or p.step == 0.0
+
+
+class TestFastPathsAgainstReplaced:
+    """The code finder, packer and unpacker, bit for bit against the code they replaced."""
+
+    @staticmethod
+    def groups(bits):
+        # TestAgainstReference's inputs: every width of test_all_widths,
+        # then the round-off lines.
+        rng = np.random.default_rng(100 + bits)
+        kinds = ["float64", "float32", "subnormal", "integer"]
+        for width in range(1, 130):
+            yield TestAgainstReference.lines(rng, 3, width, kinds[width % len(kinds)])
+        yield np.array(ROUND_OFF_LINES)
+
+    @pytest.mark.parametrize("bits", range(1, 9))
+    def test_finder_matches_binary_search(self, bits):
+        for lines in self.groups(bits):
+            # each line contiguous, and strided as the group quantizers pass it
+            for layout in (lines, np.asfortranarray(lines)):
+                codes, mins, steps = quant._quantize_lines(layout, bits)
+                assert codes.dtype == np.uint8
+                live = steps > 0
+                want = reference_floor_codes(lines[live], mins[live], steps[live], bits)
+                np.testing.assert_array_equal(codes[live], want)
+                assert not codes[~live].any()
+
+    @pytest.mark.parametrize("bits", range(1, 9))
+    def test_pack_and_unpack_match_word_reference(self, bits):
+        for lines in self.groups(bits):
+            codes = quant._quantize_lines(lines, bits)[0].reshape(-1)
+            for n in sorted({0, 1, 7, 8, 9, codes.size} & set(range(codes.size + 1))):
+                packed = quant._pack(codes[:n], bits)
+                assert packed == reference_word_pack(codes[:n], bits)
+                got = quant._unpack(packed, bits, n)
+                assert got.dtype == np.uint8
+                np.testing.assert_array_equal(got, reference_word_unpack(packed, bits, n))
+                np.testing.assert_array_equal(unpack_codes(packed, bits, n), codes[:n])
+
+    def test_public_types_unchanged(self):
+        codes, _ = quantize_uniform([0.0, 1.0, 3.0], 2)
+        assert codes.dtype == np.int64
+        block = quantize_values_tokenwise(np.array([[0.0, 1.0, 3.0]]), 2)
+        assert isinstance(block.codes, bytes)
+        assert unpack_codes(block.codes, 2, 3).dtype == np.int64
+
+
+class TestLatticeBoundaries:
+    """Every lattice point and both its float64 neighbours, for the settle step."""
+
+    # (x_min, x_max) of a line: subnormal to 1e300, and |x_min| >> step.
+    RANGES = [
+        (0.0, 1e-320),
+        (-2e-310, 1e-310),
+        (1e-300, 3e-300),
+        (-1.0, 1.0),
+        (0.1, 0.8),
+        (-3e5, -3e5 + 1e-3),
+        (1e6, 1e6 + 1e-6),
+        (-7.5e15, -7.5e15 + 64.0),
+        (2.0**53, 2.0**53 + 2.0**12),
+        (-1e300, 0.0),
+        (-1e300, 1e300),
+        (1e-5, 1e-5 + 3e-19),
+    ]
+
+    @staticmethod
+    def line(x_min, x_max, bits):
+        # The quantizer's own lattice for this range, then every point of it
+        # and both neighbours that stay inside the range (so the range, and
+        # with it the lattice, is unchanged).
+        _, p = quantize_uniform([x_min, x_max], bits)
+        lattice = np.arange(1 << bits) * p.step + p.x_min
+        values = np.concatenate(
+            [lattice, np.nextafter(lattice, -np.inf), np.nextafter(lattice, np.inf), [x_max]]
+        )
+        return values[(x_min <= values) & (values <= x_max)]
+
+    @pytest.mark.parametrize("bits", range(1, 9))
+    def test_bit_equal_to_reference(self, bits):
+        lines = [self.line(lo, hi, bits) for lo, hi in self.RANGES]
+        width = max(map(len, lines))
+        group = np.array([np.pad(x, (0, width - len(x)), constant_values=x[0]) for x in lines])
+        assert_matches_reference(group, bits)
 
 
 class TestQuantizeUniform:
@@ -395,6 +520,35 @@ class TestQuantizedBlockChecks:
             quantize_keys_channelwise(np.zeros(4), 2)
         with pytest.raises(ContractViolation):
             quantize_keys_channelwise(np.zeros((2, 2)), 9)
+
+
+class TestPackCodesInputs:
+    AS_INPUT = {
+        "list": list,
+        "int64": lambda c: np.array(c, dtype=np.int64),
+        "uint8": lambda c: np.array(c, dtype=np.uint8),
+    }
+
+    @pytest.mark.parametrize("bits", range(1, 9))
+    def test_same_bytes_for_every_input_type(self, bits):
+        rng = np.random.default_rng(300 + bits)
+        for n in (0, 1, 8, 13, 1000):
+            codes = rng.integers(0, 1 << bits, size=n)
+            want = reference_word_pack(codes, bits)
+            for as_input in self.AS_INPUT.values():
+                assert pack_codes(as_input(codes.tolist()), bits) == want
+
+    @pytest.mark.parametrize("bits", [1, 2, 7])
+    @pytest.mark.parametrize("kind", AS_INPUT)
+    def test_same_rejections_for_every_input_type(self, kind, bits):
+        as_input = self.AS_INPUT[kind]
+        with pytest.raises(ContractViolation, match="overflow"):
+            pack_codes(as_input([0, 1 << bits]), bits)
+        with pytest.raises(ContractViolation, match="1-D"):
+            pack_codes(as_input([[0, 1], [1, 0]]), bits)
+        if kind != "uint8":
+            with pytest.raises(ContractViolation, match="overflow"):
+                pack_codes(as_input([0, -1]), bits)
 
 
 class TestDequantizeRow:
