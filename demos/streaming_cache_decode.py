@@ -2,22 +2,13 @@
 """Replay a synthetic trace through the tiered cache and measure fidelity.
 
 Streams tokens into per-tier storage (quantized groups + full-precision
-pending window + outlier pool), runs mixed-tier attention at every decode
-step, and compares against the exact full-precision oracle, with and
-without outlier tracking.
+pending window + outlier pool) through ``kvtrace.replay_caches`` (see
+``kvtrace/replay.py``), which runs mixed-tier attention at every decode
+step and compares it against the exact full-precision oracle; here with
+and without outlier tracking.
 """
 
-import numpy as np
-
-from kvtrace import (
-    EngineConfig,
-    SyntheticSpec,
-    TieredCache,
-    attend_full_precision,
-    attend_mixed,
-    generate_synthetic,
-    l1_error,
-)
+from kvtrace import EngineConfig, SyntheticSpec, generate_synthetic, replay_caches
 
 SEQ, DIM = 1024, 16
 spec = SyntheticSpec(seed=2)
@@ -28,29 +19,21 @@ print(f"synthetic trace: {SEQ} tokens x {DIM} channels, "
 print()
 
 
-def replay(outlier_num):
-    cfg = EngineConfig(bits=2, group_size=128, residual=32, outlier_num=outlier_num,
-                       skip_layers=(), head_dim=DIM)
-    cache = TieredCache(cfg, layer=0)
-    errs = []
-    for t in range(SEQ):
-        cache.append(trace.k[0, 0, t], trace.v[0, 0, t])
-        q = trace.q[0, 0, t]
-        mixed = attend_mixed(q, cache)
-        oracle = attend_full_precision(q, trace.k[0, 0, : t + 1], trace.v[0, 0, : t + 1])
-        errs.append(l1_error(mixed.output, oracle.output))
-    return cache, np.array(errs)
+def config(outlier_num):
+    return EngineConfig(bits=2, group_size=128, residual=32, outlier_num=outlier_num,
+                        skip_layers=(), head_dim=DIM)
 
 
+# The trace has one (layer, head), so each replay yields one cache.
 print("=== Baseline: plain group quantization (no outlier pool) ===")
-cache, base_errs = replay(outlier_num=0)
+[(_, _, cache, base_errs)] = replay_caches(trace, config(outlier_num=0))
 print(f"blocks {len(cache.quantized_k)}, pending {cache.pending_rows}, "
       f"pool empty: {cache.pool.positions.size == 0}")
 print(f"mean per-step L1 error: {base_errs.mean():.4f}")
 print()
 
 print("=== With outlier-token tracking (pool capacity 3) ===")
-cache, ott_errs = replay(outlier_num=3)
+[(_, _, cache, ott_errs)] = replay_caches(trace, config(outlier_num=3))
 print(f"pooled positions: {sorted(cache.pool.positions.tolist())}")
 print(f"mean-substituted positions: {sorted(cache.substituted_positions)}")
 print(f"mean per-step L1 error: {ott_errs.mean():.4f}")

@@ -29,6 +29,7 @@ from .report import (
     read_rows,
     write_rows,
 )
+from .replay import replay_caches
 from .trace import (
     SyntheticSpec,
     Trace,
@@ -75,6 +76,7 @@ __all__ = [
     "read_rows",
     "read_trace",
     "read_trace_header",
+    "replay_caches",
     "row_l1_errors",
     "score_tokens",
     "softmax",

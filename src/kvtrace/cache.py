@@ -199,7 +199,8 @@ class TieredCache:
         # that do not run past the next trigger, then quantizes if due.
         row = self._pending_start + self._pending_count
         while row + n > len(self._k):
-            self._k, self._v = _doubled(self._k), _doubled(self._v)
+            self._k = _doubled(self._k)  # one side at a time: one old buffer alive
+            self._v = _doubled(self._v)
         self._k[row : row + n] = k_rows
         self._v[row : row + n] = v_rows
         self._pending_count += n
@@ -263,8 +264,8 @@ class TieredCache:
             self._v[base : base + g] = block_v.to_matrix()
             for position in evicted:
                 block, row = divmod(position, g)
-                self._k[position] = self.quantized_k[block].dequantize_row(row)
-                self._v[position] = self.quantized_v[block].dequantize_row(row)
+                self._k[position] = self.quantized_k[block].to_matrix()[row]
+                self._v[position] = self.quantized_v[block].to_matrix()[row]
             self._write_pool_rows()
         else:
             remaining = self._pending_count

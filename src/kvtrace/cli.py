@@ -13,16 +13,9 @@ Flag defaults reproduce the reference setting (2-bit codes, groups of 128,
 residual 32, 3 pooled outliers with layers 0-1 skipped, auxiliary pool 32).
 Outputs are deterministic given ``--seed``; every randomized component
 derives its stream from the root seed via SeedSequence(root, (layer,
-head)). ``simulate`` replays one (layer, head) cache at a time through
-every step and drops it before building the next, so it holds the trace
-plus one cache. At decode step t it appends one row, runs mixed attention
-and a full-precision oracle, each O(t*d), and keeps both output rows;
-quantized groups are dequantized once, when written, not again per step.
-The cache's per-step L1 errors come from one pass over those rows when its
-replay ends. The two attentions make it quadratic in sequence length;
-intended for desk-scale traces (<= 8k tokens). ``simulate --mode fp16``
-needs no replay: it checks the trace file's header and size and reads no
-payload.
+head)). ``simulate`` sums the errors and memory of the caches that
+``kvtrace/replay.py`` replays one at a time, holding the trace plus one
+cache; in fp16 mode it only checks the trace file's header and size.
 
 Exit codes: 0 on success, 1 on bad flags or values (including an
 unwritable ``--out``), 2 on a missing, unreadable or malformed trace file.
@@ -37,8 +30,8 @@ import sys
 
 import numpy as np
 
-from .attention import attend_full_precision, attend_mixed, row_l1_errors
-from .cache import FP16_BITS, EngineConfig, TieredCache
+from .attention import attend_full_precision  # noqa: F401  unused; pinned by perfbench's tracer test (ROADMAP item 1)
+from .cache import FP16_BITS, EngineConfig
 from .errors import ContractViolation, DegenerateColumnError, TraceFormatError
 from .report import (
     Criterion,
@@ -48,6 +41,7 @@ from .report import (
     write_csv,
     write_rows,
 )
+from .replay import replay_caches
 from .trace import (
     SyntheticSpec,
     Trace,
@@ -247,34 +241,16 @@ def _cmd_simulate(args) -> int:
     steps = h.seq_len
     fp16_bits = h.n_layers * h.n_heads * 2 * steps * h.head_dim * FP16_BITS
     step_errors = np.zeros(steps)
-
-    if args.mode == "fp16":
-        # Mixed attention is the oracle itself; every per-step error is 0.
-        usage = dict.fromkeys(_USAGE_KEYS, 0)
+    usage = dict.fromkeys(_USAGE_KEYS, 0)
+    if args.mode == "fp16":  # mixed attention is the oracle itself: every error is 0
         usage["pending_bits"] = usage["total_bits"] = fp16_bits
     else:
-        # One cache at a time: layers and heads are independent, so each
-        # replays all its steps and is dropped before the next is built.
-        # Adding each cache's error vector in (layer, head) order sums
-        # every step exactly as a step-major loop over all caches would.
-        # Each step keeps its two output rows; the cache's T errors come
-        # from one ``row_l1_errors`` pass when its replay ends.
-        usage = dict.fromkeys(_USAGE_KEYS, 0)
-        for layer in range(h.n_layers):
-            for head in range(h.n_heads):
-                cache = TieredCache(config, layer=layer)
-                q, k, v = trace.q[layer, head], trace.k[layer, head], trace.v[layer, head]
-                mixed = np.empty((steps, h.head_dim), dtype=np.float32)
-                oracle = np.empty_like(mixed)
-                for t, (q_t, k_t, v_t) in enumerate(zip(q, k, v)):
-                    cache.append(k_t, v_t)
-                    mixed[t] = attend_mixed(q_t, cache).output
-                    oracle[t] = attend_full_precision(q_t, k[: t + 1], v[: t + 1]).output
-                step_errors += row_l1_errors(mixed, oracle)
-                breakdown = cache.memory_usage()
-                for key in _USAGE_KEYS:
-                    usage[key] += getattr(breakdown, key)
-                del cache, mixed, oracle
+        for _layer, _head, cache, errors in replay_caches(trace, config):
+            step_errors += errors
+            breakdown = cache.memory_usage()
+            for key in _USAGE_KEYS:
+                usage[key] += getattr(breakdown, key)
+            del cache  # so only the next cache is alive while it replays
         step_errors /= h.n_layers * h.n_heads
 
     if args.out:

@@ -32,6 +32,13 @@ three shift-and-merge rounds.
 ``mins`` and ``steps``, with one entry per parameter line; it is the only
 block type, and ``TieredCache.memory_usage`` accounts for its bits.
 
+The input domain is every finite float64 value, with one condition per
+line: its range ``x_max - x_min`` must be finite in float64 (only a line
+whose largest positive and negative magnitudes sum past about 1.8e308
+fails it). Anything else raises one ``ContractViolation`` before any
+work. Inside the domain each loop of the pass runs at most a stated
+number of passes, asserted when it ends.
+
 All functions are pure and safe to call concurrently.
 """
 
@@ -105,21 +112,42 @@ def _floor_codes(
     if unsure.any():
         i, j = np.nonzero(unsure)
         x, step, x_min, k = lines[i, j], steps[i, 0], mins[i, 0], codes[i, j]
-        while (high := k * step + x_min > x).any():
+        # Each pass moves every flagged code one level toward its right
+        # value, and both lie in [0, levels] (level 0 reconstructs to
+        # x_min <= x): at most ``levels`` passes each way.
+        for _ in range(levels + 1):
+            if not (high := k * step + x_min > x).any():
+                break
             k -= high
-        while (low := (k < levels) & ((k + 1) * step + x_min <= x)).any():
+        assert not high.any(), "settling down took more than `levels` passes"
+        for _ in range(levels + 1):
+            if not (low := (k < levels) & ((k + 1) * step + x_min <= x)).any():
+                break
             k += low
+        assert not low.any(), "settling up took more than `levels` passes"
         codes[i, j] = k
         resid[i, j] = x - (k * step + x_min)
     return codes, resid
 
 
+# Most passes of the step nudge in ``_quantize_lines`` (derived there).
+_NUDGE_PASSES = 5
+# Most passes of its excess shrink. Unlike the other bounds this one is
+# measured, not derived: at most 4 passes over about a million lines
+# built to put values a few ulps off the lattice, at every code width.
+_SHRINK_PASSES = 64
+
+
+# An infinite ``tol`` (for a range near the float64 limit) only flags
+# more elements to settle, and ``(k + 1) * step`` overflows only where
+# ``k == levels`` masks it, so overflow there is harmless.
+@np.errstate(over="ignore")
 def _quantize_lines(lines: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Quantize each row of a finite, non-empty float64 (L, n) matrix.
 
     Returns ``(codes, mins, steps)``: uint8 codes of shape (L, n), laid out
     in memory like ``lines``, and the float64 zero point and step of each
-    row.
+    row. A row whose range overflows float64 raises ``ContractViolation``.
 
     Each code c is first estimated (see ``_floor_codes``) and checked
     through its residual ``r = x - (c * step + x_min)``, the float64
@@ -143,21 +171,33 @@ def _quantize_lines(lines: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarra
     levels = (1 << bits) - 1
     mins = lines.min(axis=1)
     maxs = lines.max(axis=1)
-    steps = (maxs - mins) / levels
+    steps = maxs - mins
+    if not np.isfinite(steps).all():
+        raise ContractViolation("a line's range (max - min) overflows float64")
+    steps /= levels
     # Guard float round-off: nudge each step down until the top code
     # reconstructs at or below x_max, so x_max gets the top level and the
-    # one-sided error bound holds at the extremes.
+    # one-sided error bound holds at the extremes. With R = x_max - x_min
+    # and u = 2**-53, a step s passes once levels * s * (1 + u) + 2**-1075
+    # <= R, and the first step is at most R * (1 + u)**2 / levels +
+    # 2**-1075: under 3u * s + 2**-1074 above the largest s that passes.
+    # Each pass lowers s by at least max(u * s, 2**-1074), so 5 suffice.
     nudge = np.flatnonzero((steps > 0) & (mins + levels * steps > maxs))
-    while nudge.size:
+    for _ in range(_NUDGE_PASSES):
+        if not nudge.size:
+            break
         steps[nudge] = np.nextafter(steps[nudge], 0.0)
         nudge = nudge[(steps[nudge] > 0) & (mins[nudge] + levels * steps[nudge] > maxs[nudge])]
+    assert not nudge.size, "the step nudge took more than _NUDGE_PASSES passes"
     # The steps below only shrink, so this bound stays valid for them.
     tol = 16 * 2.0**-52 * (np.abs(mins) + np.abs(maxs) + levels * steps) + 4 * 2.0**-1074
 
     # Constant rows (step 0) keep all-zero codes.
     codes = np.zeros_like(lines, dtype=np.uint8)
     todo = np.flatnonzero(steps > 0)
-    while todo.size:
+    for _ in range(_SHRINK_PASSES):
+        if not todo.size:
+            break
         rows = slice(None) if todo.size == len(lines) else todo
         step = steps[todo]
         codes[rows], resid = _floor_codes(
@@ -173,6 +213,7 @@ def _quantize_lines(lines: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarra
         shrink = (0.0 < excess) & (excess < step)
         todo, step, excess = todo[shrink], step[shrink], excess[shrink]
         steps[todo] = np.minimum(np.nextafter(step, 0.0), step - excess)
+    assert not todo.size, "the excess shrink took more than _SHRINK_PASSES passes"
     return codes, mins, steps
 
 
@@ -260,24 +301,6 @@ class QuantizedBlock:
         else:
             out = codes * self.steps[:, None] + self.mins[:, None]
         return out.astype(np.float32)
-
-    def dequantize_row(self, i: int) -> np.ndarray:
-        """Dequantize token row ``i`` alone; bit-identical to ``to_matrix()[i]``.
-
-        Only the packed words that hold the row's codes are unpacked (eight
-        codes fill one word of ``bits`` bytes).
-        """
-        if not 0 <= i < self.n_tokens:
-            raise ContractViolation(f"row {i} out of range [0, {self.n_tokens})")
-        start = i * self.n_channels
-        word = start // 8
-        count = start + self.n_channels - 8 * word
-        first = word * self.bits
-        data = self.codes[first : first + _packed_size(count, self.bits)]
-        codes = _unpack(data, self.bits, count)[start - 8 * word :]
-        if self.group_axis is GroupAxis.PER_CHANNEL:
-            return (codes * self.steps + self.mins).astype(np.float32)
-        return (codes * self.steps[i] + self.mins[i]).astype(np.float32)
 
 
 def _quantize_group(group: np.ndarray, bits: int, axis: GroupAxis) -> QuantizedBlock:
@@ -382,7 +405,7 @@ def _unpack(data: bytes, bits: int, count: int) -> np.ndarray:
 
     Each word is shifted by all eight code offsets at once. Undoing
     ``_pack``'s rounds instead touches fewer bytes but takes twelve numpy
-    calls, which made ``dequantize_row`` slower.
+    calls.
     """
     n_words = -(-count // 8)
     stream = bytes(data[: _packed_size(count, bits)]).ljust(n_words * bits, b"\0")

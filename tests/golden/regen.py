@@ -32,7 +32,8 @@ from pathlib import Path
 GOLDEN = Path(__file__).resolve().parent
 ROOT = GOLDEN.parent.parent
 
-# ``{out}`` stands for the case's CSV path.
+# ``{out}`` stands for the case's CSV path. Every case gives ``--head-dim``,
+# which sets the L1 tolerance of ``tests/test_golden.py``.
 _DECODE_LONG = ["--layers", "3", "--heads", "1", "--head-dim", "16", "--seq-len", "1024", "--seed", "0"]
 CLI_CASES = {
     "simulate-ott": ["simulate", *_DECODE_LONG, "--mode", "ott", "--out", "{out}"],
@@ -44,18 +45,12 @@ CLI_CASES = {
     "simulate-evicting": ["simulate", "--layers", "3", "--heads", "2", "--head-dim", "8",
                           "--seq-len", "512", "--seed", "2", "--group-size", "16",
                           "--residual", "3", "--aux-capacity", "2", "--out", "{out}"],
-    "ratio-curve-ott": ["ratio-curve", "--out", "{out}"],
-    "ratio-curve-fp16": ["ratio-curve", "--mode", "fp16", "--out", "{out}"],
-    "ratio-curve-baseline-bits4": ["ratio-curve", "--mode", "baseline", "--bits", "4", "--out", "{out}"],
+    "ratio-curve-ott": ["ratio-curve", "--head-dim", "64", "--out", "{out}"],
+    "ratio-curve-fp16": ["ratio-curve", "--head-dim", "64", "--mode", "fp16", "--out", "{out}"],
+    "ratio-curve-baseline-bits4": ["ratio-curve", "--head-dim", "64", "--mode", "baseline",
+                                   "--bits", "4", "--out", "{out}"],
 }
 DEMO_CASES = {f"demo-{p.stem}": p for p in sorted((ROOT / "demos").glob("*.py"))}
-
-
-def head_dim(argv: list[str]) -> int:
-    """The ``--head-dim`` a CLI case runs with (the subcommand's default if absent)."""
-    if "--head-dim" in argv:
-        return int(argv[argv.index("--head-dim") + 1])
-    return 64 if argv[0] == "ratio-curve" else 16
 
 
 def run_cli_case(argv: list[str], workdir: Path) -> dict[str, bytes]:

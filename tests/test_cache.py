@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -347,6 +349,24 @@ class TestPassthrough:
             cache.quantize_oldest_group()
         assert_same_cache(cache, twin)
         assert cache.attended_kv()[0].tobytes() == keys.tobytes()
+
+    def test_growth_holds_one_old_buffer_at_a_time(self):
+        # 16 rows at first, doubled to exactly 4096: the last doubling
+        # replaces two 512 KiB buffers with two of 1 MiB.
+        cfg = EngineConfig(group_size=16, residual=0, head_dim=64)
+        rows = np.ones((4096, 64), dtype=np.float32)
+        side = rows.nbytes
+        tracemalloc.start()
+        try:
+            cache = TieredCache(cfg, layer=0, passthrough=True)
+            cache.extend(rows, rows)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cache.pending_k.tobytes() == rows.tobytes()
+        assert current >= 2 * side
+        # Growing K and V together would add both old buffers (side).
+        assert peak - current <= side // 2 + 64 * 1024
 
 
 class TestAttendedKv:

@@ -2,6 +2,7 @@ import argparse
 import os
 import shutil
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -21,8 +22,10 @@ from kvtrace import (
     l1_error,
     read_rows,
     read_trace,
+    replay_caches,
     write_trace,
 )
+import kvtrace.replay as replay_module
 from kvtrace.cli import run
 from kvtrace.report import write_csv
 
@@ -153,7 +156,8 @@ class TestSimulate:
 def step_major_replay(trace, config):
     """Slow reference for ``simulate``: every cache alive, each step visits them all.
 
-    Returns the per-step mean errors, the summed memory fields and the caches.
+    Returns the per-step mean errors, the summed memory fields, the caches
+    and each cache's per-step errors, all keyed by (layer, head).
     """
     h = trace.header
     caches = {
@@ -161,6 +165,7 @@ def step_major_replay(trace, config):
         for layer in range(h.n_layers)
         for head in range(h.n_heads)
     }
+    cache_errors = {key: np.zeros(h.seq_len) for key in caches}
     step_errors = np.zeros(h.seq_len)
     for t in range(h.seq_len):
         total = 0.0
@@ -171,11 +176,12 @@ def step_major_replay(trace, config):
             oracle = attend_full_precision(
                 q, trace.k[layer, head, : t + 1], trace.v[layer, head, : t + 1]
             )
-            total += l1_error(mixed.output, oracle.output)
+            cache_errors[layer, head][t] = l1_error(mixed.output, oracle.output)
+            total += cache_errors[layer, head][t]
         step_errors[t] = total / len(caches)
     breakdowns = [c.memory_usage() for c in caches.values()]
     usage = {key: sum(getattr(b, key) for b in breakdowns) for key in USAGE_KEYS}
-    return step_errors, usage, caches
+    return step_errors, usage, caches, cache_errors
 
 
 def engine_flags(cfg):
@@ -211,7 +217,15 @@ class TestLayerByLayerReplay:
             recorded.append(rows)
             write_csv(out, header, rows)
 
+        yielded = []
+
+        def recording_replay(trace, config):
+            for layer, head, cache, errors in replay_caches(trace, config):
+                yielded.append((layer, head, errors, cache.memory_usage()))
+                yield layer, head, cache, errors
+
         monkeypatch.setattr(cli, "write_csv", recording_write_csv)
+        monkeypatch.setattr(cli, "replay_caches", recording_replay)
         got_csv = tmp_path / "got.csv"
         argv = ["simulate", "--trace", str(path), "--mode", mode, *engine_flags(cfg), "--out", str(got_csv)]
         assert run(argv) == 0
@@ -219,7 +233,7 @@ class TestLayerByLayerReplay:
 
         outlier_num = cfg.outlier_num if mode == "ott" else 0
         config = replace(cfg, outlier_num=outlier_num, head_dim=head_dim)
-        want, usage, caches = step_major_replay(trace, config)
+        want, usage, caches, cache_errors = step_major_replay(trace, config)
         got = np.array([row[1] for row in recorded[0]])
         assert got.tobytes() == want.tobytes()
         want_csv = tmp_path / "want.csv"
@@ -231,6 +245,14 @@ class TestLayerByLayerReplay:
             *(f"{key}={usage[key]}" for key in USAGE_KEYS),
             f"ratio_vs_fp16={fp16_bits / usage['total_bits']:.6g}",
         ]
+        # The generator yields each cache, layer-major, exactly as the reference
+        # leaves it, and simulate prints the sums of the yielded memory fields.
+        assert [(layer, head) for layer, head, _, _ in yielded] == list(caches)
+        for layer, head, errors, breakdown in yielded:
+            assert errors.tobytes() == cache_errors[layer, head].tobytes()
+            assert breakdown == caches[layer, head].memory_usage()
+        summed = {key: sum(getattr(b, key) for *_, b in yielded) for key in USAGE_KEYS}
+        assert got_lines[1:6] == [f"{key}={summed[key]}" for key in USAGE_KEYS]
         if case == "evicting" and mode == "ott":
             pooled = [c.pool for c in caches.values() if c.pool.capacity]
             assert pooled and all(p.frozen and p.aux_positions.size == 2 for p in pooled)
@@ -252,6 +274,38 @@ class TestLayerByLayerReplay:
             extra[layers * heads] = peak - 3 * layers * heads * seq_len * head_dim * 4
         # One cache's dense K and V buffers alone take 128 KiB here.
         assert extra[6] <= extra[1] + 64 * 1024
+
+
+class TestReplayCaches:
+    """The library generator, called directly rather than through ``simulate``."""
+
+    def test_bit_identical_to_step_major_reference(self):
+        (layers, heads, head_dim, seq_len), cfg = REPLAY_CASES["pooled"]
+        trace = generate_synthetic(SyntheticSpec(seed=3), layers, heads, head_dim, seq_len)
+        config = replace(cfg, head_dim=head_dim)
+        _, _, caches, cache_errors = step_major_replay(trace, config)
+        got = list(replay_caches(trace, config))
+        assert [(layer, head) for layer, head, _, _ in got] == list(caches)
+        for layer, head, cache, errors in got:
+            assert errors.dtype == np.float64 and errors.shape == (seq_len,)
+            assert errors.tobytes() == cache_errors[layer, head].tobytes()
+            assert cache.memory_usage() == caches[layer, head].memory_usage()
+            assert cache.total_tokens == seq_len
+
+    def test_drops_each_cache_before_building_the_next(self, monkeypatch):
+        built = []
+
+        def tracked_cache(*args, **kwargs):
+            assert all(ref() is None for ref in built)
+            cache = TieredCache(*args, **kwargs)
+            built.append(weakref.ref(cache))
+            return cache
+
+        monkeypatch.setattr(replay_module, "TieredCache", tracked_cache)
+        trace = generate_synthetic(SyntheticSpec(seed=4), 2, 2, 4, 40)
+        for _, _, cache, _ in replay_caches(trace, EngineConfig(group_size=8, residual=2, head_dim=4)):
+            del cache  # the caller's reference; the generator must drop its own
+        assert len(built) == 4
 
 
 class TestFp16SimulateReadsOnlyTheHeader:

@@ -63,7 +63,7 @@ def test_cli_case_matches_golden(name, tmp_path):
     got = regen.run_cli_case(argv, tmp_path)
     want = regen.recorded(name)
     assert sorted(got) == sorted(want)
-    d = regen.head_dim(argv)
+    d = int(argv[argv.index("--head-dim") + 1])
     assert got["exit_code"] == want["exit_code"]
     assert got["stderr"] == want["stderr"]
     assert_stdout_matches(got["stdout"].decode(), want["stdout"].decode(), d)
@@ -102,3 +102,36 @@ class TestComparison:
     def test_empty_l1_cells_compare_equal(self):
         header = "seq_len,l1_output_error,total_bits\n"
         assert_csv_matches(header + "128,,262144\n", header + "128,,262144\n", d=64)
+
+
+class TestRegenScript:
+    """``regen.py`` records new files, overwrites only with --accept, and --check writes nothing."""
+
+    @pytest.fixture
+    def case_dir(self, tmp_path, monkeypatch):
+        argv = ["mem-estimate", "--layers", "1", "--heads", "1", "--head-dim", "2",
+                "--seq-len", "3", "--batch", "1"]
+        monkeypatch.setattr(regen, "GOLDEN", tmp_path)
+        monkeypatch.setattr(regen, "CLI_CASES", {"mem": argv})
+        monkeypatch.setattr(regen, "DEMO_CASES", {})
+        return tmp_path / "mem"
+
+    def test_check_records_nothing(self, case_dir, capsys):
+        assert regen.main(["--check"]) == 1
+        assert not case_dir.exists()
+
+    def test_overwrites_only_with_accept(self, case_dir, capsys):
+        assert regen.main([]) == 0
+        assert sorted(p.name for p in case_dir.iterdir()) == ["exit_code", "stderr", "stdout"]
+        stdout = (case_dir / "stdout").read_bytes()
+        assert stdout.startswith(b"24 bytes")
+        (case_dir / "stdout").write_bytes(b"changed\n")
+        (case_dir / "out.csv").write_bytes(b"stale\n")
+        assert regen.main(["--check"]) == 1
+        assert regen.main([]) == 1
+        assert (case_dir / "stdout").read_bytes() == b"changed\n"
+        assert (case_dir / "out.csv").exists()
+        assert regen.main(["--accept"]) == 0
+        assert (case_dir / "stdout").read_bytes() == stdout
+        assert not (case_dir / "out.csv").exists()
+        assert regen.main(["--check"]) == 0

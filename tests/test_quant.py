@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -353,6 +354,75 @@ class TestQuantizeUniform:
                 assert codes[int(np.argmax(x))] == (1 << bits) - 1
 
 
+# Lines whose range (max - min) overflows float64. The first one used to
+# make the step nudge walk down from the largest float, one ulp per pass.
+OVERFLOWING_LINES = [
+    [-1e308, 1e308],
+    [1e300, -1.7976931348623157e308, 2.0],
+    [8.99e307, 0.0, -8.99e307],
+]
+
+
+class TestInputDomain:
+    """Every call returns: ranges that overflow float64 are rejected up front."""
+
+    @pytest.mark.parametrize("bits", range(1, 9))
+    @pytest.mark.parametrize("line", OVERFLOWING_LINES, ids=["1e308", "max_float", "8.99e307"])
+    def test_overflowing_range_rejected_at_once(self, line, bits):
+        group = np.zeros((len(line), 3))
+        group[:, 1] = line  # one key channel and one value token overflow
+        start = time.perf_counter()
+        with pytest.raises(ContractViolation, match="overflows float64"):
+            quantize_uniform(line, bits)
+        with pytest.raises(ContractViolation, match="overflows float64"):
+            quantize_keys_channelwise(group, bits)
+        with pytest.raises(ContractViolation, match="overflows float64"):
+            quantize_values_tokenwise(group.T, bits)
+        assert time.perf_counter() - start < 1.0
+
+    # Lines at the edges of the domain: the widest ranges, the largest
+    # magnitudes, subnormals, and a few ulps spread far from zero.
+    EDGE_LINES = [
+        [-8.98e307, 8.98e307, 0.0, 1.0, -1.0],
+        [0.0, 1.7976931348623157e308, 1e308, 5e-324, 1.0],
+        [5e-324, 1e-323, 0.0, -5e-324, 2.5e-323],
+        (1e300 + np.spacing(1e300) * np.array([0, 1, 2, 5, 3])).tolist(),
+        [-2.2250738585072014e-308, 2.2250738585072014e-308, 0.0, 1e-310, -1e-310],
+    ]
+
+    @pytest.mark.parametrize("bits", range(1, 9))
+    def test_domain_edges_match_reference(self, bits):
+        assert_matches_reference(np.array(self.EDGE_LINES), bits)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=12),
+        st.integers(min_value=1, max_value=8),
+    )
+    @example(values=[-1e308, 1e308], bits=2)
+    @example(values=[-8.98e307, 8.98e307, 5e-324], bits=1)
+    @example(values=[0.0, 1.7976931348623157e308, -5e-324], bits=8)
+    @example(values=[5e-324, 1e-323, 0.0, -5e-324], bits=3)
+    @example(values=[1.0, -1.7976931348623157e308, 2.0], bits=1)  # range rounds to max float
+    def test_every_finite_line_returns(self, values, bits):
+        x = np.array(values)
+        with np.errstate(over="ignore"):
+            admitted = math.isfinite(x.max() - x.min())
+        if not admitted:
+            with pytest.raises(ContractViolation, match="overflows float64"):
+                quantize_uniform(x, bits)
+            return
+        codes, p = quantize_uniform(x, bits)
+        ref_codes, ref_min, ref_step = reference_quantize_line(x, bits)
+        assert codes.tolist() == ref_codes.tolist()
+        assert bits_of([p.x_min, p.step]).tolist() == bits_of([ref_min, ref_step]).tolist()
+        err = x - dequantize(codes, p)
+        assert err.min() >= 0.0
+        # The one-sided bound, unless the line spans too few float64 values
+        # for any step to meet it (the excess shrink stops at a whole step).
+        assert err.max() <= p.step or err.max() - p.step >= p.step
+
+
 class TestDequantize:
     def test_exact_lattice_round_trip(self):
         codes, p = quantize_uniform([0.0, 1.0, 2.0, 3.0], 2)
@@ -549,27 +619,6 @@ class TestPackCodesInputs:
         if kind != "uint8":
             with pytest.raises(ContractViolation, match="overflow"):
                 pack_codes(as_input([0, -1]), bits)
-
-
-class TestDequantizeRow:
-    # (17, 5): 85 codes, so rows start mid-word and the last word is partial.
-    @pytest.mark.parametrize("shape", [(128, 64), (17, 5), (3, 1)])
-    @pytest.mark.parametrize("bits", range(1, 9))
-    @pytest.mark.parametrize("quantize", [quantize_keys_channelwise, quantize_values_tokenwise])
-    def test_bit_identical_to_matrix_row(self, quantize, bits, shape):
-        rng = np.random.default_rng(bits)
-        block = quantize(rng.standard_normal(shape).astype(np.float32) * 3, bits)
-        full = block.to_matrix()
-        for row in range(shape[0]):
-            got = block.dequantize_row(row)
-            assert got.dtype == np.float32 and got.shape == (shape[1],)
-            assert got.tobytes() == full[row].tobytes()
-
-    @pytest.mark.parametrize("row", [-1, 4])
-    def test_out_of_range_rejected(self, row):
-        block = quantize_values_tokenwise(np.ones((4, 3)), 2)
-        with pytest.raises(ContractViolation, match="out of range"):
-            block.dequantize_row(row)
 
 
 class TestPacking:
