@@ -2,7 +2,8 @@
 """Record or check the golden outputs of a fixed command matrix.
 
 Each case keeps its outputs in ``tests/golden/<case>/``: ``exit_code``,
-``stdout`` and ``stderr``, plus ``out.csv`` when the command writes one.
+``stdout`` and ``stderr``, plus ``out.csv`` or ``out.kvt`` when the
+command writes a CSV or a trace file.
 CLI cases run in this process through ``kvtrace.cli.run``; demo cases run
 each script in a fresh interpreter, with ``src`` on ``PYTHONPATH``.
 
@@ -32,8 +33,12 @@ from pathlib import Path
 GOLDEN = Path(__file__).resolve().parent
 ROOT = GOLDEN.parent.parent
 
-# ``{out}`` stands for the case's CSV path. Every case gives ``--head-dim``,
-# which sets the L1 tolerance of ``tests/test_golden.py``.
+# ``{out}`` stands for the CSV a case writes, ``{out_trace}`` for the trace
+# file it writes and ``{trace}`` for the trace file it reads (see
+# TRACE_INPUTS); recorded stdout and stderr show these placeholders, not
+# the paths. Every case that prints an L1 error gives ``--head-dim``, which
+# sets the L1 tolerance of ``tests/test_golden.py``.
+OUTPUTS = {"{out}": "out.csv", "{out_trace}": "out.kvt"}
 _DECODE_LONG = ["--layers", "3", "--heads", "1", "--head-dim", "16", "--seq-len", "1024", "--seed", "0"]
 CLI_CASES = {
     "simulate-ott": ["simulate", *_DECODE_LONG, "--mode", "ott", "--out", "{out}"],
@@ -49,27 +54,63 @@ CLI_CASES = {
     "ratio-curve-fp16": ["ratio-curve", "--head-dim", "64", "--mode", "fp16", "--out", "{out}"],
     "ratio-curve-baseline-bits4": ["ratio-curve", "--head-dim", "64", "--mode", "baseline",
                                    "--bits", "4", "--out", "{out}"],
+    "compare-criteria-ott": ["compare-criteria", "--layers", "1", "--head-dim", "16",
+                             "--seq-len", "512", "--trials", "3", "--out", "{out}"],
+    "compare-criteria-fp16": ["compare-criteria", "--layers", "1", "--head-dim", "16",
+                              "--seq-len", "512", "--trials", "3", "--mode", "fp16",
+                              "--out", "{out}"],
+    "decile-stats": ["decile-stats", "--layers", "1", "--head-dim", "16", "--seq-len", "256",
+                     "--out", "{out}"],
+    "gen-synthetic": ["gen-synthetic", "--layers", "1", "--heads", "2", "--head-dim", "4",
+                      "--seq-len", "40", "--seed", "3", "--out", "{out_trace}"],
 }
+# Code widths other than the default 2, with pooling on layer 1.
+for _bits in (1, 3, 4, 8):
+    CLI_CASES[f"simulate-bits{_bits}"] = [
+        "simulate", "--layers", "2", "--heads", "1", "--head-dim", "8", "--seq-len", "300",
+        "--skip-layers", "0", "--bits", str(_bits), "--out", "{out}"]
+
+# Each damage turns a small valid trace's bytes into a file ``simulate``
+# must reject with exit code 2 and one ``trace error:`` line.
+DAMAGES = {
+    "magic_missing": lambda data: data[:5],
+    "magic": lambda data: b"X" + data[1:],
+    "header": lambda data: data[:15],
+    "zero_dim": lambda data: data[:12] + bytes(4) + data[16:],
+    "payload": lambda data: data[:-7],
+    "trailing": lambda data: data + b"xx",
+}
+TRACE_INPUTS = {f"simulate-damaged-{name}": damage for name, damage in DAMAGES.items()}
+for _name in TRACE_INPUTS:
+    CLI_CASES[_name] = ["simulate", "--trace", "{trace}"]
 DEMO_CASES = {f"demo-{p.stem}": p for p in sorted((ROOT / "demos").glob("*.py"))}
 
 
-def run_cli_case(argv: list[str], workdir: Path) -> dict[str, bytes]:
+def run_cli_case(name: str, workdir: Path) -> dict[str, bytes]:
     """Run one CLI case in this process; returns its output files by name."""
     if str(ROOT / "src") not in sys.path:
         sys.path.insert(0, str(ROOT / "src"))
-    from kvtrace import cli
+    from kvtrace import SyntheticSpec, cli, generate_synthetic, write_trace
 
-    out = workdir / "out.csv"
+    paths = {key: str(workdir / fname) for key, fname in OUTPUTS.items()}
+    if name in TRACE_INPUTS:
+        paths["{trace}"] = trace = str(workdir / "in.kvt")
+        write_trace(trace, generate_synthetic(SyntheticSpec(seed=7), 1, 2, 8, 40))
+        Path(trace).write_bytes(TRACE_INPUTS[name](Path(trace).read_bytes()))
+    argv = CLI_CASES[name]
+    for key, path in paths.items():
+        argv = [a.replace(key, path) for a in argv]
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = cli.run([a.replace("{out}", str(out)) for a in argv])
-    files = {
-        "exit_code": f"{code}\n".encode(),
-        "stdout": stdout.getvalue().encode(),
-        "stderr": stderr.getvalue().encode(),
-    }
-    if out.exists():
-        files["out.csv"] = out.read_bytes()
+        code = cli.run(argv)
+    files = {"exit_code": f"{code}\n".encode(), "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
+    for stream in ("stdout", "stderr"):
+        for key, path in paths.items():
+            files[stream] = files[stream].replace(path, key)
+        files[stream] = files[stream].encode()
+    for fname in OUTPUTS.values():
+        if (workdir / fname).exists():
+            files[fname] = (workdir / fname).read_bytes()
     return files
 
 
@@ -82,7 +123,7 @@ def run_demo_case(script: Path, workdir: Path) -> dict[str, bytes]:
 
 def run_case(name: str, workdir: Path) -> dict[str, bytes]:
     if name in CLI_CASES:
-        return run_cli_case(CLI_CASES[name], workdir)
+        return run_cli_case(name, workdir)
     return run_demo_case(DEMO_CASES[name], workdir)
 
 

@@ -60,15 +60,18 @@ def assert_csv_matches(got: str, want: str, d: int) -> None:
 @pytest.mark.parametrize("name", sorted(regen.CLI_CASES))
 def test_cli_case_matches_golden(name, tmp_path):
     argv = regen.CLI_CASES[name]
-    got = regen.run_cli_case(argv, tmp_path)
+    got = regen.run_cli_case(name, tmp_path)
     want = regen.recorded(name)
     assert sorted(got) == sorted(want)
-    d = int(argv[argv.index("--head-dim") + 1])
+    # A case without --head-dim prints no L1 error.
+    d = int(argv[argv.index("--head-dim") + 1]) if "--head-dim" in argv else 0
     assert got["exit_code"] == want["exit_code"]
     assert got["stderr"] == want["stderr"]
     assert_stdout_matches(got["stdout"].decode(), want["stdout"].decode(), d)
     if "out.csv" in want:
         assert_csv_matches(got["out.csv"].decode(), want["out.csv"].decode(), d)
+    if "out.kvt" in want:
+        assert got["out.kvt"] == want["out.kvt"]
 
 
 class TestComparison:
