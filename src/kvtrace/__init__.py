@@ -26,7 +26,6 @@ from .report import (
     compare_criteria,
     estimate_kv_bytes,
     ratio_curve,
-    read_rows,
     write_rows,
 )
 from .replay import replay_caches
@@ -73,7 +72,6 @@ __all__ = [
     "quantize_uniform",
     "quantize_values_tokenwise",
     "ratio_curve",
-    "read_rows",
     "read_trace",
     "read_trace_header",
     "replay_caches",

@@ -138,9 +138,8 @@ _NUDGE_PASSES = 5
 _SHRINK_PASSES = 64
 
 
-# An infinite ``tol`` (for a range near the float64 limit) only flags
-# more elements to settle, and ``(k + 1) * step`` overflows only where
-# ``k == levels`` masks it, so overflow there is harmless.
+# ``(k + 1) * step`` overflows only where ``k == levels`` masks it, so
+# overflow there is harmless.
 @np.errstate(over="ignore")
 def _quantize_lines(lines: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Quantize each row of a finite, non-empty float64 (L, n) matrix.
@@ -163,7 +162,10 @@ def _quantize_lines(lines: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarra
     magnitude, costs at most ``2u * X`` more: ``r >= step - 6u * X -
     2**-1073``. ``tol = 16 * 2**-52 * X + 4 * 2**-1074`` is over four
     times that bound, which also covers the rounding of ``tol`` and of
-    ``step - tol``. Only elements failing one of the two tests (none, for
+    ``step - tol``. It is summed as 2**-48 times each term of X, so it
+    stays finite where X itself would overflow; that is exact unless a
+    term is subnormal, and rounding those costs at most 3 * 2**-1075.
+    Only elements failing one of the two tests (none, for
     most groups) are settled, one level at a time, so the result is
     exactly the highest level whose reconstruction is <= x, for any
     ``bits``.
@@ -190,7 +192,8 @@ def _quantize_lines(lines: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarra
         nudge = nudge[(steps[nudge] > 0) & (mins[nudge] + levels * steps[nudge] > maxs[nudge])]
     assert not nudge.size, "the step nudge took more than _NUDGE_PASSES passes"
     # The steps below only shrink, so this bound stays valid for them.
-    tol = 16 * 2.0**-52 * (np.abs(mins) + np.abs(maxs) + levels * steps) + 4 * 2.0**-1074
+    scale = 16 * 2.0**-52
+    tol = np.abs(mins) * scale + np.abs(maxs) * scale + levels * steps * scale + 4 * 2.0**-1074
 
     # Constant rows (step 0) keep all-zero codes.
     codes = np.zeros_like(lines, dtype=np.uint8)
@@ -286,11 +289,6 @@ class QuantizedBlock:
             QuantParams(x_min=m, step=s, bits=self.bits)
             for m, s in zip(self.mins.tolist(), self.steps.tolist())
         ]
-
-    def code_matrix(self) -> np.ndarray:
-        """Unpacked integer codes, shape (n_tokens, n_channels)."""
-        flat = unpack_codes(self.codes, self.bits, self.n_tokens * self.n_channels)
-        return flat.reshape(self.n_tokens, self.n_channels)
 
     def to_matrix(self) -> np.ndarray:
         """Dequantize to a float32 (n_tokens, n_channels) matrix."""

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import csv
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .attention import attend_full_precision, l1_error
 from .cache import FP16_BITS, EngineConfig, TieredCache
 from .errors import ContractViolation
+from .outlier import score_tokens
 from .quant import quantize_keys_channelwise, quantize_values_tokenwise
 from .trace import Trace
 
@@ -75,7 +76,7 @@ def compare_criteria(
     Groups follow the sequence's fixed position blocks of ``group_size``
     tokens, minus whatever was retained, so retaining a token perturbs
     only its own group. Returns the L1 distance to the full-precision
-    oracle output.
+    oracle output; with ``passthrough`` nothing is quantized, so it is 0.
     """
     seq_len = trace.header.seq_len
     if not 0 <= budget < seq_len:
@@ -84,34 +85,36 @@ def compare_criteria(
         raise ContractViolation(f"group_size must be >= 1, got {group_size}")
     if not 1 <= bits <= 8:
         raise ContractViolation(f"bits must be in [1, 8], got {bits}")
+    if not isinstance(criterion, Criterion):
+        raise ContractViolation(f"unknown criterion {criterion!r}")
     keys = trace.k[layer, head]
     values = trace.v[layer, head]
     query = trace.q[layer, head, -1]
+    if passthrough:
+        # The mix would be the oracle's own rows.
+        return 0.0
 
-    scores = np.abs(keys.astype(np.float64)).sum(axis=1)
-    if criterion is Criterion.SMALLEST_KEY:
-        retained = np.argsort(scores, kind="stable")[:budget]
-    elif criterion is Criterion.LARGEST_KEY:
-        retained = np.argsort(-scores, kind="stable")[:budget]
-    elif criterion is Criterion.RANDOM:
+    if criterion is Criterion.RANDOM:
         if rng is None:
             rng = np.random.default_rng(0)
         retained = rng.choice(seq_len, size=budget, replace=False)
     else:
-        raise ContractViolation(f"unknown criterion {criterion!r}")
+        scores = score_tokens(keys)
+        if criterion is Criterion.LARGEST_KEY:
+            scores = -scores
+        retained = np.argsort(scores, kind="stable")[:budget]
 
     mask = np.zeros(seq_len, dtype=bool)
     mask[retained] = True
 
     k_hat = keys.copy()
     v_hat = values.copy()
-    if not passthrough:
-        for start in range(0, seq_len, group_size):
-            block = np.arange(start, min(start + group_size, seq_len))
-            idx = block[~mask[block]]
-            if idx.size:
-                k_hat[idx] = quantize_keys_channelwise(keys[idx], bits).to_matrix()
-                v_hat[idx] = quantize_values_tokenwise(values[idx], bits).to_matrix()
+    for start in range(0, seq_len, group_size):
+        block = np.arange(start, min(start + group_size, seq_len))
+        idx = block[~mask[block]]
+        if idx.size:
+            k_hat[idx] = quantize_keys_channelwise(keys[idx], bits).to_matrix()
+            v_hat[idx] = quantize_values_tokenwise(values[idx], bits).to_matrix()
 
     mixed = attend_full_precision(query, k_hat, v_hat)
     oracle = attend_full_precision(query, keys, values)
@@ -169,26 +172,36 @@ def ratio_curve(
     memory breakdown at each requested length. The replayed layer is the
     lowest index where outlier pooling is active, so the configured pool
     overhead is included. Below ``group_size + residual`` tokens nothing
-    is quantized and the ratio is exactly 1.
+    is quantized and the ratio is exactly 1. The ``passthrough`` control
+    stores every row at 16 bits and pools nothing, so its rows are the
+    fp16 bits in closed form, with ratio 1 and ``outlier_num`` 0.
     """
     if list(seq_lens) != sorted(seq_lens) or any(s < 1 for s in seq_lens):
         raise ContractViolation("seq_lens must be positive and sorted ascending")
+    d = config.head_dim
+
+    def row(mode: str, outlier_num: int, seq_len: int, total_bits: int) -> ExperimentRow:
+        return ExperimentRow(
+            mode=mode,
+            bits=config.bits,
+            group_size=config.group_size,
+            residual=config.residual,
+            outlier_num=outlier_num,
+            seq_len=seq_len,
+            l1_output_error=None,
+            total_bits=total_bits,
+            ratio_vs_fp16=2 * seq_len * d * FP16_BITS / total_bits,
+        )
+
     if passthrough:
-        # The lossless control pools nothing; its rows report outlier_num 0.
-        config = replace(config, outlier_num=0)
+        return [row("fp16", 0, target, 2 * target * d * FP16_BITS) for target in seq_lens]
     layer = 0
     while layer in config.skip_layers:
         layer += 1
-    cache = TieredCache(config, layer=layer, passthrough=passthrough)
-    if passthrough:
-        mode = "fp16"
-    elif cache.pool.capacity > 0:
-        mode = "ott"
-    else:
-        mode = "baseline"
+    cache = TieredCache(config, layer=layer)
+    mode = "ott" if cache.pool.capacity > 0 else "baseline"
 
     rng = np.random.default_rng(seed)
-    d = config.head_dim
     rows: list[ExperimentRow] = []
     token = 0
     for target in seq_lens:
@@ -199,21 +212,7 @@ def ratio_curve(
             kv = rng.standard_normal((n, 2, d)).astype(np.float32)
             cache.extend(kv[:, 0], kv[:, 1])
             token += n
-        usage = cache.memory_usage()
-        fp16_bits = 2 * target * d * FP16_BITS
-        rows.append(
-            ExperimentRow(
-                mode=mode,
-                bits=config.bits,
-                group_size=config.group_size,
-                residual=config.residual,
-                outlier_num=cache.pool.capacity,
-                seq_len=target,
-                l1_output_error=None,
-                total_bits=usage.total_bits,
-                ratio_vs_fp16=fp16_bits / usage.total_bits,
-            )
-        )
+        rows.append(row(mode, cache.pool.capacity, target, cache.memory_usage().total_bits))
     return rows
 
 
@@ -228,30 +227,6 @@ def _format_value(value) -> str:
 def write_rows(path, rows: list[ExperimentRow]) -> None:
     """Write experiment rows as CSV with the fixed column order."""
     write_csv(path, CSV_COLUMNS, [[getattr(row, col) for col in CSV_COLUMNS] for row in rows])
-
-
-def read_rows(path) -> list[ExperimentRow]:
-    """Parse a CSV written by :func:`write_rows`."""
-    rows: list[ExperimentRow] = []
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != CSV_COLUMNS:
-            raise ContractViolation(f"unexpected CSV columns: {reader.fieldnames}")
-        for rec in reader:
-            rows.append(
-                ExperimentRow(
-                    mode=rec["mode"],
-                    bits=int(rec["bits"]),
-                    group_size=int(rec["group_size"]),
-                    residual=int(rec["residual"]),
-                    outlier_num=int(rec["outlier_num"]),
-                    seq_len=int(rec["seq_len"]),
-                    l1_output_error=float(rec["l1_output_error"]) if rec["l1_output_error"] else None,
-                    total_bits=int(rec["total_bits"]),
-                    ratio_vs_fp16=float(rec["ratio_vs_fp16"]),
-                )
-            )
-    return rows
 
 
 def write_csv(path, header: list[str], rows: list[list]) -> None:

@@ -17,6 +17,7 @@ from kvtrace import (
     l1_error,
     pack_codes,
     softmax,
+    unpack_codes,
 )
 
 
@@ -220,11 +221,11 @@ class TestMixedAttention:
 
         corrupted = copy.deepcopy(cache)
         block = corrupted.quantized_k[0]
-        codes = block.code_matrix()
+        codes = unpack_codes(block.codes, block.bits, g * d).reshape(g, d)
         codes[3] = (codes[3] + 1) % (1 << block.bits)
         block.codes = pack_codes(codes.reshape(-1), block.bits)
         vblock = corrupted.quantized_v[0]
-        vcodes = vblock.code_matrix()
+        vcodes = unpack_codes(vblock.codes, vblock.bits, g * d).reshape(g, d)
         vcodes[3] = 0
         vblock.codes = pack_codes(vcodes.reshape(-1), vblock.bits)
 

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import os
 import shutil
 import tracemalloc
@@ -20,14 +21,13 @@ from kvtrace import (
     cli,
     generate_synthetic,
     l1_error,
-    read_rows,
     read_trace,
     replay_caches,
     write_trace,
 )
 import kvtrace.replay as replay_module
 from kvtrace.cli import run
-from kvtrace.report import write_csv
+from kvtrace.report import CSV_COLUMNS, write_csv
 
 USAGE_KEYS = ("quantized_bits", "param_bits", "pending_bits", "pool_bits", "total_bits")
 
@@ -124,12 +124,12 @@ class TestGenSynthetic:
 
 class TestSimulate:
     def test_fp16_mode_is_exact(self, tmp_path, capsys):
-        csv = tmp_path / "steps.csv"
+        out = tmp_path / "steps.csv"
         code = run(["simulate", "--mode", "fp16", "--layers", "1", "--heads", "1",
-                    "--head-dim", "8", "--seq-len", "32", "--out", str(csv)])
+                    "--head-dim", "8", "--seq-len", "32", "--out", str(out)])
         assert code == 0
         assert "aggregate_l1_error=0" in capsys.readouterr().out
-        rows = csv.read_text().strip().splitlines()
+        rows = out.read_text().strip().splitlines()
         assert rows[0] == "step,l1_error"
         assert len(rows) == 33
         assert all(line.endswith(",0") for line in rows[1:])
@@ -384,12 +384,12 @@ class TestFp16SimulateReadsOnlyTheHeader:
 
 class TestCompareCriteriaCommand:
     def test_writes_csv(self, tmp_path, capsys):
-        csv = tmp_path / "crit.csv"
+        out = tmp_path / "crit.csv"
         code = run(["compare-criteria", "--layers", "1", "--heads", "1",
                     "--head-dim", "16", "--seq-len", "256", "--budget", "3",
-                    "--out", str(csv)])
+                    "--out", str(out)])
         assert code == 0
-        lines = csv.read_text().strip().splitlines()
+        lines = out.read_text().strip().splitlines()
         assert lines[0] == "criterion,budget,trials,mean_l1_error"
         assert len(lines) == 4
 
@@ -401,22 +401,30 @@ class TestCompareCriteriaCommand:
         assert run(["compare-criteria", "--trace", str(t), "--trials", "2"]) == 1
 
 
+def csv_records(path) -> list[dict]:
+    """The rows of a ``ratio-curve`` CSV, after checking its header."""
+    with open(path, newline="") as f:
+        reader = csv.DictReader(f)
+        assert reader.fieldnames == CSV_COLUMNS
+        return list(reader)
+
+
 class TestRatioCurveCommand:
     def test_short_sequence_ratio_is_one(self, tmp_path, capsys):
-        csv = tmp_path / "ratio.csv"
-        code = run(["ratio-curve", "--seq-lens", "159", "--out", str(csv)])
+        out = tmp_path / "ratio.csv"
+        code = run(["ratio-curve", "--seq-lens", "159", "--out", str(out)])
         assert code == 0
-        rows = read_rows(csv)
-        assert rows[0].ratio_vs_fp16 == 1.0
+        rows = csv_records(out)
+        assert float(rows[0]["ratio_vs_fp16"]) == 1.0
 
     def test_fp16_mode_is_exactly_lossless(self, tmp_path, capsys):
         # The fp16 control stores every row at 16 bits and pools nothing.
-        csv = tmp_path / "ratio.csv"
+        out = tmp_path / "ratio.csv"
         assert run(["ratio-curve", "--seq-lens", "128,1024,8192", "--mode", "fp16",
-                    "--out", str(csv)]) == 0
-        rows = read_rows(csv)
-        assert [r.seq_len for r in rows] == [128, 1024, 8192]
-        assert all(r.ratio_vs_fp16 == 1.0 and r.outlier_num == 0 for r in rows)
+                    "--out", str(out)]) == 0
+        rows = csv_records(out)
+        assert [int(r["seq_len"]) for r in rows] == [128, 1024, 8192]
+        assert all(float(r["ratio_vs_fp16"]) == 1.0 and r["outlier_num"] == "0" for r in rows)
         assert all(line.endswith("ratio_vs_fp16=1") for line in out_lines(capsys))
 
     def test_prints_rows(self, capsys):
@@ -438,10 +446,10 @@ class TestDecileStatsCommand:
         assert abs(sum(pcts) - 100.0) < 1e-3
 
     def test_csv_output(self, tmp_path, capsys):
-        csv = tmp_path / "dec.csv"
+        out = tmp_path / "dec.csv"
         assert run(["decile-stats", "--layers", "1", "--heads", "1", "--head-dim", "8",
-                    "--seq-len", "512", "--out", str(csv)]) == 0
-        lines = csv.read_text().strip().splitlines()
+                    "--seq-len", "512", "--out", str(out)]) == 0
+        lines = out.read_text().strip().splitlines()
         assert lines[0].startswith("decile_1,")
         assert len(lines) == 2
 

@@ -21,6 +21,12 @@ from kvtrace import (
 from kvtrace import quant
 
 
+def code_matrix(block):
+    """A block's unpacked codes, shape (n_tokens, n_channels)."""
+    flat = unpack_codes(block.codes, block.bits, block.n_tokens * block.n_channels)
+    return flat.reshape(block.n_tokens, block.n_channels)
+
+
 def oracle_quantize(x, bits):
     """Scalar re-evaluation of the floor rule, element by element."""
     levels = (1 << bits) - 1
@@ -146,8 +152,8 @@ def assert_matches_reference(lines, bits):
     ref_steps = bits_of([s for _, _, s in ref])
     keys = quantize_keys_channelwise(lines.T, bits)
     values = quantize_values_tokenwise(lines, bits)
-    np.testing.assert_array_equal(keys.code_matrix().T, ref_codes)
-    np.testing.assert_array_equal(values.code_matrix(), ref_codes)
+    np.testing.assert_array_equal(code_matrix(keys).T, ref_codes)
+    np.testing.assert_array_equal(code_matrix(values), ref_codes)
     for block in (keys, values):
         np.testing.assert_array_equal(bits_of(block.mins), ref_mins)
         np.testing.assert_array_equal(bits_of(block.steps), ref_steps)
@@ -212,7 +218,7 @@ class TestAgainstReference:
             (quantize_keys_channelwise(x, bits), x.T),
             (quantize_values_tokenwise(x, bits), x),
         ):
-            codes = block.code_matrix()
+            codes = code_matrix(block)
             if block.group_axis is GroupAxis.PER_CHANNEL:
                 codes = codes.T
             for line, line_codes, p in zip(lines, codes, block.params):
@@ -390,6 +396,23 @@ class TestInputDomain:
         [-2.2250738585072014e-308, 2.2250738585072014e-308, 0.0, 1e-310, -1e-310],
     ]
 
+    def test_largest_admitted_magnitudes_keep_tol_finite(self, monkeypatch):
+        # |x_min| + |x_max| passes the largest float here, though the range
+        # does not: an infinite tol would send every element to the
+        # one-level-per-pass settle loops.
+        tols = []
+        floor_codes = quant._floor_codes
+
+        def spy(lines, mins, steps, tol, levels):
+            tols.append(tol.copy())
+            return floor_codes(lines, mins, steps, tol, levels)
+
+        monkeypatch.setattr(quant, "_floor_codes", spy)
+        group = np.random.default_rng(12).uniform(-8.9e307, 8.9e307, size=(64, 128))
+        steps = assert_matches_reference(group.T, 8)
+        assert tols and all(np.isfinite(t).all() for t in tols)
+        assert (steps > 0).all()
+
     @pytest.mark.parametrize("bits", range(1, 9))
     def test_domain_edges_match_reference(self, bits):
         assert_matches_reference(np.array(self.EDGE_LINES), bits)
@@ -493,7 +516,7 @@ class TestGroupQuantizers:
         block = quantize_keys_channelwise(np.array([[0.0], [3.0]]), 2)
         assert block.group_axis is GroupAxis.PER_CHANNEL
         assert block.params[0].step == 1.0
-        assert block.code_matrix().ravel().tolist() == [0, 3]
+        assert code_matrix(block).ravel().tolist() == [0, 3]
 
     def test_constant_channels_reconstruct_exactly(self):
         group = np.tile(np.array([[1.0, -2.0, 0.5]]), (8, 1))
@@ -505,7 +528,7 @@ class TestGroupQuantizers:
         rng = np.random.default_rng(6)
         group = rng.standard_normal((128, 8))
         block = quantize_keys_channelwise(group, 2)
-        codes = block.code_matrix()
+        codes = code_matrix(block)
         recon = block.to_matrix().astype(np.float64)
         for c in range(8):
             col_codes, col_params = quantize_uniform(group[:, c], 2)
@@ -518,13 +541,13 @@ class TestGroupQuantizers:
         block = quantize_values_tokenwise(np.array([[0.0, 1.0, 2.0, 3.0]]), 2)
         assert block.group_axis is GroupAxis.PER_TOKEN
         assert block.params[0].step == 1.0
-        assert block.code_matrix().ravel().tolist() == [0, 1, 2, 3]
+        assert code_matrix(block).ravel().tolist() == [0, 1, 2, 3]
 
     def test_tokenwise_matches_per_row_oracle(self):
         rng = np.random.default_rng(7)
         group = rng.standard_normal((128, 8))
         block = quantize_values_tokenwise(group, 2)
-        codes = block.code_matrix()
+        codes = code_matrix(block)
         for r in range(0, 128, 17):
             row_codes, row_params = quantize_uniform(group[r], 2)
             np.testing.assert_array_equal(codes[r], row_codes)
@@ -536,7 +559,7 @@ class TestGroupQuantizers:
         m = rng.standard_normal((16, 5))
         cw = quantize_keys_channelwise(m, 3)
         tw = quantize_values_tokenwise(m.T, 3)
-        np.testing.assert_array_equal(cw.code_matrix(), tw.code_matrix().T)
+        np.testing.assert_array_equal(code_matrix(cw), code_matrix(tw).T)
         assert [(p.x_min, p.step) for p in cw.params] == [(p.x_min, p.step) for p in tw.params]
 
     def test_empty_group_rejected(self):
