@@ -32,11 +32,11 @@ from .replay import replay_caches
 from .trace import (
     SyntheticSpec,
     Trace,
+    TraceFile,
     TraceHeader,
     decile_stats,
     generate_synthetic,
     read_trace,
-    read_trace_header,
     write_trace,
 )
 
@@ -57,6 +57,7 @@ __all__ = [
     "SyntheticSpec",
     "TieredCache",
     "Trace",
+    "TraceFile",
     "TraceFormatError",
     "TraceHeader",
     "attend_full_precision",
@@ -73,7 +74,6 @@ __all__ = [
     "quantize_values_tokenwise",
     "ratio_curve",
     "read_trace",
-    "read_trace_header",
     "replay_caches",
     "row_l1_errors",
     "score_tokens",

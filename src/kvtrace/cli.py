@@ -14,8 +14,9 @@ residual 32, 3 pooled outliers with layers 0-1 skipped, auxiliary pool 32).
 Outputs are deterministic given ``--seed``; every randomized component
 derives its stream from the root seed via SeedSequence(root, (layer,
 head)). ``simulate`` sums the errors and memory of the caches that
-``kvtrace/replay.py`` replays one at a time, holding the trace plus one
-cache; in fp16 mode it only checks the trace file's header and size.
+``kvtrace/replay.py`` replays one at a time, holding one (layer, head)
+block of the trace plus one cache; a trace file is read block by block
+after its header and size are checked, and fp16 mode reads no block.
 
 Exit codes: 0 on success, 1 on bad flags or values (including an
 unwritable ``--out``), 2 on a missing, unreadable or malformed trace file.
@@ -45,10 +46,11 @@ from .replay import replay_caches
 from .trace import (
     SyntheticSpec,
     Trace,
+    TraceFile,
+    TraceHeader,
     decile_stats,
     generate_synthetic,
     read_trace,
-    read_trace_header,
     write_trace,
 )
 
@@ -195,16 +197,12 @@ def _check_index(flag: str, value: int, size: int) -> None:
         raise _UsageError(f"{flag} {value} out of range [0, {size})")
 
 
-def _read_file(reader, path):
-    try:
-        return reader(path)
-    except OSError as exc:
-        raise _UnreadableTrace(exc) from None
-
-
-def _load_trace(args, seed: int) -> Trace:
+def _load_trace(args, seed: int) -> Trace | TraceFile:
     if getattr(args, "trace", None):
-        return _read_file(read_trace, args.trace)
+        try:
+            return read_trace(args.trace)
+        except OSError as exc:
+            raise _UnreadableTrace(exc) from None
     spec = _spec_from_args(args, seed)
     return generate_synthetic(spec, args.layers, args.heads, args.head_dim, args.seq_len)
 
@@ -231,12 +229,8 @@ def _cmd_gen_synthetic(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.mode == "fp16" and args.trace:
-        # fp16 needs only the shape: the file is checked, its payload unread.
-        h = _read_file(read_trace_header, args.trace)
-    else:
-        trace = _load_trace(args, args.seed)
-        h = trace.header
+    trace = _load_trace(args, args.seed)
+    h = trace.header
     config = _config_from_args(args, h.head_dim)
     steps = h.seq_len
     fp16_bits = h.n_layers * h.n_heads * 2 * steps * h.head_dim * FP16_BITS
@@ -271,21 +265,23 @@ def _cmd_compare_criteria(args) -> int:
     results = {c: [] for c in Criterion}
     for trial in range(args.trials):
         trace = _load_trace(args, args.seed + trial)
-        layer = args.layer if args.layer is not None else trace.header.n_layers - 1
-        _check_index("--layer", layer, trace.header.n_layers)
-        _check_index("--head", args.head, trace.header.n_heads)
+        h = trace.header
+        layer = args.layer if args.layer is not None else h.n_layers - 1
+        _check_index("--layer", layer, h.n_layers)
+        _check_index("--head", args.head, h.n_heads)
+        # Every criterion studies the same block: read it once, as a one-block trace.
+        q, k, v = trace.block(layer, args.head)[:, None, None]
+        study = Trace(TraceHeader(1, 1, h.head_dim, h.seq_len), q, k, v)
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=args.seed + trial, spawn_key=(layer, args.head, 1))
         )
         for criterion in Criterion:
             err = compare_criteria(
-                trace,
+                study,
                 args.budget,
                 criterion,
                 args.bits,
                 group_size=args.group_size,
-                layer=layer,
-                head=args.head,
                 rng=rng,
                 passthrough=args.mode == "fp16",
             )
@@ -329,7 +325,7 @@ def _cmd_decile_stats(args) -> int:
     trace = _load_trace(args, args.seed)
     _check_index("--layer", args.layer, trace.header.n_layers)
     _check_index("--head", args.head, trace.header.n_heads)
-    keys = trace.k[args.layer, args.head]
+    keys = trace.block(args.layer, args.head)[1]
     channel = args.channel
     if channel is None:
         channel = int(np.abs(keys).mean(axis=0).argmax())

@@ -18,7 +18,7 @@ from .cache import FP16_BITS, EngineConfig, TieredCache
 from .errors import ContractViolation
 from .outlier import score_tokens
 from .quant import quantize_keys_channelwise, quantize_values_tokenwise
-from .trace import Trace
+from .trace import Trace, TraceFile
 
 
 def estimate_kv_bytes(
@@ -57,7 +57,7 @@ class Criterion(enum.Enum):
 
 
 def compare_criteria(
-    trace: Trace,
+    trace: Trace | TraceFile,
     budget: int,
     criterion: Criterion,
     bits: int,
@@ -87,9 +87,8 @@ def compare_criteria(
         raise ContractViolation(f"bits must be in [1, 8], got {bits}")
     if not isinstance(criterion, Criterion):
         raise ContractViolation(f"unknown criterion {criterion!r}")
-    keys = trace.k[layer, head]
-    values = trace.v[layer, head]
-    query = trace.q[layer, head, -1]
+    queries, keys, values = trace.block(layer, head)
+    query = queries[-1]
     if passthrough:
         # The mix would be the oracle's own rows.
         return 0.0

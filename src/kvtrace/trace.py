@@ -51,6 +51,14 @@ class TraceHeader:
                 raise ContractViolation(f"{field.name} must be in [1, 2**32), got {v}")
 
 
+def _check_block(h: TraceHeader, layer: int, head: int) -> None:
+    # The one range check of a block read, for both kinds of trace.
+    if not (0 <= layer < h.n_layers and 0 <= head < h.n_heads):
+        raise ContractViolation(
+            f"block ({layer}, {head}) out of range for {h.n_layers} layers x {h.n_heads} heads"
+        )
+
+
 @dataclass
 class Trace:
     """In-memory trace: Q/K/V arrays of shape (layers, heads, seq, dim)."""
@@ -69,48 +77,73 @@ class Trace:
                 raise ContractViolation(f"{name} must have shape {shape}, got {arr.shape}")
             setattr(self, name, arr)
 
+    def block(self, layer: int, head: int) -> np.ndarray:
+        """A fresh (3, seq_len, head_dim) float32 array: one (layer, head)'s Q, K and V."""
+        _check_block(self.header, layer, head)
+        return np.stack((self.q[layer, head], self.k[layer, head], self.v[layer, head]), dtype="<f4")
 
-def write_trace(path, trace: Trace) -> None:
-    """Serialize a trace to ``path`` in the KVTRACE1 format."""
+
+@dataclass(frozen=True)
+class TraceFile:
+    """A KVTRACE1 file whose header and size are checked, read one block at a time.
+
+    Each :meth:`block` call opens ``path`` again and reads that (layer,
+    head)'s contiguous Q/K/V bytes, so the object holds no payload and no
+    open file. A pipe cannot be read twice, so its bytes are kept in
+    ``data`` and blocks are read from them.
+    """
+
+    header: TraceHeader
+    path: object
+    data: bytes | None = None
+
+    def block(self, layer: int, head: int) -> np.ndarray:
+        """A fresh (3, seq_len, head_dim) float32 array: one (layer, head)'s Q, K and V.
+
+        A file that shrank or can no longer be opened since :func:`read_trace`
+        raises :class:`TraceFormatError` at the byte offset that failed.
+        """
+        h = self.header
+        _check_block(h, layer, head)
+        out = np.empty((3, h.seq_len, h.head_dim), dtype="<f4")
+        offset = _HEADER_END + (layer * h.n_heads + head) * out.nbytes
+        try:
+            with open(self.path, "rb") if self.data is None else io.BytesIO(self.data) as f:
+                f.seek(offset)
+                got = f.readinto(out)
+        except OSError as exc:
+            reason = exc.strerror or exc
+            raise TraceFormatError(f"block ({layer}, {head}) unreadable: {reason}", offset=offset) from None
+        if got != out.nbytes:
+            raise TraceFormatError("truncated file: payload incomplete", offset=offset + got)
+        return out
+
+
+def write_trace(path, trace: Trace | TraceFile) -> None:
+    """Serialize a trace to ``path`` in the KVTRACE1 format, one block at a time."""
     h = trace.header
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(_HEADER.pack(h.n_layers, h.n_heads, h.head_dim, h.seq_len))
         for layer in range(h.n_layers):
-            # One layer as (heads, 3, seq_len, head_dim): per head, Q then K then V.
-            f.write(np.stack((trace.q[layer], trace.k[layer], trace.v[layer]), axis=1, dtype="<f4"))
+            for head in range(h.n_heads):
+                f.write(trace.block(layer, head))
 
 
-def read_trace(path) -> Trace:
-    """Parse a KVTRACE1 file, raising :class:`TraceFormatError` on damage.
+def read_trace(path) -> TraceFile:
+    """Check a KVTRACE1 file's magic, header and size, reading no payload.
 
-    Each (layer, head) Q, K and V block of a regular file is read straight
-    into its place in the trace's preallocated arrays, so reading holds
-    nothing besides the trace itself: no copy of the file and no converted
-    copy of the arrays.
+    Damage raises :class:`TraceFormatError` here, before any block is read.
+    The returned :class:`TraceFile` reads blocks on demand, so a replay
+    holds one block of the payload, not all of them.
     """
-    return _parse(path, _read_blocks)
-
-
-def read_trace_header(path) -> TraceHeader:
-    """Check a KVTRACE1 file's header and size, reading no payload.
-
-    A damaged header, or a size the header does not account for, raises
-    the same :class:`TraceFormatError`, with the same offset, as
-    :func:`read_trace`. Only a short read while copying the payload, from
-    a file that shrinks after its size was taken, goes unnoticed.
-    """
-    return _parse(path, _read_header)
-
-
-def _parse(path, parse):
     with open(path, "rb") as f:
         info = os.fstat(f.fileno())
         if stat.S_ISREG(info.st_mode):
-            return parse(f, info.st_size)
-        # A pipe has no size up front: read it whole, then parse from memory.
+            return TraceFile(_read_header(f, info.st_size), path)
+        # A pipe has no size up front and cannot be reread: keep it whole.
         data = f.read()
-    return parse(io.BytesIO(data), len(data))
+    return TraceFile(_read_header(io.BytesIO(data), len(data)), path, data)
 
 
 def _read_header(f, size: int) -> TraceHeader:
@@ -134,23 +167,6 @@ def _read_header(f, size: int) -> TraceHeader:
     if size > expected:
         raise TraceFormatError("trailing bytes after payload", offset=expected)
     return TraceHeader(*dims)
-
-
-def _read_blocks(f, size: int) -> Trace:
-    h = _read_header(f, size)
-    shape = (h.n_layers, h.n_heads, h.seq_len, h.head_dim)
-    q, k, v = (np.empty(shape, dtype="<f4") for _ in range(3))
-    offset = _HEADER_END
-    for layer in range(h.n_layers):
-        for head in range(h.n_heads):
-            for arr in (q, k, v):
-                block = arr[layer, head]
-                got = f.readinto(block)
-                offset += got
-                # The file can shrink after its size was taken.
-                if got != block.nbytes:
-                    raise TraceFormatError("truncated file: payload incomplete", offset=offset)
-    return Trace(header=h, q=q, k=k, v=v)
 
 
 @dataclass(frozen=True)

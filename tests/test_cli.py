@@ -14,6 +14,7 @@ from kvtrace import (
     SyntheticSpec,
     TieredCache,
     Trace,
+    TraceFile,
     TraceFormatError,
     TraceHeader,
     attend_full_precision,
@@ -271,7 +272,9 @@ class TestLayerByLayerReplay:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            extra[layers * heads] = peak - 3 * layers * heads * seq_len * head_dim * 4
+            # A trace file holds no payload, so the whole peak is above it:
+            # one block, one cache and the run's own allocations.
+            extra[layers * heads] = peak
         # One cache's dense K and V buffers alone take 128 KiB here.
         assert extra[6] <= extra[1] + 64 * 1024
 
@@ -380,6 +383,70 @@ class TestFp16SimulateReadsOnlyTheHeader:
             os.close(r)
         assert from_pipe == simulate(str(path))
         assert from_pipe[0] == (0 if damage == "none" else 2)
+
+
+class TestTraceFileReadBlockByBlock:
+    """A trace file is read one (layer, head) block at a time, after its header and size check."""
+
+    def test_simulate_peak_well_below_payload(self, tmp_path, capsys):
+        # Many small heads: the payload dwarfs one block plus one cache.
+        path = tmp_path / "wide.kvt"
+        trace = generate_synthetic(SyntheticSpec(seed=10), 2, 16, 16, 128)
+        write_trace(path, trace)
+        payload = 3 * trace.q.nbytes
+        del trace
+        argv = ["simulate", "--trace", str(path), "--group-size", "32", "--residual", "8"]
+        assert run(argv) == 0  # warms imports and argparse
+        want = capsys.readouterr().out
+        tracemalloc.start()
+        try:
+            assert run(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().out == want
+        assert peak < payload / 3
+
+    @pytest.mark.parametrize("command", ["compare-criteria", "decile-stats"])
+    def test_one_study_reads_one_block(self, tmp_path, capsys, monkeypatch, command):
+        path = tmp_path / "t.kvt"
+        write_trace(path, generate_synthetic(SyntheticSpec(seed=11), 2, 3, 8, 64))
+        read = []
+        block = TraceFile.block
+
+        def spy(self, layer, head):
+            read.append((layer, head))
+            return block(self, layer, head)
+
+        monkeypatch.setattr(TraceFile, "block", spy)
+        assert run([command, "--trace", str(path), "--layer", "1", "--head", "2"]) == 0
+        assert read == [(1, 2)]
+
+    @pytest.mark.parametrize("change", ["vanished", "shrunk"])
+    def test_block_read_failure_exits_two(self, tmp_path, capsys, monkeypatch, change):
+        # The file changes after read_trace checked it: the block read that
+        # notices fails the run with one trace error line, as damage at load does.
+        path = tmp_path / "t.kvt"
+        write_trace(path, generate_synthetic(SyntheticSpec(seed=12), 2, 2, 8, 40))
+        size = path.stat().st_size
+
+        def read_then_change(source):
+            trace = read_trace(source)
+            if change == "vanished":
+                os.unlink(source)
+            else:
+                os.truncate(source, size - 7)
+            return trace
+
+        monkeypatch.setattr(cli, "read_trace", read_then_change)
+        assert run(["simulate", "--trace", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        block = 3 * 40 * 8 * 4
+        assert err == {
+            "vanished": "trace error: block (0, 0) unreadable: No such file or directory (byte offset 24)\n",
+            "shrunk": f"trace error: truncated file: payload incomplete (byte offset {24 + 4 * block - 7})\n",
+        }[change]
 
 
 class TestCompareCriteriaCommand:

@@ -81,6 +81,16 @@ class TestCompareCriteria:
         with pytest.raises(ContractViolation, match="bits"):
             compare_criteria(trace, 3, Criterion.SMALLEST_KEY, bits, passthrough=passthrough)
 
+    @pytest.mark.parametrize("passthrough", [False, True])
+    @pytest.mark.parametrize("layer, head", [(-1, 0), (2, 0), (0, -1), (0, 1)])
+    def test_layer_and_head_bounds(self, layer, head, passthrough):
+        # A negative layer used to study the last layer instead, and a
+        # too-large one raised numpy's IndexError.
+        two_layers = generate_synthetic(SyntheticSpec(seed=62), 2, 1, 8, 64)
+        with pytest.raises(ContractViolation, match="out of range"):
+            compare_criteria(two_layers, 3, Criterion.SMALLEST_KEY, 2, layer=layer, head=head,
+                             passthrough=passthrough)
+
     def test_smallest_key_wins_on_planted_trace(self, trace):
         rng = np.random.default_rng(1)
         errs = {

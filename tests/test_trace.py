@@ -17,7 +17,6 @@ from kvtrace import (
     decile_stats,
     generate_synthetic,
     read_trace,
-    read_trace_header,
     write_trace,
 )
 from kvtrace import trace as trace_module
@@ -35,6 +34,12 @@ def tiny_trace(rng, layers=1, heads=1, seq=1, dim=1):
     )
 
 
+def blocks(trace):
+    """Every (layer, head) block of ``trace``, layer-major, as a list."""
+    h = trace.header
+    return [trace.block(layer, head) for layer in range(h.n_layers) for head in range(h.n_heads)]
+
+
 class TestFileRoundTrip:
     def test_minimal_trace_bit_exact(self, tmp_path):
         trace = tiny_trace(np.random.default_rng(51))
@@ -42,9 +47,10 @@ class TestFileRoundTrip:
         write_trace(path, trace)
         back = read_trace(path)
         assert back.header == trace.header
-        np.testing.assert_array_equal(back.q, trace.q)
-        np.testing.assert_array_equal(back.k, trace.k)
-        np.testing.assert_array_equal(back.v, trace.v)
+        q, k, v = back.block(0, 0)
+        np.testing.assert_array_equal(q, trace.q[0, 0])
+        np.testing.assert_array_equal(k, trace.k[0, 0])
+        np.testing.assert_array_equal(v, trace.v[0, 0])
 
     def test_round_trip_hash_identical(self, tmp_path):
         trace = tiny_trace(np.random.default_rng(52), layers=2, heads=2, seq=128, dim=8)
@@ -73,41 +79,64 @@ class TestFileRoundTrip:
         path = tmp_path / "owned.kvt"
         write_trace(path, trace)
         back = read_trace(path)
-        for name in ("q", "k", "v"):
-            got, want = getattr(back, name), getattr(trace, name)
-            assert got.dtype == np.float32
-            assert got.flags.c_contiguous and got.flags.writeable
-            np.testing.assert_array_equal(got, want)
-        assert not np.shares_memory(back.q, back.k)
+        for layer in range(layers):
+            for head in range(heads):
+                got = back.block(layer, head)
+                assert got.dtype == np.float32
+                assert got.flags.c_contiguous and got.flags.writeable and got.flags.owndata
+                for arr, want in zip(got, (trace.q, trace.k, trace.v)):
+                    np.testing.assert_array_equal(arr, want[layer, head])
+        assert not np.shares_memory(back.block(0, 0), back.block(0, 0))
 
     def test_header_read_matches_full_read(self, tmp_path):
         path = tmp_path / "t.kvt"
-        write_trace(path, tiny_trace(np.random.default_rng(60), layers=2, heads=3, seq=5, dim=4))
-        assert read_trace_header(path) == read_trace(path).header == TraceHeader(2, 3, 4, 5)
-
-    def test_read_peak_is_the_payload(self, tmp_path):
-        # Blocks are read into the trace's own arrays: no whole-file bytes
-        # object and no converted copy lives beside them.
-        trace = generate_synthetic(SyntheticSpec(seed=5), 4, 2, 32, 512)
-        path = tmp_path / "peak.kvt"
+        trace = tiny_trace(np.random.default_rng(60), layers=2, heads=3, seq=5, dim=4)
         write_trace(path, trace)
-        payload = 3 * trace.q.nbytes
+        assert read_trace(path).header == trace.header == TraceHeader(2, 3, 4, 5)
+
+    def test_read_trace_holds_no_payload(self, tmp_path):
+        # The header and size are checked; no block is read until asked for.
+        trace = generate_synthetic(SyntheticSpec(seed=5), 4, 2, 32, 512)
+        path = tmp_path / "lazy.kvt"
+        write_trace(path, trace)
         tracemalloc.start()
         try:
             back = read_trace(path)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        np.testing.assert_array_equal(back.v, trace.v)
-        assert peak <= payload + 64 * 1024
+        assert back.header == trace.header
+        assert peak < 64 * 1024
+
+    def test_read_peak_is_the_payload(self, tmp_path):
+        # A block is read into its own array: no whole-file bytes object
+        # and no converted copy lives beside it, and the blocks already
+        # read are dropped, so reading them all peaks at about one block.
+        trace = generate_synthetic(SyntheticSpec(seed=5), 4, 2, 32, 512)
+        path = tmp_path / "peak.kvt"
+        write_trace(path, trace)
+        back = read_trace(path)
+        block_bytes = 3 * trace.q[0, 0].nbytes
+        tracemalloc.start()
+        try:
+            for layer in range(4):
+                for head in range(2):
+                    v = back.block(layer, head)[2]
+                    assert np.array_equal(v, trace.v[layer, head])
+                    del v  # a view keeps its block alive
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= block_bytes + 64 * 1024
 
     @pytest.mark.parametrize("short_block", [0, 5])
     def test_short_read_rejected(self, tmp_path, monkeypatch, short_block):
         # The file shrinks after its size was taken: one block read comes
         # back short, and the reader must notice rather than keep garbage.
-        trace = tiny_trace(np.random.default_rng(58), layers=2, heads=1, seq=4, dim=3)
+        trace = tiny_trace(np.random.default_rng(58), layers=2, heads=3, seq=4, dim=3)
         path = tmp_path / "shrunk.kvt"
         write_trace(path, trace)
+        back = read_trace(path)
         calls = []
 
         class ShortReader(io.BufferedReader):
@@ -120,11 +149,33 @@ class TestFileRoundTrip:
 
         monkeypatch.setattr(trace_module, "open", lambda p, mode: ShortReader(io.FileIO(p, mode)),
                             raising=False)
-        block = 4 * 3 * 4
+        block = 3 * 4 * 3 * 4
         with pytest.raises(TraceFormatError, match="payload incomplete") as exc:
-            read_trace(path)
+            blocks(back)
         assert exc.value.offset == 8 + 16 + short_block * block + block - 4
         assert len(calls) == short_block + 1
+
+    def test_vanished_file_rejected(self, tmp_path):
+        # The file is gone by the time a block is read: a format error at
+        # that block's offset, not an OSError.
+        path = tmp_path / "gone.kvt"
+        write_trace(path, tiny_trace(np.random.default_rng(61), layers=2, heads=3, seq=4, dim=3))
+        back = read_trace(path)
+        path.unlink()
+        with pytest.raises(TraceFormatError, match=r"block \(1, 2\) unreadable") as exc:
+            back.block(1, 2)
+        assert exc.value.offset == 8 + 16 + 5 * 3 * 4 * 3 * 4
+
+    @pytest.mark.parametrize("make", ["synthetic", "file"])
+    @pytest.mark.parametrize("layer, head", [(-1, 0), (2, 0), (0, -1), (0, 3)])
+    def test_block_out_of_range_rejected(self, tmp_path, make, layer, head):
+        # A negative index must not wrap around to the last layer or head.
+        trace = tiny_trace(np.random.default_rng(62), layers=2, heads=3, seq=4, dim=3)
+        if make == "file":
+            write_trace(tmp_path / "t.kvt", trace)
+            trace = read_trace(tmp_path / "t.kvt")
+        with pytest.raises(ContractViolation, match="out of range"):
+            trace.block(layer, head)
 
     @pytest.mark.parametrize("damage", ["none", "truncated", "trailing", "magic"])
     def test_pipe_reads_like_a_file(self, tmp_path, damage):
@@ -142,7 +193,7 @@ class TestFileRoundTrip:
                 trace = read_trace(source)
             except TraceFormatError as exc:
                 return str(exc), exc.offset
-            return [a.tobytes() for a in (trace.q, trace.k, trace.v)]
+            return [b.tobytes() for b in blocks(trace)]
 
         r, w = os.pipe()
         os.write(w, data)  # well under a pipe's buffer
