@@ -31,6 +31,7 @@ from .report import (
 from .replay import replay_caches
 from .trace import (
     SyntheticSpec,
+    SyntheticTrace,
     Trace,
     TraceFile,
     TraceHeader,
@@ -55,6 +56,7 @@ __all__ = [
     "QuantParams",
     "QuantizedBlock",
     "SyntheticSpec",
+    "SyntheticTrace",
     "TieredCache",
     "Trace",
     "TraceFile",

@@ -15,8 +15,8 @@ Outputs are deterministic given ``--seed``; every randomized component
 derives its stream from the root seed via SeedSequence(root, (layer,
 head)). ``simulate`` sums the errors and memory of the caches that
 ``kvtrace/replay.py`` replays one at a time, holding one (layer, head)
-block of the trace plus one cache; a trace file is read block by block
-after its header and size are checked, and fp16 mode reads no block.
+block of the trace plus one cache: a synthetic block is drawn, a file's
+is read once its header and size are checked, and fp16 mode needs none.
 
 Exit codes: 0 on success, 1 on bad flags or values (including an
 unwritable ``--out``), 2 on a missing, unreadable or malformed trace file.
@@ -45,11 +45,11 @@ from .report import (
 from .replay import replay_caches
 from .trace import (
     SyntheticSpec,
+    SyntheticTrace,
     Trace,
     TraceFile,
     TraceHeader,
     decile_stats,
-    generate_synthetic,
     read_trace,
     write_trace,
 )
@@ -197,14 +197,14 @@ def _check_index(flag: str, value: int, size: int) -> None:
         raise _UsageError(f"{flag} {value} out of range [0, {size})")
 
 
-def _load_trace(args, seed: int) -> Trace | TraceFile:
+def _load_trace(args, seed: int) -> TraceFile | SyntheticTrace:
     if getattr(args, "trace", None):
         try:
             return read_trace(args.trace)
         except OSError as exc:
             raise _UnreadableTrace(exc) from None
     spec = _spec_from_args(args, seed)
-    return generate_synthetic(spec, args.layers, args.heads, args.head_dim, args.seq_len)
+    return SyntheticTrace(TraceHeader(args.layers, args.heads, args.head_dim, args.seq_len), spec)
 
 
 def _config_from_args(args, head_dim: int) -> EngineConfig:
@@ -366,8 +366,8 @@ def run(argv=None) -> int:
     except (TraceFormatError, _UnreadableTrace) as exc:
         print(f"trace error: {exc}", file=sys.stderr)
         return 2
-    except (_UsageError, ContractViolation, DegenerateColumnError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (_UsageError, ContractViolation, DegenerateColumnError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -119,15 +119,22 @@ class TraceFile:
         return out
 
 
-def write_trace(path, trace: Trace | TraceFile) -> None:
+def write_trace(path, trace: Trace | TraceFile | SyntheticTrace) -> None:
     """Serialize a trace to ``path`` in the KVTRACE1 format, one block at a time."""
     h = trace.header
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(_HEADER.pack(h.n_layers, h.n_heads, h.head_dim, h.seq_len))
-        for layer in range(h.n_layers):
-            for head in range(h.n_heads):
-                f.write(trace.block(layer, head))
+    f = open(path, "wb")
+    try:
+        with f:
+            f.write(MAGIC)
+            f.write(_HEADER.pack(h.n_layers, h.n_heads, h.head_dim, h.seq_len))
+            for layer in range(h.n_layers):
+                for head in range(h.n_heads):
+                    f.write(trace.block(layer, head))
+    except BaseException:
+        # Leave no partial trace, but keep a link or device such as /dev/stdout.
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.remove(path)
+        raise
 
 
 def read_trace(path) -> TraceFile:
@@ -213,10 +220,44 @@ class SyntheticSpec:
             raise ContractViolation("seed must be >= 0")
 
 
-def _rng_for(seed: int, layer: int, head: int) -> np.random.Generator:
-    # Seed-splitting rule: one root seed, one independent stream per
-    # (layer, head) via SeedSequence(entropy=root, spawn_key=(layer, head)).
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(layer, head)))
+def _draw_block(spec: SyntheticSpec, h: TraceHeader, layer: int, head: int) -> tuple[np.ndarray, np.ndarray]:
+    # The one copy of the draw order: a (3, T, d) Q/K/V block whose ``m`` planted rows
+    # are low in every outlier key channel, and those rows, from the (layer, head)'s
+    # own stream SeedSequence(entropy=root seed, spawn_key=(layer, head)).
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=(layer, head)))
+    out = np.empty((3, h.seq_len, h.head_dim), dtype="<f4")
+    k = rng.standard_normal((h.seq_len, h.head_dim))
+    for c in range(spec.outlier_channels):
+        k[:, c] = rng.uniform(spec.mu - spec.sigma, spec.mu + spec.sigma, h.seq_len)
+    planted = np.zeros(0, dtype=np.int64)
+    if spec.m > 0 and spec.outlier_channels > 0:
+        planted = rng.choice(h.seq_len, size=spec.m, replace=False)
+        for c in range(spec.outlier_channels):
+            k[planted, c] = rng.uniform(spec.eps, spec.delta, spec.m)
+    out[1] = k
+    out[0] = rng.standard_normal((h.seq_len, h.head_dim))
+    out[0, :, : spec.outlier_channels] = -spec.q_scale
+    out[2] = rng.standard_normal((h.seq_len, h.head_dim))
+    return out, planted
+
+
+@dataclass(frozen=True)
+class SyntheticTrace:
+    """A synthetic trace under ``spec`` that holds no payload: :meth:`block` draws each block."""
+
+    header: TraceHeader
+    spec: SyntheticSpec
+
+    def __post_init__(self):
+        if self.spec.outlier_channels > self.header.head_dim:
+            raise ContractViolation("more outlier channels than head_dim")
+        if self.spec.m * 10 > self.header.seq_len:
+            raise ContractViolation(f"m={self.spec.m} too large for seq_len={self.header.seq_len} (m <= seq_len/10)")
+
+    def block(self, layer: int, head: int) -> np.ndarray:
+        """A fresh (3, seq_len, head_dim) float32 array: one (layer, head)'s Q, K and V."""
+        _check_block(self.header, layer, head)
+        return _draw_block(self.spec, self.header, layer, head)[0]
 
 
 def generate_synthetic(
@@ -226,51 +267,18 @@ def generate_synthetic(
     head_dim: int,
     seq_len: int,
 ) -> Trace:
-    """Build a deterministic synthetic trace under ``spec``.
-
-    The first ``spec.outlier_channels`` key channels carry the planted
-    model; the same ``m`` token rows are low in every outlier channel of a
-    given (layer, head). Non-outlier channels and all values are unit
-    Gaussian noise.
-    """
-    header = TraceHeader(n_layers, n_heads, head_dim, seq_len)
-    if spec.outlier_channels > head_dim:
-        raise ContractViolation("more outlier channels than head_dim")
-    if spec.m * 10 > seq_len:
-        raise ContractViolation(f"m={spec.m} too large for seq_len={seq_len} (m <= seq_len/10)")
-
-    shape = (n_layers, n_heads, seq_len, head_dim)
-    q = np.empty(shape, dtype=np.float32)
-    k = np.empty(shape, dtype=np.float32)
-    v = np.empty(shape, dtype=np.float32)
+    """Build the whole :class:`SyntheticTrace` under ``spec`` in memory."""
+    synthetic = SyntheticTrace(TraceHeader(n_layers, n_heads, head_dim, seq_len), spec)
+    qkv = np.empty((3, n_layers, n_heads, seq_len, head_dim), dtype=np.float32)
     for layer in range(n_layers):
         for head in range(n_heads):
-            rng = _rng_for(spec.seed, layer, head)
-            kk = rng.standard_normal((seq_len, head_dim))
-            for c in range(spec.outlier_channels):
-                kk[:, c] = rng.uniform(spec.mu - spec.sigma, spec.mu + spec.sigma, seq_len)
-            if spec.m > 0 and spec.outlier_channels > 0:
-                planted = rng.choice(seq_len, size=spec.m, replace=False)
-                for c in range(spec.outlier_channels):
-                    kk[planted, c] = rng.uniform(spec.eps, spec.delta, spec.m)
-            qq = rng.standard_normal((seq_len, head_dim))
-            qq[:, : spec.outlier_channels] = -spec.q_scale
-            vv = rng.standard_normal((seq_len, head_dim))
-            k[layer, head] = kk
-            q[layer, head] = qq
-            v[layer, head] = vv
-    return Trace(header=header, q=q, k=k, v=v)
+            qkv[:, layer, head] = synthetic.block(layer, head)
+    return Trace(synthetic.header, *qkv)
 
 
 def planted_positions(spec: SyntheticSpec, layer: int, head: int, seq_len: int, head_dim: int) -> np.ndarray:
-    """Recompute which token rows the generator planted for one (layer, head)."""
-    if spec.m == 0 or spec.outlier_channels == 0:
-        return np.zeros(0, dtype=np.int64)
-    rng = _rng_for(spec.seed, layer, head)
-    rng.standard_normal((seq_len, head_dim))
-    for _ in range(spec.outlier_channels):
-        rng.uniform(spec.mu - spec.sigma, spec.mu + spec.sigma, seq_len)
-    return np.sort(rng.choice(seq_len, size=spec.m, replace=False))
+    """The sorted token rows the generator planted for one (layer, head)."""
+    return np.sort(_draw_block(spec, TraceHeader(1, 1, head_dim, seq_len), layer, head)[1])
 
 
 def decile_stats(column) -> np.ndarray:

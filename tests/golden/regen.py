@@ -63,6 +63,12 @@ CLI_CASES = {
                      "--out", "{out}"],
     "gen-synthetic": ["gen-synthetic", "--layers", "1", "--heads", "2", "--head-dim", "4",
                       "--seq-len", "40", "--seed", "3", "--out", "{out_trace}"],
+    # Two cases that draw blocks other than (0, 0) of a synthetic trace.
+    "decile-stats-last-block": ["decile-stats", "--layers", "3", "--heads", "2", "--layer", "2",
+                                "--head", "1", "--seed", "4", "--out", "{out}"],
+    "gen-synthetic-2x2": ["gen-synthetic", "--layers", "2", "--heads", "2", "--head-dim", "4",
+                          "--seq-len", "40", "--outlier-channels", "2", "--seed", "5",
+                          "--out", "{out_trace}"],
 }
 # Code widths other than the default 2, with pooling on layer 1.
 for _bits in (1, 3, 4, 8):

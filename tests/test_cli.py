@@ -27,6 +27,7 @@ from kvtrace import (
     write_trace,
 )
 import kvtrace.replay as replay_module
+import kvtrace.trace as trace_module
 from kvtrace.cli import run
 from kvtrace.report import CSV_COLUMNS, write_csv
 
@@ -447,6 +448,107 @@ class TestTraceFileReadBlockByBlock:
             "vanished": "trace error: block (0, 0) unreadable: No such file or directory (byte offset 24)\n",
             "shrunk": f"trace error: truncated file: payload incomplete (byte offset {24 + 4 * block - 7})\n",
         }[change]
+
+
+class TestSyntheticTraceDrawnBlockByBlock:
+    """Without ``--trace`` a command draws only the synthetic blocks it reads."""
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        drawn = []
+        draw = trace_module._draw_block
+
+        def spy(spec, header, layer, head):
+            drawn.append((spec.seed, layer, head))
+            return draw(spec, header, layer, head)
+
+        monkeypatch.setattr(trace_module, "_draw_block", spy)
+        return drawn
+
+    SHAPE = ["--layers", "3", "--heads", "2", "--head-dim", "8", "--seq-len", "64"]
+
+    def test_decile_stats_draws_one_block(self, draws, capsys):
+        assert run(["decile-stats", *self.SHAPE, "--layer", "2", "--head", "1", "--seed", "4"]) == 0
+        assert draws == [(4, 2, 1)]
+
+    def test_compare_criteria_draws_one_block_per_trial(self, draws, capsys):
+        argv = ["compare-criteria", *self.SHAPE, "--head", "1", "--trials", "3", "--seed", "5"]
+        assert run(argv) == 0
+        assert draws == [(5, 2, 1), (6, 2, 1), (7, 2, 1)]
+
+    def test_fp16_simulate_draws_nothing(self, draws, capsys):
+        assert run(["simulate", *self.SHAPE, "--mode", "fp16"]) == 0
+        assert draws == []
+
+    def test_simulate_draws_each_block_once(self, draws, capsys):
+        assert run(["simulate", *self.SHAPE, "--group-size", "16", "--residual", "4", "--seed", "6"]) == 0
+        assert draws == [(6, layer, head) for layer in range(3) for head in range(2)]
+
+    def test_decile_stats_peak_far_below_trace(self, capsys):
+        argv = ["decile-stats", "--layers", "16", "--heads", "8", "--head-dim", "16",
+                "--seq-len", "1024", "--layer", "15", "--head", "7"]
+        trace_bytes = 3 * 16 * 8 * 1024 * 16 * 4  # 25.2 MB, were it built whole
+        assert run(argv) == 0  # warms imports and argparse
+        want = capsys.readouterr().out
+        tracemalloc.start()
+        try:
+            assert run(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().out == want
+        assert peak < trace_bytes / 20
+
+
+class TestOutOfMemory:
+    """A shape too large to allocate ends in one ``error:`` line and exit code 1.
+
+    ``simulate --layers 1 --heads 1 --head-dim 100000 --seq-len 4000000``
+    asks for a 4.4 TiB block. The draw is made to raise here instead, since
+    an operating system that overcommits memory might grant the request.
+    """
+
+    @pytest.fixture
+    def fail_draw(self, monkeypatch):
+        draw = trace_module._draw_block
+
+        def fail_from(first_failing):
+            def maybe_fail(spec, header, layer, head):
+                if layer * header.n_heads + head >= first_failing:
+                    raise MemoryError(f"Unable to allocate block ({layer}, {head})")
+                return draw(spec, header, layer, head)
+
+            monkeypatch.setattr(trace_module, "_draw_block", maybe_fail)
+
+        return fail_from
+
+    # compare-criteria studies the last layer by default.
+    @pytest.mark.parametrize("command, layer", [("simulate", 0), ("decile-stats", 0), ("compare-criteria", 1)])
+    def test_one_error_line(self, fail_draw, command, layer, capsys):
+        fail_draw(0)
+        assert run([command, "--layers", "2", "--heads", "1", "--head-dim", "8", "--seq-len", "64"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: Unable to allocate block ({layer}, 0)\n"
+
+    def test_message_of_a_bare_memory_error(self, monkeypatch, capsys):
+        def no_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(trace_module, "_draw_block", no_memory)
+        assert run(["decile-stats", "--layers", "1", "--seq-len", "64"]) == 1
+        assert capsys.readouterr().err == "error: MemoryError\n"
+
+    @pytest.mark.parametrize("first_failing", [0, 1, 3])
+    def test_gen_synthetic_leaves_no_partial_file(self, tmp_path, fail_draw, capsys, first_failing):
+        out = tmp_path / "t.kvt"
+        fail_draw(first_failing)
+        argv = ["gen-synthetic", "--layers", "2", "--heads", "2", "--head-dim", "4",
+                "--seq-len", "40", "--out", str(out)]
+        assert run(argv) == 1
+        assert capsys.readouterr().err.startswith("error: Unable to allocate block")
+        assert not out.exists()
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCompareCriteriaCommand:

@@ -11,6 +11,7 @@ from kvtrace import (
     ContractViolation,
     DegenerateColumnError,
     SyntheticSpec,
+    SyntheticTrace,
     Trace,
     TraceFormatError,
     TraceHeader,
@@ -166,7 +167,7 @@ class TestFileRoundTrip:
             back.block(1, 2)
         assert exc.value.offset == 8 + 16 + 5 * 3 * 4 * 3 * 4
 
-    @pytest.mark.parametrize("make", ["synthetic", "file"])
+    @pytest.mark.parametrize("make", ["synthetic", "file", "drawn"])
     @pytest.mark.parametrize("layer, head", [(-1, 0), (2, 0), (0, -1), (0, 3)])
     def test_block_out_of_range_rejected(self, tmp_path, make, layer, head):
         # A negative index must not wrap around to the last layer or head.
@@ -174,6 +175,8 @@ class TestFileRoundTrip:
         if make == "file":
             write_trace(tmp_path / "t.kvt", trace)
             trace = read_trace(tmp_path / "t.kvt")
+        if make == "drawn":
+            trace = SyntheticTrace(TraceHeader(2, 3, 3, 40), SyntheticSpec())
         with pytest.raises(ContractViolation, match="out of range"):
             trace.block(layer, head)
 
@@ -285,6 +288,20 @@ class TestSyntheticGenerator:
         channel = t.k[0, 0, :, 0]
         assert sorted(np.flatnonzero(channel < spec.mu - spec.sigma - 1e-6).tolist()) == planted.tolist()
 
+    def test_planted_positions_match_every_block(self):
+        # Every (layer, head) has its own stream, so its own planted rows.
+        spec = SyntheticSpec(outlier_channels=2, seed=8)
+        t = generate_synthetic(spec, 3, 2, 8, 64)
+        seen = set()
+        for layer in range(3):
+            for head in range(2):
+                planted = planted_positions(spec, layer, head, 64, 8).tolist()
+                for c in range(2):
+                    below = np.flatnonzero(t.k[layer, head, :, c] < spec.mu - spec.sigma - 1e-6)
+                    assert below.tolist() == planted
+                seen.add(tuple(planted))
+        assert len(seen) > 1
+
     def test_planted_rows_have_smallest_l1_at_defaults(self):
         # the m planted rows are exactly the m lowest-magnitude tokens
         for seed in range(10):
@@ -333,6 +350,76 @@ class TestSyntheticGenerator:
     def test_m_bounded_by_sequence(self):
         with pytest.raises(ContractViolation):
             generate_synthetic(SyntheticSpec(m=3), 1, 1, 8, 20)
+
+
+class TestSyntheticTrace:
+    """A synthetic trace drawn one (layer, head) block at a time, as ``generate_synthetic`` builds it."""
+
+    def test_blocks_equal_the_generated_trace(self):
+        spec = SyntheticSpec(m=3, outlier_channels=2, seed=9)
+        drawn = SyntheticTrace(TraceHeader(3, 2, 8, 64), spec)
+        built = generate_synthetic(spec, 3, 2, 8, 64)
+        assert drawn.header == built.header
+        for layer in range(3):
+            for head in range(2):
+                a, b = drawn.block(layer, head), built.block(layer, head)
+                assert a.dtype == b.dtype == np.dtype("<f4")
+                assert a.shape == b.shape == (3, 64, 8)
+                assert a.tobytes() == b.tobytes()
+        # Blocks drawn out of order, or twice, are the same blocks.
+        assert drawn.block(2, 1).tobytes() == built.block(2, 1).tobytes()
+        assert drawn.block(0, 0).tobytes() == built.block(0, 0).tobytes()
+
+    def test_each_block_is_a_fresh_array(self):
+        drawn = SyntheticTrace(TraceHeader(1, 1, 4, 40), SyntheticSpec())
+        a = drawn.block(0, 0)
+        a[:] = 0
+        assert drawn.block(0, 0).any()
+
+    @pytest.mark.parametrize(
+        "spec, head_dim, seq_len, message",
+        [
+            (SyntheticSpec(m=3), 8, 20, "m=3 too large for seq_len=20"),
+            (SyntheticSpec(outlier_channels=9), 8, 64, "more outlier channels than head_dim"),
+        ],
+    )
+    def test_shape_checked_at_construction(self, spec, head_dim, seq_len, message):
+        with pytest.raises(ContractViolation, match=message):
+            SyntheticTrace(TraceHeader(1, 1, head_dim, seq_len), spec)
+
+
+class TestWriteTraceFailure:
+    """A write that fails part way removes the partial file, and only a regular one."""
+
+    @pytest.fixture
+    def failing(self, monkeypatch):
+        # A trace whose second block read fails, after the header and one block are written.
+        trace = generate_synthetic(SyntheticSpec(seed=11), 2, 1, 4, 40)
+        block = Trace.block
+
+        def second_fails(self, layer, head):
+            if layer == 1:
+                raise MemoryError("no room for block (1, 0)")
+            return block(self, layer, head)
+
+        monkeypatch.setattr(Trace, "block", second_fails)
+        return trace
+
+    def test_partial_file_removed(self, tmp_path, failing):
+        path = tmp_path / "t.kvt"
+        path.write_bytes(b"older contents")
+        with pytest.raises(MemoryError):
+            write_trace(path, failing)
+        assert not path.exists()
+
+    def test_symlink_kept(self, tmp_path, failing):
+        # A link such as /dev/stdout names no file of ours to remove.
+        target, link = tmp_path / "target.kvt", tmp_path / "link.kvt"
+        link.symlink_to(target)
+        with pytest.raises(MemoryError):
+            write_trace(link, failing)
+        assert link.is_symlink()
+        assert target.stat().st_size == 24 + 3 * 40 * 4 * 4
 
 
 class TestDecileStats:
