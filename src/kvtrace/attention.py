@@ -7,8 +7,7 @@ group was dequantized once when it was written and, for every pooled
 outlier token, the row at its absolute position holds the pool's
 full-precision copy. Overwriting (rather than appending extra positions)
 keeps exactly one logit per true token, so no softmax mass is
-double-counted. A passthrough cache's buffer holds exactly the rows it
-was fed.
+double-counted.
 
 The first ``attend_mixed`` on a cache converts its buffer to the dense
 layout, so that call mutates the cache and must not race a writer or

@@ -16,9 +16,8 @@ residual`` quantizes the oldest ``group_size`` pending rows, so the newest
 ``extend`` adds an (n, d) chunk, checked once, and copies it in slices
 that end exactly where per-token appends would quantize, so a cache fed
 in chunks is bit-identical to one fed token by token. A rejected row or
-chunk leaves the cache unchanged. A ``passthrough`` cache is the lossless
-control: its trigger is never reached, so every row stays pending at full
-precision and nothing is quantized or pooled.
+chunk leaves the cache unchanged. Until its first group is quantized, a
+cache is lossless: every row it was fed is pending at full precision.
 
 Rows live in one float32 buffer each for K and V. Until attention first
 reads the cache, the buffer holds only the pending rows (at most
@@ -37,7 +36,6 @@ and may be driven in parallel.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,10 +116,9 @@ def _doubled(buf: np.ndarray) -> np.ndarray:
 class TieredCache:
     """Streaming KV cache for a single (layer, head) pair."""
 
-    def __init__(self, config: EngineConfig, layer: int = 0, passthrough: bool = False):
+    def __init__(self, config: EngineConfig, layer: int = 0):
         self.config = config
         self.layer = layer
-        self.passthrough = passthrough
         self.pool = OutlierPool(
             capacity=config.outlier_capacity(layer),
             aux_capacity=config.aux_capacity,
@@ -132,12 +129,10 @@ class TieredCache:
         self.substituted_positions: set[int] = set()
         self.total_tokens = 0
         self.quantized_tokens = 0
-        rows = config.group_size + config.residual
-        # Pending count at which the oldest group is quantized; a lossless
-        # cache never reaches it, so every row stays pending.
-        self._trigger = sys.maxsize if passthrough else rows
-        self._k = np.empty((rows, config.head_dim), dtype=np.float32)
-        self._v = np.empty((rows, config.head_dim), dtype=np.float32)
+        # Pending count at which the oldest group is quantized.
+        self._trigger = config.group_size + config.residual
+        self._k = np.empty((self._trigger, config.head_dim), dtype=np.float32)
+        self._v = np.empty((self._trigger, config.head_dim), dtype=np.float32)
         self._pair = np.empty((2, config.head_dim), dtype=np.float32)
         self._pending_count = 0
         self._dense = False
@@ -227,11 +222,8 @@ class TieredCache:
         When this layer pools outliers and the pool is not frozen, the
         group's tokens first compete for pool slots; winners keep their
         full-precision rows in the pool and are mean-substituted in the
-        group before quantization. A passthrough cache refuses: it is
-        lossless.
+        group before quantization.
         """
-        if self.passthrough:
-            raise ContractViolation("a passthrough cache quantizes nothing")
         g = self.config.group_size
         if self._pending_count < g:
             raise ContractViolation(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -140,17 +140,7 @@ class ExperimentRow:
     ratio_vs_fp16: float
 
 
-CSV_COLUMNS = [
-    "mode",
-    "bits",
-    "group_size",
-    "residual",
-    "outlier_num",
-    "seq_len",
-    "l1_output_error",
-    "total_bits",
-    "ratio_vs_fp16",
-]
+CSV_COLUMNS = [f.name for f in fields(ExperimentRow)]
 
 
 # Most tokens ``ratio_curve`` draws in one random call.
@@ -175,8 +165,8 @@ def ratio_curve(
     stores every row at 16 bits and pools nothing, so its rows are the
     fp16 bits in closed form, with ratio 1 and ``outlier_num`` 0.
     """
-    if list(seq_lens) != sorted(seq_lens) or any(s < 1 for s in seq_lens):
-        raise ContractViolation("seq_lens must be positive and sorted ascending")
+    if not seq_lens or list(seq_lens) != sorted(seq_lens) or any(s < 1 for s in seq_lens):
+        raise ContractViolation("seq_lens must be non-empty, positive and sorted ascending")
     d = config.head_dim
 
     def row(mode: str, outlier_num: int, seq_len: int, total_bits: int) -> ExperimentRow:

@@ -14,9 +14,11 @@ Usage::
     python tests/golden/regen.py --accept   # also overwrite files whose bytes changed
 
 Without ``--accept`` an existing file is never overwritten: a changed
-output is reported and the exit code is 1. Give the reason for every
-accepted change in CHANGES.md. ``tests/test_golden.py`` checks the CLI
-cases in Tier-1, with printed L1 errors compared within a tolerance.
+output is reported and the exit code is 1. A directory here that names no
+case, such as one a renamed case left behind, is reported in every mode
+and never removed. Give the reason for every accepted change in
+CHANGES.md. ``tests/test_golden.py`` checks the CLI cases in Tier-1, with
+printed L1 errors compared within a tolerance.
 """
 
 from __future__ import annotations
@@ -89,6 +91,18 @@ DAMAGES = {
 TRACE_INPUTS = {f"simulate-damaged-{name}": damage for name, damage in DAMAGES.items()}
 for _name in TRACE_INPUTS:
     CLI_CASES[_name] = ["simulate", "--trace", "{trace}"]
+# Cases that read blocks of the undamaged trace from its file. The trace
+# sets the head dimension; ``--head-dim`` only sets the L1 tolerance.
+_FILE_CASES = {
+    "simulate-trace-file": ["simulate", "--trace", "{trace}", "--head-dim", "8",
+                            "--group-size", "16", "--residual", "3"],
+    "compare-criteria-trace-file": ["compare-criteria", "--trace", "{trace}", "--head", "1",
+                                    "--head-dim", "8", "--group-size", "16"],
+    "decile-stats-trace-file": ["decile-stats", "--trace", "{trace}", "--head", "1"],
+}
+for _name, _argv in _FILE_CASES.items():
+    TRACE_INPUTS[_name] = lambda data: data
+    CLI_CASES[_name] = _argv
 DEMO_CASES = {f"demo-{p.stem}": p for p in sorted((ROOT / "demos").glob("*.py"))}
 
 
@@ -166,6 +180,11 @@ def main(argv=None) -> int:
             else:
                 path.unlink()
                 print(f"{name}/{fname}: {what}; deleted")
+    known = {*CLI_CASES, *DEMO_CASES, "__pycache__"}
+    for path in sorted(GOLDEN.iterdir()):
+        if path.is_dir() and path.name not in known:
+            problems += 1
+            print(f"{path.name}/: no such case")
     cases = len(CLI_CASES) + len(DEMO_CASES)
     print(f"{cases} cases, {problems} difference(s)" if problems else f"{cases} cases, all identical")
     return 1 if problems else 0

@@ -142,14 +142,17 @@ def test_criterion_5_lossless_equivalence():
             d = int(rng.integers(4, 129))
             keys = rng.standard_normal((seq_len, d)).astype(np.float32)
             values = rng.standard_normal((seq_len, d)).astype(np.float32)
+            # The group size is still drawn, so every case keeps its draws,
+            # but the window never fills: nothing is quantized.
+            rng.integers(8, 65)
             cfg = EngineConfig(
-                group_size=int(rng.integers(8, 65)),
+                group_size=seq_len + 1,
                 residual=int(rng.integers(0, 17)),
                 outlier_num=0,
                 skip_layers=(),
                 head_dim=d,
             )
-            cache = TieredCache(cfg, layer=0, passthrough=True)
+            cache = TieredCache(cfg, layer=0)
             for k, v in zip(keys, values):
                 cache.append(k, v)
             q = rng.standard_normal(d).astype(np.float32)

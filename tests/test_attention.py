@@ -188,8 +188,9 @@ class TestMixedAttention:
         rng = np.random.default_rng(43)
         keys = rng.standard_normal((100, 8)).astype(np.float32)
         values = rng.standard_normal((100, 8)).astype(np.float32)
-        cfg = EngineConfig(group_size=16, residual=4, outlier_num=0, skip_layers=(), head_dim=8)
-        cache = TieredCache(cfg, layer=0, passthrough=True)
+        # The group is longer than the 100 rows fed, so nothing is quantized.
+        cfg = EngineConfig(group_size=101, residual=4, outlier_num=0, skip_layers=(), head_dim=8)
+        cache = TieredCache(cfg, layer=0)
         for k, v in zip(keys, values):
             cache.append(k, v)
         q = rng.standard_normal(8).astype(np.float32)

@@ -299,18 +299,19 @@ class TestMemoryUsage:
 
 
 class TestPassthrough:
-    """The lossless control quantizes and pools nothing."""
+    """A cache whose window never fills is lossless: it quantizes and pools nothing."""
 
     G, R, D = 4, 3, 5
 
     def fed(self, feed):
-        # Pooling on with room to evict, so any quantization would show.
-        cfg = EngineConfig(group_size=self.G, residual=self.R, outlier_num=3,
-                           skip_layers=(), aux_capacity=2, head_dim=self.D)
+        # Pooling on with room to evict, so any quantization would show;
+        # the group is one row longer than the rows fed.
         rng = np.random.default_rng(48)
         n = 5 * (self.G + self.R) + 2
+        cfg = EngineConfig(group_size=n + 1, residual=self.R, outlier_num=3,
+                           skip_layers=(), aux_capacity=2, head_dim=self.D)
         keys, values = shrinking_keys(rng, n, self.D), random_rows(rng, n, self.D)
-        cache = TieredCache(cfg, layer=0, passthrough=True)
+        cache = TieredCache(cfg, layer=0)
         fed = feed(cache, keys, values)
         return cache, keys[:fed], values[:fed]
 
@@ -342,23 +343,17 @@ class TestPassthrough:
             0, 0, 2 * t * self.D * 16, 0)
         assert usage == per_block_memory_usage(cache)
 
-    def test_quantize_oldest_group_refused(self):
-        cache, keys, values = self.fed(self.by_append)
-        twin, _, _ = self.fed(self.by_append)
-        with pytest.raises(ContractViolation, match="passthrough"):
-            cache.quantize_oldest_group()
-        assert_same_cache(cache, twin)
-        assert cache.attended_kv()[0].tobytes() == keys.tobytes()
-
     def test_growth_holds_one_old_buffer_at_a_time(self):
-        # 16 rows at first, doubled to exactly 4096: the last doubling
+        # Dense from one row on, doubled to exactly 4096: the last doubling
         # replaces two 512 KiB buffers with two of 1 MiB.
-        cfg = EngineConfig(group_size=16, residual=0, head_dim=64)
+        cfg = EngineConfig(group_size=4097, residual=0, head_dim=64)
         rows = np.ones((4096, 64), dtype=np.float32)
         side = rows.nbytes
         tracemalloc.start()
         try:
-            cache = TieredCache(cfg, layer=0, passthrough=True)
+            cache = TieredCache(cfg, layer=0)
+            cache.attended_kv()
+            tracemalloc.reset_peak()
             cache.extend(rows, rows)
             current, peak = tracemalloc.get_traced_memory()
         finally:
@@ -394,22 +389,25 @@ class TestAttendedKv:
         np.testing.assert_array_equal(got.weights, want.weights)
         np.testing.assert_array_equal(got.scores, want.scores)
 
-    @pytest.mark.parametrize("passthrough", [False, True])
+    # A lossless run reads, at the same steps, a cache whose group is one
+    # row longer than the rows fed, so nothing is ever quantized.
+    @pytest.mark.parametrize("lossless", [False, True])
     @pytest.mark.parametrize("r", [0, 3])
     @pytest.mark.parametrize("g", [1, 4, 16])
-    def test_bit_equal_to_reference(self, g, r, passthrough):
+    def test_bit_equal_to_reference(self, g, r, lossless):
         d = 4
         n = 6 * g + r + 2
-        rng = np.random.default_rng(1000 * g + 10 * r + passthrough)
+        rng = np.random.default_rng(1000 * g + 10 * r + lossless)
         keys = shrinking_keys(rng, n, d)
         values = random_rows(rng, n, d)
         queries = random_rows(rng, n, d)
         froze = evicted = 0
         for outlier_num, aux in self.POOLS:
-            cfg = EngineConfig(group_size=g, residual=r, outlier_num=outlier_num,
-                               skip_layers=(), aux_capacity=aux, head_dim=d)
+            cfg = EngineConfig(group_size=n + 1 if lossless else g, residual=r,
+                               outlier_num=outlier_num, skip_layers=(), aux_capacity=aux,
+                               head_dim=d)
             for first, every in self.schedules(g, r):
-                cache = TieredCache(cfg, layer=0, passthrough=passthrough)
+                cache = TieredCache(cfg, layer=0)
                 for t in range(n):
                     cache.append(keys[t], values[t])
                     if t >= first and (t - first) % every == 0:
@@ -417,9 +415,9 @@ class TestAttendedKv:
                 self.check_read(cache, queries[-1])
                 froze += outlier_num > 0 and aux > 0 and cache.pool.frozen
                 evicted += cache.pool.aux_positions.size
-                if passthrough:
+                if lossless:
                     assert cache.quantized_tokens == 0 and cache.pool.positions.size == 0
-        assert passthrough or (froze and evicted)
+        assert lossless or (froze and evicted)
 
     def test_unread_cache_stays_at_pending_capacity(self):
         rng = np.random.default_rng(47)
@@ -454,8 +452,8 @@ class TestExtend:
         keys, values = cache.attended_kv()
         return keys.copy(), values.copy()
 
-    def rowwise(self, cfg, passthrough, keys, values, read_at):
-        cache = TieredCache(cfg, layer=0, passthrough=passthrough)
+    def rowwise(self, cfg, keys, values, read_at):
+        cache = TieredCache(cfg, layer=0)
         snapshot = None
         for t in range(len(keys) + 1):
             if t == read_at:
@@ -464,28 +462,30 @@ class TestExtend:
                 cache.append(keys[t], values[t])
         return cache, snapshot
 
-    @pytest.mark.parametrize("passthrough", [False, True])
+    # Lossless as in TestAttendedKv: the group is one row longer than the rows fed.
+    @pytest.mark.parametrize("lossless", [False, True])
     @pytest.mark.parametrize("r", [0, 3])
     @pytest.mark.parametrize("g", [1, 4, 16])
-    def test_bit_identical_to_per_row_append(self, g, r, passthrough):
+    def test_bit_identical_to_per_row_append(self, g, r, lossless):
         d = 4
         n = 4 * g + r + 2
-        rng = np.random.default_rng(2000 * g + 10 * r + passthrough)
+        rng = np.random.default_rng(2000 * g + 10 * r + lossless)
         keys = shrinking_keys(rng, n, d)
         values = random_rows(rng, n, d)
         evicted = froze = 0
         for outlier_num, aux in self.POOLS:
-            cfg = EngineConfig(group_size=g, residual=r, outlier_num=outlier_num,
-                               skip_layers=(), aux_capacity=aux, head_dim=d)
+            cfg = EngineConfig(group_size=n + 1 if lossless else g, residual=r,
+                               outlier_num=outlier_num, skip_layers=(), aux_capacity=aux,
+                               head_dim=d)
             references = {}
             for size in sorted({0, 1, 5, g, g + r, 3 * g + 1, n}):
                 boundaries = [stop for _start, stop in self.chunks(n, size)]
                 between = next(t for t in boundaries if t > 0)
                 for read_at in (0, between, n):
                     if read_at not in references:
-                        references[read_at] = self.rowwise(cfg, passthrough, keys, values, read_at)
+                        references[read_at] = self.rowwise(cfg, keys, values, read_at)
                     reference, want = references[read_at]
-                    cache = TieredCache(cfg, layer=0, passthrough=passthrough)
+                    cache = TieredCache(cfg, layer=0)
                     if read_at == 0:
                         got = self.read(cache)
                     for start, stop in self.chunks(n, size):
@@ -499,9 +499,9 @@ class TestExtend:
                         np.testing.assert_array_equal(x, y)
             evicted += reference.pool.aux_positions.size
             froze += reference.pool.frozen
-            if passthrough:
+            if lossless:
                 assert reference.quantized_tokens == 0 and reference.pool.positions.size == 0
-        assert passthrough or (froze and evicted)
+        assert lossless or (froze and evicted)
 
     @staticmethod
     def fed_pair(seed):

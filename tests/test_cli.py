@@ -296,6 +296,20 @@ class TestReplayCaches:
             assert cache.memory_usage() == caches[layer, head].memory_usage()
             assert cache.total_tokens == seq_len
 
+    # decode-long with the default engine, and the evicting golden case.
+    @pytest.mark.parametrize("shape, seed, cfg", [
+        ((3, 1, 16, 1024), 0, EngineConfig()),
+        ((3, 2, 8, 512), 2, EngineConfig(group_size=16, residual=3, aux_capacity=2)),
+    ])
+    def test_exact_until_the_first_group(self, shape, seed, cfg):
+        # Nothing is quantized before step G + R - 1, so every cache reads
+        # the oracle's exact rows; the first group brings the first error.
+        trace = generate_synthetic(SyntheticSpec(seed=seed), *shape)
+        first = cfg.group_size + cfg.residual - 1
+        for _, _, _, errors in replay_caches(trace, replace(cfg, head_dim=shape[2])):
+            assert (errors[:first] == 0.0).all()
+            assert errors[first] > 0
+
     def test_drops_each_cache_before_building_the_next(self, monkeypatch):
         built = []
 
@@ -660,6 +674,8 @@ SMALL = ["--layers", "2", "--heads", "1", "--head-dim", "8", "--seq-len", "64"]
         (["gen-synthetic", *SMALL, "--q-scale", "nan", "--out", "{tmp}/nan.kvt"], 1),
         (["gen-synthetic", *SMALL, "--mu", "1e39", "--out", "{tmp}/big.kvt"], 1),
         (["simulate", *SMALL, "--q-scale", "3e38"], 1),
+        (["ratio-curve", "--seq-lens", ""], 1),
+        (["ratio-curve", "--seq-lens", ","], 1),
     ],
 )
 # Pytest would capture a numpy warning away from capsys; turned into an

@@ -57,6 +57,12 @@ def assert_csv_matches(got: str, want: str, d: int) -> None:
                 assert g == w, (i, g, w)
 
 
+def test_every_golden_directory_names_a_case():
+    # A directory no case writes would never be checked.
+    dirs = {p.name for p in regen.GOLDEN.iterdir() if p.is_dir()} - {"__pycache__"}
+    assert dirs <= {*regen.CLI_CASES, *regen.DEMO_CASES}
+
+
 @pytest.mark.parametrize("name", sorted(regen.CLI_CASES))
 def test_cli_case_matches_golden(name, tmp_path):
     argv = regen.CLI_CASES[name]
@@ -138,3 +144,16 @@ class TestRegenScript:
         assert (case_dir / "stdout").read_bytes() == stdout
         assert not (case_dir / "out.csv").exists()
         assert regen.main(["--check"]) == 0
+
+    @pytest.mark.parametrize("mode", [["--check"], [], ["--accept"]])
+    def test_stale_directory_reported_and_kept(self, case_dir, capsys, mode):
+        assert regen.main([]) == 0
+        stale = case_dir.parent / "renamed-case"
+        stale.mkdir()
+        (stale / "stdout").write_bytes(b"old\n")
+        (case_dir.parent / "__pycache__").mkdir()
+        capsys.readouterr()
+        assert regen.main(mode) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "renamed-case/: no such case", "1 cases, 1 difference(s)"]
+        assert (stale / "stdout").read_bytes() == b"old\n"

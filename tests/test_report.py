@@ -158,6 +158,11 @@ class TestRatioCurve:
         with pytest.raises(ContractViolation):
             ratio_curve(EngineConfig(), [128, 64])
 
+    @pytest.mark.parametrize("passthrough", [False, True])
+    def test_empty_lengths_rejected(self, passthrough):
+        with pytest.raises(ContractViolation, match="non-empty"):
+            ratio_curve(EngineConfig(), [], passthrough=passthrough)
+
     def test_chunked_draws_equal_per_row_draws(self, monkeypatch):
         cfg = EngineConfig(group_size=8, residual=2, outlier_num=2, skip_layers=(), head_dim=5)
         lengths = [5, 700, 1300]
