@@ -41,7 +41,7 @@ print(f"wrote {size:,} bytes, re-read and re-wrote: hashes match = {h1 == h2}")
 print()
 
 print("=== Decile statistics of the outlier channel ===")
-stats = decile_stats(trace.k[0, 0, :, 0])
+stats = decile_stats(trace.block(0, 0)[1][:, 0])
 for i, pct in enumerate(stats):
     bar = "#" * int(round(pct))
     print(f"{i * 10:>3}-{(i + 1) * 10:<3}% {pct:6.2f}% {bar}")
@@ -57,7 +57,7 @@ for seed in range(8):
         per_head = []
         for h in range(2):
             rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0, h, 1)))
-            per_head.append(compare_criteria(t, 3, c, 2, layer=0, head=h, rng=rng))
+            per_head.append(compare_criteria(t.block(0, h), 3, c, 2, rng=rng))
         errs[c].append(np.mean(per_head))
 for c in (Criterion.SMALLEST_KEY, Criterion.RANDOM, Criterion.LARGEST_KEY):
     print(f"  retain {c.value:<12} mean L1 error {np.mean(errs[c]):.4f}")

@@ -32,7 +32,6 @@ from .replay import replay_caches
 from .trace import (
     SyntheticSpec,
     SyntheticTrace,
-    Trace,
     TraceFile,
     TraceHeader,
     decile_stats,
@@ -58,7 +57,6 @@ __all__ = [
     "SyntheticSpec",
     "SyntheticTrace",
     "TieredCache",
-    "Trace",
     "TraceFile",
     "TraceFormatError",
     "TraceHeader",

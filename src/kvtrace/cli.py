@@ -46,7 +46,6 @@ from .replay import replay_caches
 from .trace import (
     SyntheticSpec,
     SyntheticTrace,
-    Trace,
     TraceFile,
     TraceHeader,
     decile_stats,
@@ -90,20 +89,27 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=MODES, default="ott", help="fp16, baseline (no pool), or ott")
 
 
-def _add_generator_flags(p: argparse.ArgumentParser, seq_len_default: int = 1024) -> None:
-    p.add_argument("--layers", type=int, default=3, help="trace layers (default 3)")
-    p.add_argument("--heads", type=int, default=1, help="heads per layer")
-    p.add_argument("--head-dim", type=int, default=16, help="channels per head")
-    p.add_argument("--seq-len", type=int, default=seq_len_default, help="tokens per sequence")
-    p.add_argument("--mu", type=float, default=SyntheticSpec.mu, help="outlier-channel center")
-    p.add_argument("--sigma", type=float, default=SyntheticSpec.sigma, help="outlier-channel half-width")
-    p.add_argument("--eps", type=float, default=SyntheticSpec.eps, help="low-magnitude floor")
-    p.add_argument("--delta", type=float, default=SyntheticSpec.delta, help="low-magnitude ceiling")
-    p.add_argument("--outlier-tokens", type=int, default=SyntheticSpec.m, help="planted low-magnitude tokens")
-    p.add_argument(
-        "--outlier-channels", type=int, default=SyntheticSpec.outlier_channels, help="planted channels"
-    )
-    p.add_argument("--q-scale", type=float, default=SyntheticSpec.q_scale, help="query magnitude in outlier channels")
+# A synthetic trace's shape flags with their defaults (in TraceHeader's field
+# order) and its spec flags with the SyntheticSpec fields they set. These
+# flags default to absent, so that one given with --trace is an error.
+_SHAPE_DEFAULTS = {"layers": 3, "heads": 1, "head_dim": 16, "seq_len": 1024}
+_SPEC_FIELDS = {"mu": "mu", "sigma": "sigma", "eps": "eps", "delta": "delta", "outlier_tokens": "m",
+                "outlier_channels": "outlier_channels", "q_scale": "q_scale"}
+
+
+def _add_generator_flags(p: argparse.ArgumentParser) -> None:
+    add = functools.partial(p.add_argument, default=argparse.SUPPRESS)
+    add("--layers", type=int, help="trace layers (default 3)")
+    add("--heads", type=int, help="heads per layer")
+    add("--head-dim", type=int, help="channels per head")
+    add("--seq-len", type=int, help="tokens per sequence")
+    add("--mu", type=float, help="outlier-channel center")
+    add("--sigma", type=float, help="outlier-channel half-width")
+    add("--eps", type=float, help="low-magnitude floor")
+    add("--delta", type=float, help="low-magnitude ceiling")
+    add("--outlier-tokens", type=int, help="planted low-magnitude tokens")
+    add("--outlier-channels", type=int, help="planted channels")
+    add("--q-scale", type=float, help="query magnitude in outlier channels")
 
 
 def build_parser() -> _Parser:
@@ -171,19 +177,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _spec_from_args(args, seed: int) -> SyntheticSpec:
-    return SyntheticSpec(
-        mu=args.mu,
-        sigma=args.sigma,
-        eps=args.eps,
-        delta=args.delta,
-        m=args.outlier_tokens,
-        outlier_channels=args.outlier_channels,
-        q_scale=args.q_scale,
-        seed=seed,
-    )
-
-
 def _int_list(flag: str, text: str) -> list[int]:
     """Parse a comma-separated integer flag value; empty items are skipped."""
     try:
@@ -198,13 +191,18 @@ def _check_index(flag: str, value: int, size: int) -> None:
 
 
 def _load_trace(args, seed: int) -> TraceFile | SyntheticTrace:
+    given = {k: v for k, v in vars(args).items() if k in _SHAPE_DEFAULTS or k in _SPEC_FIELDS}
     if getattr(args, "trace", None):
+        if given:
+            flag = "--" + next(iter(given)).replace("_", "-")
+            raise _UsageError(f"{flag} applies only to synthetic traces (omit --trace)")
         try:
             return read_trace(args.trace)
         except OSError as exc:
             raise _UnreadableTrace(exc) from None
-    spec = _spec_from_args(args, seed)
-    return SyntheticTrace(TraceHeader(args.layers, args.heads, args.head_dim, args.seq_len), spec)
+    shape = {**_SHAPE_DEFAULTS, **given}
+    spec = SyntheticSpec(seed=seed, **{field: given[k] for k, field in _SPEC_FIELDS.items() if k in given})
+    return SyntheticTrace(TraceHeader(*(shape[k] for k in _SHAPE_DEFAULTS)), spec)
 
 
 def _config_from_args(args, head_dim: int) -> EngineConfig:
@@ -269,15 +267,13 @@ def _cmd_compare_criteria(args) -> int:
         layer = args.layer if args.layer is not None else h.n_layers - 1
         _check_index("--layer", layer, h.n_layers)
         _check_index("--head", args.head, h.n_heads)
-        # Every criterion studies the same block: read it once, as a one-block trace.
-        q, k, v = trace.block(layer, args.head)[:, None, None]
-        study = Trace(TraceHeader(1, 1, h.head_dim, h.seq_len), q, k, v)
+        block = trace.block(layer, args.head)  # every criterion studies this one block
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=args.seed + trial, spawn_key=(layer, args.head, 1))
         )
         for criterion in Criterion:
             err = compare_criteria(
-                study,
+                block,
                 args.budget,
                 criterion,
                 args.bits,

@@ -10,10 +10,10 @@ import numpy as np
 
 from .attention import attend_full_precision, attend_mixed, row_l1_errors
 from .cache import EngineConfig, TieredCache
-from .trace import SyntheticTrace, Trace, TraceFile
+from .trace import SyntheticTrace, TraceFile
 
 
-def replay_caches(trace: Trace | TraceFile | SyntheticTrace, config: EngineConfig) -> Iterator[tuple[int, int, TieredCache, np.ndarray]]:
+def replay_caches(trace: TraceFile | SyntheticTrace, config: EngineConfig) -> Iterator[tuple[int, int, TieredCache, np.ndarray]]:
     """Yield ``(layer, head, cache, errors)`` per (layer, head), layer-major.
 
     ``errors`` holds the cache's T float64 per-step L1 errors, from one

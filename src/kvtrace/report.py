@@ -18,7 +18,6 @@ from .cache import FP16_BITS, EngineConfig, TieredCache
 from .errors import ContractViolation
 from .outlier import score_tokens
 from .quant import quantize_keys_channelwise, quantize_values_tokenwise
-from .trace import Trace, TraceFile
 
 
 def estimate_kv_bytes(
@@ -57,18 +56,19 @@ class Criterion(enum.Enum):
 
 
 def compare_criteria(
-    trace: Trace | TraceFile,
+    block: np.ndarray,
     budget: int,
     criterion: Criterion,
     bits: int,
     *,
     group_size: int = 128,
-    layer: int = 0,
-    head: int = 0,
     rng: np.random.Generator | None = None,
     passthrough: bool = False,
 ) -> float:
-    """L1 attention-output error after retaining ``budget`` tokens.
+    """L1 attention-output error after retaining ``budget`` of one block's tokens.
+
+    ``block`` is one (layer, head)'s (3, T, d) Q/K/V array, as a trace's
+    ``block`` returns it.
 
     Retention is post-hoc over the whole sequence: the chosen tokens keep
     their exact rows, every other token is group-quantized (keys per
@@ -78,7 +78,10 @@ def compare_criteria(
     only its own group. Returns the L1 distance to the full-precision
     oracle output; with ``passthrough`` nothing is quantized, so it is 0.
     """
-    seq_len = trace.header.seq_len
+    if not (isinstance(block, np.ndarray) and block.ndim == 3 and block.shape[0] == 3 and block.shape[1] >= 1):
+        raise ContractViolation(f"block must be a (3, T, d) array with T >= 1, got shape {np.shape(block)}")
+    queries, keys, values = block
+    seq_len = keys.shape[0]
     if not 0 <= budget < seq_len:
         raise ContractViolation(f"budget must be in [0, seq_len), got {budget}")
     if group_size < 1:
@@ -87,8 +90,6 @@ def compare_criteria(
         raise ContractViolation(f"bits must be in [1, 8], got {bits}")
     if not isinstance(criterion, Criterion):
         raise ContractViolation(f"unknown criterion {criterion!r}")
-    queries, keys, values = trace.block(layer, head)
-    query = queries[-1]
     if passthrough:
         # The mix would be the oracle's own rows.
         return 0.0
@@ -109,14 +110,14 @@ def compare_criteria(
     k_hat = keys.copy()
     v_hat = values.copy()
     for start in range(0, seq_len, group_size):
-        block = np.arange(start, min(start + group_size, seq_len))
-        idx = block[~mask[block]]
+        group = np.arange(start, min(start + group_size, seq_len))
+        idx = group[~mask[group]]
         if idx.size:
             k_hat[idx] = quantize_keys_channelwise(keys[idx], bits).to_matrix()
             v_hat[idx] = quantize_values_tokenwise(values[idx], bits).to_matrix()
 
-    mixed = attend_full_precision(query, k_hat, v_hat)
-    oracle = attend_full_precision(query, keys, values)
+    mixed = attend_full_precision(queries[-1], k_hat, v_hat)
+    oracle = attend_full_precision(queries[-1], keys, values)
     return l1_error(mixed.output, oracle.output)
 
 

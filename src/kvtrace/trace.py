@@ -59,30 +59,6 @@ def _check_block(h: TraceHeader, layer: int, head: int) -> None:
         )
 
 
-@dataclass
-class Trace:
-    """In-memory trace: Q/K/V arrays of shape (layers, heads, seq, dim)."""
-
-    header: TraceHeader
-    q: np.ndarray
-    k: np.ndarray
-    v: np.ndarray
-
-    def __post_init__(self):
-        h = self.header
-        shape = (h.n_layers, h.n_heads, h.seq_len, h.head_dim)
-        for name in ("q", "k", "v"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float32)
-            if arr.shape != shape:
-                raise ContractViolation(f"{name} must have shape {shape}, got {arr.shape}")
-            setattr(self, name, arr)
-
-    def block(self, layer: int, head: int) -> np.ndarray:
-        """A fresh (3, seq_len, head_dim) float32 array: one (layer, head)'s Q, K and V."""
-        _check_block(self.header, layer, head)
-        return np.stack((self.q[layer, head], self.k[layer, head], self.v[layer, head]), dtype="<f4")
-
-
 @dataclass(frozen=True)
 class TraceFile:
     """A KVTRACE1 file whose header and size are checked, read one block at a time.
@@ -119,7 +95,7 @@ class TraceFile:
         return out
 
 
-def write_trace(path, trace: Trace | TraceFile | SyntheticTrace) -> None:
+def write_trace(path, trace: TraceFile | SyntheticTrace) -> None:
     """Serialize a trace to ``path`` in the KVTRACE1 format, one block at a time."""
     h = trace.header
     f = open(path, "wb")
@@ -259,6 +235,11 @@ class SyntheticTrace:
         _check_block(self.header, layer, head)
         return _draw_block(self.spec, self.header, layer, head)[0]
 
+    def planted(self, layer: int, head: int) -> np.ndarray:
+        """The sorted token rows planted low in one (layer, head)'s outlier key channels."""
+        _check_block(self.header, layer, head)
+        return np.sort(_draw_block(self.spec, self.header, layer, head)[1])
+
 
 def generate_synthetic(
     spec: SyntheticSpec,
@@ -266,19 +247,9 @@ def generate_synthetic(
     n_heads: int,
     head_dim: int,
     seq_len: int,
-) -> Trace:
-    """Build the whole :class:`SyntheticTrace` under ``spec`` in memory."""
-    synthetic = SyntheticTrace(TraceHeader(n_layers, n_heads, head_dim, seq_len), spec)
-    qkv = np.empty((3, n_layers, n_heads, seq_len, head_dim), dtype=np.float32)
-    for layer in range(n_layers):
-        for head in range(n_heads):
-            qkv[:, layer, head] = synthetic.block(layer, head)
-    return Trace(synthetic.header, *qkv)
-
-
-def planted_positions(spec: SyntheticSpec, layer: int, head: int, seq_len: int, head_dim: int) -> np.ndarray:
-    """The sorted token rows the generator planted for one (layer, head)."""
-    return np.sort(_draw_block(spec, TraceHeader(1, 1, head_dim, seq_len), layer, head)[1])
+) -> SyntheticTrace:
+    """The :class:`SyntheticTrace` of this shape under ``spec``; the benchmark's set-up calls it."""
+    return SyntheticTrace(TraceHeader(n_layers, n_heads, head_dim, seq_len), spec)
 
 
 def decile_stats(column) -> np.ndarray:

@@ -38,8 +38,9 @@ ROOT = GOLDEN.parent.parent
 # ``{out}`` stands for the CSV a case writes, ``{out_trace}`` for the trace
 # file it writes and ``{trace}`` for the trace file it reads (see
 # TRACE_INPUTS); recorded stdout and stderr show these placeholders, not
-# the paths. Every case that prints an L1 error gives ``--head-dim``, which
-# sets the L1 tolerance of ``tests/test_golden.py``.
+# the paths. A case that prints an L1 error sets the L1 tolerance of
+# ``tests/test_golden.py`` by its ``--head-dim`` or, if it reads ``{trace}``,
+# by the head_dim of TRACE_INPUT.
 OUTPUTS = {"{out}": "out.csv", "{out_trace}": "out.kvt"}
 _DECODE_LONG = ["--layers", "3", "--heads", "1", "--head-dim", "16", "--seq-len", "1024", "--seed", "0"]
 CLI_CASES = {
@@ -88,16 +89,17 @@ DAMAGES = {
     "payload": lambda data: data[:-7],
     "trailing": lambda data: data + b"xx",
 }
+# The seed and (layers, heads, head_dim, seq_len) of the synthetic trace
+# written for ``{trace}`` before TRACE_INPUTS[case] turns its bytes into the input.
+TRACE_INPUT = {"seed": 7, "shape": (1, 2, 8, 40)}
 TRACE_INPUTS = {f"simulate-damaged-{name}": damage for name, damage in DAMAGES.items()}
 for _name in TRACE_INPUTS:
     CLI_CASES[_name] = ["simulate", "--trace", "{trace}"]
-# Cases that read blocks of the undamaged trace from its file. The trace
-# sets the head dimension; ``--head-dim`` only sets the L1 tolerance.
+# Cases that read blocks of the undamaged trace from its file.
 _FILE_CASES = {
-    "simulate-trace-file": ["simulate", "--trace", "{trace}", "--head-dim", "8",
-                            "--group-size", "16", "--residual", "3"],
+    "simulate-trace-file": ["simulate", "--trace", "{trace}", "--group-size", "16", "--residual", "3"],
     "compare-criteria-trace-file": ["compare-criteria", "--trace", "{trace}", "--head", "1",
-                                    "--head-dim", "8", "--group-size", "16"],
+                                    "--group-size", "16"],
     "decile-stats-trace-file": ["decile-stats", "--trace", "{trace}", "--head", "1"],
 }
 for _name, _argv in _FILE_CASES.items():
@@ -115,7 +117,8 @@ def run_cli_case(name: str, workdir: Path) -> dict[str, bytes]:
     paths = {key: str(workdir / fname) for key, fname in OUTPUTS.items()}
     if name in TRACE_INPUTS:
         paths["{trace}"] = trace = str(workdir / "in.kvt")
-        write_trace(trace, generate_synthetic(SyntheticSpec(seed=7), 1, 2, 8, 40))
+        spec = SyntheticSpec(seed=TRACE_INPUT["seed"])
+        write_trace(trace, generate_synthetic(spec, *TRACE_INPUT["shape"]))
         Path(trace).write_bytes(TRACE_INPUTS[name](Path(trace).read_bytes()))
     argv = CLI_CASES[name]
     for key, path in paths.items():

@@ -162,19 +162,18 @@ def test_criterion_5_lossless_equivalence():
             assert float(np.abs(mixed.output - oracle.output).max()) / scale <= 1e-5
 
 
-def _replay_error(trace, head, outlier_num):
+def _replay_error(block, outlier_num):
+    queries, keys, values = block
     cfg = EngineConfig(
         bits=2, group_size=128, residual=32, outlier_num=outlier_num,
-        skip_layers=(), aux_capacity=32, head_dim=trace.header.head_dim,
+        skip_layers=(), aux_capacity=32, head_dim=keys.shape[1],
     )
     cache = TieredCache(cfg, layer=0)
-    seq_len = trace.header.seq_len
-    errs = np.empty(seq_len)
-    for t in range(seq_len):
-        cache.append(trace.k[0, head, t], trace.v[0, head, t])
-        q = trace.q[0, head, t]
+    errs = np.empty(len(queries))
+    for t, q in enumerate(queries):
+        cache.append(keys[t], values[t])
         mixed = _checked_attend(q, cache)
-        oracle = attend_full_precision(q, trace.k[0, head, : t + 1], trace.v[0, head, : t + 1])
+        oracle = attend_full_precision(q, keys[: t + 1], values[: t + 1])
         errs[t] = l1_error(mixed.output, oracle.output)
     return float(errs.mean())
 
@@ -187,6 +186,7 @@ def test_criterion_6_retention_ordering_and_outlier_benefit():
         for seed in range(n_seeds):
             spec = SyntheticSpec(seed=seed)
             trace = generate_synthetic(spec, 1, heads, d, seq_len)
+            blocks = [trace.block(0, h) for h in range(heads)]
             for c in Criterion:
                 per_head = []
                 for h in range(heads):
@@ -194,12 +194,11 @@ def test_criterion_6_retention_ordering_and_outlier_benefit():
                         np.random.SeedSequence(entropy=seed, spawn_key=(0, h, 1))
                     )
                     per_head.append(
-                        compare_criteria(trace, budget, c, 2, group_size=128,
-                                         layer=0, head=h, rng=rng)
+                        compare_criteria(blocks[h], budget, c, 2, group_size=128, rng=rng)
                     )
                 crit_errs[c].append(float(np.mean(per_head)))
-            baseline_errs.append(_replay_error(trace, 0, outlier_num=0))
-            ott_errs.append(_replay_error(trace, 0, outlier_num=3))
+            baseline_errs.append(_replay_error(blocks[0], outlier_num=0))
+            ott_errs.append(_replay_error(blocks[0], outlier_num=3))
         smallest = float(np.mean(crit_errs[Criterion.SMALLEST_KEY]))
         random_ = float(np.mean(crit_errs[Criterion.RANDOM]))
         largest = float(np.mean(crit_errs[Criterion.LARGEST_KEY]))
@@ -237,7 +236,7 @@ def test_criterion_9_decile_statistics():
     with criterion(9, "decile statistics", budget_s=5.0):
         spec = SyntheticSpec(mu=5.0, sigma=1.25, eps=0.01, delta=0.01, m=3, seed=7)
         trace = generate_synthetic(spec, 1, 1, 8, 1024)
-        stats = decile_stats(trace.k[0, 0, :, 0])
+        stats = decile_stats(trace.block(0, 0)[1][:, 0])
         assert abs(float(stats.sum()) - 100.0) <= 1e-6
         assert stats[0] < 1.0  # only the planted tokens sit at the bottom
         assert int(stats.argmax()) >= 6  # dominant decile in the upper region

@@ -238,7 +238,7 @@ class TestMixedAttention:
 
     def test_outlier_tracking_beats_baseline_on_planted_trace(self):
         spec = SyntheticSpec(seed=12)
-        trace = generate_synthetic(spec, 1, 1, 16, 256)
+        queries, keys, values = generate_synthetic(spec, 1, 1, 16, 256).block(0, 0)
         errors = {}
         for name, n_out in (("baseline", 0), ("tracked", 3)):
             cfg = EngineConfig(
@@ -246,11 +246,10 @@ class TestMixedAttention:
             )
             cache = TieredCache(cfg, layer=0)
             errs = []
-            for t in range(256):
-                cache.append(trace.k[0, 0, t], trace.v[0, 0, t])
-                q = trace.q[0, 0, t]
+            for t, q in enumerate(queries):
+                cache.append(keys[t], values[t])
                 mixed = attend_mixed(q, cache)
-                oracle = attend_full_precision(q, trace.k[0, 0, : t + 1], trace.v[0, 0, : t + 1])
+                oracle = attend_full_precision(q, keys[: t + 1], values[: t + 1])
                 errs.append(l1_error(mixed.output, oracle.output))
             errors[name] = float(np.mean(errs))
         assert errors["tracked"] < errors["baseline"]

@@ -2,6 +2,7 @@ import argparse
 import csv
 import os
 import shutil
+import struct
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -13,10 +14,8 @@ from kvtrace import (
     EngineConfig,
     SyntheticSpec,
     TieredCache,
-    Trace,
     TraceFile,
     TraceFormatError,
-    TraceHeader,
     attend_full_precision,
     attend_mixed,
     cli,
@@ -123,6 +122,15 @@ class TestGenSynthetic:
         assert run(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_defaults_are_the_reference_trace(self, tmp_path, capsys):
+        a, b = tmp_path / "a.kvt", tmp_path / "b.kvt"
+        assert run(["gen-synthetic", "--out", str(a)]) == 0
+        assert run(["gen-synthetic", "--layers", "3", "--heads", "1", "--head-dim", "16",
+                    "--seq-len", "1024", "--mu", "40", "--sigma", "16", "--eps", "0.01",
+                    "--delta", "4", "--outlier-tokens", "3", "--outlier-channels", "1",
+                    "--q-scale", "0.45", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
 
 class TestSimulate:
     def test_fp16_mode_is_exact(self, tmp_path, capsys):
@@ -167,19 +175,18 @@ def step_major_replay(trace, config):
         for layer in range(h.n_layers)
         for head in range(h.n_heads)
     }
+    blocks = {key: trace.block(*key) for key in caches}
     cache_errors = {key: np.zeros(h.seq_len) for key in caches}
     step_errors = np.zeros(h.seq_len)
     for t in range(h.seq_len):
         total = 0.0
-        for (layer, head), cache in caches.items():
-            cache.append(trace.k[layer, head, t], trace.v[layer, head, t])
-            q = trace.q[layer, head, t]
-            mixed = attend_mixed(q, cache)
-            oracle = attend_full_precision(
-                q, trace.k[layer, head, : t + 1], trace.v[layer, head, : t + 1]
-            )
-            cache_errors[layer, head][t] = l1_error(mixed.output, oracle.output)
-            total += cache_errors[layer, head][t]
+        for key, cache in caches.items():
+            q, k, v = blocks[key]
+            cache.append(k[t], v[t])
+            mixed = attend_mixed(q[t], cache)
+            oracle = attend_full_precision(q[t], k[: t + 1], v[: t + 1])
+            cache_errors[key][t] = l1_error(mixed.output, oracle.output)
+            total += cache_errors[key][t]
         step_errors[t] = total / len(caches)
     breakdowns = [c.memory_usage() for c in caches.values()]
     usage = {key: sum(getattr(b, key) for b in breakdowns) for key in USAGE_KEYS}
@@ -331,10 +338,8 @@ class TestFp16SimulateReadsOnlyTheHeader:
 
     def test_peak_far_below_payload(self, tmp_path, capsys):
         path = tmp_path / "big.kvt"
-        trace = generate_synthetic(SyntheticSpec(seed=6), 2, 4, 64, 1024)
-        write_trace(path, trace)
-        payload = 3 * trace.q.nbytes  # 6 MiB
-        del trace
+        write_trace(path, generate_synthetic(SyntheticSpec(seed=6), 2, 4, 64, 1024))
+        payload = 3 * 2 * 4 * 1024 * 64 * 4  # 6 MiB
         argv = ["simulate", "--trace", str(path), "--mode", "fp16"]
         assert run(argv) == 0  # warms imports and argparse
         capsys.readouterr()
@@ -406,10 +411,8 @@ class TestTraceFileReadBlockByBlock:
     def test_simulate_peak_well_below_payload(self, tmp_path, capsys):
         # Many small heads: the payload dwarfs one block plus one cache.
         path = tmp_path / "wide.kvt"
-        trace = generate_synthetic(SyntheticSpec(seed=10), 2, 16, 16, 128)
-        write_trace(path, trace)
-        payload = 3 * trace.q.nbytes
-        del trace
+        write_trace(path, generate_synthetic(SyntheticSpec(seed=10), 2, 16, 16, 128))
+        payload = 3 * 2 * 16 * 128 * 16 * 4
         argv = ["simulate", "--trace", str(path), "--group-size", "32", "--residual", "8"]
         assert run(argv) == 0  # warms imports and argparse
         want = capsys.readouterr().out
@@ -584,6 +587,24 @@ class TestCompareCriteriaCommand:
         assert run(["compare-criteria", "--trace", str(t), "--trials", "2"]) == 1
 
 
+class TestGeneratorFlagsWithTrace:
+    """A trace file sets its own shape and values: a generator flag given with it is an error."""
+
+    FLAGS = [("--layers", "2"), ("--heads", "2"), ("--head-dim", "99"), ("--seq-len", "5"),
+             ("--mu", "30"), ("--sigma", "1"), ("--eps", "0.1"), ("--delta", "1"),
+             ("--outlier-tokens", "1"), ("--outlier-channels", "2"), ("--q-scale", "1")]
+
+    @pytest.mark.parametrize("command", ["simulate", "decile-stats", "compare-criteria"])
+    def test_every_flag_rejected(self, tmp_path, capsys, command):
+        path = tmp_path / "t.kvt"
+        write_trace(path, generate_synthetic(SyntheticSpec(), 1, 1, 4, 40))
+        assert run([command, "--trace", str(path)]) == 0
+        capsys.readouterr()
+        for flag, value in self.FLAGS:
+            assert run([command, "--trace", str(path), flag, value]) == 1
+            assert capsys.readouterr() == ("", f"error: {flag} applies only to synthetic traces (omit --trace)\n")
+
+
 def csv_records(path) -> list[dict]:
     """The rows of a ``ratio-curve`` CSV, after checking its header."""
     with open(path, newline="") as f:
@@ -676,14 +697,22 @@ SMALL = ["--layers", "2", "--heads", "1", "--head-dim", "8", "--seq-len", "64"]
         (["simulate", *SMALL, "--q-scale", "3e38"], 1),
         (["ratio-curve", "--seq-lens", ""], 1),
         (["ratio-curve", "--seq-lens", ","], 1),
+        # A synthetic trace's shape and spec flags given with --trace.
+        (["simulate", "--trace", "{tmp}/valid.kvt", "--head-dim", "99", "--seq-len", "5"], 1),
+        (["simulate", "--trace", "{tmp}/valid.kvt", "--mu", "30"], 1),
+        (["decile-stats", "--trace", "{tmp}/valid.kvt", "--layers", "2"], 1),
+        (["decile-stats", "--trace", "{tmp}/valid.kvt", "--outlier-tokens", "1"], 1),
+        (["compare-criteria", "--trace", "{tmp}/valid.kvt", "--heads", "2"], 1),
+        (["compare-criteria", "--trace", "{tmp}/valid.kvt", "--q-scale", "1"], 1),
     ],
 )
 # Pytest would capture a numpy warning away from capsys; turned into an
 # error here, it fails the test as it would add a line to stderr.
 @pytest.mark.filterwarnings("error")
 def test_bad_input_exits_with_one_line_error(argv, code, tmp_path, capsys):
-    zeros = np.zeros((1, 1, 8, 2), dtype=np.float32)
-    write_trace(tmp_path / "constant.kvt", Trace(TraceHeader(1, 1, 2, 8), zeros, zeros, zeros))
+    # A 1x1 trace of 8 tokens x 2 channels, all zeros.
+    (tmp_path / "constant.kvt").write_bytes(b"KVTRACE1" + struct.pack("<4I", 1, 1, 2, 8) + bytes(3 * 8 * 2 * 4))
+    write_trace(tmp_path / "valid.kvt", generate_synthetic(SyntheticSpec(), 1, 1, 4, 40))
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     assert run(argv) == code
     err = capsys.readouterr().err.strip().splitlines()

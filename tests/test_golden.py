@@ -69,8 +69,11 @@ def test_cli_case_matches_golden(name, tmp_path):
     got = regen.run_cli_case(name, tmp_path)
     want = regen.recorded(name)
     assert sorted(got) == sorted(want)
-    # A case without --head-dim prints no L1 error.
-    d = int(argv[argv.index("--head-dim") + 1]) if "--head-dim" in argv else 0
+    # A case that neither reads a trace file nor gives --head-dim prints no L1 error.
+    if name in regen.TRACE_INPUTS:
+        d = regen.TRACE_INPUT["shape"][2]
+    else:
+        d = int(argv[argv.index("--head-dim") + 1]) if "--head-dim" in argv else 0
     assert got["exit_code"] == want["exit_code"]
     assert got["stderr"] == want["stderr"]
     assert_stdout_matches(got["stdout"].decode(), want["stdout"].decode(), d)

@@ -45,63 +45,75 @@ class TestEstimateKvBytes:
 
 
 @pytest.fixture(scope="module")
-def trace():
-    return generate_synthetic(SyntheticSpec(seed=61), 1, 1, 16, 256)
+def block():
+    # The (3, T, d) Q/K/V block of a one-(layer, head) synthetic trace. Every
+    # test shares it, and the CLI reuses one block for every criterion, so
+    # compare_criteria must not write to it.
+    block = generate_synthetic(SyntheticSpec(seed=61), 1, 1, 16, 256).block(0, 0)
+    block.flags.writeable = False
+    return block
 
 
 class TestCompareCriteria:
 
-    def test_zero_budget_identical_across_criteria(self, trace):
+    def test_zero_budget_identical_across_criteria(self, block):
         errs = [
-            compare_criteria(trace, 0, c, 2, group_size=64, rng=np.random.default_rng(0))
+            compare_criteria(block, 0, c, 2, group_size=64, rng=np.random.default_rng(0))
             for c in Criterion
         ]
         assert errs[0] == errs[1] == errs[2]
 
-    def test_lossless_and_max_budget_is_exact(self, trace):
+    def test_lossless_and_max_budget_is_exact(self, block):
         err = compare_criteria(
-            trace, 255, Criterion.SMALLEST_KEY, 2, group_size=64, passthrough=True
+            block, 255, Criterion.SMALLEST_KEY, 2, group_size=64, passthrough=True
         )
         assert err <= 1e-5
 
-    def test_budget_bounds(self, trace):
+    def test_budget_bounds(self, block):
         with pytest.raises(ContractViolation):
-            compare_criteria(trace, 256, Criterion.RANDOM, 2)
+            compare_criteria(block, 256, Criterion.RANDOM, 2)
 
     @pytest.mark.parametrize("passthrough", [False, True])
     @pytest.mark.parametrize("group_size", [0, -5])
-    def test_group_size_bounds(self, trace, group_size, passthrough):
+    def test_group_size_bounds(self, block, group_size, passthrough):
         with pytest.raises(ContractViolation):
-            compare_criteria(trace, 3, Criterion.SMALLEST_KEY, 2, group_size=group_size,
+            compare_criteria(block, 3, Criterion.SMALLEST_KEY, 2, group_size=group_size,
                              passthrough=passthrough)
 
     @pytest.mark.parametrize("passthrough", [False, True])
     @pytest.mark.parametrize("bits", [0, 9])
-    def test_bits_bounds(self, trace, bits, passthrough):
+    def test_bits_bounds(self, block, bits, passthrough):
         with pytest.raises(ContractViolation, match="bits"):
-            compare_criteria(trace, 3, Criterion.SMALLEST_KEY, bits, passthrough=passthrough)
+            compare_criteria(block, 3, Criterion.SMALLEST_KEY, bits, passthrough=passthrough)
 
     @pytest.mark.parametrize("passthrough", [False, True])
-    @pytest.mark.parametrize("layer, head", [(-1, 0), (2, 0), (0, -1), (0, 1)])
-    def test_layer_and_head_bounds(self, layer, head, passthrough):
-        # A negative layer used to study the last layer instead, and a
-        # too-large one raised numpy's IndexError.
-        two_layers = generate_synthetic(SyntheticSpec(seed=62), 2, 1, 8, 64)
-        with pytest.raises(ContractViolation, match="out of range"):
-            compare_criteria(two_layers, 3, Criterion.SMALLEST_KEY, 2, layer=layer, head=head,
-                             passthrough=passthrough)
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda b: b[1],  # 2-D: one matrix, not a block
+            lambda b: b[:2],  # Q and K only
+            lambda b: np.concatenate([b, b[:1]]),  # four matrices
+            lambda b: b[:, :0],  # T = 0
+            lambda b: b[None],  # 4-D
+            lambda b: b.tolist(),  # not an array
+        ],
+        ids=["2d", "two-rows", "four-rows", "no-tokens", "4d", "list"],
+    )
+    def test_block_shape_rejected(self, block, make, passthrough):
+        with pytest.raises(ContractViolation, match=r"block must be a \(3, T, d\) array"):
+            compare_criteria(make(block), 0, Criterion.SMALLEST_KEY, 2, passthrough=passthrough)
 
-    def test_smallest_key_wins_on_planted_trace(self, trace):
+    def test_smallest_key_wins_on_planted_trace(self, block):
         rng = np.random.default_rng(1)
         errs = {
-            c: compare_criteria(trace, 3, c, 2, group_size=64, rng=rng) for c in Criterion
+            c: compare_criteria(block, 3, c, 2, group_size=64, rng=rng) for c in Criterion
         }
         assert errs[Criterion.SMALLEST_KEY] < errs[Criterion.RANDOM]
         assert errs[Criterion.SMALLEST_KEY] < errs[Criterion.LARGEST_KEY]
 
-    def test_random_is_seed_deterministic(self, trace):
-        a = compare_criteria(trace, 5, Criterion.RANDOM, 2, rng=np.random.default_rng(9))
-        b = compare_criteria(trace, 5, Criterion.RANDOM, 2, rng=np.random.default_rng(9))
+    def test_random_is_seed_deterministic(self, block):
+        a = compare_criteria(block, 5, Criterion.RANDOM, 2, rng=np.random.default_rng(9))
+        b = compare_criteria(block, 5, Criterion.RANDOM, 2, rng=np.random.default_rng(9))
         assert a == b
 
 

@@ -3,6 +3,7 @@ import io
 import os
 import struct
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from kvtrace import (
     DegenerateColumnError,
     SyntheticSpec,
     SyntheticTrace,
-    Trace,
     TraceFormatError,
     TraceHeader,
     decile_stats,
@@ -21,18 +21,23 @@ from kvtrace import (
     write_trace,
 )
 from kvtrace import trace as trace_module
-from kvtrace.trace import planted_positions
+
+
+@dataclass(frozen=True)
+class ArrayTrace:
+    """A trace held in one (3, layers, heads, seq, dim) array, read through ``header`` and ``block``."""
+
+    header: TraceHeader
+    qkv: np.ndarray
+
+    def block(self, layer, head):
+        trace_module._check_block(self.header, layer, head)
+        return self.qkv[:, layer, head].copy()
 
 
 def tiny_trace(rng, layers=1, heads=1, seq=1, dim=1):
-    header = TraceHeader(layers, heads, dim, seq)
-    shape = (layers, heads, seq, dim)
-    return Trace(
-        header=header,
-        q=rng.standard_normal(shape).astype(np.float32),
-        k=rng.standard_normal(shape).astype(np.float32),
-        v=rng.standard_normal(shape).astype(np.float32),
-    )
+    qkv = rng.standard_normal((3, layers, heads, seq, dim)).astype(np.float32)
+    return ArrayTrace(TraceHeader(layers, heads, dim, seq), qkv)
 
 
 def blocks(trace):
@@ -48,10 +53,7 @@ class TestFileRoundTrip:
         write_trace(path, trace)
         back = read_trace(path)
         assert back.header == trace.header
-        q, k, v = back.block(0, 0)
-        np.testing.assert_array_equal(q, trace.q[0, 0])
-        np.testing.assert_array_equal(k, trace.k[0, 0])
-        np.testing.assert_array_equal(v, trace.v[0, 0])
+        np.testing.assert_array_equal(back.block(0, 0), trace.qkv[:, 0, 0])
 
     def test_round_trip_hash_identical(self, tmp_path):
         trace = tiny_trace(np.random.default_rng(52), layers=2, heads=2, seq=128, dim=8)
@@ -70,7 +72,7 @@ class TestFileRoundTrip:
         want = b"KVTRACE1" + struct.pack("<4I", 2, 3, 4, 5)
         for layer in range(2):
             for head in range(3):
-                for arr in (trace.q, trace.k, trace.v):
+                for arr in trace.qkv:
                     want += arr[layer, head].astype("<f4").tobytes()
         assert path.read_bytes() == want
 
@@ -85,8 +87,7 @@ class TestFileRoundTrip:
                 got = back.block(layer, head)
                 assert got.dtype == np.float32
                 assert got.flags.c_contiguous and got.flags.writeable and got.flags.owndata
-                for arr, want in zip(got, (trace.q, trace.k, trace.v)):
-                    np.testing.assert_array_equal(arr, want[layer, head])
+                np.testing.assert_array_equal(got, trace.qkv[:, layer, head])
         assert not np.shares_memory(back.block(0, 0), back.block(0, 0))
 
     def test_header_read_matches_full_read(self, tmp_path):
@@ -117,13 +118,14 @@ class TestFileRoundTrip:
         path = tmp_path / "peak.kvt"
         write_trace(path, trace)
         back = read_trace(path)
-        block_bytes = 3 * trace.q[0, 0].nbytes
+        want = {(layer, head): trace.block(layer, head)[2] for layer in range(4) for head in range(2)}
+        block_bytes = 3 * 512 * 32 * 4
         tracemalloc.start()
         try:
             for layer in range(4):
                 for head in range(2):
                     v = back.block(layer, head)[2]
-                    assert np.array_equal(v, trace.v[layer, head])
+                    assert np.array_equal(v, want[layer, head])
                     del v  # a view keeps its block alive
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -251,13 +253,13 @@ class TestSyntheticGenerator:
     def test_no_planted_tokens_keeps_band(self):
         spec = SyntheticSpec(mu=5.0, sigma=0.5, eps=0.01, delta=0.01, m=0, seed=1)
         trace = generate_synthetic(spec, 1, 1, 4, 64)
-        channel = trace.k[0, 0, :, 0]
+        channel = trace.block(0, 0)[1][:, 0]
         assert channel.max() - channel.min() <= 2 * spec.sigma
 
     def test_planted_count_and_band(self):
         spec = SyntheticSpec(mu=5.0, sigma=0.5, eps=0.01, delta=0.01, m=3, seed=2)
         trace = generate_synthetic(spec, 1, 1, 4, 64)
-        channel = trace.k[0, 0, :, 0]
+        channel = trace.block(0, 0)[1][:, 0]
         low = np.flatnonzero(np.abs(channel - 0.01) < 1e-6)
         assert low.size == 3
         rest = np.delete(channel, low)
@@ -267,25 +269,23 @@ class TestSyntheticGenerator:
         spec = SyntheticSpec(seed=3)
         a = generate_synthetic(spec, 2, 2, 8, 64)
         b = generate_synthetic(spec, 2, 2, 8, 64)
-        assert a.q.tobytes() == b.q.tobytes()
-        assert a.k.tobytes() == b.k.tobytes()
-        assert a.v.tobytes() == b.v.tobytes()
+        assert [x.tobytes() for x in blocks(a)] == [x.tobytes() for x in blocks(b)]
 
     def test_streams_differ_across_heads(self):
         spec = SyntheticSpec(seed=3)
         t = generate_synthetic(spec, 1, 2, 8, 64)
-        assert t.k[0, 0].tobytes() != t.k[0, 1].tobytes()
+        assert t.block(0, 0)[1].tobytes() != t.block(0, 1)[1].tobytes()
 
     def test_query_magnitude_in_outlier_channels(self):
         spec = SyntheticSpec(seed=4)
         t = generate_synthetic(spec, 1, 1, 8, 64)
-        np.testing.assert_array_equal(t.q[0, 0, :, 0], np.full(64, -spec.q_scale, np.float32))
+        np.testing.assert_array_equal(t.block(0, 0)[0][:, 0], np.full(64, -spec.q_scale, np.float32))
 
     def test_planted_positions_helper_matches(self):
         spec = SyntheticSpec(seed=5)
         t = generate_synthetic(spec, 1, 1, 16, 256)
-        planted = planted_positions(spec, 0, 0, 256, 16)
-        channel = t.k[0, 0, :, 0]
+        planted = t.planted(0, 0)
+        channel = t.block(0, 0)[1][:, 0]
         assert sorted(np.flatnonzero(channel < spec.mu - spec.sigma - 1e-6).tolist()) == planted.tolist()
 
     def test_planted_positions_match_every_block(self):
@@ -295,9 +295,10 @@ class TestSyntheticGenerator:
         seen = set()
         for layer in range(3):
             for head in range(2):
-                planted = planted_positions(spec, layer, head, 64, 8).tolist()
+                planted = t.planted(layer, head).tolist()
+                keys = t.block(layer, head)[1]
                 for c in range(2):
-                    below = np.flatnonzero(t.k[layer, head, :, c] < spec.mu - spec.sigma - 1e-6)
+                    below = np.flatnonzero(keys[:, c] < spec.mu - spec.sigma - 1e-6)
                     assert below.tolist() == planted
                 seen.add(tuple(planted))
         assert len(seen) > 1
@@ -307,8 +308,8 @@ class TestSyntheticGenerator:
         for seed in range(10):
             spec = SyntheticSpec(seed=seed)
             t = generate_synthetic(spec, 1, 1, 16, 1024)
-            l1 = np.abs(t.k[0, 0]).sum(axis=1)
-            planted = set(planted_positions(spec, 0, 0, 1024, 16).tolist())
+            l1 = np.abs(t.block(0, 0)[1]).sum(axis=1)
+            planted = set(t.planted(0, 0).tolist())
             smallest = set(np.argsort(l1)[: spec.m].tolist())
             assert smallest == planted
 
@@ -345,7 +346,7 @@ class TestSyntheticGenerator:
             SyntheticSpec(mu=3e38, sigma=1e38)
         big = SyntheticSpec(mu=3e38, sigma=0.0)
         trace = generate_synthetic(big, 1, 1, 4, 30)
-        assert np.isfinite(trace.k).all()
+        assert np.isfinite(trace.block(0, 0)).all()
 
     def test_m_bounded_by_sequence(self):
         with pytest.raises(ContractViolation):
@@ -353,22 +354,40 @@ class TestSyntheticGenerator:
 
 
 class TestSyntheticTrace:
-    """A synthetic trace drawn one (layer, head) block at a time, as ``generate_synthetic`` builds it."""
+    """A synthetic trace holds no payload: each (layer, head) block is drawn when it is read."""
 
-    def test_blocks_equal_the_generated_trace(self):
+    def test_blocks_equal_the_generated_trace(self, tmp_path):
+        # write_trace draws every block once, layer-major; blocks drawn out
+        # of that order, or twice, are the same blocks.
         spec = SyntheticSpec(m=3, outlier_channels=2, seed=9)
         drawn = SyntheticTrace(TraceHeader(3, 2, 8, 64), spec)
-        built = generate_synthetic(spec, 3, 2, 8, 64)
+        write_trace(tmp_path / "t.kvt", generate_synthetic(spec, 3, 2, 8, 64))
+        built = read_trace(tmp_path / "t.kvt")
         assert drawn.header == built.header
-        for layer in range(3):
-            for head in range(2):
-                a, b = drawn.block(layer, head), built.block(layer, head)
-                assert a.dtype == b.dtype == np.dtype("<f4")
-                assert a.shape == b.shape == (3, 64, 8)
-                assert a.tobytes() == b.tobytes()
-        # Blocks drawn out of order, or twice, are the same blocks.
-        assert drawn.block(2, 1).tobytes() == built.block(2, 1).tobytes()
-        assert drawn.block(0, 0).tobytes() == built.block(0, 0).tobytes()
+        for layer, head in [(2, 1), (0, 0), (1, 0), (2, 1), (0, 1), (1, 1), (2, 0), (0, 0)]:
+            a, b = drawn.block(layer, head), built.block(layer, head)
+            assert a.dtype == b.dtype == np.dtype("<f4")
+            assert a.shape == b.shape == (3, 64, 8)
+            assert a.tobytes() == b.tobytes()
+
+    def test_writing_holds_a_few_blocks(self, tmp_path):
+        # No whole-trace array is built: writing 8x8 blocks of 1024x64 (50 MB)
+        # draws them one at a time.
+        block_bytes = 3 * 1024 * 64 * 4
+        tracemalloc.start()
+        try:
+            write_trace(tmp_path / "big.kvt", generate_synthetic(SyntheticSpec(), 8, 8, 64, 1024))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * block_bytes
+
+    @pytest.mark.parametrize("layer, head", [(-1, 0), (1, 0), (0, -1), (0, 2)])
+    def test_planted_out_of_range_rejected(self, layer, head):
+        # A negative layer used to reach numpy's seeding and fail there.
+        trace = SyntheticTrace(TraceHeader(1, 2, 8, 64), SyntheticSpec())
+        with pytest.raises(ContractViolation, match="out of range"):
+            trace.planted(layer, head)
 
     def test_each_block_is_a_fresh_array(self):
         drawn = SyntheticTrace(TraceHeader(1, 1, 4, 40), SyntheticSpec())
@@ -395,14 +414,14 @@ class TestWriteTraceFailure:
     def failing(self, monkeypatch):
         # A trace whose second block read fails, after the header and one block are written.
         trace = generate_synthetic(SyntheticSpec(seed=11), 2, 1, 4, 40)
-        block = Trace.block
+        block = SyntheticTrace.block
 
         def second_fails(self, layer, head):
             if layer == 1:
                 raise MemoryError("no room for block (1, 0)")
             return block(self, layer, head)
 
-        monkeypatch.setattr(Trace, "block", second_fails)
+        monkeypatch.setattr(SyntheticTrace, "block", second_fails)
         return trace
 
     def test_partial_file_removed(self, tmp_path, failing):
@@ -445,7 +464,7 @@ class TestDecileStats:
     def test_synthetic_outlier_channel_shape(self):
         spec = SyntheticSpec(mu=24.0, sigma=6.0, eps=0.01, delta=0.01, m=3, seed=6)
         t = generate_synthetic(spec, 1, 1, 8, 1024)
-        stats = decile_stats(t.k[0, 0, :, 0])
+        stats = decile_stats(t.block(0, 0)[1][:, 0])
         assert stats[0] < 1.0  # planted mass only
         assert stats.argmax() >= 5  # bulk sits in the upper deciles
         assert stats[6:].sum() > 90.0
