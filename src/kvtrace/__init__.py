@@ -7,7 +7,7 @@ a full-precision oracle, and accounts memory against an fp16 baseline.
 
 from .attention import AttentionResult, attend_full_precision, attend_mixed, l1_error, row_l1_errors, softmax
 from .cache import EngineConfig, MemoryBreakdown, TieredCache
-from .errors import ContractViolation, DegenerateColumnError, TraceFormatError
+from .errors import ContractViolation, TraceFormatError
 from .outlier import OutlierPool, score_tokens, substitute_means
 from .quant import (
     GroupAxis,
@@ -46,7 +46,6 @@ __all__ = [
     "AttentionResult",
     "ContractViolation",
     "Criterion",
-    "DegenerateColumnError",
     "EngineConfig",
     "ExperimentRow",
     "GroupAxis",

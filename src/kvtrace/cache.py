@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import ContractViolation
 from .outlier import OutlierPool, score_tokens, substitute_means
-from .quant import quantize_keys_channelwise, quantize_values_tokenwise
+from .quant import _check_bits, quantize_keys_channelwise, quantize_values_tokenwise
 
 # Bits accounted per stored value in the fp16-equivalent memory model.
 # Parameters are held as wider floats in memory but deployed as fp16.
@@ -67,14 +67,17 @@ class EngineConfig:
     head_dim: int = 64
 
     def __post_init__(self):
-        if not 1 <= self.bits <= 8:
-            raise ContractViolation(f"bits must be in [1, 8], got {self.bits}")
+        _check_bits(self.bits)
         if self.group_size < 1:
             raise ContractViolation("group_size must be >= 1")
         if self.residual < 0 or self.outlier_num < 0 or self.aux_capacity < 0:
             raise ContractViolation("residual, outlier_num, aux_capacity must be >= 0")
         if self.head_dim < 1:
             raise ContractViolation("head_dim must be >= 1")
+        # A cache's fixed buffers: G + R pending rows, and two for an appended pair.
+        rows = max(2, self.group_size + self.residual)
+        if rows * self.head_dim * 4 > np.iinfo(np.intp).max:
+            raise ContractViolation(f"a {rows} x {self.head_dim} float32 buffer is too large to address")
 
     def outlier_capacity(self, layer: int) -> int:
         """Pool capacity for one layer (0 on skipped layers)."""
@@ -118,7 +121,6 @@ class TieredCache:
 
     def __init__(self, config: EngineConfig, layer: int = 0):
         self.config = config
-        self.layer = layer
         self.pool = OutlierPool(
             capacity=config.outlier_capacity(layer),
             aux_capacity=config.aux_capacity,

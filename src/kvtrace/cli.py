@@ -33,7 +33,7 @@ import numpy as np
 
 from .attention import attend_full_precision  # noqa: F401  unused; pinned by perfbench's tracer test (ROADMAP item 1)
 from .cache import FP16_BITS, EngineConfig
-from .errors import ContractViolation, DegenerateColumnError, TraceFormatError
+from .errors import ContractViolation, TraceFormatError
 from .report import (
     Criterion,
     compare_criteria,
@@ -58,34 +58,30 @@ MODES = ("fp16", "baseline", "ott")
 _USAGE_KEYS = ("quantized_bits", "param_bits", "pending_bits", "pool_bits", "total_bits")
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _UnreadableTrace(Exception):
     pass
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise ContractViolation(message)
 
 
 def _add_quant_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--bits", type=int, default=2, help="code width in bits (default 2)")
-    p.add_argument("--group-size", type=int, default=128, help="tokens per quantized group")
+    p.add_argument("--bits", type=int, default=EngineConfig.bits, help="code width in bits (default %(default)s)")
+    p.add_argument("--group-size", type=int, default=EngineConfig.group_size, help="tokens per quantized group")
 
 
 def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     _add_quant_flags(p)
-    p.add_argument("--residual", type=int, default=32, help="recent tokens kept full precision")
-    p.add_argument("--outlier-num", type=int, default=3, help="outlier pool capacity per (layer, head)")
+    p.add_argument("--residual", type=int, default=EngineConfig.residual, help="recent tokens kept full precision")
+    p.add_argument("--outlier-num", type=int, default=EngineConfig.outlier_num, help="outlier pool capacity per (layer, head)")
     p.add_argument(
         "--skip-layers",
-        default="0,1",
-        help="comma-separated layers with outlier pooling disabled (default '0,1')",
+        default=",".join(map(str, EngineConfig.skip_layers)),
+        help="comma-separated layers with outlier pooling disabled (default '%(default)s')",
     )
-    p.add_argument("--aux-capacity", type=int, default=32, help="auxiliary pool capacity")
+    p.add_argument("--aux-capacity", type=int, default=EngineConfig.aux_capacity, help="auxiliary pool capacity")
     p.add_argument("--mode", choices=MODES, default="ott", help="fp16, baseline (no pool), or ott")
 
 
@@ -148,7 +144,7 @@ def build_parser() -> _Parser:
 
     p = add_parser("ratio-curve", help="compression ratio vs fp16 accounting")
     _add_engine_flags(p)
-    p.add_argument("--head-dim", type=int, default=64)
+    p.add_argument("--head-dim", type=int, default=EngineConfig.head_dim)
     p.add_argument(
         "--seq-lens",
         default="128,1024,8192,65536",
@@ -182,12 +178,12 @@ def _int_list(flag: str, text: str) -> list[int]:
     try:
         return [int(s) for s in str(text).split(",") if s.strip() != ""]
     except ValueError:
-        raise _UsageError(f"{flag} expects comma-separated integers, got {text!r}") from None
+        raise ContractViolation(f"{flag} expects comma-separated integers, got {text!r}") from None
 
 
 def _check_index(flag: str, value: int, size: int) -> None:
     if not 0 <= value < size:
-        raise _UsageError(f"{flag} {value} out of range [0, {size})")
+        raise ContractViolation(f"{flag} {value} out of range [0, {size})")
 
 
 def _load_trace(args, seed: int) -> TraceFile | SyntheticTrace:
@@ -195,7 +191,7 @@ def _load_trace(args, seed: int) -> TraceFile | SyntheticTrace:
     if getattr(args, "trace", None):
         if given:
             flag = "--" + next(iter(given)).replace("_", "-")
-            raise _UsageError(f"{flag} applies only to synthetic traces (omit --trace)")
+            raise ContractViolation(f"{flag} applies only to synthetic traces (omit --trace)")
         try:
             return read_trace(args.trace)
         except OSError as exc:
@@ -257,9 +253,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_compare_criteria(args) -> int:
     if args.trials < 1:
-        raise _UsageError(f"--trials must be >= 1, got {args.trials}")
+        raise ContractViolation(f"--trials must be >= 1, got {args.trials}")
     if args.trace and args.trials != 1:
-        raise _UsageError("--trials requires synthetic traces (omit --trace)")
+        raise ContractViolation("--trials requires synthetic traces (omit --trace)")
     results = {c: [] for c in Criterion}
     for trial in range(args.trials):
         trace = _load_trace(args, args.seed + trial)
@@ -267,7 +263,9 @@ def _cmd_compare_criteria(args) -> int:
         layer = args.layer if args.layer is not None else h.n_layers - 1
         _check_index("--layer", layer, h.n_layers)
         _check_index("--head", args.head, h.n_heads)
-        block = trace.block(layer, args.head)  # every criterion studies this one block
+        # Every criterion studies this one block; fp16 mode reads none, and checks only its shape.
+        block = (np.broadcast_to(np.float32(0), (3, h.seq_len, h.head_dim)) if args.mode == "fp16"
+                 else trace.block(layer, args.head))
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=args.seed + trial, spawn_key=(layer, args.head, 1))
         )
@@ -353,6 +351,8 @@ def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "seed", 0) < 0:  # every subcommand's --seed, read or not
+            raise ContractViolation("seed must be >= 0")
         # Explicit checks report non-finite values in one error line;
         # numpy's overflow warnings would only add lines before it.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -362,7 +362,7 @@ def run(argv=None) -> int:
     except (TraceFormatError, _UnreadableTrace) as exc:
         print(f"trace error: {exc}", file=sys.stderr)
         return 2
-    except (_UsageError, ContractViolation, DegenerateColumnError, OSError, MemoryError) as exc:
+    except (ContractViolation, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 

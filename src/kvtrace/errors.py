@@ -15,7 +15,3 @@ class TraceFormatError(ValueError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (byte offset {offset})")
         self.offset = offset
-
-
-class DegenerateColumnError(ValueError):
-    """A statistic was requested on a constant (zero-range) column."""

@@ -39,7 +39,7 @@ class OutlierPool:
     rows are there the pool is frozen and every later update is a no-op.
     """
 
-    def __init__(self, capacity: int, aux_capacity: int = 32, head_dim: int = 64):
+    def __init__(self, capacity: int, aux_capacity: int, head_dim: int):
         if capacity < 0 or aux_capacity < 0:
             raise ContractViolation("pool capacities must be nonnegative")
         self.capacity, self.aux_capacity = capacity, aux_capacity

@@ -52,6 +52,11 @@ import numpy as np
 from .errors import ContractViolation
 
 
+def _check_bits(bits: int) -> None:
+    if not 1 <= bits <= 8:
+        raise ContractViolation(f"bits must be in [1, 8], got {bits}")
+
+
 class GroupAxis(enum.Enum):
     PER_CHANNEL = "per_channel"
     PER_TOKEN = "per_token"
@@ -71,8 +76,7 @@ class QuantParams:
     bits: int
 
     def __post_init__(self):
-        if not 1 <= self.bits <= 8:
-            raise ContractViolation(f"bits must be in [1, 8], got {self.bits}")
+        _check_bits(self.bits)
         if self.step < 0:
             raise ContractViolation("step must be nonnegative")
 
@@ -228,8 +232,7 @@ def quantize_uniform(x, bits: int) -> tuple[np.ndarray, QuantParams]:
         in ``[0, 2**bits - 1]``. A constant input yields step 0 and all-zero
         codes.
     """
-    if not 1 <= bits <= 8:
-        raise ContractViolation(f"bits must be in [1, 8], got {bits}")
+    _check_bits(bits)
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
         raise ContractViolation("quantize_uniform expects a non-empty 1-D vector")
@@ -269,8 +272,7 @@ class QuantizedBlock:
     def __post_init__(self):
         self.mins = np.asarray(self.mins, dtype=np.float64)
         self.steps = np.asarray(self.steps, dtype=np.float64)
-        if not 1 <= self.bits <= 8:
-            raise ContractViolation(f"bits must be in [1, 8], got {self.bits}")
+        _check_bits(self.bits)
         expected = self.n_channels if self.group_axis is GroupAxis.PER_CHANNEL else self.n_tokens
         if self.mins.shape != (expected,) or self.steps.shape != (expected,):
             raise ContractViolation(
@@ -310,8 +312,7 @@ def _quantize_group(group: np.ndarray, bits: int, axis: GroupAxis) -> QuantizedB
         raise ContractViolation("group must be a non-empty 2-D matrix")
     if not np.isfinite(group).all():
         raise ContractViolation("group contains NaN or Inf")
-    if not 1 <= bits <= 8:
-        raise ContractViolation(f"bits must be in [1, 8], got {bits}")
+    _check_bits(bits)
 
     n_tokens, n_channels = group.shape
     if axis is GroupAxis.PER_CHANNEL:
@@ -352,8 +353,7 @@ def pack_codes(codes, bits: int) -> bytes:
     codes fill exactly ``bits`` bytes: one little-endian uint64 word of
     which the low ``bits`` bytes are kept.
     """
-    if not 1 <= bits <= 8:
-        raise ContractViolation(f"bits must be in [1, 8], got {bits}")
+    _check_bits(bits)
     codes = np.asarray(codes, dtype=np.int64)
     if codes.ndim != 1:
         raise ContractViolation("pack_codes expects a 1-D code vector")
@@ -366,8 +366,7 @@ def pack_codes(codes, bits: int) -> bytes:
 
 def unpack_codes(data: bytes, bits: int, count: int) -> np.ndarray:
     """Inverse of :func:`pack_codes`; returns int64 codes of length ``count``."""
-    if not 1 <= bits <= 8:
-        raise ContractViolation(f"bits must be in [1, 8], got {bits}")
+    _check_bits(bits)
     if count < 0:
         raise ContractViolation("count must be nonnegative")
     size = _packed_size(count, bits)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import enum
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from .attention import attend_full_precision, l1_error
 from .cache import FP16_BITS, EngineConfig, TieredCache
 from .errors import ContractViolation
 from .outlier import score_tokens
-from .quant import quantize_keys_channelwise, quantize_values_tokenwise
+from .quant import _check_bits, quantize_keys_channelwise, quantize_values_tokenwise
 
 
 def estimate_kv_bytes(
@@ -61,7 +61,7 @@ def compare_criteria(
     criterion: Criterion,
     bits: int,
     *,
-    group_size: int = 128,
+    group_size: int = EngineConfig.group_size,
     rng: np.random.Generator | None = None,
     passthrough: bool = False,
 ) -> float:
@@ -86,8 +86,7 @@ def compare_criteria(
         raise ContractViolation(f"budget must be in [0, seq_len), got {budget}")
     if group_size < 1:
         raise ContractViolation(f"group_size must be >= 1, got {group_size}")
-    if not 1 <= bits <= 8:
-        raise ContractViolation(f"bits must be in [1, 8], got {bits}")
+    _check_bits(bits)
     if not isinstance(criterion, Criterion):
         raise ContractViolation(f"unknown criterion {criterion!r}")
     if passthrough:
@@ -159,12 +158,12 @@ def ratio_curve(
 
     Feeds one representative (layer, head) cache chunks of random rows,
     which is identical to a token-by-token replay, and snapshots the
-    memory breakdown at each requested length. The replayed layer is the
-    lowest index where outlier pooling is active, so the configured pool
-    overhead is included. Below ``group_size + residual`` tokens nothing
-    is quantized and the ratio is exactly 1. The ``passthrough`` control
-    stores every row at 16 bits and pools nothing, so its rows are the
-    fp16 bits in closed form, with ratio 1 and ``outlier_num`` 0.
+    memory breakdown at each requested length. The cache pools as a layer
+    outside ``skip_layers`` does, so the configured pool overhead is
+    included. Below ``group_size + residual`` tokens nothing is quantized
+    and the ratio is exactly 1. The ``passthrough`` control stores every
+    row at 16 bits and pools nothing, so its rows are the fp16 bits in
+    closed form, with ratio 1 and ``outlier_num`` 0.
     """
     if not seq_lens or list(seq_lens) != sorted(seq_lens) or any(s < 1 for s in seq_lens):
         raise ContractViolation("seq_lens must be non-empty, positive and sorted ascending")
@@ -185,10 +184,7 @@ def ratio_curve(
 
     if passthrough:
         return [row("fp16", 0, target, 2 * target * d * FP16_BITS) for target in seq_lens]
-    layer = 0
-    while layer in config.skip_layers:
-        layer += 1
-    cache = TieredCache(config, layer=layer)
+    cache = TieredCache(replace(config, skip_layers=()))
     mode = "ott" if cache.pool.capacity > 0 else "baseline"
 
     rng = np.random.default_rng(seed)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ContractViolation, DegenerateColumnError, TraceFormatError
+from .errors import ContractViolation, TraceFormatError
 
 MAGIC = b"KVTRACE1"
 _HEADER = struct.Struct("<4I")
@@ -49,6 +49,8 @@ class TraceHeader:
             v = getattr(self, field.name)
             if not 1 <= v <= 0xFFFFFFFF:
                 raise ContractViolation(f"{field.name} must be in [1, 2**32), got {v}")
+        if 3 * self.seq_len * self.head_dim * 4 > np.iinfo(np.intp).max:
+            raise ContractViolation(f"a 3 x {self.seq_len} x {self.head_dim} float32 block is too large to address")
 
 
 def _check_block(h: TraceHeader, layer: int, head: int) -> None:
@@ -266,6 +268,6 @@ def decile_stats(column) -> np.ndarray:
         raise ContractViolation("decile_stats input contains NaN or Inf")
     lo, hi = float(col.min()), float(col.max())
     if lo == hi:
-        raise DegenerateColumnError("constant column has no decile structure")
+        raise ContractViolation("constant column has no decile structure")
     counts, _ = np.histogram(col, bins=10, range=(lo, hi))
     return counts / col.size * 100.0

@@ -440,6 +440,19 @@ class TestTraceFileReadBlockByBlock:
         assert run([command, "--trace", str(path), "--layer", "1", "--head", "2"]) == 0
         assert read == [(1, 2)]
 
+    def test_fp16_compare_criteria_reads_no_block(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "t.kvt"
+        write_trace(path, generate_synthetic(SyntheticSpec(seed=11), 2, 3, 8, 64))
+        read = []
+        block = TraceFile.block
+        monkeypatch.setattr(TraceFile, "block", lambda self, *at: read.append(at) or block(self, *at))
+        assert run(["compare-criteria", "--trace", str(path), "--mode", "fp16"]) == 0
+        assert read == []
+        assert [line.rsplit("=", 1)[1] for line in out_lines(capsys)] == ["0", "0", "0"]
+        # The studied layer and head are still range-checked.
+        assert run(["compare-criteria", "--trace", str(path), "--mode", "fp16", "--head", "3"]) == 1
+        assert read == []
+
     @pytest.mark.parametrize("change", ["vanished", "shrunk"])
     def test_block_read_failure_exits_two(self, tmp_path, capsys, monkeypatch, change):
         # The file changes after read_trace checked it: the block read that
@@ -492,6 +505,11 @@ class TestSyntheticTraceDrawnBlockByBlock:
         argv = ["compare-criteria", *self.SHAPE, "--head", "1", "--trials", "3", "--seed", "5"]
         assert run(argv) == 0
         assert draws == [(5, 2, 1), (6, 2, 1), (7, 2, 1)]
+
+    def test_fp16_compare_criteria_draws_nothing(self, draws, capsys):
+        assert run(["compare-criteria", *self.SHAPE, "--mode", "fp16", "--trials", "3"]) == 0
+        assert draws == []
+        assert [line.rsplit("=", 1)[1] for line in out_lines(capsys)] == ["0", "0", "0"]
 
     def test_fp16_simulate_draws_nothing(self, draws, capsys):
         assert run(["simulate", *self.SHAPE, "--mode", "fp16"]) == 0
@@ -659,6 +677,10 @@ class TestDecileStatsCommand:
 
 
 SMALL = ["--layers", "2", "--heads", "1", "--head-dim", "8", "--seq-len", "64"]
+# 2**62: any buffer of this many rows or channels has more bytes than an array may.
+UNADDRESSABLE = str(2**62)
+# A block of 3 x (2**32 - 1)**2 float32 values.
+HUGE_BLOCK = ["--layers", "1", "--seq-len", "4294967295", "--head-dim", "4294967295"]
 
 
 @pytest.mark.parametrize(
@@ -704,6 +726,17 @@ SMALL = ["--layers", "2", "--heads", "1", "--head-dim", "8", "--seq-len", "64"]
         (["decile-stats", "--trace", "{tmp}/valid.kvt", "--outlier-tokens", "1"], 1),
         (["compare-criteria", "--trace", "{tmp}/valid.kvt", "--heads", "2"], 1),
         (["compare-criteria", "--trace", "{tmp}/valid.kvt", "--q-scale", "1"], 1),
+        # A negative seed, whether the command reads it or not.
+        (["ratio-curve", "--seed", "-1"], 1),
+        (["compare-criteria", "--trace", "{tmp}/valid.kvt", "--seed", "-1"], 1),
+        # Shapes whose byte size overflows an array's size.
+        (["simulate", "--group-size", UNADDRESSABLE], 1),
+        (["simulate", "--residual", UNADDRESSABLE], 1),
+        (["ratio-curve", "--group-size", UNADDRESSABLE, "--seq-lens", "10"], 1),
+        (["ratio-curve", "--head-dim", UNADDRESSABLE, "--seq-lens", "1"], 1),
+        (["decile-stats", *HUGE_BLOCK], 1),
+        (["compare-criteria", *HUGE_BLOCK], 1),
+        (["gen-synthetic", *HUGE_BLOCK, "--out", "{tmp}/huge.kvt"], 1),
     ],
 )
 # Pytest would capture a numpy warning away from capsys; turned into an
@@ -718,3 +751,51 @@ def test_bad_input_exits_with_one_line_error(argv, code, tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("trace error:" if code == 2 else "error:")
+
+
+def test_unaddressable_shape_writes_no_file(tmp_path, capsys):
+    assert run(["gen-synthetic", *HUGE_BLOCK, "--out", str(tmp_path / "huge.kvt")]) == 1
+    assert capsys.readouterr().err.startswith("error: a 3 x 4294967295 x 4294967295 float32 block")
+    assert list(tmp_path.iterdir()) == []
+
+
+# Per subcommand, argv that runs to completion on a small synthetic shape.
+SWEEP_BASE = {
+    "gen-synthetic": [*SMALL, "--out", "{tmp}/sweep.kvt"],
+    "simulate": SMALL,
+    "compare-criteria": SMALL,
+    "ratio-curve": ["--head-dim", "8", "--seq-lens", "200"],
+    "mem-estimate": ["--layers", "1", "--heads", "1", "--head-dim", "1", "--seq-len", "1", "--batch", "1"],
+    "decile-stats": SMALL,
+}
+
+
+def _sweep_cases():
+    """(subcommand, base argv, flag) for every ``type=int`` flag of every subcommand."""
+    [subparsers] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    for command, parser in subparsers.choices.items():
+        flags = [a.option_strings[0] for a in parser._actions if a.type is int]
+        sources = {"synthetic": SWEEP_BASE.get(command, [])}
+        if any("--trace" in a.option_strings for a in parser._actions):
+            sources["trace"] = ["--trace", "{tmp}/valid.kvt"]
+        for source, base in sources.items():
+            yield pytest.param(command, base, None, id=f"{command}-{source}")
+            for flag in flags:
+                yield pytest.param(command, base, flag, id=f"{command}-{source}-{flag}")
+
+
+@pytest.mark.parametrize("command, base, flag", _sweep_cases())
+@pytest.mark.filterwarnings("error")
+def test_every_integer_flag_rejects_minus_one(command, base, flag, tmp_path, capsys):
+    # flag None: the base argv itself runs cleanly, so a failure below is the flag's.
+    assert command in SWEEP_BASE
+    write_trace(tmp_path / "valid.kvt", generate_synthetic(SyntheticSpec(), 1, 1, 4, 40))
+    argv = [command, *(a.replace("{tmp}", str(tmp_path)) for a in base)]
+    if flag is None:
+        assert run(argv) == 0
+        assert capsys.readouterr().err == ""
+        return
+    assert run([*argv, flag, "-1"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:")

@@ -10,7 +10,6 @@ import pytest
 
 from kvtrace import (
     ContractViolation,
-    DegenerateColumnError,
     SyntheticSpec,
     SyntheticTrace,
     TraceFormatError,
@@ -458,7 +457,7 @@ class TestDecileStats:
         assert abs(stats.sum() - 100.0) <= 1e-6
 
     def test_constant_column_rejected(self):
-        with pytest.raises(DegenerateColumnError):
+        with pytest.raises(ContractViolation):
             decile_stats(np.full(10, 3.0))
 
     def test_synthetic_outlier_channel_shape(self):
