@@ -9,8 +9,8 @@ Subcommands::
     mem-estimate      closed-form full-precision KV memory footprint
     decile-stats      decile histogram of one key channel
 
-Flag defaults reproduce the reference setting (2-bit codes, groups of 128,
-residual 32, 3 pooled outliers with layers 0-1 skipped, auxiliary pool 32).
+Engine flag defaults reproduce the reference setting, ``EngineConfig``'s
+defaults; each subcommand's ``--help`` shows them.
 Outputs are deterministic given ``--seed``; every randomized component
 derives its stream from the root seed via SeedSequence(root, (layer,
 head)). ``simulate`` sums the errors and memory of the caches that
@@ -69,19 +69,20 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_quant_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bits", type=int, default=EngineConfig.bits, help="code width in bits (default %(default)s)")
-    p.add_argument("--group-size", type=int, default=EngineConfig.group_size, help="tokens per quantized group")
+    p.add_argument("--group-size", type=int, default=EngineConfig.group_size, help="tokens per quantized group (default %(default)s)")
 
 
 def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     _add_quant_flags(p)
-    p.add_argument("--residual", type=int, default=EngineConfig.residual, help="recent tokens kept full precision")
-    p.add_argument("--outlier-num", type=int, default=EngineConfig.outlier_num, help="outlier pool capacity per (layer, head)")
+    p.add_argument("--residual", type=int, default=EngineConfig.residual, help="recent tokens kept full precision (default %(default)s)")
+    p.add_argument("--outlier-num", type=int, default=EngineConfig.outlier_num,
+                   help="outlier pool capacity per (layer, head) (default %(default)s)")
     p.add_argument(
         "--skip-layers",
         default=",".join(map(str, EngineConfig.skip_layers)),
         help="comma-separated layers with outlier pooling disabled (default '%(default)s')",
     )
-    p.add_argument("--aux-capacity", type=int, default=EngineConfig.aux_capacity, help="auxiliary pool capacity")
+    p.add_argument("--aux-capacity", type=int, default=EngineConfig.aux_capacity, help="auxiliary pool capacity (default %(default)s)")
     p.add_argument("--mode", choices=MODES, default="ott", help="fp16, baseline (no pool), or ott")
 
 
@@ -144,7 +145,7 @@ def build_parser() -> _Parser:
 
     p = add_parser("ratio-curve", help="compression ratio vs fp16 accounting")
     _add_engine_flags(p)
-    p.add_argument("--head-dim", type=int, default=EngineConfig.head_dim)
+    p.add_argument("--head-dim", type=int, default=EngineConfig.head_dim, help="channels per head (default %(default)s)")
     p.add_argument(
         "--seq-lens",
         default="128,1024,8192,65536",

@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import csv
 import enum
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .attention import attend_full_precision, l1_error
-from .cache import FP16_BITS, EngineConfig, TieredCache
+from .cache import FP16_BITS, EngineConfig, MemoryBreakdown
 from .errors import ContractViolation
-from .outlier import score_tokens
+from .outlier import OutlierPool, score_tokens
 from .quant import _check_bits, quantize_keys_channelwise, quantize_values_tokenwise
 
 
@@ -156,14 +156,16 @@ def ratio_curve(
 ) -> list[ExperimentRow]:
     """Compression ratio against fp16 accounting at increasing lengths.
 
-    Feeds one representative (layer, head) cache chunks of random rows,
-    which is identical to a token-by-token replay, and snapshots the
-    memory breakdown at each requested length. The cache pools as a layer
-    outside ``skip_layers`` does, so the configured pool overhead is
-    included. Below ``group_size + residual`` tokens nothing is quantized
-    and the ratio is exactly 1. The ``passthrough`` control stores every
-    row at 16 bits and pools nothing, so its rows are the fp16 bits in
-    closed form, with ratio 1 and ``outlier_num`` 0.
+    Replays only one representative (layer, head) cache's outlier pool on
+    random rows, offering it each group of ``group_size`` tokens when a
+    cache would quantize that group, and reads each length's bits from
+    ``MemoryBreakdown.of``: the rows matter only through the pool's size.
+    The pool is sized as on a layer outside ``skip_layers``, so the
+    configured pool overhead is included.
+    Below ``group_size + residual`` tokens nothing is quantized and the
+    ratio is exactly 1. The ``passthrough`` control stores every row at
+    16 bits and pools nothing, so its rows are the fp16 bits in closed
+    form, with ratio 1 and ``outlier_num`` 0.
     """
     if not seq_lens or list(seq_lens) != sorted(seq_lens) or any(s < 1 for s in seq_lens):
         raise ContractViolation("seq_lens must be non-empty, positive and sorted ascending")
@@ -184,21 +186,31 @@ def ratio_curve(
 
     if passthrough:
         return [row("fp16", 0, target, 2 * target * d * FP16_BITS) for target in seq_lens]
-    cache = TieredCache(replace(config, skip_layers=()))
-    mode = "ott" if cache.pool.capacity > 0 else "baseline"
+    g = config.group_size
+    pool = OutlierPool(config.outlier_num, config.aux_capacity, d)
+    mode = "ott" if pool.capacity > 0 else "baseline"
 
     rng = np.random.default_rng(seed)
     rows: list[ExperimentRow] = []
-    token = 0
+    # Drawn (token, K/V, d) rows a cache would not have quantized yet.
+    waiting = np.empty((0, 2, d), dtype=np.float32)
+    token = quantized = 0
     for target in seq_lens:
         while token < target:
             # One draw per chunk is the same stream, in the same order, as
             # a key draw then a value draw per token.
             n = min(_DRAW_CHUNK, target - token)
-            kv = rng.standard_normal((n, 2, d)).astype(np.float32)
-            cache.extend(kv[:, 0], kv[:, 1])
+            waiting = np.concatenate((waiting, rng.standard_normal((n, 2, d)).astype(np.float32)))
             token += n
-        rows.append(row(mode, cache.pool.capacity, target, cache.memory_usage().total_bits))
+            # A cache quantizes its oldest group once G + R rows are pending.
+            while token - quantized >= g + config.residual:
+                if pool.capacity > 0 and not pool.frozen:
+                    keys, values = waiting[:g, 0].copy(), waiting[:g, 1].copy()
+                    pool.update(np.arange(quantized, quantized + g), score_tokens(keys), keys, values)
+                waiting = waiting[g:]
+                quantized += g
+        usage = MemoryBreakdown.of(config, quantized, token - quantized, pool)
+        rows.append(row(mode, pool.capacity, target, usage.total_bits))
     return rows
 
 

@@ -204,7 +204,9 @@ def _draw_block(spec: SyntheticSpec, h: TraceHeader, layer: int, head: int) -> t
     # own stream SeedSequence(entropy=root seed, spawn_key=(layer, head)).
     rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=(layer, head)))
     out = np.empty((3, h.seq_len, h.head_dim), dtype="<f4")
-    k = rng.standard_normal((h.seq_len, h.head_dim))
+    # Each draw goes straight into the float32 block and is rounded once.
+    q, k, v = out
+    k[:] = rng.standard_normal((h.seq_len, h.head_dim))
     for c in range(spec.outlier_channels):
         k[:, c] = rng.uniform(spec.mu - spec.sigma, spec.mu + spec.sigma, h.seq_len)
     planted = np.zeros(0, dtype=np.int64)
@@ -212,10 +214,9 @@ def _draw_block(spec: SyntheticSpec, h: TraceHeader, layer: int, head: int) -> t
         planted = rng.choice(h.seq_len, size=spec.m, replace=False)
         for c in range(spec.outlier_channels):
             k[planted, c] = rng.uniform(spec.eps, spec.delta, spec.m)
-    out[1] = k
-    out[0] = rng.standard_normal((h.seq_len, h.head_dim))
-    out[0, :, : spec.outlier_channels] = -spec.q_scale
-    out[2] = rng.standard_normal((h.seq_len, h.head_dim))
+    q[:] = rng.standard_normal((h.seq_len, h.head_dim))
+    q[:, : spec.outlier_channels] = -spec.q_scale
+    v[:] = rng.standard_normal((h.seq_len, h.head_dim))
     return out, planted
 
 

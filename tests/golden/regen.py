@@ -14,7 +14,8 @@ Usage::
     python tests/golden/regen.py --accept   # also overwrite files whose bytes changed
 
 Without ``--accept`` an existing file is never overwritten: a changed
-output is reported and the exit code is 1. A directory here that names no
+output is reported, with its first differing line (or, for a trace file,
+byte offset), and the exit code is 1. A directory here that names no
 case, such as one a renamed case left behind, is reported in every mode
 and never removed. Give the reason for every accepted change in
 CHANGES.md. ``tests/test_golden.py`` checks the CLI cases in Tier-1, with
@@ -155,6 +156,27 @@ def recorded(name: str) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(case_dir.iterdir())} if case_dir.is_dir() else {}
 
 
+def _first_mismatch(a, b) -> int:
+    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+
+
+def first_difference(fname: str, old: bytes, new: bytes) -> list[str]:
+    """Where a recorded file and its new bytes first differ, as lines to print.
+
+    A trace file gives the first differing byte offset; a text file gives
+    the first differing line's number, then both lines cut to 120 characters.
+    """
+    if fname == "out.kvt":
+        return [f"  first differing byte at offset {_first_mismatch(old, new)}"]
+    old_lines, new_lines = (b.decode(errors="replace").splitlines(keepends=True) for b in (old, new))
+    i = _first_mismatch(old_lines, new_lines)
+
+    def shown(lines):
+        return lines[i].rstrip("\r\n")[:120] if i < len(lines) else "<end of file>"
+
+    return [f"  line {i + 1}", f"  recorded: {shown(old_lines)}", f"  new:      {shown(new_lines)}"]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     mode = parser.add_mutually_exclusive_group()
@@ -176,6 +198,8 @@ def main(argv=None) -> int:
             if args.check or (fname in want and not args.accept):
                 problems += 1
                 print(f"{name}/{fname}: {what}")
+                if what == "differs":
+                    print("\n".join(first_difference(fname, want[fname], got[fname])))
             elif fname in got:
                 path.parent.mkdir(exist_ok=True)
                 path.write_bytes(got[fname])

@@ -299,7 +299,10 @@ class TestMemoryUsage:
 
 
 class TestPassthrough:
-    """A cache whose window never fills is lossless: it quantizes and pools nothing."""
+    """A cache whose window never fills is lossless: it quantizes and pools nothing.
+
+    Its row buffer grows one side at a time.
+    """
 
     G, R, D = 4, 3, 5
 
@@ -320,15 +323,7 @@ class TestPassthrough:
         fill(cache, keys, values)
         return len(keys)
 
-    @staticmethod
-    def by_extend(cache, keys, values):
-        for start in range(0, len(keys), 5):
-            cache.extend(keys[start : start + 5], values[start : start + 5])
-            if start == 10:
-                cache.attended_kv()  # dense from here on
-        return len(keys)
-
-    @pytest.mark.parametrize("feed", ["by_append", "by_extend"])
+    @pytest.mark.parametrize("feed", ["by_append"])
     def test_every_row_stays_pending(self, feed):
         cache, keys, values = self.fed(getattr(self, feed))
         t = len(keys)
@@ -344,21 +339,21 @@ class TestPassthrough:
         assert usage == per_block_memory_usage(cache)
 
     def test_growth_holds_one_old_buffer_at_a_time(self):
-        # Dense from one row on, doubled to exactly 4096: the last doubling
-        # replaces two 512 KiB buffers with two of 1 MiB.
-        cfg = EngineConfig(group_size=4097, residual=0, head_dim=64)
-        rows = np.ones((4096, 64), dtype=np.float32)
-        side = rows.nbytes
+        # Two rows at first, doubled to exactly 4096 by the 2049th row: the
+        # last doubling replaces two 512 KiB buffers with two of 1 MiB.
+        cfg = EngineConfig(group_size=1, residual=1, outlier_num=0, head_dim=64)
+        rows = np.ones((2049, 64), dtype=np.float32)
+        side = 4096 * 64 * 4
         tracemalloc.start()
         try:
             cache = TieredCache(cfg, layer=0)
-            cache.attended_kv()
             tracemalloc.reset_peak()
-            cache.extend(rows, rows)
+            fill(cache, rows, rows)
             current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert cache.pending_k.tobytes() == rows.tobytes()
+        assert cache._k.shape[0] == cache._v.shape[0] == 4096
+        assert all(a.tobytes() == rows.tobytes() for a in cache.attended_kv())
         assert current >= 2 * side
         # Growing K and V together would add both old buffers (side).
         assert peak - current <= side // 2 + 64 * 1024
@@ -419,132 +414,20 @@ class TestAttendedKv:
                     assert cache.quantized_tokens == 0 and cache.pool.positions.size == 0
         assert lossless or (froze and evicted)
 
-    def test_unread_cache_stays_at_pending_capacity(self):
-        rng = np.random.default_rng(47)
-        g, r, d = 16, 3, 4
-        cfg = EngineConfig(group_size=g, residual=r, outlier_num=3, skip_layers=(),
-                           aux_capacity=4, head_dim=d)
-        cache = TieredCache(cfg, layer=0)
-        fill(cache, random_rows(rng, 20 * g + r, d), random_rows(rng, 20 * g + r, d))
-        assert len(cache.quantized_k) == 20
-        assert cache._k.shape[0] <= g + r and cache._v.shape[0] <= g + r
-
-
 class TestExtend:
-    """Chunked writes against per-row appends of the same rows."""
-
-    # (outlier_num, aux_capacity): every outlier_num 0-3 and aux 0-4.
-    POOLS = [(0, 0), (1, 0), (1, 4), (2, 1), (3, 2), (3, 3), (2, 4)]
-
-    @staticmethod
-    def chunks(n, size):
-        # Size 0 puts an empty chunk before every row.
-        pattern = [0, 1] if size == 0 else [size]
-        start = 0
-        while start < n:
-            for step in pattern:
-                yield start, min(start + step, n)
-                start = min(start + step, n)
-        yield n, n
-
-    @staticmethod
-    def read(cache):
-        keys, values = cache.attended_kv()
-        return keys.copy(), values.copy()
-
-    def rowwise(self, cfg, keys, values, read_at):
-        cache = TieredCache(cfg, layer=0)
-        snapshot = None
-        for t in range(len(keys) + 1):
-            if t == read_at:
-                snapshot = self.read(cache)
-            if t < len(keys):
-                cache.append(keys[t], values[t])
-        return cache, snapshot
-
-    # Lossless as in TestAttendedKv: the group is one row longer than the rows fed.
-    @pytest.mark.parametrize("lossless", [False, True])
-    @pytest.mark.parametrize("r", [0, 3])
-    @pytest.mark.parametrize("g", [1, 4, 16])
-    def test_bit_identical_to_per_row_append(self, g, r, lossless):
-        d = 4
-        n = 4 * g + r + 2
-        rng = np.random.default_rng(2000 * g + 10 * r + lossless)
-        keys = shrinking_keys(rng, n, d)
-        values = random_rows(rng, n, d)
-        evicted = froze = 0
-        for outlier_num, aux in self.POOLS:
-            cfg = EngineConfig(group_size=n + 1 if lossless else g, residual=r,
-                               outlier_num=outlier_num, skip_layers=(), aux_capacity=aux,
-                               head_dim=d)
-            references = {}
-            for size in sorted({0, 1, 5, g, g + r, 3 * g + 1, n}):
-                boundaries = [stop for _start, stop in self.chunks(n, size)]
-                between = next(t for t in boundaries if t > 0)
-                for read_at in (0, between, n):
-                    if read_at not in references:
-                        references[read_at] = self.rowwise(cfg, keys, values, read_at)
-                    reference, want = references[read_at]
-                    cache = TieredCache(cfg, layer=0)
-                    if read_at == 0:
-                        got = self.read(cache)
-                    for start, stop in self.chunks(n, size):
-                        cache.extend(keys[start:stop], values[start:stop])
-                        if stop == read_at:
-                            got = self.read(cache)
-                    np.testing.assert_array_equal(got[0], want[0])
-                    np.testing.assert_array_equal(got[1], want[1])
-                    assert_same_cache(cache, reference)
-                    for x, y in zip(self.read(cache), self.read(reference)):
-                        np.testing.assert_array_equal(x, y)
-            evicted += reference.pool.aux_positions.size
-            froze += reference.pool.frozen
-            if lossless:
-                assert reference.quantized_tokens == 0 and reference.pool.positions.size == 0
-        assert lossless or (froze and evicted)
+    """Rejected and extreme rows through ``append`` on a cache several groups in."""
 
     @staticmethod
     def fed_pair(seed):
-        # Two caches in the same state: three groups in, pool full, dense.
+        # Two caches in the same state: three groups in, pool full.
         cfg = EngineConfig(group_size=4, residual=3, outlier_num=2, skip_layers=(),
                            aux_capacity=4, head_dim=3)
         rng = np.random.default_rng(seed)
         keys, values = shrinking_keys(rng, 17, 3), random_rows(rng, 17, 3)
         pair = [TieredCache(cfg, layer=0) for _ in range(2)]
         for cache in pair:
-            cache.extend(keys, values)
-            cache.attended_kv()
+            fill(cache, keys, values)
         return pair
-
-    @pytest.mark.parametrize(
-        "k_shape, v_shape",
-        [((5, 4), (5, 4)), ((5, 2), (5, 2)), ((5, 3), (6, 3)), ((5, 3), (5, 4)),
-         ((3,), (3,)), ((1, 5, 3), (1, 5, 3))],
-    )
-    def test_rejects_bad_shapes(self, k_shape, v_shape):
-        cache, twin = self.fed_pair(0)
-        with pytest.raises(ContractViolation):
-            cache.extend(np.ones(k_shape), np.ones(v_shape))
-        assert_same_cache(cache, twin)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("side", ["key", "value"])
-    def test_rejects_non_finite_rows_atomically(self, bad, side):
-        rng = np.random.default_rng(1)
-        good_k, good_v = random_rows(rng, 6, 3), random_rows(rng, 6, 3)
-        for row in range(6):
-            cache, twin = self.fed_pair(0)
-            k, v = good_k.copy(), good_v.copy()
-            (k if side == "key" else v)[row, row % 3] = bad
-            # Six rows cross a group boundary, so a partial write would show.
-            with pytest.raises(ContractViolation, match="NaN or Inf"):
-                cache.extend(k, v)
-            assert_same_cache(cache, twin)
-            for x, y in zip(cache.attended_kv(), twin.attended_kv()):
-                np.testing.assert_array_equal(x, y)
-            cache.extend(good_k, good_v)
-            twin.extend(good_k, good_v)
-            assert_same_cache(cache, twin)
 
     def test_append_rejects_non_finite_rows(self):
         cache, twin = self.fed_pair(2)
@@ -560,13 +443,10 @@ class TestExtend:
         big = np.float32(3e38)
         rows = np.array([[big, big, big], [-big, -big, -big], [big, -big, big]], dtype=np.float32)
         cfg = EngineConfig(group_size=8, residual=2, outlier_num=0, head_dim=3)
-        appended, extended = TieredCache(cfg), TieredCache(cfg)
-        for k, v in zip(rows, rows[::-1]):
-            appended.append(k, v)
-        extended.extend(rows, rows[::-1])
-        for cache in (appended, extended):
-            np.testing.assert_array_equal(cache.pending_k, rows)
-            np.testing.assert_array_equal(cache.pending_v, rows[::-1])
+        cache = TieredCache(cfg)
+        fill(cache, rows, rows[::-1])
+        np.testing.assert_array_equal(cache.pending_k, rows)
+        np.testing.assert_array_equal(cache.pending_v, rows[::-1])
 
 
 class TestPoolCandidates:

@@ -84,6 +84,29 @@ class TestParser:
             p.formatter_class = reference_formatter
             assert got == p.format_help()
 
+    # Each subcommand's flags that set the EngineConfig field of the same name.
+    ENGINE = ("bits", "group_size", "residual", "outlier_num", "skip_layers", "aux_capacity")
+    ENGINE_FLAGS = {"simulate": ENGINE, "ratio-curve": ENGINE + ("head_dim",),
+                    "compare-criteria": ("bits", "group_size")}
+
+    @pytest.mark.parametrize("name", ENGINE_FLAGS)
+    def test_engine_flags_default_to_engine_config(self, monkeypatch, name):
+        monkeypatch.setenv("COLUMNS", "200")
+        (subparsers,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        p = subparsers.choices[name]
+        actions = {a.dest: a for a in p._actions}
+        text = " ".join(p.format_help().split())
+        for dest in self.ENGINE_FLAGS[name]:
+            action, want = actions[dest], getattr(EngineConfig, dest)
+            if dest == "skip_layers":
+                assert tuple(cli._int_list("--skip-layers", action.default)) == want
+                shown = "'" + ",".join(map(str, want)) + "'"
+            else:
+                assert action.default == want
+                shown = str(want)
+            flag_help = text.split(f"{action.option_strings[0]} {dest.upper()} ", 1)[1].split(" --", 1)[0]
+            assert flag_help.endswith(f"(default {shown})"), (dest, flag_help)
+
 
 class TestMemEstimate:
     def test_reference_footprint(self, capsys):

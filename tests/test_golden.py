@@ -148,6 +148,26 @@ class TestRegenScript:
         assert not (case_dir / "out.csv").exists()
         assert regen.main(["--check"]) == 0
 
+    def test_check_prints_the_first_differing_line(self, case_dir, capsys):
+        assert regen.main([]) == 0
+        stdout = (case_dir / "stdout").read_bytes()
+        (case_dir / "stdout").write_bytes(b"x" * 200 + b"\n" + stdout)
+        capsys.readouterr()
+        assert regen.main(["--check"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "mem/stdout: differs",
+            "  line 1",
+            "  recorded: " + "x" * 120,
+            "  new:      24 bytes (2.23517e-08 GiB)",
+            "1 cases, 1 difference(s)",
+        ]
+
+    def test_trace_file_difference_is_a_byte_offset(self):
+        assert regen.first_difference("out.kvt", b"KVT1abc", b"KVT1aXc") == [
+            "  first differing byte at offset 5"]
+        assert regen.first_difference("out.kvt", b"KVT1", b"KVT1abc") == [
+            "  first differing byte at offset 4"]
+
     @pytest.mark.parametrize("mode", [["--check"], [], ["--accept"]])
     def test_stale_directory_reported_and_kept(self, case_dir, capsys, mode):
         assert regen.main([]) == 0

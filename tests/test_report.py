@@ -175,30 +175,26 @@ class TestRatioCurve:
         with pytest.raises(ContractViolation, match="non-empty"):
             ratio_curve(EngineConfig(), [], passthrough=passthrough)
 
-    def test_chunked_draws_equal_per_row_draws(self, monkeypatch):
-        cfg = EngineConfig(group_size=8, residual=2, outlier_num=2, skip_layers=(), head_dim=5)
-        lengths = [5, 700, 1300]
-        appended, snapshots = [], []
-        extend, memory_usage = TieredCache.extend, TieredCache.memory_usage
-
-        def recording_extend(cache, k_rows, v_rows):
-            appended.extend((np.array(k), np.array(v)) for k, v in zip(k_rows, v_rows))
-            extend(cache, k_rows, v_rows)
-
-        def recording_usage(cache):
-            snapshots.append(cache.total_tokens)
-            return memory_usage(cache)
-
-        monkeypatch.setattr(TieredCache, "extend", recording_extend)
-        monkeypatch.setattr(TieredCache, "memory_usage", recording_usage)
-        ratio_curve(cfg, lengths, seed=7)
-        assert snapshots == lengths
-        rng = np.random.default_rng(7)
-        assert len(appended) == lengths[-1]
-        for k_row, v_row in appended:
-            np.testing.assert_array_equal(k_row, rng.standard_normal(5).astype(np.float32))
-            np.testing.assert_array_equal(v_row, rng.standard_normal(5).astype(np.float32))
-            assert k_row.dtype == v_row.dtype == np.float32
+    def test_total_bits_equal_a_cache_fed_row_by_row(self):
+        d, seed = 5, 7
+        froze = 0
+        # (group_size, residual, outlier_num, aux_capacity): G=1, R=0, pools
+        # that evict until an aux list of 2 freezes them, and no pool.
+        for g, r, outlier_num, aux in [(1, 0, 2, 2), (1, 3, 1, 2), (8, 0, 3, 2), (8, 2, 2, 2), (8, 2, 0, 0)]:
+            cfg = EngineConfig(group_size=g, residual=r, outlier_num=outlier_num,
+                               skip_layers=(), aux_capacity=aux, head_dim=d)
+            lengths = sorted({1, max(1, g + r - 1), g + r}) + [g + r, 700, 1300]
+            rng = np.random.default_rng(seed)
+            cache = TieredCache(cfg)
+            want = []
+            for target in lengths:
+                while cache.total_tokens < target:
+                    k = rng.standard_normal(d).astype(np.float32)
+                    cache.append(k, rng.standard_normal(d).astype(np.float32))
+                want.append(cache.memory_usage().total_bits)
+            assert [row.total_bits for row in ratio_curve(cfg, lengths, seed=seed)] == want
+            froze += cache.pool.frozen and cache.pool.aux_positions.size == 2
+        assert froze == 4
 
     def test_ott_layer_includes_pool_overhead(self):
         cfg = EngineConfig(group_size=8, residual=0, outlier_num=2, head_dim=4)
