@@ -21,7 +21,7 @@ print(f"token 2 stands out with score {scores[2]:.2f}")
 print()
 
 print("=== Competition until the auxiliary pool fills ===")
-pool = OutlierPool(capacity=2, aux_capacity=3, head_dim=4)
+pool = OutlierPool(capacity=2, aux_capacity=3)
 position = 0
 for step in range(100):
     if pool.frozen:
@@ -32,9 +32,7 @@ for step in range(100):
         if rng.random() < 0.4:
             key *= float(rng.uniform(0.01, 0.2))  # plant a low-magnitude token
         keys.append(key)
-    keys = np.array(keys)
-    # Values are irrelevant to the competition; reuse the keys.
-    selected, evicted = pool.update(np.arange(position, position + 4), score_tokens(keys), keys, keys)
+    selected, evicted = pool.update(np.arange(position, position + 4), score_tokens(np.array(keys)))
     position += 4
     members = sorted(zip(pool.positions.tolist(), [round(s, 2) for s in pool.scores.tolist()]))
     print(f"update {step}: selected {sorted(selected.tolist())} evicted "
@@ -46,9 +44,8 @@ print()
 
 print("=== Freezing is permanent ===")
 before = pool.positions.copy()
-zero = np.zeros((1, 4), dtype=np.float32)
 for _ in range(1000):
-    pool.update([position], [0.0], zero, zero)
+    pool.update([position], [0.0])
     position += 1
 print(f"after 1000 zero-score candidates, membership unchanged: {np.array_equal(pool.positions, before)}")
 print()

@@ -6,9 +6,9 @@ Three tiers hold every token exactly once:
     quantized per channel and values per token;
   * pending buffer: full-precision rows not yet quantized, covering both
     the group being filled and the ``residual`` most recent tokens;
-  * outlier pool: full-precision rows of pooled outlier tokens, which are
-    additionally shadowed in the quantized store by their mean-substituted
-    rows (attention resolves the duplication by overwriting their rows).
+  * outlier pool: pooled outlier tokens, ranked by ``OutlierPool``, whose
+    full-precision rows the buffer keeps; each is additionally shadowed in
+    the quantized store by its mean-substituted row.
 
 Appending the token that brings the pending count to ``group_size +
 residual`` quantizes the oldest ``group_size`` pending rows, so the newest
@@ -20,7 +20,8 @@ Rows live in one float32 buffer each for K and V, in which row i holds
 position i from construction; it starts at ``group_size + residual`` rows
 and doubles as needed. Each quantization writes its block's dequantized
 rows in place, restores the shadow row of every token the pool evicted,
-and rewrites the pool rows, so attention reads the buffer as it stands.
+and writes back the exact rows of the tokens it newly pooled, so attention
+reads the buffer as it stands.
 
 Each cache is single-writer; distinct (layer, head) caches are independent
 and may be driven in parallel.
@@ -99,7 +100,8 @@ class MemoryBreakdown:
         """Closed form from the tier sizes: the one copy of the memory model.
 
         Each quantized group of G tokens has d key lines (per channel) and
-        G value lines (per token); the pool's rows include its auxiliary ones.
+        G value lines (per token); the pool is charged one row per member
+        and per auxiliary position.
         """
         d = config.head_dim
         pool_rows = pool.positions.size + pool.aux_positions.size
@@ -129,11 +131,7 @@ class TieredCache:
 
     def __init__(self, config: EngineConfig, layer: int = 0):
         self.config = config
-        self.pool = OutlierPool(
-            capacity=config.outlier_capacity(layer),
-            aux_capacity=config.aux_capacity,
-            head_dim=config.head_dim,
-        )
+        self.pool = OutlierPool(config.outlier_capacity(layer), config.aux_capacity)
         self.quantized_k: list = []
         self.quantized_v: list = []
         self.substituted_positions: set[int] = set()
@@ -148,15 +146,6 @@ class TieredCache:
     @property
     def pending_rows(self) -> int:
         return self.total_tokens - self.quantized_tokens
-
-    @property
-    def pending_k(self) -> np.ndarray:
-        """Full-precision pending keys (view; do not mutate)."""
-        return self._k[self.quantized_tokens : self.total_tokens]
-
-    @property
-    def pending_v(self) -> np.ndarray:
-        return self._v[self.quantized_tokens : self.total_tokens]
 
     def append(self, k_row, v_row) -> None:
         """Add one token's key/value rows, quantizing a group when due."""
@@ -183,8 +172,8 @@ class TieredCache:
     def attended_kv(self) -> tuple[np.ndarray, np.ndarray]:
         """The (total_tokens, d) keys and values attention reads.
 
-        Quantized positions hold dequantized rows, pooled positions the
-        pool's full-precision rows, pending positions their exact rows.
+        Quantized positions hold dequantized rows, pooled and pending
+        positions the exact rows they were fed.
         The views are valid until the next append and must not be mutated.
         """
         n = self.total_tokens
@@ -194,27 +183,27 @@ class TieredCache:
         """Quantize the oldest ``group_size`` pending rows into the store.
 
         When this layer pools outliers and the pool is not frozen, the
-        group's tokens first compete for pool slots; winners keep their
-        full-precision rows in the pool and are mean-substituted in the
-        group before quantization.
+        group's tokens first compete for pool slots; winners are
+        mean-substituted in the group before quantization and keep their
+        exact rows in the buffer.
         """
         g = self.config.group_size
         if self.pending_rows < g:
             raise ContractViolation(f"need {g} pending rows to quantize, have {self.pending_rows}")
         base = self.quantized_tokens
-        group_k = self._k[base : base + g].copy()
-        group_v = self._v[base : base + g].copy()
+        group_k = self._k[base : base + g]
+        group_v = self._v[base : base + g]
 
-        evicted = ()
+        selected = evicted = []
         if self.pool.capacity > 0 and not self.pool.frozen:
             # Positional: perfbench's tracer counts candidates as len(args[1]).
-            selected, evicted = self.pool.update(
-                np.arange(base, base + g), score_tokens(group_k), group_k, group_v
-            )
+            selected, evicted = self.pool.update(np.arange(base, base + g), score_tokens(group_k))
             if selected.size:
                 group_k, group_v = substitute_means(group_k, group_v, selected - base)
                 self.substituted_positions.update(selected.tolist())
 
+        # The winners' exact rows, before the block's rows overwrite them.
+        pooled_k, pooled_v = self._k[selected], self._v[selected]
         block_k = quantize_keys_channelwise(group_k, self.config.bits)
         block_v = quantize_values_tokenwise(group_v, self.config.bits)
         self.quantized_k.append(block_k)
@@ -227,8 +216,8 @@ class TieredCache:
             block, row = divmod(position, g)
             self._k[position] = self.quantized_k[block].to_matrix()[row]
             self._v[position] = self.quantized_v[block].to_matrix()[row]
-        self._k[self.pool.positions] = self.pool.keys
-        self._v[self.pool.positions] = self.pool.values
+        self._k[selected] = pooled_k
+        self._v[selected] = pooled_v
 
     def memory_usage(self) -> MemoryBreakdown:
         """Current footprint under fp16-equivalent accounting (``MemoryBreakdown.of``)."""

@@ -3,10 +3,11 @@
 A token's outlier score is the L1 norm of its key row; smaller scores mark
 tokens whose keys undercut the otherwise-uniform spread of high-magnitude
 channels, which is exactly what inflates the quantization step for the
-whole group. The pool keeps the lowest-scoring tokens seen so far at full
-precision, as arrays ranked by one ``np.lexsort`` over (score, position).
-Tokens evicted from the pool land in a bounded auxiliary list; once that
-list is full the pool freezes permanently.
+whole group. The pool ranks the lowest-scoring tokens seen so far, as
+position and score arrays sorted by one ``np.lexsort`` over (score,
+position); the cache keeps their rows at full precision. Tokens evicted
+from the pool land in a bounded auxiliary list; once that list is full the
+pool freezes permanently.
 
 One pool belongs to one (layer, head) cache and has a single writer;
 distinct pools may update in parallel.
@@ -29,43 +30,44 @@ def score_tokens(keys: np.ndarray) -> np.ndarray:
 
 
 class OutlierPool:
-    """Fixed-capacity pool of lowest-score tokens with an eviction ledger.
+    """Fixed-capacity ranking of the lowest-score tokens, with an eviction ledger.
 
-    ``positions`` (int64), ``scores`` (float64) and the full-precision
-    ``keys`` and ``values`` ((n, head_dim) float32) hold the members in
-    rank order: ascending score, ties to the smaller position. Members
-    that lose their slot move to ``aux_positions``/``aux_keys``/
-    ``aux_values`` in the order they were evicted; once ``aux_capacity``
-    rows are there the pool is frozen and every later update is a no-op.
+    ``positions`` (int64) and ``scores`` (float64) hold the members in rank
+    order: ascending score, ties to the smaller position. The pool holds
+    no rows; its cache keeps every token's row. Members that lose their
+    slot move to ``aux_positions`` in the order they were evicted; once
+    ``aux_capacity`` positions are there the pool is frozen and every later
+    update is a no-op.
     """
 
-    def __init__(self, capacity: int, aux_capacity: int, head_dim: int):
+    def __init__(self, capacity: int, aux_capacity: int):
         if capacity < 0 or aux_capacity < 0:
             raise ContractViolation("pool capacities must be nonnegative")
         self.capacity, self.aux_capacity = capacity, aux_capacity
         self.positions = self.aux_positions = _NO_POSITIONS
         self.scores = np.empty(0, dtype=np.float64)
-        self.keys = self.values = np.empty((0, head_dim), dtype=np.float32)
-        self.aux_keys = self.aux_values = self.keys
 
     @property
     def frozen(self) -> bool:
         return len(self.aux_positions) >= self.aux_capacity
 
-    def update(self, positions, scores, keys, values) -> tuple[np.ndarray, np.ndarray]:
+    def update(self, positions, scores) -> tuple[np.ndarray, np.ndarray]:
         """Let candidate tokens compete with the current members.
 
-        The candidates' positions, scores and key/value rows are given row
-        for row; the pool keeps copies of the winners' rows. Returns
-        ``(selected, evicted)`` as int64 positions: winning candidates in
-        rank order, and members that lost their slot in member rank order.
-        A frozen or zero-capacity pool returns empty arrays, unchanged.
+        ``positions`` and ``scores`` are 1-D and given token for token; the
+        scores must be finite. Returns ``(selected, evicted)`` as int64
+        positions: winning candidates in rank order, and members that lost
+        their slot in member rank order. A frozen or zero-capacity pool
+        returns empty arrays, unchanged.
         """
         if self.frozen or self.capacity == 0:
             return _NO_POSITIONS, _NO_POSITIONS
         positions = np.asarray(positions, dtype=np.int64)
-        if not len(positions) == len(scores) == len(keys) == len(values):
-            raise ContractViolation("candidate positions, scores and rows differ in length")
+        scores = np.asarray(scores, dtype=np.float64)
+        if positions.ndim != 1 or scores.shape != positions.shape:
+            raise ContractViolation("candidate positions and scores must be 1-D and of equal length")
+        if not np.isfinite(scores).all():
+            raise ContractViolation("candidate scores must be finite")
         seen = set(self.positions.tolist())
         for p in positions.tolist():
             if p in seen:
@@ -73,7 +75,7 @@ class OutlierPool:
             seen.add(p)
 
         all_positions = np.concatenate((self.positions, positions))
-        all_scores = np.concatenate((self.scores, scores), dtype=np.float64)
+        all_scores = np.concatenate((self.scores, scores))
         winners = np.lexsort((all_positions, all_scores))[: self.capacity]
         members = len(self.positions)
         lost = np.ones(members, dtype=bool)
@@ -83,12 +85,8 @@ class OutlierPool:
 
         room = self.aux_capacity - len(self.aux_positions)
         self.aux_positions = np.concatenate((self.aux_positions, evicted[:room]))
-        self.aux_keys = np.concatenate((self.aux_keys, self.keys[lost][:room]))
-        self.aux_values = np.concatenate((self.aux_values, self.values[lost][:room]))
         self.positions = all_positions[winners]
         self.scores = all_scores[winners]
-        self.keys = np.concatenate((self.keys, keys), dtype=np.float32)[winners]
-        self.values = np.concatenate((self.values, values), dtype=np.float32)[winners]
         return selected, evicted
 
 

@@ -159,7 +159,8 @@ def ratio_curve(
     Replays only one representative (layer, head) cache's outlier pool on
     random rows, offering it each group of ``group_size`` tokens when a
     cache would quantize that group, and reads each length's bits from
-    ``MemoryBreakdown.of``: the rows matter only through the pool's size.
+    ``MemoryBreakdown.of``: the rows matter only through the pool's size,
+    so only the keys' scores are offered.
     The pool is sized as on a layer outside ``skip_layers``, so the
     configured pool overhead is included.
     Below ``group_size + residual`` tokens nothing is quantized and the
@@ -187,26 +188,27 @@ def ratio_curve(
     if passthrough:
         return [row("fp16", 0, target, 2 * target * d * FP16_BITS) for target in seq_lens]
     g = config.group_size
-    pool = OutlierPool(config.outlier_num, config.aux_capacity, d)
+    pool = OutlierPool(config.outlier_num, config.aux_capacity)
     mode = "ott" if pool.capacity > 0 else "baseline"
 
     rng = np.random.default_rng(seed)
     rows: list[ExperimentRow] = []
-    # Drawn (token, K/V, d) rows a cache would not have quantized yet.
-    waiting = np.empty((0, 2, d), dtype=np.float32)
+    # Drawn (token, d) keys a cache would not have quantized yet.
+    waiting = np.empty((0, d), dtype=np.float32)
     token = quantized = 0
     for target in seq_lens:
         while token < target:
-            # One draw per chunk is the same stream, in the same order, as
-            # a key draw then a value draw per token.
+            # One (n, 2, d) draw per chunk is the same stream, in the same
+            # order, as a key draw then a value draw per token; only the
+            # keys are kept.
             n = min(_DRAW_CHUNK, target - token)
-            waiting = np.concatenate((waiting, rng.standard_normal((n, 2, d)).astype(np.float32)))
+            keys = rng.standard_normal((n, 2, d))[:, 0].astype(np.float32)
+            waiting = np.concatenate((waiting, keys))
             token += n
             # A cache quantizes its oldest group once G + R rows are pending.
             while token - quantized >= g + config.residual:
                 if pool.capacity > 0 and not pool.frozen:
-                    keys, values = waiting[:g, 0].copy(), waiting[:g, 1].copy()
-                    pool.update(np.arange(quantized, quantized + g), score_tokens(keys), keys, values)
+                    pool.update(np.arange(quantized, quantized + g), score_tokens(waiting[:g]))
                 waiting = waiting[g:]
                 quantized += g
         usage = MemoryBreakdown.of(config, quantized, token - quantized, pool)

@@ -118,12 +118,12 @@ def test_criterion_4_pool_oracle():
             keys[:, 0] = rng.uniform(0.0, 1.0, size=n_tokens)
             scores = score_tokens(keys)
             positions = np.arange(n_tokens)
-            pool = OutlierPool(capacity=capacity, aux_capacity=32, head_dim=2)
+            pool = OutlierPool(capacity=capacity, aux_capacity=32)
             frozen_members = None
             for start in range(0, n_tokens, 128):
                 group = slice(start, start + 128)
                 was_frozen = pool.frozen
-                pool.update(positions[group], scores[group], keys[group], keys[group])
+                pool.update(positions[group], scores[group])
                 if not was_frozen:
                     # Independent oracle: rank the whole prefix seen so far.
                     end = min(start + 128, n_tokens)

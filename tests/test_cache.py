@@ -7,7 +7,6 @@ from kvtrace import (
     ContractViolation,
     EngineConfig,
     MemoryBreakdown,
-    OutlierPool,
     TieredCache,
     attend_full_precision,
     attend_mixed,
@@ -32,51 +31,58 @@ def shrinking_keys(rng, n, d):
     return (random_rows(rng, n, d) * shrink).astype(np.float32)
 
 
-def reconstructed_kv(cache):
+def pending_kv(cache):
+    """The full-precision pending rows: the attended rows from ``quantized_tokens`` on."""
+    return [rows[cache.quantized_tokens :] for rows in cache.attended_kv()]
+
+
+def reconstructed_kv(cache, keys, values):
     """The cache as full (total_tokens, d) key/value matrices, built from scratch.
 
-    Quantized blocks are dequantized, pending rows copied verbatim, and
-    rows at pooled positions replaced with the pool's full-precision rows:
+    ``keys`` and ``values`` are the rows fed to the cache, row i at
+    position i. Quantized blocks are dequantized, pending rows copied from
+    the fed rows, and rows at pooled positions replaced with the fed rows:
     the slow reference for ``TieredCache.attended_kv``.
     """
-    if not cache.total_tokens:
+    n, q = cache.total_tokens, cache.quantized_tokens
+    if not n:
         empty = np.empty((0, cache.config.head_dim), np.float32)
         return empty, empty.copy()
-    keys = np.concatenate([b.to_matrix() for b in cache.quantized_k] + [cache.pending_k])
-    values = np.concatenate([b.to_matrix() for b in cache.quantized_v] + [cache.pending_v])
-    keys[cache.pool.positions] = cache.pool.keys
-    values[cache.pool.positions] = cache.pool.values
-    return keys, values
+    ref_k = np.concatenate([b.to_matrix() for b in cache.quantized_k] + [keys[q:n]])
+    ref_v = np.concatenate([b.to_matrix() for b in cache.quantized_v] + [values[q:n]])
+    ref_k[cache.pool.positions] = keys[cache.pool.positions]
+    ref_v[cache.pool.positions] = values[cache.pool.positions]
+    return ref_k, ref_v
 
 
 def per_block_memory_usage(cache):
     """The slow reference for ``memory_usage``: what the stored arrays hold.
 
     Each block is charged its codes at its width and two 16-bit values per
-    parameter line; pending and pool rows at 16 bits per value.
+    parameter line; pending rows at 16 bits per value. The pool holds no
+    rows, so each member and auxiliary position is charged one K and one V
+    row at 16 bits per value.
     """
     blocks = cache.quantized_k + cache.quantized_v
-    full_rows = [cache.pending_k, cache.pending_v, cache.pool.keys, cache.pool.values,
-                 cache.pool.aux_keys, cache.pool.aux_values]
+    pool_rows = cache.pool.positions.size + cache.pool.aux_positions.size
     return MemoryBreakdown(
         quantized_bits=sum(b.n_tokens * b.n_channels * b.bits for b in blocks),
         param_bits=sum((b.mins.size + b.steps.size) * 16 for b in blocks),
-        pending_bits=sum(rows.size * 16 for rows in full_rows[:2]),
-        pool_bits=sum(rows.size * 16 for rows in full_rows[2:]),
+        pending_bits=sum(rows.size * 16 for rows in pending_kv(cache)),
+        pool_bits=2 * pool_rows * cache.config.head_dim * 16,
     )
 
 
 def pool_fields(pool):
-    return [getattr(pool, name).tolist() for name in (
-        "positions", "scores", "keys", "values", "aux_positions", "aux_keys", "aux_values")]
+    return [getattr(pool, name).tolist() for name in ("positions", "scores", "aux_positions")]
 
 
 def assert_same_cache(a, b):
     """Every block, pending row, pool member and accounting figure agrees."""
     assert (a.total_tokens, a.quantized_tokens, a.pending_rows) == (
         b.total_tokens, b.quantized_tokens, b.pending_rows)
-    np.testing.assert_array_equal(a.pending_k, b.pending_k)
-    np.testing.assert_array_equal(a.pending_v, b.pending_v)
+    for x, y in zip(pending_kv(a), pending_kv(b), strict=True):
+        np.testing.assert_array_equal(x, y)
     for x, y in zip(a.quantized_k + a.quantized_v, b.quantized_k + b.quantized_v, strict=True):
         assert type(x) is type(y)
         assert {k: np.asarray(v).tolist() for k, v in vars(x).items()} == {
@@ -213,9 +219,10 @@ class TestOutlierPath:
         recon = cache.quantized_k[0].to_matrix()[5]
         step = max(p.step for p in cache.quantized_k[0].params)
         assert np.abs(recon - group_mean).max() <= step + 1e-6
-        # the pooled entry keeps the original full-precision rows
-        np.testing.assert_array_equal(cache.pool.keys[0], keys[5])
-        np.testing.assert_array_equal(cache.pool.values[0], values[5])
+        # the pooled token attends through the rows it was fed
+        got_k, got_v = cache.attended_kv()
+        np.testing.assert_array_equal(got_k[5], keys[5])
+        np.testing.assert_array_equal(got_v[5], values[5])
 
     def test_pool_swap_sends_loser_to_aux(self):
         rng = np.random.default_rng(37)
@@ -339,9 +346,9 @@ class TestPassthrough:
         assert usage == per_block_memory_usage(cache)
 
     def test_growth_holds_one_old_buffer_at_a_time(self):
-        # Two rows at first, doubled to exactly 4096 by the 2049th row: the
+        # 64 rows at first, doubled to exactly 4096 by the 2049th row: the
         # last doubling replaces two 512 KiB buffers with two of 1 MiB.
-        cfg = EngineConfig(group_size=1, residual=1, outlier_num=0, head_dim=64)
+        cfg = EngineConfig(group_size=63, residual=1, outlier_num=0, head_dim=64)
         rows = np.ones((2049, 64), dtype=np.float32)
         side = 4096 * 64 * 4
         tracemalloc.start()
@@ -373,8 +380,8 @@ class TestAttendedKv:
         return [(0, 1), (mid_group, 3), (several_groups, 1), (several_groups, 4)]
 
     @staticmethod
-    def check_read(cache, q):
-        ref_k, ref_v = reconstructed_kv(cache)
+    def check_read(cache, q, fed_k, fed_v):
+        ref_k, ref_v = reconstructed_kv(cache, fed_k, fed_v)
         keys, values = cache.attended_kv()
         np.testing.assert_array_equal(keys, ref_k)
         np.testing.assert_array_equal(values, ref_v)
@@ -406,8 +413,8 @@ class TestAttendedKv:
                 for t in range(n):
                     cache.append(keys[t], values[t])
                     if t >= first and (t - first) % every == 0:
-                        self.check_read(cache, queries[t])
-                self.check_read(cache, queries[-1])
+                        self.check_read(cache, queries[t], keys, values)
+                self.check_read(cache, queries[-1], keys, values)
                 froze += outlier_num > 0 and aux > 0 and cache.pool.frozen
                 evicted += cache.pool.aux_positions.size
                 if lossless:
@@ -445,33 +452,6 @@ class TestExtend:
         cfg = EngineConfig(group_size=8, residual=2, outlier_num=0, head_dim=3)
         cache = TieredCache(cfg)
         fill(cache, rows, rows[::-1])
-        np.testing.assert_array_equal(cache.pending_k, rows)
-        np.testing.assert_array_equal(cache.pending_v, rows[::-1])
-
-
-class TestPoolCandidates:
-    """The pool stores copies: no pool or aux row aliases a group or the cache."""
-
-    def test_no_pool_row_shares_a_group_buffer(self, monkeypatch):
-        groups = []
-        update = OutlierPool.update
-
-        def recording_update(pool, positions, scores, keys, values):
-            groups.extend((keys, values))
-            return update(pool, positions, scores, keys, values)
-
-        monkeypatch.setattr(OutlierPool, "update", recording_update)
-        g = 8
-        cfg = EngineConfig(group_size=g, residual=2, outlier_num=3,
-                           skip_layers=(), aux_capacity=4, head_dim=4)
-        rng = np.random.default_rng(5)
-        n = 12 * g + 2
-        cache = TieredCache(cfg, layer=0)
-        fill(cache, shrinking_keys(rng, n, 4), random_rows(rng, n, 4))
-        cache.attended_kv()
-        pool = cache.pool
-        assert pool.aux_positions.size and pool.positions.size == 3
-        assert len(groups) >= 2 * (len(pool.aux_positions) + 1)
-        for stored in (pool.keys, pool.values, pool.aux_keys, pool.aux_values):
-            for buffer in groups + [cache._k, cache._v]:
-                assert not np.shares_memory(stored, buffer)
+        pending_k, pending_v = pending_kv(cache)
+        np.testing.assert_array_equal(pending_k, rows)
+        np.testing.assert_array_equal(pending_v, rows[::-1])

@@ -15,7 +15,7 @@ def offer(pool, positions, scores, d=4):
     """Offer one token per position whose key L1 norm equals its score."""
     keys = np.zeros((len(positions), d), dtype=np.float32)
     keys[:, 0] = scores
-    return pool.update(np.asarray(positions), score_tokens(keys), keys, np.zeros_like(keys))
+    return pool.update(np.asarray(positions), score_tokens(keys))
 
 
 def row_l1_norm(m, row):
@@ -31,8 +31,6 @@ def brute_force_pool(history, capacity):
 class Entry(NamedTuple):
     position: int
     score: float
-    key: np.ndarray
-    value: np.ndarray
 
 
 class ReferencePool:
@@ -76,8 +74,7 @@ def pool_fields(pool):
     """Every stored field of an ``OutlierPool``, as plain lists."""
     return {
         name: getattr(pool, name).tolist()
-        for name in ("positions", "scores", "keys", "values",
-                     "aux_positions", "aux_keys", "aux_values")
+        for name in ("positions", "scores", "aux_positions")
     } | {"frozen": pool.frozen}
 
 
@@ -86,11 +83,7 @@ def reference_fields(ref):
     return {
         "positions": [e.position for e in ref.entries],
         "scores": [e.score for e in ref.entries],
-        "keys": [e.key.tolist() for e in ref.entries],
-        "values": [e.value.tolist() for e in ref.entries],
         "aux_positions": [e.position for e in ref.aux],
-        "aux_keys": [e.key.tolist() for e in ref.aux],
-        "aux_values": [e.value.tolist() for e in ref.aux],
         "frozen": ref.frozen,
     }
 
@@ -126,14 +119,14 @@ class TestScoreTokens:
 
 class TestPoolUpdate:
     def test_fill_from_empty(self):
-        pool = OutlierPool(capacity=2, aux_capacity=8, head_dim=4)
+        pool = OutlierPool(capacity=2, aux_capacity=8)
         selected, evicted = offer(pool, [0, 1, 2], [5.0, 1.0, 3.0])
         assert set(selected.tolist()) == {1, 2}
         assert evicted.tolist() == []
         assert sorted(pool.scores.tolist()) == [1.0, 3.0]
 
     def test_loser_stays_out(self):
-        pool = OutlierPool(capacity=1, aux_capacity=8, head_dim=4)
+        pool = OutlierPool(capacity=1, aux_capacity=8)
         offer(pool, [0], [2.0])
         selected, evicted = offer(pool, [1], [5.0])
         assert selected.tolist() == []
@@ -142,7 +135,7 @@ class TestPoolUpdate:
         assert pool.aux_positions.tolist() == []
 
     def test_eviction_moves_to_aux(self):
-        pool = OutlierPool(capacity=1, aux_capacity=8, head_dim=4)
+        pool = OutlierPool(capacity=1, aux_capacity=8)
         offer(pool, [0], [2.0])
         selected, evicted = offer(pool, [1], [1.0])
         assert selected.tolist() == [1]
@@ -150,19 +143,19 @@ class TestPoolUpdate:
         assert pool.aux_positions.tolist() == [0]
 
     def test_tie_breaks_to_smaller_position(self):
-        pool = OutlierPool(capacity=1, aux_capacity=8, head_dim=4)
+        pool = OutlierPool(capacity=1, aux_capacity=8)
         selected, _ = offer(pool, [3, 1], [1.0, 1.0])
         assert selected.tolist() == [1]
 
     def test_duplicate_positions_rejected(self):
-        pool = OutlierPool(capacity=2, aux_capacity=8, head_dim=4)
+        pool = OutlierPool(capacity=2, aux_capacity=8)
         offer(pool, [0], [1.0])
         with pytest.raises(ContractViolation):
             offer(pool, [0], [2.0])
 
     def test_stream_matches_brute_force_oracle_until_frozen(self):
         rng = np.random.default_rng(22)
-        pool = OutlierPool(capacity=3, aux_capacity=4, head_dim=4)
+        pool = OutlierPool(capacity=3, aux_capacity=4)
         history = []
         position = 0
         max_scores = []
@@ -182,7 +175,7 @@ class TestPoolUpdate:
 
     def test_freeze_is_permanent(self):
         rng = np.random.default_rng(23)
-        pool = OutlierPool(capacity=2, aux_capacity=2, head_dim=4)
+        pool = OutlierPool(capacity=2, aux_capacity=2)
         position = 0
         for _ in range(100):
             if pool.frozen:
@@ -200,13 +193,13 @@ class TestPoolUpdate:
         assert pool.aux_positions.tolist() == frozen_aux
 
     def test_zero_aux_capacity_freezes_immediately(self):
-        pool = OutlierPool(capacity=2, aux_capacity=0, head_dim=4)
+        pool = OutlierPool(capacity=2, aux_capacity=0)
         assert pool.frozen
         selected, _ = offer(pool, [0], [1.0])
         assert selected.size == 0 and pool.positions.size == 0
 
     def test_zero_capacity_never_admits(self):
-        pool = OutlierPool(capacity=0, aux_capacity=8, head_dim=4)
+        pool = OutlierPool(capacity=0, aux_capacity=8)
         selected, evicted = offer(pool, [0], [1.0])
         assert selected.size == 0 and evicted.size == 0 and pool.positions.size == 0
 
@@ -217,11 +210,10 @@ class TestAgainstReference:
     @pytest.mark.parametrize("aux_capacity", range(6))
     @pytest.mark.parametrize("capacity", range(5))
     def test_seeded_streams_with_ties(self, capacity, aux_capacity):
-        d = 3
         froze = evicted_total = 0
         for group_size in range(1, 10):
             rng = np.random.default_rng(100 * capacity + 10 * aux_capacity + group_size)
-            pool = OutlierPool(capacity, aux_capacity, head_dim=d)
+            pool = OutlierPool(capacity, aux_capacity)
             ref = ReferencePool(capacity, aux_capacity)
             position = 0
             for step in range(12):
@@ -231,11 +223,9 @@ class TestAgainstReference:
                 positions = (position + rng.permutation(group_size)).tolist()
                 position += group_size
                 scores = (rng.integers(0, 4, size=group_size) + 12 - step).astype(np.float64)
-                keys = rng.standard_normal((group_size, d)).astype(np.float32)
-                values = rng.standard_normal((group_size, d)).astype(np.float32)
                 want = reference_pool_update(
-                    ref, [Entry(*c) for c in zip(positions, scores.tolist(), keys, values)])
-                selected, evicted = pool.update(positions, scores, keys, values)
+                    ref, [Entry(*c) for c in zip(positions, scores.tolist())])
+                selected, evicted = pool.update(positions, scores)
                 assert (selected.tolist(), evicted.tolist()) == want
                 assert selected.dtype == evicted.dtype == np.int64
                 assert pool_fields(pool) == reference_fields(ref)
@@ -247,15 +237,27 @@ class TestAgainstReference:
     @pytest.mark.parametrize("duplicate", ["member", "candidate"])
     def test_duplicate_position_leaves_pool_unchanged(self, duplicate):
         rng = np.random.default_rng(7)
-        pool = OutlierPool(capacity=2, aux_capacity=3, head_dim=3)
+        pool = OutlierPool(capacity=2, aux_capacity=3)
         for start in (0, 4):
-            pool.update(range(start, start + 4), rng.uniform(size=4),
-                        rng.standard_normal((4, 3)), rng.standard_normal((4, 3)))
+            pool.update(range(start, start + 4), rng.uniform(size=4))
         assert not pool.frozen and pool.positions.size == 2
         before = pool_fields(pool)
         repeat = pool.positions[0] if duplicate == "member" else 8
         with pytest.raises(ContractViolation, match="duplicate position"):
-            pool.update([8, 9, repeat], np.zeros(3), np.zeros((3, 3)), np.zeros((3, 3)))
+            pool.update([8, 9, repeat], np.zeros(3))
+        assert pool_fields(pool) == before
+
+    @pytest.mark.parametrize("positions, scores, message", [
+        ([[8, 9]], [1.0, 2.0], "1-D"),
+        ([8, 9], [[1.0, 2.0]], "1-D"),
+        ([8, 9], [np.nan, 2.0], "finite"),
+    ], ids=["2-D positions", "2-D scores", "NaN score"])
+    def test_malformed_candidates_rejected(self, positions, scores, message):
+        pool = OutlierPool(capacity=2, aux_capacity=3)
+        pool.update([0, 1, 2], [3.0, 1.0, 2.0])
+        before = pool_fields(pool)
+        with pytest.raises(ContractViolation, match=message):
+            pool.update(positions, scores)
         assert pool_fields(pool) == before
 
 
