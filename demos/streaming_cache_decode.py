@@ -27,7 +27,7 @@ def config(outlier_num):
 # The trace has one (layer, head), so each replay yields one cache.
 print("=== Baseline: plain group quantization (no outlier pool) ===")
 [(_, _, cache, base_errs)] = replay_caches(trace, config(outlier_num=0))
-print(f"blocks {len(cache.quantized_k)}, pending {cache.pending_rows}, "
+print(f"blocks {cache.quantized_tokens // 128}, pending {cache.pending_rows}, "
       f"pool empty: {cache.pool.positions.size == 0}")
 print(f"mean per-step L1 error: {base_errs.mean():.4f}")
 print()

@@ -4,8 +4,8 @@
 in float32. ``attend_mixed`` runs the same computation in place over the
 cache's row buffer (``TieredCache.attended_kv``), where every quantized
 group was dequantized once when it was written and, for every pooled
-outlier token, the row at its absolute position holds the pool's
-full-precision copy. Overwriting (rather than appending extra positions)
+outlier token, the row at its absolute position holds the exact row the
+cache was fed. Overwriting (rather than appending extra positions)
 keeps exactly one logit per true token, so no softmax mass is
 double-counted. ``attend_mixed`` only reads the cache.
 """

@@ -2,13 +2,14 @@
 
 Three tiers hold every token exactly once:
 
-  * quantized store: consecutive groups of ``group_size`` tokens, keys
-    quantized per channel and values per token;
+  * quantized groups: consecutive groups of ``group_size`` tokens, keys
+    quantized per channel and values per token, held as dequantized rows;
   * pending buffer: full-precision rows not yet quantized, covering both
     the group being filled and the ``residual`` most recent tokens;
   * outlier pool: pooled outlier tokens, ranked by ``OutlierPool``, whose
-    full-precision rows the buffer keeps; each is additionally shadowed in
-    the quantized store by its mean-substituted row.
+    full-precision rows the buffer keeps; the cache also keeps each
+    member's shadow rows (its mean-substituted, dequantized block rows)
+    until the pool evicts it.
 
 Appending the token that brings the pending count to ``group_size +
 residual`` quantizes the oldest ``group_size`` pending rows, so the newest
@@ -19,9 +20,9 @@ every row it was fed is pending at full precision.
 Rows live in one float32 buffer each for K and V, in which row i holds
 position i from construction; it starts at ``group_size + residual`` rows
 and doubles as needed. Each quantization writes its block's dequantized
-rows in place, restores the shadow row of every token the pool evicted,
+rows in place, restores the shadow rows of every token the pool evicted,
 and writes back the exact rows of the tokens it newly pooled, so attention
-reads the buffer as it stands.
+reads the buffer as it stands. No quantized block outlives its write.
 
 Each cache is single-writer; distinct (layer, head) caches are independent
 and may be driven in parallel.
@@ -132,8 +133,6 @@ class TieredCache:
     def __init__(self, config: EngineConfig, layer: int = 0):
         self.config = config
         self.pool = OutlierPool(config.outlier_capacity(layer), config.aux_capacity)
-        self.quantized_k: list = []
-        self.quantized_v: list = []
         self.substituted_positions: set[int] = set()
         self.total_tokens = 0
         self.quantized_tokens = 0
@@ -142,6 +141,7 @@ class TieredCache:
         self._k = np.empty((self._trigger, config.head_dim), dtype=np.float32)
         self._v = np.empty((self._trigger, config.head_dim), dtype=np.float32)
         self._pair = np.empty((2, config.head_dim), dtype=np.float32)
+        self._shadows: dict = {}  # pool member position -> its (K, V) shadow rows
 
     @property
     def pending_rows(self) -> int:
@@ -180,12 +180,13 @@ class TieredCache:
         return self._k[:n], self._v[:n]
 
     def quantize_oldest_group(self) -> None:
-        """Quantize the oldest ``group_size`` pending rows into the store.
+        """Quantize the oldest ``group_size`` pending rows in place.
 
         When this layer pools outliers and the pool is not frozen, the
         group's tokens first compete for pool slots; winners are
         mean-substituted in the group before quantization and keep their
-        exact rows in the buffer.
+        exact rows in the buffer; a member the pool evicts gets its shadow
+        rows back.
         """
         g = self.config.group_size
         if self.pending_rows < g:
@@ -206,16 +207,14 @@ class TieredCache:
         pooled_k, pooled_v = self._k[selected], self._v[selected]
         block_k = quantize_keys_channelwise(group_k, self.config.bits)
         block_v = quantize_values_tokenwise(group_v, self.config.bits)
-        self.quantized_k.append(block_k)
-        self.quantized_v.append(block_v)
         self.quantized_tokens += g
 
         self._k[base : base + g] = block_k.to_matrix()
         self._v[base : base + g] = block_v.to_matrix()
         for position in evicted:
-            block, row = divmod(position, g)
-            self._k[position] = self.quantized_k[block].to_matrix()[row]
-            self._v[position] = self.quantized_v[block].to_matrix()[row]
+            self._k[position], self._v[position] = self._shadows.pop(position)
+        # The winners' shadow rows are their block rows, until their exact rows go back.
+        self._shadows.update(zip(selected, zip(self._k[selected], self._v[selected])))
         self._k[selected] = pooled_k
         self._v[selected] = pooled_v
 

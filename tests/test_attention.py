@@ -16,7 +16,10 @@ from kvtrace import (
     generate_synthetic,
     l1_error,
     pack_codes,
+    quantize_keys_channelwise,
+    quantize_values_tokenwise,
     softmax,
+    substitute_means,
     unpack_codes,
 )
 
@@ -210,8 +213,9 @@ class TestMixedAttention:
         assert abs(float(res.weights.sum()) - 1.0) <= 1e-6
 
     def test_pool_logit_ignores_shadow_row(self):
-        # corrupting the mean-substituted quantized row at a pooled position
-        # must not change the attention result
+        # the group's blocks, built directly from the fed rows, give the
+        # cache's attention with the exact row at the pooled position,
+        # however the mean-substituted shadow row there is corrupted
         rng = np.random.default_rng(45)
         g, d = 16, 4
         keys = rng.uniform(4.5, 5.5, size=(g, d)).astype(np.float32)
@@ -220,21 +224,26 @@ class TestMixedAttention:
         cache = build_cache(keys, values, group_size=g, residual=0, outlier_num=1)
         assert cache.pool.positions.tolist() == [3]
 
-        corrupted = copy.deepcopy(cache)
-        block = corrupted.quantized_k[0]
+        group_k, group_v = substitute_means(keys, values, [3])
+        block = quantize_keys_channelwise(group_k, 2)
+        vblock = quantize_values_tokenwise(group_v, 2)
+        corrupted = copy.deepcopy(block), copy.deepcopy(vblock)
         codes = unpack_codes(block.codes, block.bits, g * d).reshape(g, d)
         codes[3] = (codes[3] + 1) % (1 << block.bits)
-        block.codes = pack_codes(codes.reshape(-1), block.bits)
-        vblock = corrupted.quantized_v[0]
+        corrupted[0].codes = pack_codes(codes.reshape(-1), block.bits)
         vcodes = unpack_codes(vblock.codes, vblock.bits, g * d).reshape(g, d)
         vcodes[3] = 0
-        vblock.codes = pack_codes(vcodes.reshape(-1), vblock.bits)
+        corrupted[1].codes = pack_codes(vcodes.reshape(-1), vblock.bits)
+        assert (corrupted[0].to_matrix()[3] != block.to_matrix()[3]).all()
 
         q = rng.standard_normal(d).astype(np.float32)
         res_a = attend_mixed(q, cache)
-        res_b = attend_mixed(q, corrupted)
-        np.testing.assert_array_equal(res_a.scores, res_b.scores)
-        np.testing.assert_array_equal(res_a.output, res_b.output)
+        for k_block, v_block in ((block, vblock), corrupted):
+            rows_k, rows_v = k_block.to_matrix(), v_block.to_matrix()
+            rows_k[3], rows_v[3] = keys[3], values[3]
+            res_b = attend_full_precision(q, rows_k, rows_v)
+            np.testing.assert_array_equal(res_a.scores, res_b.scores)
+            np.testing.assert_array_equal(res_a.output, res_b.output)
 
     def test_outlier_tracking_beats_baseline_on_planted_trace(self):
         spec = SyntheticSpec(seed=12)
@@ -272,7 +281,9 @@ class TestStepErrorPropagation:
             cache = build_cache(keys, values, group_size=g, residual=0, outlier_num=0)
             mixed = attend_mixed(q, cache)
             oracle = attend_full_precision(q, keys, values)
-            step = cache.quantized_k[0].params[0].step
+            block = quantize_keys_channelwise(keys, 2)
+            assert cache.attended_kv()[0].tobytes() == block.to_matrix().tobytes()
+            step = block.params[0].step
             results.append((step, float(np.abs(mixed.scores - oracle.scores).mean())))
         (step_narrow, err_narrow), (step_wide, err_wide) = results
         assert step_wide > step_narrow

@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from kvtrace import (
     attend_mixed,
     quantize_keys_channelwise,
     quantize_values_tokenwise,
+    substitute_means,
 )
 
 
@@ -36,34 +38,62 @@ def pending_kv(cache):
     return [rows[cache.quantized_tokens :] for rows in cache.attended_kv()]
 
 
+@functools.lru_cache(maxsize=1024)
+def group_blocks(k_bytes, v_bytes, d, picked, bits):
+    """One group's K and V blocks, mean-substituted at rows ``picked``; memoized by content."""
+    group_k, group_v = (np.frombuffer(b, dtype=np.float32).reshape(-1, d) for b in (k_bytes, v_bytes))
+    group_k, group_v = substitute_means(group_k, group_v, picked)
+    return quantize_keys_channelwise(group_k, bits), quantize_values_tokenwise(group_v, bits)
+
+
+def fed_blocks(keys, values, g, bits, substituted=()):
+    """The K and V blocks of each whole group of fed rows, quantized directly.
+
+    Rows at ``substituted`` positions are mean-substituted first.
+    """
+    keys, values = np.asarray(keys, np.float32), np.asarray(values, np.float32)
+    blocks = []
+    for base in range(0, len(keys) - g + 1, g):
+        picked = tuple(p - base for p in sorted(substituted) if base <= p < base + g)
+        blocks.append(group_blocks(keys[base : base + g].tobytes(), values[base : base + g].tobytes(),
+                                   keys.shape[1], picked, bits))
+    return blocks
+
+
 def reconstructed_kv(cache, keys, values):
     """The cache as full (total_tokens, d) key/value matrices, built from scratch.
 
     ``keys`` and ``values`` are the rows fed to the cache, row i at
-    position i. Quantized blocks are dequantized, pending rows copied from
-    the fed rows, and rows at pooled positions replaced with the fed rows:
-    the slow reference for ``TieredCache.attended_kv``.
+    position i. Each quantized group is quantized again from the fed rows,
+    mean-substituted at the positions the cache substituted, and
+    dequantized; pending rows are copied from the fed rows, and rows at
+    pooled positions replaced with the fed rows: the slow reference for
+    ``TieredCache.attended_kv``.
     """
     n, q = cache.total_tokens, cache.quantized_tokens
     if not n:
         empty = np.empty((0, cache.config.head_dim), np.float32)
         return empty, empty.copy()
-    ref_k = np.concatenate([b.to_matrix() for b in cache.quantized_k] + [keys[q:n]])
-    ref_v = np.concatenate([b.to_matrix() for b in cache.quantized_v] + [values[q:n]])
+    blocks = fed_blocks(keys[:q], values[:q], cache.config.group_size, cache.config.bits,
+                        cache.substituted_positions)
+    ref_k = np.concatenate([b.to_matrix() for b, _ in blocks] + [keys[q:n]])
+    ref_v = np.concatenate([b.to_matrix() for _, b in blocks] + [values[q:n]])
     ref_k[cache.pool.positions] = keys[cache.pool.positions]
     ref_v[cache.pool.positions] = values[cache.pool.positions]
     return ref_k, ref_v
 
 
-def per_block_memory_usage(cache):
-    """The slow reference for ``memory_usage``: what the stored arrays hold.
+def per_block_memory_usage(cache, blocks):
+    """The slow reference for ``memory_usage``: what the packed blocks would hold.
 
-    Each block is charged its codes at its width and two 16-bit values per
+    ``blocks`` are the (K, V) blocks of the fed rows' groups, as
+    ``fed_blocks`` quantizes them. Each of the cache's quantized groups is
+    charged its blocks' codes at their width and two 16-bit values per
     parameter line; pending rows at 16 bits per value. The pool holds no
     rows, so each member and auxiliary position is charged one K and one V
     row at 16 bits per value.
     """
-    blocks = cache.quantized_k + cache.quantized_v
+    blocks = [b for pair in blocks[: cache.quantized_tokens // cache.config.group_size] for b in pair]
     pool_rows = cache.pool.positions.size + cache.pool.aux_positions.size
     return MemoryBreakdown(
         quantized_bits=sum(b.n_tokens * b.n_channels * b.bits for b in blocks),
@@ -78,15 +108,13 @@ def pool_fields(pool):
 
 
 def assert_same_cache(a, b):
-    """Every block, pending row, pool member and accounting figure agrees."""
+    """Every attended row, pending row, pool member and accounting figure agrees."""
     assert (a.total_tokens, a.quantized_tokens, a.pending_rows) == (
         b.total_tokens, b.quantized_tokens, b.pending_rows)
     for x, y in zip(pending_kv(a), pending_kv(b), strict=True):
         np.testing.assert_array_equal(x, y)
-    for x, y in zip(a.quantized_k + a.quantized_v, b.quantized_k + b.quantized_v, strict=True):
-        assert type(x) is type(y)
-        assert {k: np.asarray(v).tolist() for k, v in vars(x).items()} == {
-            k: np.asarray(v).tolist() for k, v in vars(y).items()}
+    for x, y in zip(a.attended_kv(), b.attended_kv(), strict=True):
+        assert x.tobytes() == y.tobytes()
     assert pool_fields(a.pool) == pool_fields(b.pool)
     assert a.pool.frozen == b.pool.frozen
     assert a.substituted_positions == b.substituted_positions
@@ -120,24 +148,27 @@ class TestAppendTrigger:
         cache = TieredCache(EngineConfig(group_size=4, residual=2, head_dim=3), layer=2)
         cache.append([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
         assert cache.pending_rows == 1
-        assert cache.quantized_k == []
+        assert cache.quantized_tokens == 0
         assert cache.total_tokens == 1
 
     def test_zero_residual_quantizes_at_group(self):
         rng = np.random.default_rng(31)
         cache = TieredCache(EngineConfig(group_size=4, residual=0, head_dim=3), layer=2)
-        fill(cache, random_rows(rng, 4, 3), random_rows(rng, 4, 3))
-        assert len(cache.quantized_k) == 1
+        keys, values = random_rows(rng, 4, 3), random_rows(rng, 4, 3)
+        fill(cache, keys, values)
+        assert [a.tobytes() for a in cache.attended_kv()] == [
+            a.tobytes() for a in reconstructed_kv(cache, keys, values)]
         assert cache.pending_rows == 0
         assert cache.quantized_tokens == 4
 
     def test_residual_window_defers_trigger(self):
         rng = np.random.default_rng(32)
         cache = TieredCache(EngineConfig(group_size=4, residual=2, head_dim=3), layer=2)
-        fill(cache, random_rows(rng, 6, 3), random_rows(rng, 6, 3))
+        keys, values = random_rows(rng, 6, 3), random_rows(rng, 6, 3)
+        fill(cache, keys, values)
         # trigger fired at the 6th append: block covers positions 0-3
-        assert len(cache.quantized_k) == 1
-        assert cache.quantized_k[0].n_tokens == 4
+        assert [a.tobytes() for a in cache.attended_kv()] == [
+            a.tobytes() for a in reconstructed_kv(cache, keys, values)]
         assert cache.pending_rows == 2
         assert cache.quantized_tokens == 4
 
@@ -174,14 +205,14 @@ class TestBaselineEquivalence:
         fill(cache, keys, values)
 
         # independent assembly: quantize consecutive groups of 8 directly
-        n_groups = len(cache.quantized_k)
+        n_groups = cache.quantized_tokens // 8
         assert n_groups == 3
+        got_k, got_v = cache.attended_kv()
         for g in range(n_groups):
             k_block = quantize_keys_channelwise(keys[g * 8 : (g + 1) * 8], 2)
             v_block = quantize_values_tokenwise(values[g * 8 : (g + 1) * 8], 2)
-            assert cache.quantized_k[g].codes == k_block.codes
-            assert cache.quantized_v[g].codes == v_block.codes
-            assert cache.quantized_k[g].params == k_block.params
+            assert got_k[g * 8 : (g + 1) * 8].tobytes() == k_block.to_matrix().tobytes()
+            assert got_v[g * 8 : (g + 1) * 8].tobytes() == v_block.to_matrix().tobytes()
 
     def test_skip_layer_equals_explicit_zero(self):
         rng = np.random.default_rng(35)
@@ -197,8 +228,9 @@ class TestBaselineEquivalence:
         )
         fill(skipped, keys, values)
         fill(disabled, keys, values)
-        for a, b in zip(skipped.quantized_k, disabled.quantized_k):
-            assert a.codes == b.codes and a.params == b.params
+        assert skipped.quantized_tokens == disabled.quantized_tokens == 40
+        for a, b in zip(skipped.attended_kv(), disabled.attended_kv(), strict=True):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestOutlierPath:
@@ -216,11 +248,15 @@ class TestOutlierPath:
         assert cache.pool.positions.tolist() == [5]
         assert cache.substituted_positions == {5}
         group_mean = keys.mean(axis=0)
-        recon = cache.quantized_k[0].to_matrix()[5]
-        step = max(p.step for p in cache.quantized_k[0].params)
+        [(block_k, block_v)] = fed_blocks(keys, values, g, 2, substituted={5})
+        recon = block_k.to_matrix()[5]
+        step = max(p.step for p in block_k.params)
         assert np.abs(recon - group_mean).max() <= step + 1e-6
-        # the pooled token attends through the rows it was fed
+        # the other rows attend through the substituted group's block ...
         got_k, got_v = cache.attended_kv()
+        np.testing.assert_array_equal(np.delete(got_k, 5, 0), np.delete(block_k.to_matrix(), 5, 0))
+        np.testing.assert_array_equal(np.delete(got_v, 5, 0), np.delete(block_v.to_matrix(), 5, 0))
+        # ... and the pooled token through the rows it was fed
         np.testing.assert_array_equal(got_k[5], keys[5])
         np.testing.assert_array_equal(got_v[5], values[5])
 
@@ -297,10 +333,11 @@ class TestMemoryUsage:
             cfg = EngineConfig(bits=bits, group_size=g, residual=r, outlier_num=outlier_num,
                                skip_layers=(1,), aux_capacity=aux, head_dim=d)
             cache = TieredCache(cfg, layer=layer)
-            assert cache.memory_usage() == per_block_memory_usage(cache)
+            blocks = fed_blocks(keys, values, g, bits)
+            assert cache.memory_usage() == per_block_memory_usage(cache, blocks)
             for t in range(n):
                 cache.append(keys[t], values[t])
-                assert cache.memory_usage() == per_block_memory_usage(cache)
+                assert cache.memory_usage() == per_block_memory_usage(cache, blocks)
             evicted += cache.pool.aux_positions.size
         assert evicted
 
@@ -335,7 +372,7 @@ class TestPassthrough:
         cache, keys, values = self.fed(getattr(self, feed))
         t = len(keys)
         assert cache.total_tokens == cache.pending_rows == t
-        assert cache.quantized_tokens == 0 and not cache.quantized_k and not cache.quantized_v
+        assert cache.quantized_tokens == 0
         assert cache.pool.positions.size == cache.pool.aux_positions.size == 0
         assert not cache.substituted_positions
         got_k, got_v = cache.attended_kv()
@@ -343,7 +380,7 @@ class TestPassthrough:
         usage = cache.memory_usage()
         assert (usage.quantized_bits, usage.param_bits, usage.pending_bits, usage.pool_bits) == (
             0, 0, 2 * t * self.D * 16, 0)
-        assert usage == per_block_memory_usage(cache)
+        assert usage == per_block_memory_usage(cache, [])
 
     def test_growth_holds_one_old_buffer_at_a_time(self):
         # 64 rows at first, doubled to exactly 4096 by the 2049th row: the
@@ -381,6 +418,8 @@ class TestAttendedKv:
 
     @staticmethod
     def check_read(cache, q, fed_k, fed_v):
+        # Shadow rows are kept for the pool's members and no one else.
+        assert sorted(cache._shadows) == sorted(cache.pool.positions.tolist())
         ref_k, ref_v = reconstructed_kv(cache, fed_k, fed_v)
         keys, values = cache.attended_kv()
         np.testing.assert_array_equal(keys, ref_k)
