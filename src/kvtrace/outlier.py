@@ -55,10 +55,11 @@ class OutlierPool:
         """Let candidate tokens compete with the current members.
 
         ``positions`` and ``scores`` are 1-D and given token for token; the
-        scores must be finite. Returns ``(selected, evicted)`` as int64
-        positions: winning candidates in rank order, and members that lost
-        their slot in member rank order. A frozen or zero-capacity pool
-        returns empty arrays, unchanged.
+        scores must be finite and no position may repeat among candidates
+        and members. Bad candidates raise before any change. Returns
+        ``(selected, evicted)`` as int64 positions: winning candidates in
+        rank order, and members that lost their slot in member rank order.
+        A frozen or zero-capacity pool returns empty arrays, unchanged.
         """
         if self.frozen or self.capacity == 0:
             return _NO_POSITIONS, _NO_POSITIONS
@@ -68,13 +69,12 @@ class OutlierPool:
             raise ContractViolation("candidate positions and scores must be 1-D and of equal length")
         if not np.isfinite(scores).all():
             raise ContractViolation("candidate scores must be finite")
-        seen = set(self.positions.tolist())
-        for p in positions.tolist():
-            if p in seen:
-                raise ContractViolation(f"duplicate position {p} in pool update")
-            seen.add(p)
-
         all_positions = np.concatenate((self.positions, positions))
+        ordered = np.sort(all_positions)
+        repeats = ordered[1:][ordered[1:] == ordered[:-1]]
+        if repeats.size:
+            raise ContractViolation(f"duplicate position {repeats[0]} in pool update")
+
         all_scores = np.concatenate((self.scores, scores))
         winners = np.lexsort((all_positions, all_scores))[: self.capacity]
         members = len(self.positions)

@@ -160,7 +160,7 @@ def ratio_curve(
     random rows, offering it each group of ``group_size`` tokens when a
     cache would quantize that group, and reads each length's bits from
     ``MemoryBreakdown.of``: the rows matter only through the pool's size,
-    so only the keys' scores are offered.
+    so each drawn chunk is scored once and only the scores are queued.
     The pool is sized as on a layer outside ``skip_layers``, so the
     configured pool overhead is included.
     Below ``group_size + residual`` tokens nothing is quantized and the
@@ -193,22 +193,21 @@ def ratio_curve(
 
     rng = np.random.default_rng(seed)
     rows: list[ExperimentRow] = []
-    # Drawn (token, d) keys a cache would not have quantized yet.
-    waiting = np.empty((0, d), dtype=np.float32)
+    # Key scores of drawn tokens a cache would not have quantized yet.
+    waiting = np.empty(0, dtype=np.float64)
     token = quantized = 0
     for target in seq_lens:
         while token < target:
             # One (n, 2, d) draw per chunk is the same stream, in the same
             # order, as a key draw then a value draw per token; only the
-            # keys are kept.
+            # keys' scores are kept.
             n = min(_DRAW_CHUNK, target - token)
             keys = rng.standard_normal((n, 2, d))[:, 0].astype(np.float32)
-            waiting = np.concatenate((waiting, keys))
+            waiting = np.concatenate((waiting, score_tokens(keys)))
             token += n
             # A cache quantizes its oldest group once G + R rows are pending.
             while token - quantized >= g + config.residual:
-                if pool.capacity > 0 and not pool.frozen:
-                    pool.update(np.arange(quantized, quantized + g), score_tokens(waiting[:g]))
+                pool.update(np.arange(quantized, quantized + g), waiting[:g])
                 waiting = waiting[g:]
                 quantized += g
         usage = MemoryBreakdown.of(config, quantized, token - quantized, pool)

@@ -1,7 +1,10 @@
+from collections import Counter
 from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kvtrace import (
     ContractViolation,
@@ -246,6 +249,36 @@ class TestAgainstReference:
         with pytest.raises(ContractViolation, match="duplicate position"):
             pool.update([8, 9, repeat], np.zeros(3))
         assert pool_fields(pool) == before
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        members=st.lists(st.integers(0, 12), max_size=6, unique=True),
+        candidates=st.lists(st.integers(0, 12), max_size=8),
+        data=st.data(),
+    )
+    def test_duplicate_rule_matches_a_set_reference(self, members, candidates, data):
+        # The members are admitted whole through the public update; then
+        # the candidates may repeat each other or a member.
+        pool = OutlierPool(capacity=len(members) + 1, aux_capacity=3)
+        ref = ReferencePool(len(members) + 1, 3)
+        member_scores = [float(i) for i in range(len(members))]
+        pool.update(members, member_scores)
+        reference_pool_update(ref, [Entry(*m) for m in zip(members, member_scores)])
+        scores = data.draw(st.lists(st.integers(0, 3).map(float),
+                                    min_size=len(candidates), max_size=len(candidates)))
+        counts = Counter(pool.positions.tolist() + candidates)
+        repeated = {p for p, n in counts.items() if n > 1}
+        before = pool_fields(pool)
+        if repeated:
+            with pytest.raises(ContractViolation, match="duplicate position") as info:
+                pool.update(candidates, scores)
+            assert int(str(info.value).split()[2]) in repeated
+            assert pool_fields(pool) == before
+        else:
+            want = reference_pool_update(ref, [Entry(*c) for c in zip(candidates, scores)])
+            selected, evicted = pool.update(candidates, scores)
+            assert (selected.tolist(), evicted.tolist()) == want
+            assert pool_fields(pool) == reference_fields(ref)
 
     @pytest.mark.parametrize("positions, scores, message", [
         ([[8, 9]], [1.0, 2.0], "1-D"),

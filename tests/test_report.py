@@ -179,8 +179,10 @@ class TestRatioCurve:
         d, seed = 5, 7
         froze = 0
         # (group_size, residual, outlier_num, aux_capacity): G=1, R=0, pools
-        # that evict until an aux list of 2 freezes them, and no pool.
-        for g, r, outlier_num, aux in [(1, 0, 2, 2), (1, 3, 1, 2), (8, 0, 3, 2), (8, 2, 2, 2), (8, 2, 0, 0)]:
+        # that evict until an aux list of 2 freezes them, G=48, whose groups
+        # straddle the 512-token draws, and no pool.
+        for g, r, outlier_num, aux in [(1, 0, 2, 2), (1, 3, 1, 2), (8, 0, 3, 2), (8, 2, 2, 2),
+                                       (48, 5, 2, 2), (8, 2, 0, 0)]:
             cfg = EngineConfig(group_size=g, residual=r, outlier_num=outlier_num,
                                skip_layers=(), aux_capacity=aux, head_dim=d)
             lengths = sorted({1, max(1, g + r - 1), g + r}) + [g + r, 700, 1300]
@@ -194,7 +196,7 @@ class TestRatioCurve:
                 want.append(cache.memory_usage().total_bits)
             assert [row.total_bits for row in ratio_curve(cfg, lengths, seed=seed)] == want
             froze += cache.pool.frozen and cache.pool.aux_positions.size == 2
-        assert froze == 4
+        assert froze == 5
 
     def test_ott_layer_includes_pool_overhead(self):
         cfg = EngineConfig(group_size=8, residual=0, outlier_num=2, head_dim=4)
