@@ -32,7 +32,7 @@ for step in range(100):
         if rng.random() < 0.4:
             key *= float(rng.uniform(0.01, 0.2))  # plant a low-magnitude token
         keys.append(key)
-    selected, evicted = pool.update(np.arange(position, position + 4), score_tokens(np.array(keys)))
+    selected, evicted = pool.update(score_tokens(np.array(keys)), position)
     position += 4
     members = sorted(zip(pool.positions.tolist(), [round(s, 2) for s in pool.scores.tolist()]))
     print(f"update {step}: selected {sorted(selected.tolist())} evicted "
@@ -45,7 +45,7 @@ print()
 print("=== Freezing is permanent ===")
 before = pool.positions.copy()
 for _ in range(1000):
-    pool.update([position], [0.0])
+    pool.update([0.0], position)
     position += 1
 print(f"after 1000 zero-score candidates, membership unchanged: {np.array_equal(pool.positions, before)}")
 print()

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ContractViolation, check_integer
 from .outlier import OutlierPool, score_tokens, substitute_means
 from .quant import _check_bits, quantize_keys_channelwise, quantize_values_tokenwise
 
@@ -62,6 +62,8 @@ class EngineConfig:
 
     def __post_init__(self):
         _check_bits(self.bits)
+        for name in ("group_size", "residual", "outlier_num", "aux_capacity", "head_dim"):
+            check_integer(getattr(self, name), name)
         if self.group_size < 1:
             raise ContractViolation("group_size must be >= 1")
         if self.residual < 0 or self.outlier_num < 0 or self.aux_capacity < 0:
@@ -198,7 +200,7 @@ class TieredCache:
         selected = evicted = []
         if self.pool.capacity > 0 and not self.pool.frozen:
             # Positional: perfbench's tracer counts candidates as len(args[1]).
-            selected, evicted = self.pool.update(np.arange(base, base + g), score_tokens(group_k))
+            selected, evicted = self.pool.update(score_tokens(group_k), base)
             if selected.size:
                 group_k, group_v = substitute_means(group_k, group_v, selected - base)
                 self.substituted_positions.update(selected.tolist())

@@ -1,4 +1,6 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and its one integer check."""
+
+import operator
 
 
 class ContractViolation(ValueError):
@@ -15,3 +17,11 @@ class TraceFormatError(ValueError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (byte offset {offset})")
         self.offset = offset
+
+
+def check_integer(value, name: str) -> int:
+    """``value`` as an int (``operator.index``); a float, even ``2.0``, raises."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ContractViolation(f"{name} must be an integer, got {value!r}") from None

@@ -3,11 +3,11 @@
 A token's outlier score is the L1 norm of its key row; smaller scores mark
 tokens whose keys undercut the otherwise-uniform spread of high-magnitude
 channels, which is exactly what inflates the quantization step for the
-whole group. The pool ranks the lowest-scoring tokens seen so far, as
-position and score arrays sorted by one ``np.lexsort`` over (score,
-position); the cache keeps their rows at full precision. Tokens evicted
-from the pool land in a bounded auxiliary list; once that list is full the
-pool freezes permanently.
+whole group. The pool ranks the lowest-scoring tokens of a stream, offered
+a contiguous run at a time, by one stable sort on score: stream order breaks
+ties to the smaller position. The cache keeps their rows at full precision.
+Tokens evicted from the pool land in a bounded auxiliary list; once that
+list is full the pool freezes permanently.
 
 One pool belongs to one (layer, head) cache and has a single writer;
 distinct pools may update in parallel.
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ContractViolation, check_integer
 
 _NO_POSITIONS = np.empty(0, dtype=np.int64)
 
@@ -30,7 +30,7 @@ def score_tokens(keys: np.ndarray) -> np.ndarray:
 
 
 class OutlierPool:
-    """Fixed-capacity ranking of the lowest-score tokens, with an eviction ledger.
+    """Fixed-capacity ranking of a stream's lowest-score tokens, with an eviction ledger.
 
     ``positions`` (int64) and ``scores`` (float64) hold the members in rank
     order: ascending score, ties to the smaller position. The pool holds
@@ -41,6 +41,7 @@ class OutlierPool:
     """
 
     def __init__(self, capacity: int, aux_capacity: int):
+        capacity, aux_capacity = check_integer(capacity, "capacity"), check_integer(aux_capacity, "aux_capacity")
         if capacity < 0 or aux_capacity < 0:
             raise ContractViolation("pool capacities must be nonnegative")
         self.capacity, self.aux_capacity = capacity, aux_capacity
@@ -51,32 +52,30 @@ class OutlierPool:
     def frozen(self) -> bool:
         return len(self.aux_positions) >= self.aux_capacity
 
-    def update(self, positions, scores) -> tuple[np.ndarray, np.ndarray]:
-        """Let candidate tokens compete with the current members.
+    def update(self, scores, first) -> tuple[np.ndarray, np.ndarray]:
+        """Let the stream's next tokens compete with the current members.
 
-        ``positions`` and ``scores`` are 1-D and given token for token; the
-        scores must be finite and no position may repeat among candidates
-        and members. Bad candidates raise before any change. Returns
+        ``scores`` (1-D, finite) are the candidates at positions ``first,
+        first + 1, ...``, where ``first`` is an integer above every member's
+        position. Bad candidates raise before any change. Returns
         ``(selected, evicted)`` as int64 positions: winning candidates in
         rank order, and members that lost their slot in member rank order.
         A frozen or zero-capacity pool returns empty arrays, unchanged.
         """
         if self.frozen or self.capacity == 0:
             return _NO_POSITIONS, _NO_POSITIONS
-        positions = np.asarray(positions, dtype=np.int64)
+        first = check_integer(first, "first")
         scores = np.asarray(scores, dtype=np.float64)
-        if positions.ndim != 1 or scores.shape != positions.shape:
-            raise ContractViolation("candidate positions and scores must be 1-D and of equal length")
-        if not np.isfinite(scores).all():
-            raise ContractViolation("candidate scores must be finite")
-        all_positions = np.concatenate((self.positions, positions))
-        ordered = np.sort(all_positions)
-        repeats = ordered[1:][ordered[1:] == ordered[:-1]]
-        if repeats.size:
-            raise ContractViolation(f"duplicate position {repeats[0]} in pool update")
+        if scores.ndim != 1 or not np.isfinite(scores).all():
+            raise ContractViolation("candidate scores must be 1-D and finite")
+        if self.positions.size and first <= self.positions.max():
+            raise ContractViolation(f"first position {first} is not after every member")
 
+        # Members (in rank order) precede candidates (in stream order), so a
+        # stable sort by score breaks ties to the smaller position.
+        all_positions = np.concatenate((self.positions, np.arange(first, first + len(scores), dtype=np.int64)))
         all_scores = np.concatenate((self.scores, scores))
-        winners = np.lexsort((all_positions, all_scores))[: self.capacity]
+        winners = np.argsort(all_scores, kind="stable")[: self.capacity]
         members = len(self.positions)
         lost = np.ones(members, dtype=bool)
         lost[winners[winners < members]] = False

@@ -49,11 +49,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ContractViolation, check_integer
 
 
 def _check_bits(bits: int) -> None:
-    if not 1 <= bits <= 8:
+    if not 1 <= check_integer(bits, "bits") <= 8:
         raise ContractViolation(f"bits must be in [1, 8], got {bits}")
 
 

@@ -207,7 +207,7 @@ def ratio_curve(
             token += n
             # A cache quantizes its oldest group once G + R rows are pending.
             while token - quantized >= g + config.residual:
-                pool.update(np.arange(quantized, quantized + g), waiting[:g])
+                pool.update(waiting[:g], quantized)
                 waiting = waiting[g:]
                 quantized += g
         usage = MemoryBreakdown.of(config, quantized, token - quantized, pool)

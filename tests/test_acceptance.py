@@ -123,7 +123,7 @@ def test_criterion_4_pool_oracle():
             for start in range(0, n_tokens, 128):
                 group = slice(start, start + 128)
                 was_frozen = pool.frozen
-                pool.update(positions[group], scores[group])
+                pool.update(scores[group], start)
                 if not was_frozen:
                     # Independent oracle: rank the whole prefix seen so far.
                     end = min(start + 128, n_tokens)

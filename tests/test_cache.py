@@ -8,10 +8,12 @@ from kvtrace import (
     ContractViolation,
     EngineConfig,
     MemoryBreakdown,
+    OutlierPool,
     TieredCache,
     attend_full_precision,
     attend_mixed,
     quantize_keys_channelwise,
+    quantize_uniform,
     quantize_values_tokenwise,
     substitute_means,
 )
@@ -141,6 +143,25 @@ class TestEngineConfig:
             EngineConfig(group_size=0)
         with pytest.raises(ContractViolation):
             EngineConfig(residual=-1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: EngineConfig(bits=2.0),
+    lambda: EngineConfig(group_size=2.0),
+    lambda: EngineConfig(residual=1.5),
+    lambda: EngineConfig(outlier_num=2.5),
+    lambda: EngineConfig(aux_capacity=1.5),
+    lambda: EngineConfig(head_dim=4.0),
+    lambda: OutlierPool(2.5, 3),
+    lambda: OutlierPool(2, 1.5),
+    lambda: OutlierPool(2, 3).update([1.0], 0.0),
+    lambda: quantize_uniform([0.0, 1.0], 2.5),
+], ids=["bits", "group_size", "residual", "outlier_num", "aux_capacity", "head_dim",
+        "pool capacity", "pool aux_capacity", "pool first", "quantize bits"])
+def test_non_integer_size_rejected(build):
+    # A float that would otherwise fail later, inside numpy, with a TypeError.
+    with pytest.raises(ContractViolation, match="must be an integer"):
+        build()
 
 
 class TestAppendTrigger:

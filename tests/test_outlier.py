@@ -1,10 +1,7 @@
-from collections import Counter
 from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from kvtrace import (
     ContractViolation,
@@ -14,11 +11,11 @@ from kvtrace import (
 )
 
 
-def offer(pool, positions, scores, d=4):
-    """Offer one token per position whose key L1 norm equals its score."""
-    keys = np.zeros((len(positions), d), dtype=np.float32)
+def offer(pool, scores, first, d=4):
+    """Offer tokens at positions ``first, first + 1, ...`` whose key L1 norms are ``scores``."""
+    keys = np.zeros((len(scores), d), dtype=np.float32)
     keys[:, 0] = scores
-    return pool.update(np.asarray(positions), score_tokens(keys))
+    return pool.update(score_tokens(keys), first)
 
 
 def row_l1_norm(m, row):
@@ -54,11 +51,6 @@ def reference_pool_update(pool, candidates):
     """
     if pool.frozen or pool.capacity == 0:
         return [], []
-    seen = {e.position for e in pool.entries}
-    for c in candidates:
-        if c.position in seen:
-            raise ContractViolation(f"duplicate position {c.position} in pool update")
-        seen.add(c.position)
     ranked = sorted(pool.entries + list(candidates), key=lambda e: (e.score, e.position))
     winners = ranked[: pool.capacity]
     winner_positions = {e.position for e in winners}
@@ -123,15 +115,15 @@ class TestScoreTokens:
 class TestPoolUpdate:
     def test_fill_from_empty(self):
         pool = OutlierPool(capacity=2, aux_capacity=8)
-        selected, evicted = offer(pool, [0, 1, 2], [5.0, 1.0, 3.0])
+        selected, evicted = offer(pool, [5.0, 1.0, 3.0], 0)
         assert set(selected.tolist()) == {1, 2}
         assert evicted.tolist() == []
         assert sorted(pool.scores.tolist()) == [1.0, 3.0]
 
     def test_loser_stays_out(self):
         pool = OutlierPool(capacity=1, aux_capacity=8)
-        offer(pool, [0], [2.0])
-        selected, evicted = offer(pool, [1], [5.0])
+        offer(pool, [2.0], 0)
+        selected, evicted = offer(pool, [5.0], 1)
         assert selected.tolist() == []
         assert evicted.tolist() == []
         assert pool.positions.tolist() == [0]
@@ -139,37 +131,33 @@ class TestPoolUpdate:
 
     def test_eviction_moves_to_aux(self):
         pool = OutlierPool(capacity=1, aux_capacity=8)
-        offer(pool, [0], [2.0])
-        selected, evicted = offer(pool, [1], [1.0])
+        offer(pool, [2.0], 0)
+        selected, evicted = offer(pool, [1.0], 1)
         assert selected.tolist() == [1]
         assert evicted.tolist() == [0]
         assert pool.aux_positions.tolist() == [0]
 
     def test_tie_breaks_to_smaller_position(self):
         pool = OutlierPool(capacity=1, aux_capacity=8)
-        selected, _ = offer(pool, [3, 1], [1.0, 1.0])
-        assert selected.tolist() == [1]
-
-    def test_duplicate_positions_rejected(self):
-        pool = OutlierPool(capacity=2, aux_capacity=8)
-        offer(pool, [0], [1.0])
-        with pytest.raises(ContractViolation):
-            offer(pool, [0], [2.0])
+        # Inside one offer, the earlier of two equal scores wins.
+        selected, _ = offer(pool, [1.0, 1.0], 3)
+        assert selected.tolist() == [3]
+        # Against a member, the member is earlier and keeps its slot.
+        selected, evicted = offer(pool, [1.0], 5)
+        assert selected.tolist() == [] and evicted.tolist() == []
+        assert pool.positions.tolist() == [3]
 
     def test_stream_matches_brute_force_oracle_until_frozen(self):
         rng = np.random.default_rng(22)
         pool = OutlierPool(capacity=3, aux_capacity=4)
         history = []
-        position = 0
         max_scores = []
-        for _ in range(5):  # 40 candidates in groups of 8
-            positions = list(range(position, position + 8))
+        for position in range(0, 40, 8):  # 40 candidates in groups of 8
             # Keys are float32, so the pool ranks the float32-rounded scores.
             scores = rng.uniform(0, 100, size=8).astype(np.float32).astype(np.float64)
-            position += 8
             frozen_before = pool.frozen
-            offer(pool, positions, scores)
-            history.extend(zip(scores.tolist(), positions))
+            offer(pool, scores, position)
+            history.extend(zip(scores.tolist(), range(position, position + 8)))
             if not frozen_before:
                 assert set(pool.positions.tolist()) == brute_force_pool(history, 3)
                 max_scores.append(pool.scores.max())
@@ -183,13 +171,13 @@ class TestPoolUpdate:
         for _ in range(100):
             if pool.frozen:
                 break
-            offer(pool, range(position, position + 4), rng.uniform(0, 10, size=4))
+            offer(pool, rng.uniform(0, 10, size=4), position)
             position += 4
         assert pool.frozen
         frozen_members = pool.positions.tolist()
         frozen_aux = pool.aux_positions.tolist()
         for _ in range(200):
-            selected, evicted = offer(pool, range(position, position + 4), np.zeros(4))
+            selected, evicted = offer(pool, np.zeros(4), position)
             position += 4
             assert selected.size == 0 and evicted.size == 0
         assert pool.positions.tolist() == frozen_members
@@ -198,12 +186,12 @@ class TestPoolUpdate:
     def test_zero_aux_capacity_freezes_immediately(self):
         pool = OutlierPool(capacity=2, aux_capacity=0)
         assert pool.frozen
-        selected, _ = offer(pool, [0], [1.0])
+        selected, _ = offer(pool, [1.0], 0)
         assert selected.size == 0 and pool.positions.size == 0
 
     def test_zero_capacity_never_admits(self):
         pool = OutlierPool(capacity=0, aux_capacity=8)
-        selected, evicted = offer(pool, [0], [1.0])
+        selected, evicted = offer(pool, [1.0], 0)
         assert selected.size == 0 and evicted.size == 0 and pool.positions.size == 0
 
 
@@ -220,15 +208,15 @@ class TestAgainstReference:
             ref = ReferencePool(capacity, aux_capacity)
             position = 0
             for step in range(12):
-                # Positions arrive out of order and integer scores repeat,
-                # so ties are broken by position within and across groups;
-                # the scores drift down, so members keep being evicted.
-                positions = (position + rng.permutation(group_size)).tolist()
-                position += group_size
+                # Integer scores repeat, so ties are broken by position
+                # within and across groups; the scores drift down, so
+                # members keep being evicted.
+                positions = range(position, position + group_size)
                 scores = (rng.integers(0, 4, size=group_size) + 12 - step).astype(np.float64)
                 want = reference_pool_update(
                     ref, [Entry(*c) for c in zip(positions, scores.tolist())])
-                selected, evicted = pool.update(positions, scores)
+                selected, evicted = pool.update(scores, position)
+                position += group_size
                 assert (selected.tolist(), evicted.tolist()) == want
                 assert selected.dtype == evicted.dtype == np.int64
                 assert pool_fields(pool) == reference_fields(ref)
@@ -237,60 +225,28 @@ class TestAgainstReference:
         if capacity and aux_capacity:
             assert evicted_total and froze
 
-    @pytest.mark.parametrize("duplicate", ["member", "candidate"])
-    def test_duplicate_position_leaves_pool_unchanged(self, duplicate):
-        rng = np.random.default_rng(7)
+    def test_first_not_after_members_rejected(self):
         pool = OutlierPool(capacity=2, aux_capacity=3)
-        for start in (0, 4):
-            pool.update(range(start, start + 4), rng.uniform(size=4))
-        assert not pool.frozen and pool.positions.size == 2
+        pool.update([3.0, 2.0, 1.0, 4.0], 0)
+        pool.update([0.5, 5.0], 4)
+        assert pool.positions.tolist() == [4, 2] and pool.aux_positions.tolist() == [1]
         before = pool_fields(pool)
-        repeat = pool.positions[0] if duplicate == "member" else 8
-        with pytest.raises(ContractViolation, match="duplicate position"):
-            pool.update([8, 9, repeat], np.zeros(3))
-        assert pool_fields(pool) == before
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        members=st.lists(st.integers(0, 12), max_size=6, unique=True),
-        candidates=st.lists(st.integers(0, 12), max_size=8),
-        data=st.data(),
-    )
-    def test_duplicate_rule_matches_a_set_reference(self, members, candidates, data):
-        # The members are admitted whole through the public update; then
-        # the candidates may repeat each other or a member.
-        pool = OutlierPool(capacity=len(members) + 1, aux_capacity=3)
-        ref = ReferencePool(len(members) + 1, 3)
-        member_scores = [float(i) for i in range(len(members))]
-        pool.update(members, member_scores)
-        reference_pool_update(ref, [Entry(*m) for m in zip(members, member_scores)])
-        scores = data.draw(st.lists(st.integers(0, 3).map(float),
-                                    min_size=len(candidates), max_size=len(candidates)))
-        counts = Counter(pool.positions.tolist() + candidates)
-        repeated = {p for p, n in counts.items() if n > 1}
-        before = pool_fields(pool)
-        if repeated:
-            with pytest.raises(ContractViolation, match="duplicate position") as info:
-                pool.update(candidates, scores)
-            assert int(str(info.value).split()[2]) in repeated
+        # The newest member, an older member, and a non-member below the newest.
+        for first in (4, 2, 3):
+            with pytest.raises(ContractViolation, match="not after every member"):
+                pool.update([0.0], first)
             assert pool_fields(pool) == before
-        else:
-            want = reference_pool_update(ref, [Entry(*c) for c in zip(candidates, scores)])
-            selected, evicted = pool.update(candidates, scores)
-            assert (selected.tolist(), evicted.tolist()) == want
-            assert pool_fields(pool) == reference_fields(ref)
 
-    @pytest.mark.parametrize("positions, scores, message", [
-        ([[8, 9]], [1.0, 2.0], "1-D"),
-        ([8, 9], [[1.0, 2.0]], "1-D"),
-        ([8, 9], [np.nan, 2.0], "finite"),
-    ], ids=["2-D positions", "2-D scores", "NaN score"])
-    def test_malformed_candidates_rejected(self, positions, scores, message):
+    @pytest.mark.parametrize("scores, message", [
+        ([[1.0, 2.0]], "1-D"),
+        ([np.nan, 2.0], "finite"),
+    ], ids=["2-D scores", "NaN score"])
+    def test_malformed_candidates_rejected(self, scores, message):
         pool = OutlierPool(capacity=2, aux_capacity=3)
-        pool.update([0, 1, 2], [3.0, 1.0, 2.0])
+        pool.update([3.0, 1.0, 2.0], 0)
         before = pool_fields(pool)
         with pytest.raises(ContractViolation, match=message):
-            pool.update(positions, scores)
+            pool.update(scores, 8)
         assert pool_fields(pool) == before
 
 
