@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ContractViolation, check_integer
 
 _NO_POSITIONS = np.empty(0, dtype=np.int64)
+_INT64 = np.iinfo(np.int64)
 
 
 def score_tokens(keys: np.ndarray) -> np.ndarray:
@@ -57,9 +58,10 @@ class OutlierPool:
 
         ``scores`` (1-D, finite) are the candidates at positions ``first,
         first + 1, ...``, where ``first`` is an integer above every member's
-        position. Bad candidates raise before any change. Returns
-        ``(selected, evicted)`` as int64 positions: winning candidates in
-        rank order, and members that lost their slot in member rank order.
+        position and every candidate's position fits int64. Bad candidates
+        raise before any change. Returns ``(selected, evicted)`` as int64
+        positions: winning candidates in rank order, and members that lost
+        their slot in member rank order.
         A frozen or zero-capacity pool returns empty arrays, unchanged.
         """
         if self.frozen or self.capacity == 0:
@@ -70,10 +72,12 @@ class OutlierPool:
             raise ContractViolation("candidate scores must be 1-D and finite")
         if self.positions.size and first <= self.positions.max():
             raise ContractViolation(f"first position {first} is not after every member")
+        if not _INT64.min <= first <= _INT64.max - max(len(scores) - 1, 0):
+            raise ContractViolation(f"candidate positions from {first} pass the int64 range")
 
         # Members (in rank order) precede candidates (in stream order), so a
         # stable sort by score breaks ties to the smaller position.
-        all_positions = np.concatenate((self.positions, np.arange(first, first + len(scores), dtype=np.int64)))
+        all_positions = np.concatenate((self.positions, first + np.arange(len(scores), dtype=np.int64)))
         all_scores = np.concatenate((self.scores, scores))
         winners = np.argsort(all_scores, kind="stable")[: self.capacity]
         members = len(self.positions)

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import csv
 import enum
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .attention import attend_full_precision, l1_error
 from .cache import FP16_BITS, EngineConfig, MemoryBreakdown
-from .errors import ContractViolation
+from .errors import ContractViolation, check_integer
 from .outlier import OutlierPool, score_tokens
 from .quant import _check_bits, quantize_keys_channelwise, quantize_values_tokenwise
 
@@ -41,10 +42,13 @@ def estimate_kv_bytes(
         batch=batch,
         bytes_per_value=bytes_per_value,
     )
+    total = 2
     for name, v in args.items():
-        if not isinstance(v, int) or v < 1:
+        v = check_integer(v, name)
+        if v < 1:
             raise ContractViolation(f"{name} must be a positive integer, got {v!r}")
-    return 2 * bytes_per_value * batch * n_heads * head_dim * seq_len * n_layers
+        total *= v
+    return total
 
 
 class Criterion(enum.Enum):
@@ -82,9 +86,9 @@ def compare_criteria(
         raise ContractViolation(f"block must be a (3, T, d) array with T >= 1, got shape {np.shape(block)}")
     queries, keys, values = block
     seq_len = keys.shape[0]
-    if not 0 <= budget < seq_len:
+    if not 0 <= check_integer(budget, "budget") < seq_len:
         raise ContractViolation(f"budget must be in [0, seq_len), got {budget}")
-    if group_size < 1:
+    if check_integer(group_size, "group_size") < 1:
         raise ContractViolation(f"group_size must be >= 1, got {group_size}")
     _check_bits(bits)
     if not isinstance(criterion, Criterion):
@@ -143,10 +147,6 @@ class ExperimentRow:
 CSV_COLUMNS = [f.name for f in fields(ExperimentRow)]
 
 
-# Most tokens ``ratio_curve`` draws in one random call.
-_DRAW_CHUNK = 512
-
-
 def ratio_curve(
     config: EngineConfig,
     seq_lens: list[int],
@@ -156,62 +156,51 @@ def ratio_curve(
 ) -> list[ExperimentRow]:
     """Compression ratio against fp16 accounting at increasing lengths.
 
-    Replays only one representative (layer, head) cache's outlier pool on
-    random rows, offering it each group of ``group_size`` tokens when a
-    cache would quantize that group, and reads each length's bits from
-    ``MemoryBreakdown.of``: the rows matter only through the pool's size,
-    so each drawn chunk is scored once and only the scores are queued.
-    The pool is sized as on a layer outside ``skip_layers``, so the
-    configured pool overhead is included.
-    Below ``group_size + residual`` tokens nothing is quantized and the
-    ratio is exactly 1. The ``passthrough`` control stores every row at
-    16 bits and pools nothing, so its rows are the fp16 bits in closed
-    form, with ratio 1 and ``outlier_num`` 0.
+    Replays one representative (layer, head) cache's outlier pool, sized
+    as on a layer outside ``skip_layers``, on random rows: when a cache
+    would quantize a group (``group_size + residual`` rows pending), that
+    group is drawn and its key scores are offered to the pool. Each
+    length's bits come from ``MemoryBreakdown.of``, which reads the rows
+    only through the pool's size, so nothing is drawn that cannot change
+    the pool: no group once it has no capacity or is frozen, and no row
+    that is never quantized. Below ``group_size + residual`` tokens the
+    ratio is exactly 1. The ``passthrough`` control quantizes and pools
+    nothing, so it draws nothing: fp16 bits, ratio 1, ``outlier_num`` 0.
     """
-    if not seq_lens or list(seq_lens) != sorted(seq_lens) or any(s < 1 for s in seq_lens):
+    seq_lens = [check_integer(s, "seq_lens entry") for s in seq_lens]
+    if not seq_lens or seq_lens != sorted(seq_lens) or seq_lens[0] < 1:
         raise ContractViolation("seq_lens must be non-empty, positive and sorted ascending")
-    d = config.head_dim
-
-    def row(mode: str, outlier_num: int, seq_len: int, total_bits: int) -> ExperimentRow:
-        return ExperimentRow(
+    if check_integer(seed, "seed") < 0:
+        raise ContractViolation("seed must be >= 0")
+    d, g = config.head_dim, config.group_size
+    pool = OutlierPool(0 if passthrough else config.outlier_num, config.aux_capacity)
+    mode = "fp16" if passthrough else "ott" if pool.capacity > 0 else "baseline"
+    # A cache quantizes its oldest group once G + R rows are pending.
+    due = math.inf if passthrough else g + config.residual
+    rows: list[ExperimentRow] = []
+    rng, quantized = None, 0
+    for target in seq_lens:
+        while target - quantized >= due:
+            if pool.capacity and not pool.frozen:
+                if rng is None:
+                    rng = np.random.default_rng(seed)
+                # One (G, 2, d) draw is the same stream, in the same order, as
+                # a key draw then a value draw per token; only keys are scored.
+                keys = rng.standard_normal((g, 2, d))[:, 0].astype(np.float32)
+                pool.update(score_tokens(keys), quantized)
+            quantized += g
+        total = MemoryBreakdown.of(config, quantized, target - quantized, pool).total_bits
+        rows.append(ExperimentRow(
             mode=mode,
             bits=config.bits,
-            group_size=config.group_size,
+            group_size=g,
             residual=config.residual,
-            outlier_num=outlier_num,
-            seq_len=seq_len,
+            outlier_num=pool.capacity,
+            seq_len=target,
             l1_output_error=None,
-            total_bits=total_bits,
-            ratio_vs_fp16=2 * seq_len * d * FP16_BITS / total_bits,
-        )
-
-    if passthrough:
-        return [row("fp16", 0, target, 2 * target * d * FP16_BITS) for target in seq_lens]
-    g = config.group_size
-    pool = OutlierPool(config.outlier_num, config.aux_capacity)
-    mode = "ott" if pool.capacity > 0 else "baseline"
-
-    rng = np.random.default_rng(seed)
-    rows: list[ExperimentRow] = []
-    # Key scores of drawn tokens a cache would not have quantized yet.
-    waiting = np.empty(0, dtype=np.float64)
-    token = quantized = 0
-    for target in seq_lens:
-        while token < target:
-            # One (n, 2, d) draw per chunk is the same stream, in the same
-            # order, as a key draw then a value draw per token; only the
-            # keys' scores are kept.
-            n = min(_DRAW_CHUNK, target - token)
-            keys = rng.standard_normal((n, 2, d))[:, 0].astype(np.float32)
-            waiting = np.concatenate((waiting, score_tokens(keys)))
-            token += n
-            # A cache quantizes its oldest group once G + R rows are pending.
-            while token - quantized >= g + config.residual:
-                pool.update(waiting[:g], quantized)
-                waiting = waiting[g:]
-                quantized += g
-        usage = MemoryBreakdown.of(config, quantized, token - quantized, pool)
-        rows.append(row(mode, pool.capacity, target, usage.total_bits))
+            total_bits=total,
+            ratio_vs_fp16=2 * target * d * FP16_BITS / total,
+        ))
     return rows
 
 

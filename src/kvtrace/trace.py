@@ -29,7 +29,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ContractViolation, TraceFormatError
+from .errors import ContractViolation, TraceFormatError, check_integer
 
 MAGIC = b"KVTRACE1"
 _HEADER = struct.Struct("<4I")
@@ -46,9 +46,11 @@ class TraceHeader:
 
     def __post_init__(self):
         for field in fields(self):
-            v = getattr(self, field.name)
+            v = check_integer(getattr(self, field.name), field.name)
             if not 1 <= v <= 0xFFFFFFFF:
                 raise ContractViolation(f"{field.name} must be in [1, 2**32), got {v}")
+            # Python ints: no size or offset computed from the header can wrap.
+            object.__setattr__(self, field.name, v)
         if 3 * self.seq_len * self.head_dim * 4 > np.iinfo(np.intp).max:
             raise ContractViolation(f"a 3 x {self.seq_len} x {self.head_dim} float32 block is too large to address")
 
@@ -190,6 +192,8 @@ class SyntheticSpec:
             )
         if self.mu + self.sigma > _FLOAT32_MAX:
             raise ContractViolation(f"mu + sigma must be finite in float32, got {self.mu + self.sigma}")
+        for name in ("m", "outlier_channels", "seed"):
+            check_integer(getattr(self, name), name)
         if self.m < 0 or self.outlier_channels < 0:
             raise ContractViolation("m and outlier_channels must be >= 0")
         if self.q_scale < 0:

@@ -6,15 +6,21 @@ import pytest
 
 from kvtrace import (
     ContractViolation,
+    Criterion,
     EngineConfig,
     MemoryBreakdown,
     OutlierPool,
+    SyntheticSpec,
     TieredCache,
+    TraceHeader,
     attend_full_precision,
     attend_mixed,
+    compare_criteria,
+    estimate_kv_bytes,
     quantize_keys_channelwise,
     quantize_uniform,
     quantize_values_tokenwise,
+    ratio_curve,
     substitute_means,
 )
 
@@ -156,8 +162,19 @@ class TestEngineConfig:
     lambda: OutlierPool(2, 1.5),
     lambda: OutlierPool(2, 3).update([1.0], 0.0),
     lambda: quantize_uniform([0.0, 1.0], 2.5),
+    lambda: TraceHeader(2.0, 1, 8, 40),
+    lambda: SyntheticSpec(m=2.5),
+    lambda: SyntheticSpec(outlier_channels=1.0),
+    lambda: SyntheticSpec(seed=1.5),
+    lambda: compare_criteria(np.ones((3, 8, 2), np.float32), 2.5, Criterion.RANDOM, 2),
+    lambda: compare_criteria(np.ones((3, 8, 2), np.float32), 2, Criterion.RANDOM, 2, group_size=16.0),
+    lambda: estimate_kv_bytes(1, 1, 1, 1.0, 1, 2),
+    lambda: ratio_curve(EngineConfig(), [200.5]),
+    lambda: ratio_curve(EngineConfig(), [64], seed=1.5),
 ], ids=["bits", "group_size", "residual", "outlier_num", "aux_capacity", "head_dim",
-        "pool capacity", "pool aux_capacity", "pool first", "quantize bits"])
+        "pool capacity", "pool aux_capacity", "pool first", "quantize bits",
+        "trace header", "spec m", "spec outlier_channels", "spec seed", "criteria budget",
+        "criteria group_size", "kv bytes seq_len", "curve seq_lens", "curve seed"])
 def test_non_integer_size_rejected(build):
     # A float that would otherwise fail later, inside numpy, with a TypeError.
     with pytest.raises(ContractViolation, match="must be an integer"):

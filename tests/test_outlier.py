@@ -237,6 +237,24 @@ class TestAgainstReference:
                 pool.update([0.0], first)
             assert pool_fields(pool) == before
 
+    @pytest.mark.parametrize("first, count", [(2**63, 1), (2**63 - 1, 2), (2**63, 0)])
+    def test_positions_past_int64_rejected(self, first, count):
+        pool = OutlierPool(capacity=2, aux_capacity=3)
+        pool.update([3.0, 1.0, 2.0], 0)
+        before = pool_fields(pool)
+        with pytest.raises(ContractViolation, match="int64 range"):
+            pool.update([0.5] * count, first)
+        assert pool_fields(pool) == before
+
+    def test_int64_end_positions_accepted(self):
+        pool = OutlierPool(capacity=2, aux_capacity=3)
+        with pytest.raises(ContractViolation, match="int64 range"):
+            pool.update([1.0], -(2**63) - 1)
+        selected, _ = pool.update([1.0], -(2**63))
+        assert selected.tolist() == [-(2**63)]
+        pool.update([2.0, 0.5], 2**63 - 2)
+        assert pool.positions.tolist() == [2**63 - 1, -(2**63)]
+
     @pytest.mark.parametrize("scores, message", [
         ([[1.0, 2.0]], "1-D"),
         ([np.nan, 2.0], "finite"),

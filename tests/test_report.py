@@ -35,6 +35,10 @@ class TestEstimateKvBytes:
         with pytest.raises(ContractViolation):
             estimate_kv_bytes(1, 1, 1, 1, 0, 2)
 
+    def test_numpy_integers_accepted(self):
+        total = estimate_kv_bytes(*(np.int64(v) for v in (32, 8, 512, 8192, 64, 2)))
+        assert type(total) is int and total == 256 * 2**30
+
     def test_linear_in_each_argument(self):
         base = dict(n_layers=2, n_heads=3, head_dim=4, seq_len=5, batch=6, bytes_per_value=2)
         ref = estimate_kv_bytes(**base)
@@ -175,17 +179,33 @@ class TestRatioCurve:
         with pytest.raises(ContractViolation, match="non-empty"):
             ratio_curve(EngineConfig(), [], passthrough=passthrough)
 
+    @pytest.mark.parametrize("passthrough", [False, True])
+    @pytest.mark.parametrize("seed", [-1, -(2**70)])
+    def test_negative_seed_rejected(self, seed, passthrough):
+        with pytest.raises(ContractViolation, match="seed must be >= 0"):
+            ratio_curve(EngineConfig(), [1000], seed=seed, passthrough=passthrough)
+
+    @pytest.mark.parametrize("passthrough", [False, True])
+    @pytest.mark.parametrize("lengths", [[0], [-5, 64], [64, 64.5]])
+    def test_bad_lengths_rejected_in_every_mode(self, lengths, passthrough):
+        with pytest.raises(ContractViolation, match="seq_lens"):
+            ratio_curve(EngineConfig(outlier_num=0), lengths, passthrough=passthrough)
+
+    def test_numpy_integers_accepted(self):
+        cfg = EngineConfig(head_dim=8)
+        assert ratio_curve(cfg, [np.int64(200)], seed=np.int64(3)) == ratio_curve(cfg, [200], seed=3)
+
     def test_total_bits_equal_a_cache_fed_row_by_row(self):
         d, seed = 5, 7
         froze = 0
         # (group_size, residual, outlier_num, aux_capacity): G=1, R=0, pools
-        # that evict until an aux list of 2 freezes them, G=48, whose groups
-        # straddle the 512-token draws, and no pool.
+        # that evict until an aux list of 2 (or 1) freezes them, G=48 and no
+        # pool. Lengths end below, at and past G + R, and mid-group.
         for g, r, outlier_num, aux in [(1, 0, 2, 2), (1, 3, 1, 2), (8, 0, 3, 2), (8, 2, 2, 2),
-                                       (48, 5, 2, 2), (8, 2, 0, 0)]:
+                                       (48, 5, 2, 2), (8, 2, 0, 0), (8, 3, 1, 1), (48, 0, 3, 1)]:
             cfg = EngineConfig(group_size=g, residual=r, outlier_num=outlier_num,
                                skip_layers=(), aux_capacity=aux, head_dim=d)
-            lengths = sorted({1, max(1, g + r - 1), g + r}) + [g + r, 700, 1300]
+            lengths = sorted({1, max(1, g + r - 1), g + r}) + [g + r, 3 * g + r - 1, 700, 1301, 1303]
             rng = np.random.default_rng(seed)
             cache = TieredCache(cfg)
             want = []
@@ -195,8 +215,48 @@ class TestRatioCurve:
                     cache.append(k, rng.standard_normal(d).astype(np.float32))
                 want.append(cache.memory_usage().total_bits)
             assert [row.total_bits for row in ratio_curve(cfg, lengths, seed=seed)] == want
-            froze += cache.pool.frozen and cache.pool.aux_positions.size == 2
-        assert froze == 5
+            froze += cache.pool.frozen and cache.pool.aux_positions.size == aux > 0
+        assert froze == 7
+
+    @pytest.mark.parametrize("cfg, passthrough", [
+        (EngineConfig(outlier_num=0), False),
+        (EngineConfig(), True),
+        (EngineConfig(aux_capacity=0), False),
+    ], ids=["no pool", "fp16", "frozen from the start"])
+    def test_unchangeable_pool_draws_nothing(self, cfg, passthrough, monkeypatch):
+        def no_rng(seed):
+            raise AssertionError("drew rows that no output reads")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        rows = ratio_curve(cfg, [64, 1000, 65536], passthrough=passthrough)
+        assert [row.seq_len for row in rows] == [64, 1000, 65536]
+
+    def test_frozen_pool_draws_no_later_group(self, monkeypatch):
+        g, d, seed = 8, 4, 0
+        cfg = EngineConfig(group_size=g, residual=0, outlier_num=1, aux_capacity=1,
+                           skip_layers=(), head_dim=d)
+        # The group whose update freezes a cache fed the same stream.
+        rng = np.random.default_rng(seed)
+        cache = TieredCache(cfg)
+        while not cache.pool.frozen:
+            cache.append(rng.standard_normal(d).astype(np.float32), rng.standard_normal(d).astype(np.float32))
+        groups = cache.quantized_tokens // g
+        assert 1 < groups < 100
+
+        draws = []
+        real_rng = np.random.default_rng
+
+        class CountingRng:
+            def __init__(self, seed):
+                self.rng = real_rng(seed)
+
+            def standard_normal(self, shape):
+                draws.append(shape)
+                return self.rng.standard_normal(shape)
+
+        monkeypatch.setattr(np.random, "default_rng", CountingRng)
+        ratio_curve(cfg, [g * groups - 1, 100 * g, 1000 * g], seed=seed)
+        assert draws == [(g, 2, d)] * groups
 
     def test_ott_layer_includes_pool_overhead(self):
         cfg = EngineConfig(group_size=8, residual=0, outlier_num=2, head_dim=4)

@@ -3,7 +3,7 @@ import io
 import os
 import struct
 import tracemalloc
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 import pytest
@@ -246,6 +246,14 @@ class TestFileRoundTrip:
     def test_header_validation(self):
         with pytest.raises(ContractViolation):
             TraceHeader(0, 1, 1, 1)
+
+    def test_header_holds_python_ints(self):
+        header = TraceHeader(np.int64(2), np.uint32(3), 4, np.int32(5))
+        assert header == TraceHeader(2, 3, 4, 5)
+        assert all(type(v) is int for v in astuple(header))
+        # In uint32 arithmetic the block's byte size would wrap below the limit.
+        with pytest.raises(ContractViolation, match="too large to address"):
+            TraceHeader(1, 1, np.uint32(2**31), np.uint32(2**31))
 
 
 class TestSyntheticGenerator:
