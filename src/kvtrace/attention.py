@@ -82,13 +82,8 @@ def attend_mixed(q, cache: TieredCache) -> AttentionResult:
 
     The weights vector spans every token the cache has seen, sums to 1
     within 1e-6, and is independent of the shadow (mean-substituted)
-    quantized rows at pooled positions.
+    quantized rows at pooled positions. ``attend_full_precision`` checks ``q``.
     """
-    q = np.asarray(q, dtype=np.float32)
-    if q.shape != (cache.config.head_dim,):
-        raise ContractViolation(f"query must have shape ({cache.config.head_dim},)")
-    if cache.total_tokens == 0:
-        raise ContractViolation("cannot attend over an empty cache")
     return attend_full_precision(q, *cache.attended_kv())
 
 

@@ -184,8 +184,8 @@ class TieredCache:
     def quantize_oldest_group(self) -> None:
         """Quantize the oldest ``group_size`` pending rows in place.
 
-        When this layer pools outliers and the pool is not frozen, the
-        group's tokens first compete for pool slots; winners are
+        Unless the pool is frozen (no capacity on this layer, or a full aux
+        list), the group's tokens first compete for pool slots; winners are
         mean-substituted in the group before quantization and keep their
         exact rows in the buffer; a member the pool evicts gets its shadow
         rows back.
@@ -198,7 +198,7 @@ class TieredCache:
         group_v = self._v[base : base + g]
 
         selected = evicted = []
-        if self.pool.capacity > 0 and not self.pool.frozen:
+        if not self.pool.frozen:
             # Positional: perfbench's tracer counts candidates as len(args[1]).
             selected, evicted = self.pool.update(score_tokens(group_k), base)
             if selected.size:

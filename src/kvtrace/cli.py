@@ -11,15 +11,17 @@ Subcommands::
 
 Engine flag defaults reproduce the reference setting, ``EngineConfig``'s
 defaults; each subcommand's ``--help`` shows them.
-Outputs are deterministic given ``--seed``; every randomized component
-derives its stream from the root seed via SeedSequence(root, (layer,
-head)). ``simulate`` sums the errors and memory of the caches that
+Outputs are deterministic given ``--seed``. A synthetic trace draws each
+(layer, head) block from SeedSequence(seed, (layer, head)); trial i of
+``compare-criteria`` studies seed + i's trace and draws the random
+criterion's tokens from SeedSequence(seed + i, (layer, head, 1));
+``ratio-curve`` draws its rows from default_rng(seed). ``simulate`` sums the errors and memory of the caches that
 ``kvtrace/replay.py`` replays one at a time, holding one (layer, head)
 block of the trace plus one cache: a synthetic block is drawn, a file's
 is read once its header and size are checked, and fp16 mode needs none.
 
 Exit codes: 0 on success, 1 on bad flags or values (including an
-unwritable ``--out``), 2 on a missing, unreadable or malformed trace file.
+unwritable ``--out``), 2 on a trace file that cannot be opened, read or parsed.
 """
 
 from __future__ import annotations
@@ -56,10 +58,6 @@ from .trace import (
 MODES = ("fp16", "baseline", "ott")
 # Memory fields ``simulate`` sums over its caches and prints, in this order.
 _USAGE_KEYS = ("quantized_bits", "param_bits", "pending_bits", "pool_bits", "total_bits")
-
-
-class _UnreadableTrace(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -193,10 +191,7 @@ def _load_trace(args, seed: int) -> TraceFile | SyntheticTrace:
         if given:
             flag = "--" + next(iter(given)).replace("_", "-")
             raise ContractViolation(f"{flag} applies only to synthetic traces (omit --trace)")
-        try:
-            return read_trace(args.trace)
-        except OSError as exc:
-            raise _UnreadableTrace(exc) from None
+        return read_trace(args.trace)
     shape = {**_SHAPE_DEFAULTS, **given}
     spec = SyntheticSpec(seed=seed, **{field: given[k] for k, field in _SPEC_FIELDS.items() if k in given})
     return SyntheticTrace(TraceHeader(*(shape[k] for k in _SHAPE_DEFAULTS)), spec)
@@ -360,7 +355,7 @@ def run(argv=None) -> int:
             return _COMMANDS[args.subcommand](args)
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
-    except (TraceFormatError, _UnreadableTrace) as exc:
+    except TraceFormatError as exc:
         print(f"trace error: {exc}", file=sys.stderr)
         return 2
     except (ContractViolation, OSError, MemoryError) as exc:

@@ -8,7 +8,7 @@ class ContractViolation(ValueError):
 
 
 class TraceFormatError(ValueError):
-    """A trace file could not be parsed.
+    """A trace file could not be opened, read or parsed.
 
     Attributes:
         offset: Byte offset at which parsing failed.

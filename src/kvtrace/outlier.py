@@ -36,9 +36,9 @@ class OutlierPool:
     ``positions`` (int64) and ``scores`` (float64) hold the members in rank
     order: ascending score, ties to the smaller position. The pool holds
     no rows; its cache keeps every token's row. Members that lose their
-    slot move to ``aux_positions`` in the order they were evicted; once
-    ``aux_capacity`` positions are there the pool is frozen and every later
-    update is a no-op.
+    slot move to ``aux_positions`` in the order they were evicted. A pool
+    of capacity 0, or with ``aux_capacity`` positions there, is frozen: no
+    update can change it, so every later update is a no-op.
     """
 
     def __init__(self, capacity: int, aux_capacity: int):
@@ -51,7 +51,8 @@ class OutlierPool:
 
     @property
     def frozen(self) -> bool:
-        return len(self.aux_positions) >= self.aux_capacity
+        """No update can change the pool: it has no capacity or its aux list is full."""
+        return self.capacity == 0 or len(self.aux_positions) >= self.aux_capacity
 
     def update(self, scores, first) -> tuple[np.ndarray, np.ndarray]:
         """Let the stream's next tokens compete with the current members.
@@ -62,9 +63,9 @@ class OutlierPool:
         raise before any change. Returns ``(selected, evicted)`` as int64
         positions: winning candidates in rank order, and members that lost
         their slot in member rank order.
-        A frozen or zero-capacity pool returns empty arrays, unchanged.
+        A frozen pool returns empty arrays, unchanged.
         """
-        if self.frozen or self.capacity == 0:
+        if self.frozen:
             return _NO_POSITIONS, _NO_POSITIONS
         first = check_integer(first, "first")
         scores = np.asarray(scores, dtype=np.float64)

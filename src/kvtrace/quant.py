@@ -32,12 +32,11 @@ three shift-and-merge rounds.
 ``mins`` and ``steps``, with one entry per parameter line; it is the only
 block type, and ``TieredCache.memory_usage`` accounts for its bits.
 
-The input domain is every finite float64 value, with one condition per
-line: its range ``x_max - x_min`` must be finite in float64 (only a line
-whose largest positive and negative magnitudes sum past about 1.8e308
-fails it). Anything else raises one ``ContractViolation`` before any
-work. Inside the domain each loop of the pass runs at most a stated
-number of passes, asserted when it ends.
+The input domain is one test per line: its range ``x_max - x_min`` must
+be finite in float64. A NaN or an infinity fails it, and so does a finite
+line whose extremes' magnitudes sum past about 1.8e308. Anything else
+raises one ``ContractViolation`` before any code is computed. Inside the
+domain each loop of the pass runs at most a stated number of passes.
 
 All functions are pure and safe to call concurrently.
 """
@@ -142,15 +141,15 @@ _NUDGE_PASSES = 5
 _SHRINK_PASSES = 64
 
 
-# ``(k + 1) * step`` overflows only where ``k == levels`` masks it, so
-# overflow there is harmless.
-@np.errstate(over="ignore")
+# ``(k + 1) * step`` overflows only where ``k == levels`` masks it, and the
+# range test rejects an all-Inf line's ``inf - inf``: both are harmless.
+@np.errstate(over="ignore", invalid="ignore")
 def _quantize_lines(lines: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Quantize each row of a finite, non-empty float64 (L, n) matrix.
+    """Quantize each row of a non-empty float64 (L, n) matrix.
 
     Returns ``(codes, mins, steps)``: uint8 codes of shape (L, n), laid out
     in memory like ``lines``, and the float64 zero point and step of each
-    row. A row whose range overflows float64 raises ``ContractViolation``.
+    row. A row whose range is not finite (NaN, Inf or overflow) raises.
 
     Each code c is first estimated (see ``_floor_codes``) and checked
     through its residual ``r = x - (c * step + x_min)``, the float64
@@ -179,7 +178,7 @@ def _quantize_lines(lines: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarra
     maxs = lines.max(axis=1)
     steps = maxs - mins
     if not np.isfinite(steps).all():
-        raise ContractViolation("a line's range (max - min) overflows float64")
+        raise ContractViolation("a line contains NaN or Inf, or its range (max - min) overflows float64")
     steps /= levels
     # Guard float round-off: nudge each step down until the top code
     # reconstructs at or below x_max, so x_max gets the top level and the
@@ -236,8 +235,6 @@ def quantize_uniform(x, bits: int) -> tuple[np.ndarray, QuantParams]:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
         raise ContractViolation("quantize_uniform expects a non-empty 1-D vector")
-    if not np.isfinite(x).all():
-        raise ContractViolation("quantize_uniform input contains NaN or Inf")
     codes, mins, steps = _quantize_lines(x[None, :], bits)
     params = QuantParams(x_min=float(mins[0]), step=float(steps[0]), bits=bits)
     return codes[0].astype(np.int64), params
@@ -310,8 +307,6 @@ def _quantize_group(group: np.ndarray, bits: int, axis: GroupAxis) -> QuantizedB
     group = np.asarray(group, dtype=np.float64, order=order)
     if group.ndim != 2 or group.size == 0:
         raise ContractViolation("group must be a non-empty 2-D matrix")
-    if not np.isfinite(group).all():
-        raise ContractViolation("group contains NaN or Inf")
     _check_bits(bits)
 
     n_tokens, n_channels = group.shape

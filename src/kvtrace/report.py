@@ -162,7 +162,7 @@ def ratio_curve(
     group is drawn and its key scores are offered to the pool. Each
     length's bits come from ``MemoryBreakdown.of``, which reads the rows
     only through the pool's size, so nothing is drawn that cannot change
-    the pool: no group once it has no capacity or is frozen, and no row
+    the pool: no group once it is frozen (or has no capacity), and no row
     that is never quantized. Below ``group_size + residual`` tokens the
     ratio is exactly 1. The ``passthrough`` control quantizes and pools
     nothing, so it draws nothing: fp16 bits, ratio 1, ``outlier_num`` 0.
@@ -181,7 +181,7 @@ def ratio_curve(
     rng, quantized = None, 0
     for target in seq_lens:
         while target - quantized >= due:
-            if pool.capacity and not pool.frozen:
+            if not pool.frozen:
                 if rng is None:
                     rng = np.random.default_rng(seed)
                 # One (G, 2, d) draw is the same stream, in the same order, as

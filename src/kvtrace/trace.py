@@ -22,6 +22,7 @@ file.
 from __future__ import annotations
 
 import io
+import math
 import os
 import stat
 import struct
@@ -121,15 +122,19 @@ def read_trace(path) -> TraceFile:
     """Check a KVTRACE1 file's magic, header and size, reading no payload.
 
     Damage raises :class:`TraceFormatError` here, before any block is read.
-    The returned :class:`TraceFile` reads blocks on demand, so a replay
-    holds one block of the payload, not all of them.
+    So does a path that cannot be opened or read, at offset 0. The returned
+    :class:`TraceFile` reads blocks on demand, so a replay holds one block
+    of the payload, not all of them.
     """
-    with open(path, "rb") as f:
-        info = os.fstat(f.fileno())
-        if stat.S_ISREG(info.st_mode):
-            return TraceFile(_read_header(f, info.st_size), path)
-        # A pipe has no size up front and cannot be reread: keep it whole.
-        data = f.read()
+    try:
+        with open(path, "rb") as f:
+            info = os.fstat(f.fileno())
+            if stat.S_ISREG(info.st_mode):
+                return TraceFile(_read_header(f, info.st_size), path)
+            # A pipe has no size up front and cannot be reread: keep it whole.
+            data = f.read()
+    except OSError as exc:
+        raise TraceFormatError(f"{path} unreadable: {exc.strerror or exc}", offset=0) from None
     return TraceFile(_read_header(io.BytesIO(data), len(data)), path, data)
 
 
@@ -263,15 +268,17 @@ def decile_stats(column) -> np.ndarray:
     """Percent of values per decile of [min, max] for one channel column.
 
     The ten percentages sum to 100 (within float error) and the maximum
-    value lands in the top decile. A constant column has no deciles and is
-    rejected.
+    value lands in the top decile. The quantizer's domain test applies: a
+    column holding NaN or Inf, or whose range overflows float64, is
+    rejected, and so is a constant column, which has no deciles.
     """
     col = np.asarray(column, dtype=np.float64)
     if col.ndim != 1 or col.size == 0:
         raise ContractViolation("decile_stats expects a non-empty 1-D column")
-    if not np.isfinite(col).all():
-        raise ContractViolation("decile_stats input contains NaN or Inf")
+    # In Python floats ``hi - lo`` overflows, or meets a NaN or Inf, with no warning.
     lo, hi = float(col.min()), float(col.max())
+    if not math.isfinite(hi - lo):
+        raise ContractViolation("decile_stats input contains NaN or Inf, or its range overflows float64")
     if lo == hi:
         raise ContractViolation("constant column has no decile structure")
     counts, _ = np.histogram(col, bins=10, range=(lo, hi))

@@ -760,6 +760,8 @@ HUGE_BLOCK = ["--layers", "1", "--seq-len", "4294967295", "--head-dim", "4294967
         (["decile-stats", *HUGE_BLOCK], 1),
         (["compare-criteria", *HUGE_BLOCK], 1),
         (["gen-synthetic", *HUGE_BLOCK, "--out", "{tmp}/huge.kvt"], 1),
+        # A directory is not a trace file.
+        (["simulate", "--trace", "{tmp}"], 2),
     ],
 )
 # Pytest would capture a numpy warning away from capsys; turned into an

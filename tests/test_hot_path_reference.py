@@ -208,8 +208,9 @@ class TestDecodeStep:
             (lambda c: c.append(np.zeros(4), np.zeros((1, 4))), "rows must have shape (4,)"),
             (lambda c: c.append([1.0, 2.0, math.nan, 0.0], np.zeros(4)), "rows contain NaN or Inf"),
             (lambda c: c.append(np.zeros(4), [0.0, -math.inf, 0.0, 0.0]), "rows contain NaN or Inf"),
-            (lambda c: attend_mixed(np.zeros(3), c), "query must have shape (4,)"),
-            (lambda c: attend_mixed(np.zeros(4), c), "cannot attend over an empty cache"),
+            # attend_mixed rejects through attend_full_precision's checks.
+            (lambda c: attend_mixed(np.zeros(3), c), "width mismatch between query and cache rows"),
+            (lambda c: attend_mixed(np.zeros(4), c), "attention needs at least one cached token"),
         ],
     )
     def test_same_rejection_and_cache_unchanged(self, call, message):

@@ -40,7 +40,8 @@ class ReferencePool:
         self.capacity, self.aux_capacity = capacity, aux_capacity
         self.entries: list[Entry] = []
         self.aux: list[Entry] = []
-        self.frozen = aux_capacity == 0
+        # Frozen: no update can change the pool.
+        self.frozen = capacity == 0 or aux_capacity == 0
 
 
 def reference_pool_update(pool, candidates):
@@ -49,7 +50,7 @@ def reference_pool_update(pool, candidates):
     Returns ``(selected, evicted)`` position lists in the order the array
     pool reports them: winners in rank order, losers in member rank order.
     """
-    if pool.frozen or pool.capacity == 0:
+    if pool.frozen:
         return [], []
     ranked = sorted(pool.entries + list(candidates), key=lambda e: (e.score, e.position))
     winners = ranked[: pool.capacity]
@@ -100,6 +101,11 @@ class TestScoreTokens:
         for i in range(128):
             want = sum(abs(float(v)) for v in keys[i])
             assert got[i] == want
+
+    @pytest.mark.parametrize("keys", [np.ones(4), np.ones((0, 4))], ids=["1-D", "empty"])
+    def test_malformed_keys_rejected(self, keys):
+        with pytest.raises(ContractViolation, match="non-empty 2-D key matrix"):
+            score_tokens(keys)
 
     @pytest.mark.parametrize(
         "width", list(range(1, 70)) + [100, 127, 128, 129, 200, 257, 513]
@@ -190,9 +196,18 @@ class TestPoolUpdate:
         assert selected.size == 0 and pool.positions.size == 0
 
     def test_zero_capacity_never_admits(self):
+        # No update can change a pool without capacity, so it is frozen.
         pool = OutlierPool(capacity=0, aux_capacity=8)
+        assert pool.frozen
+        before = pool_fields(pool)
         selected, evicted = offer(pool, [1.0], 0)
         assert selected.size == 0 and evicted.size == 0 and pool.positions.size == 0
+        assert pool_fields(pool) == before
+
+    @pytest.mark.parametrize("capacity, aux_capacity", [(-1, 8), (2, -1)], ids=["capacity", "aux"])
+    def test_negative_capacity_rejected(self, capacity, aux_capacity):
+        with pytest.raises(ContractViolation, match="nonnegative"):
+            OutlierPool(capacity, aux_capacity)
 
 
 class TestAgainstReference:
@@ -299,6 +314,11 @@ class TestSubstituteMeans:
         k = np.zeros((2, 2), dtype=np.float32)
         with pytest.raises(ContractViolation):
             substitute_means(k, k, [2])
+
+    def test_row_count_mismatch_rejected(self):
+        k = np.zeros((2, 2), dtype=np.float32)
+        with pytest.raises(ContractViolation, match="same row count"):
+            substitute_means(k, k[:1], [0])
 
     def test_substitution_shrinks_channel_range(self):
         rng = np.random.default_rng(24)

@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 from kvtrace import (
     ContractViolation,
     GroupAxis,
+    QuantParams,
     QuantizedBlock,
     dequantize,
     pack_codes,
@@ -333,6 +334,23 @@ class TestQuantizeUniform:
         with pytest.raises(ContractViolation):
             quantize_uniform([1.0, float("nan")], 2)
 
+    @pytest.mark.parametrize("x, message", [
+        ([[1.0, 2.0]], "non-empty 1-D"),
+        ([], "non-empty 1-D"),
+        ([math.inf, math.inf], "NaN or Inf"),
+        ([-math.inf, 0.0], "NaN or Inf"),
+    ], ids=["2-D", "empty", "all Inf", "-Inf"])
+    # The range test rejects NaN and Inf by their NaN or infinite range,
+    # with no numpy warning on the way (``inf - inf`` among them).
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_malformed_input(self, x, message):
+        with pytest.raises(ContractViolation, match=message):
+            quantize_uniform(x, 2)
+
+    def test_params_reject_negative_step(self):
+        with pytest.raises(ContractViolation, match="step must be nonnegative"):
+            QuantParams(x_min=0.0, step=-1.0, bits=2)
+
     def test_rejects_bad_bits(self):
         with pytest.raises(ContractViolation):
             quantize_uniform([1.0, 2.0], 9)
@@ -614,6 +632,19 @@ class TestQuantizedBlockChecks:
         with pytest.raises(ContractViolation):
             quantize_keys_channelwise(np.zeros((2, 2)), 9)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("quantize", [quantize_keys_channelwise, quantize_values_tokenwise])
+    @pytest.mark.filterwarnings("error")
+    def test_group_nonfinite_rejected_by_the_range_test(self, quantize, bad):
+        # One bad element, and a whole line of it (an infinite line's range is inf - inf).
+        group = np.zeros((4, 3))
+        group[2, 1] = bad
+        with pytest.raises(ContractViolation, match="NaN or Inf"):
+            quantize(group, 2)
+        group[:, 1] = group[1, :] = bad
+        with pytest.raises(ContractViolation, match="NaN or Inf"):
+            quantize(group, 2)
+
 
 class TestPackCodesInputs:
     AS_INPUT = {
@@ -653,6 +684,10 @@ class TestPacking:
     def test_empty(self):
         assert pack_codes([], 2) == b""
         assert unpack_codes(b"", 2, 0).tolist() == []
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ContractViolation, match="count must be nonnegative"):
+            unpack_codes(b"\0", 2, -1)
 
     def test_packed_density(self):
         for bits in range(1, 9):

@@ -115,6 +115,15 @@ class TestCompareCriteria:
         assert errs[Criterion.SMALLEST_KEY] < errs[Criterion.RANDOM]
         assert errs[Criterion.SMALLEST_KEY] < errs[Criterion.LARGEST_KEY]
 
+    @pytest.mark.parametrize("passthrough", [False, True])
+    def test_unknown_criterion_rejected(self, block, passthrough):
+        with pytest.raises(ContractViolation, match="unknown criterion"):
+            compare_criteria(block, 3, "random", 2, passthrough=passthrough)
+
+    def test_random_without_rng_uses_seed_zero(self, block):
+        want = compare_criteria(block, 5, Criterion.RANDOM, 2, rng=np.random.default_rng(0))
+        assert compare_criteria(block, 5, Criterion.RANDOM, 2) == want
+
     def test_random_is_seed_deterministic(self, block):
         a = compare_criteria(block, 5, Criterion.RANDOM, 2, rng=np.random.default_rng(9))
         b = compare_criteria(block, 5, Criterion.RANDOM, 2, rng=np.random.default_rng(9))

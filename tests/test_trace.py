@@ -237,6 +237,14 @@ class TestFileRoundTrip:
             read_trace(path)
         assert exc.value.offset == expected
 
+    @pytest.mark.parametrize("name", ["missing.kvt", "."], ids=["missing", "directory"])
+    def test_unreadable_path_rejected(self, tmp_path, name):
+        # One error type for every trace that cannot be used, at offset 0
+        # when the file cannot even be opened or read.
+        with pytest.raises(TraceFormatError, match="unreadable") as exc:
+            read_trace(tmp_path / name)
+        assert exc.value.offset == 0
+
     def test_zero_dim_header_rejected(self, tmp_path):
         path = tmp_path / "zero.kvt"
         path.write_bytes(b"KVTRACE1" + b"\x00" * 16)
@@ -339,6 +347,8 @@ class TestSyntheticGenerator:
             ("sigma", float("nan"), "sigma must be finite in float32"),
             ("sigma", -1.0, "sigma must be >= 0"),
             ("sigma", 3e38, "need 0 < eps"),
+            ("q_scale", -1.0, "q_scale must be >= 0"),
+            ("seed", -1, "seed must be >= 0"),
         ],
     )
     def test_generator_floats_must_be_finite(self, field, value, message):
@@ -480,6 +490,20 @@ class TestDecileStats:
     def test_constant_column_rejected(self):
         with pytest.raises(ContractViolation):
             decile_stats(np.full(10, 3.0))
+
+    @pytest.mark.parametrize("column, message", [
+        (np.ones((2, 5)), "non-empty 1-D"),
+        (np.ones(0), "non-empty 1-D"),
+        ([1.0, np.nan, 2.0], "NaN or Inf"),
+        ([1.0, np.inf, 2.0], "NaN or Inf"),
+        ([np.inf, np.inf], "NaN or Inf"),
+        ([-1e308, 1e308], "range overflows float64"),
+    ], ids=["2-D", "empty", "NaN", "Inf", "all Inf", "range overflow"])
+    # A numpy warning would add a line before the CLI's one error line.
+    @pytest.mark.filterwarnings("error")
+    def test_malformed_column_rejected(self, column, message):
+        with pytest.raises(ContractViolation, match=message):
+            decile_stats(column)
 
     def test_synthetic_outlier_channel_shape(self):
         spec = SyntheticSpec(mu=24.0, sigma=6.0, eps=0.01, delta=0.01, m=3, seed=6)
