@@ -123,6 +123,17 @@ def _check_finite(rows: np.ndarray) -> None:
         raise ContractViolation("rows contain NaN or Inf")
 
 
+def dequantized_group(group_k, group_v, excluded, bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """A group's float32 K and V rows as attention reads them once quantized.
+
+    The exclusion rule: mean-substitute the ``excluded`` rows (group indices), quantize
+    keys per channel and values per token. An excluded row comes back as its shadow row.
+    """
+    group_k, group_v = substitute_means(group_k, group_v, excluded)
+    return (quantize_keys_channelwise(group_k, bits).to_matrix(),
+            quantize_values_tokenwise(group_v, bits).to_matrix())
+
+
 def _doubled(buf: np.ndarray) -> np.ndarray:
     grown = np.empty((2 * buf.shape[0], buf.shape[1]), dtype=buf.dtype)
     grown[: buf.shape[0]] = buf
@@ -185,40 +196,32 @@ class TieredCache:
         """Quantize the oldest ``group_size`` pending rows in place.
 
         Unless the pool is frozen (no capacity on this layer, or a full aux
-        list), the group's tokens first compete for pool slots; winners are
-        mean-substituted in the group before quantization and keep their
-        exact rows in the buffer; a member the pool evicts gets its shadow
-        rows back.
+        list), the group's tokens first compete for pool slots; the group is
+        written with the winners excluded (``dequantized_group``), and they
+        keep their exact rows; a member the pool evicts gets its shadow rows back.
         """
         g = self.config.group_size
         if self.pending_rows < g:
             raise ContractViolation(f"need {g} pending rows to quantize, have {self.pending_rows}")
         base = self.quantized_tokens
-        group_k = self._k[base : base + g]
-        group_v = self._v[base : base + g]
+        group_k, group_v = self._k[base : base + g], self._v[base : base + g]
 
-        selected = evicted = []
+        selected = evicted = np.empty(0, dtype=np.int64)
         if not self.pool.frozen:
             # Positional: perfbench's tracer counts candidates as len(args[1]).
             selected, evicted = self.pool.update(score_tokens(group_k), base)
-            if selected.size:
-                group_k, group_v = substitute_means(group_k, group_v, selected - base)
-                self.substituted_positions.update(selected.tolist())
+            self.substituted_positions.update(selected.tolist())
 
         # The winners' exact rows, before the block's rows overwrite them.
         pooled_k, pooled_v = self._k[selected], self._v[selected]
-        block_k = quantize_keys_channelwise(group_k, self.config.bits)
-        block_v = quantize_values_tokenwise(group_v, self.config.bits)
+        self._k[base : base + g], self._v[base : base + g] = dequantized_group(
+            group_k, group_v, selected - base, self.config.bits)
         self.quantized_tokens += g
-
-        self._k[base : base + g] = block_k.to_matrix()
-        self._v[base : base + g] = block_v.to_matrix()
         for position in evicted:
             self._k[position], self._v[position] = self._shadows.pop(position)
         # The winners' shadow rows are their block rows, until their exact rows go back.
         self._shadows.update(zip(selected, zip(self._k[selected], self._v[selected])))
-        self._k[selected] = pooled_k
-        self._v[selected] = pooled_v
+        self._k[selected], self._v[selected] = pooled_k, pooled_v
 
     def memory_usage(self) -> MemoryBreakdown:
         """Current footprint under fp16-equivalent accounting (``MemoryBreakdown.of``)."""

@@ -80,7 +80,7 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
         default=",".join(map(str, EngineConfig.skip_layers)),
         help="comma-separated layers with outlier pooling disabled (default '%(default)s')",
     )
-    p.add_argument("--aux-capacity", type=int, default=EngineConfig.aux_capacity, help="auxiliary pool capacity (default %(default)s)")
+    p.add_argument("--aux-capacity", type=int, default=EngineConfig.aux_capacity, help="auxiliary pool capacity; 0 freezes the pool at construction, so nothing is pooled (default %(default)s)")
     p.add_argument("--mode", choices=MODES, default="ott", help="fp16, baseline (no pool), or ott")
 
 

@@ -15,10 +15,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .attention import attend_full_precision, l1_error
-from .cache import FP16_BITS, EngineConfig, MemoryBreakdown
+from .cache import FP16_BITS, EngineConfig, MemoryBreakdown, dequantized_group
 from .errors import ContractViolation, check_integer
 from .outlier import OutlierPool, score_tokens
-from .quant import _check_bits, quantize_keys_channelwise, quantize_values_tokenwise
+from .quant import _check_bits
 
 
 def estimate_kv_bytes(
@@ -75,12 +75,13 @@ def compare_criteria(
     ``block`` returns it.
 
     Retention is post-hoc over the whole sequence: the chosen tokens keep
-    their exact rows, every other token is group-quantized (keys per
-    channel, values per token), and the final query attends over the mix.
-    Groups follow the sequence's fixed position blocks of ``group_size``
-    tokens, minus whatever was retained, so retaining a token perturbs
-    only its own group. Returns the L1 distance to the full-precision
-    oracle output; with ``passthrough`` nothing is quantized, so it is 0.
+    their exact rows and every other token is quantized as a cache
+    quantizes a group (``dequantized_group``): each fixed block of
+    ``group_size`` positions, the last one possibly shorter, is quantized
+    with its retained tokens mean-substituted, so retaining a token
+    perturbs only its own block. The final query attends over the mix.
+    Returns the L1 distance to the full-precision oracle output; with
+    ``passthrough`` nothing is quantized, so it is 0.
     """
     if not (isinstance(block, np.ndarray) and block.ndim == 3 and block.shape[0] == 3 and block.shape[1] >= 1):
         raise ContractViolation(f"block must be a (3, T, d) array with T >= 1, got shape {np.shape(block)}")
@@ -107,17 +108,12 @@ def compare_criteria(
             scores = -scores
         retained = np.argsort(scores, kind="stable")[:budget]
 
-    mask = np.zeros(seq_len, dtype=bool)
-    mask[retained] = True
-
-    k_hat = keys.copy()
-    v_hat = values.copy()
+    mask = np.isin(np.arange(seq_len), retained)
+    k_hat, v_hat = np.empty_like(keys), np.empty_like(values)
     for start in range(0, seq_len, group_size):
-        group = np.arange(start, min(start + group_size, seq_len))
-        idx = group[~mask[group]]
-        if idx.size:
-            k_hat[idx] = quantize_keys_channelwise(keys[idx], bits).to_matrix()
-            v_hat[idx] = quantize_values_tokenwise(values[idx], bits).to_matrix()
+        s = slice(start, start + group_size)  # the last block may be shorter
+        k_hat[s], v_hat[s] = dequantized_group(keys[s], values[s], np.flatnonzero(mask[s]), bits)
+    k_hat[retained], v_hat[retained] = keys[retained], values[retained]
 
     mixed = attend_full_precision(queries[-1], k_hat, v_hat)
     oracle = attend_full_precision(queries[-1], keys, values)

@@ -269,8 +269,8 @@ def decile_stats(column) -> np.ndarray:
 
     The ten percentages sum to 100 (within float error) and the maximum
     value lands in the top decile. The quantizer's domain test applies: a
-    column holding NaN or Inf, or whose range overflows float64, is
-    rejected, and so is a constant column, which has no deciles.
+    column holding NaN or Inf, or whose range overflows float64, is rejected,
+    and so is one too narrow for ten float64 bins (constant, or a few ulps).
     """
     col = np.asarray(column, dtype=np.float64)
     if col.ndim != 1 or col.size == 0:
@@ -279,7 +279,8 @@ def decile_stats(column) -> np.ndarray:
     lo, hi = float(col.min()), float(col.max())
     if not math.isfinite(hi - lo):
         raise ContractViolation("decile_stats input contains NaN or Inf, or its range overflows float64")
-    if lo == hi:
-        raise ContractViolation("constant column has no decile structure")
+    # np.histogram's own bin edges, which it needs strictly increasing.
+    if not (np.diff(np.linspace(lo, hi, 11)) > 0).all():
+        raise ContractViolation("column range too narrow for ten decile bins (constant or a few ulps wide)")
     counts, _ = np.histogram(col, bins=10, range=(lo, hi))
     return counts / col.size * 100.0

@@ -63,6 +63,11 @@ CLI_CASES = {
     "compare-criteria-fp16": ["compare-criteria", "--layers", "1", "--head-dim", "16",
                               "--seq-len", "512", "--trials", "3", "--mode", "fp16",
                               "--out", "{out}"],
+    # Blocks of 8 with 60 of 256 tokens retained: retained tokens fill much
+    # of a block, where mean substitution moves the other rows' ranges.
+    "compare-criteria-small-groups": ["compare-criteria", "--layers", "1", "--head-dim", "16",
+                                      "--seq-len", "256", "--group-size", "8", "--budget", "60",
+                                      "--trials", "2"],
     "decile-stats": ["decile-stats", "--layers", "1", "--head-dim", "16", "--seq-len", "256",
                      "--out", "{out}"],
     "gen-synthetic": ["gen-synthetic", "--layers", "1", "--heads", "2", "--head-dim", "4",

@@ -11,9 +11,13 @@ from kvtrace import (
     ExperimentRow,
     SyntheticSpec,
     TieredCache,
+    attend_full_precision,
     compare_criteria,
     estimate_kv_bytes,
     generate_synthetic,
+    l1_error,
+    quantize_keys_channelwise,
+    quantize_values_tokenwise,
     ratio_curve,
     write_rows,
 )
@@ -128,6 +132,46 @@ class TestCompareCriteria:
         a = compare_criteria(block, 5, Criterion.RANDOM, 2, rng=np.random.default_rng(9))
         b = compare_criteria(block, 5, Criterion.RANDOM, 2, rng=np.random.default_rng(9))
         assert a == b
+
+
+def cache_rule_error(block, retained, bits, group_size):
+    """The retention study's error written out by hand with the cache's exclusion rule.
+
+    Each fixed block of ``group_size`` positions has its retained rows
+    replaced by the block's float64 per-channel means, keys are quantized per
+    channel and values per token, and the retained tokens' exact rows are
+    laid over the dequantized ones before the last query attends.
+    """
+    queries, keys, values = block
+    k_hat, v_hat = keys.copy(), values.copy()
+    for start in range(0, len(keys), group_size):
+        rows = np.arange(start, min(start + group_size, len(keys)))
+        held = np.isin(rows, retained)
+        k, v = keys[rows].copy(), values[rows].copy()
+        k[held] = keys[rows].mean(axis=0, dtype=np.float64)
+        v[held] = values[rows].mean(axis=0, dtype=np.float64)
+        k_hat[rows] = quantize_keys_channelwise(k, bits).to_matrix()
+        v_hat[rows] = quantize_values_tokenwise(v, bits).to_matrix()
+    k_hat[retained], v_hat[retained] = keys[retained], values[retained]
+    mixed = attend_full_precision(queries[-1], k_hat, v_hat)
+    return l1_error(mixed.output, attend_full_precision(queries[-1], keys, values).output)
+
+
+# Budgets 60 and 150 of 256 tokens fill much of each 8-token block, where
+# mean substitution and dropping the retained rows give different errors;
+# at the default budget of 3 the two rules agree on this block.
+@pytest.mark.parametrize("budget", [3, 60, 150])
+@pytest.mark.parametrize("criterion", list(Criterion), ids=lambda c: c.value)
+def test_compare_criteria_follows_cache_rule(criterion, budget):
+    block = generate_synthetic(SyntheticSpec(seed=0), 1, 1, 16, 256).block(0, 0)
+    if criterion is Criterion.RANDOM:
+        retained = np.random.default_rng(4).choice(256, size=budget, replace=False)
+    else:
+        scores = np.abs(block[1]).sum(axis=1, dtype=np.float64)
+        sign = 1 if criterion is Criterion.SMALLEST_KEY else -1
+        retained = np.argsort(sign * scores, kind="stable")[:budget]
+    got = compare_criteria(block, budget, criterion, 2, group_size=8, rng=np.random.default_rng(4))
+    assert got == cache_rule_error(block, retained, 2, 8)
 
 
 class TestRatioCurve:

@@ -498,7 +498,12 @@ class TestDecileStats:
         ([1.0, np.inf, 2.0], "NaN or Inf"),
         ([np.inf, np.inf], "NaN or Inf"),
         ([-1e308, 1e308], "range overflows float64"),
-    ], ids=["2-D", "empty", "NaN", "Inf", "all Inf", "range overflow"])
+        # Finite, not constant, and still too narrow for ten float64 bins.
+        ([0.0, 5e-324], "too narrow"),
+        ([0.0, 2.5e-323], "too narrow"),
+        ([1.0, 1.0000000000000002], "too narrow"),
+    ], ids=["2-D", "empty", "NaN", "Inf", "all Inf", "range overflow",
+            "one subnormal", "five subnormals", "one ulp at 1"])
     # A numpy warning would add a line before the CLI's one error line.
     @pytest.mark.filterwarnings("error")
     def test_malformed_column_rejected(self, column, message):
