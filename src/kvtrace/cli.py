@@ -55,7 +55,6 @@ from .trace import (
     write_trace,
 )
 
-MODES = ("fp16", "baseline", "ott")
 # Memory fields ``simulate`` sums over its caches and prints, in this order.
 _USAGE_KEYS = ("quantized_bits", "param_bits", "pending_bits", "pool_bits", "total_bits")
 
@@ -81,7 +80,6 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
         help="comma-separated layers with outlier pooling disabled (default '%(default)s')",
     )
     p.add_argument("--aux-capacity", type=int, default=EngineConfig.aux_capacity, help="auxiliary pool capacity; 0 freezes the pool at construction, so nothing is pooled (default %(default)s)")
-    p.add_argument("--mode", choices=MODES, default="ott", help="fp16, baseline (no pool), or ott")
 
 
 # A synthetic trace's shape flags with their defaults (in TraceHeader's field
@@ -124,6 +122,7 @@ def build_parser() -> _Parser:
 
     p = add_parser("simulate", help="replay a trace and measure per-step L1 error")
     _add_engine_flags(p)
+    p.add_argument("--mode", choices=("fp16", "baseline", "ott"), default="ott", help="fp16, baseline (no pool), or ott")
     _add_generator_flags(p)
     p.add_argument("--trace", help="trace file; omitted = synthetic from generator flags")
     p.add_argument("--seed", type=int, default=0)
@@ -131,7 +130,6 @@ def build_parser() -> _Parser:
 
     p = add_parser("compare-criteria", help="retention-criteria error comparison")
     _add_quant_flags(p)
-    p.add_argument("--mode", choices=("ott", "fp16"), default="ott", help="ott (quantize) or fp16")
     _add_generator_flags(p)
     p.add_argument("--trace", help="trace file; omitted = synthetic from generator flags")
     p.add_argument("--budget", type=int, default=3, help="retained tokens per criterion")
@@ -143,6 +141,7 @@ def build_parser() -> _Parser:
 
     p = add_parser("ratio-curve", help="compression ratio vs fp16 accounting")
     _add_engine_flags(p)
+    p.add_argument("--mode", choices=("baseline", "ott"), default="ott", help="baseline (no pool) or ott")
     p.add_argument("--head-dim", type=int, default=EngineConfig.head_dim, help="channels per head (default %(default)s)")
     p.add_argument(
         "--seq-lens",
@@ -259,9 +258,7 @@ def _cmd_compare_criteria(args) -> int:
         layer = args.layer if args.layer is not None else h.n_layers - 1
         _check_index("--layer", layer, h.n_layers)
         _check_index("--head", args.head, h.n_heads)
-        # Every criterion studies this one block; fp16 mode reads none, and checks only its shape.
-        block = (np.broadcast_to(np.float32(0), (3, h.seq_len, h.head_dim)) if args.mode == "fp16"
-                 else trace.block(layer, args.head))
+        block = trace.block(layer, args.head)  # every criterion studies this one block
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=args.seed + trial, spawn_key=(layer, args.head, 1))
         )
@@ -273,7 +270,6 @@ def _cmd_compare_criteria(args) -> int:
                 args.bits,
                 group_size=args.group_size,
                 rng=rng,
-                passthrough=args.mode == "fp16",
             )
             results[criterion].append(err)
     rows = [
@@ -290,7 +286,7 @@ def _cmd_compare_criteria(args) -> int:
 def _cmd_ratio_curve(args) -> int:
     seq_lens = _int_list("--seq-lens", args.seq_lens)
     config = _config_from_args(args, args.head_dim)
-    rows = ratio_curve(config, seq_lens, passthrough=args.mode == "fp16", seed=args.seed)
+    rows = ratio_curve(config, seq_lens, seed=args.seed)
     if args.out:
         write_rows(args.out, rows)
     for r in rows:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import enum
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -67,7 +66,6 @@ def compare_criteria(
     *,
     group_size: int = EngineConfig.group_size,
     rng: np.random.Generator | None = None,
-    passthrough: bool = False,
 ) -> float:
     """L1 attention-output error after retaining ``budget`` of one block's tokens.
 
@@ -80,8 +78,7 @@ def compare_criteria(
     ``group_size`` positions, the last one possibly shorter, is quantized
     with its retained tokens mean-substituted, so retaining a token
     perturbs only its own block. The final query attends over the mix.
-    Returns the L1 distance to the full-precision oracle output; with
-    ``passthrough`` nothing is quantized, so it is 0.
+    Returns the L1 distance to the full-precision oracle output.
     """
     if not (isinstance(block, np.ndarray) and block.ndim == 3 and block.shape[0] == 3 and block.shape[1] >= 1):
         raise ContractViolation(f"block must be a (3, T, d) array with T >= 1, got shape {np.shape(block)}")
@@ -94,9 +91,6 @@ def compare_criteria(
     _check_bits(bits)
     if not isinstance(criterion, Criterion):
         raise ContractViolation(f"unknown criterion {criterion!r}")
-    if passthrough:
-        # The mix would be the oracle's own rows.
-        return 0.0
 
     if criterion is Criterion.RANDOM:
         if rng is None:
@@ -147,7 +141,6 @@ def ratio_curve(
     config: EngineConfig,
     seq_lens: list[int],
     *,
-    passthrough: bool = False,
     seed: int = 0,
 ) -> list[ExperimentRow]:
     """Compression ratio against fp16 accounting at increasing lengths.
@@ -160,8 +153,7 @@ def ratio_curve(
     only through the pool's size, so nothing is drawn that cannot change
     the pool: no group once it is frozen (or has no capacity), and no row
     that is never quantized. Below ``group_size + residual`` tokens the
-    ratio is exactly 1. The ``passthrough`` control quantizes and pools
-    nothing, so it draws nothing: fp16 bits, ratio 1, ``outlier_num`` 0.
+    ratio is exactly 1.
     """
     seq_lens = [check_integer(s, "seq_lens entry") for s in seq_lens]
     if not seq_lens or seq_lens != sorted(seq_lens) or seq_lens[0] < 1:
@@ -169,21 +161,23 @@ def ratio_curve(
     if check_integer(seed, "seed") < 0:
         raise ContractViolation("seed must be >= 0")
     d, g = config.head_dim, config.group_size
-    pool = OutlierPool(0 if passthrough else config.outlier_num, config.aux_capacity)
-    mode = "fp16" if passthrough else "ott" if pool.capacity > 0 else "baseline"
+    pool = OutlierPool(config.outlier_num, config.aux_capacity)
+    mode = "ott" if pool.capacity > 0 else "baseline"
     # A cache quantizes its oldest group once G + R rows are pending.
-    due = math.inf if passthrough else g + config.residual
+    due = g + config.residual
     rows: list[ExperimentRow] = []
     rng, quantized = None, 0
     for target in seq_lens:
         while target - quantized >= due:
-            if not pool.frozen:
-                if rng is None:
-                    rng = np.random.default_rng(seed)
-                # One (G, 2, d) draw is the same stream, in the same order, as
-                # a key draw then a value draw per token; only keys are scored.
-                keys = rng.standard_normal((g, 2, d))[:, 0].astype(np.float32)
-                pool.update(score_tokens(keys), quantized)
+            if pool.frozen:  # no draw can change the pool: take every due group at once
+                quantized += g * ((target - quantized - due) // g + 1)
+                break
+            if rng is None:
+                rng = np.random.default_rng(seed)
+            # One (G, 2, d) draw is the same stream, in the same order, as
+            # a key draw then a value draw per token; only keys are scored.
+            keys = rng.standard_normal((g, 2, d))[:, 0].astype(np.float32)
+            pool.update(score_tokens(keys), quantized)
             quantized += g
         total = MemoryBreakdown.of(config, quantized, target - quantized, pool).total_bits
         rows.append(ExperimentRow(

@@ -55,14 +55,10 @@ CLI_CASES = {
                           "--seq-len", "512", "--seed", "2", "--group-size", "16",
                           "--residual", "3", "--aux-capacity", "2", "--out", "{out}"],
     "ratio-curve-ott": ["ratio-curve", "--head-dim", "64", "--out", "{out}"],
-    "ratio-curve-fp16": ["ratio-curve", "--head-dim", "64", "--mode", "fp16", "--out", "{out}"],
     "ratio-curve-baseline-bits4": ["ratio-curve", "--head-dim", "64", "--mode", "baseline",
                                    "--bits", "4", "--out", "{out}"],
     "compare-criteria-ott": ["compare-criteria", "--layers", "1", "--head-dim", "16",
                              "--seq-len", "512", "--trials", "3", "--out", "{out}"],
-    "compare-criteria-fp16": ["compare-criteria", "--layers", "1", "--head-dim", "16",
-                              "--seq-len", "512", "--trials", "3", "--mode", "fp16",
-                              "--out", "{out}"],
     # Blocks of 8 with 60 of 256 tokens retained: retained tokens fill much
     # of a block, where mean substitution moves the other rows' ranges.
     "compare-criteria-small-groups": ["compare-criteria", "--layers", "1", "--head-dim", "16",

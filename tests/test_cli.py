@@ -463,19 +463,6 @@ class TestTraceFileReadBlockByBlock:
         assert run([command, "--trace", str(path), "--layer", "1", "--head", "2"]) == 0
         assert read == [(1, 2)]
 
-    def test_fp16_compare_criteria_reads_no_block(self, tmp_path, capsys, monkeypatch):
-        path = tmp_path / "t.kvt"
-        write_trace(path, generate_synthetic(SyntheticSpec(seed=11), 2, 3, 8, 64))
-        read = []
-        block = TraceFile.block
-        monkeypatch.setattr(TraceFile, "block", lambda self, *at: read.append(at) or block(self, *at))
-        assert run(["compare-criteria", "--trace", str(path), "--mode", "fp16"]) == 0
-        assert read == []
-        assert [line.rsplit("=", 1)[1] for line in out_lines(capsys)] == ["0", "0", "0"]
-        # The studied layer and head are still range-checked.
-        assert run(["compare-criteria", "--trace", str(path), "--mode", "fp16", "--head", "3"]) == 1
-        assert read == []
-
     @pytest.mark.parametrize("change", ["vanished", "shrunk"])
     def test_block_read_failure_exits_two(self, tmp_path, capsys, monkeypatch, change):
         # The file changes after read_trace checked it: the block read that
@@ -528,11 +515,6 @@ class TestSyntheticTraceDrawnBlockByBlock:
         argv = ["compare-criteria", *self.SHAPE, "--head", "1", "--trials", "3", "--seed", "5"]
         assert run(argv) == 0
         assert draws == [(5, 2, 1), (6, 2, 1), (7, 2, 1)]
-
-    def test_fp16_compare_criteria_draws_nothing(self, draws, capsys):
-        assert run(["compare-criteria", *self.SHAPE, "--mode", "fp16", "--trials", "3"]) == 0
-        assert draws == []
-        assert [line.rsplit("=", 1)[1] for line in out_lines(capsys)] == ["0", "0", "0"]
 
     def test_fp16_simulate_draws_nothing(self, draws, capsys):
         assert run(["simulate", *self.SHAPE, "--mode", "fp16"]) == 0
@@ -662,16 +644,6 @@ class TestRatioCurveCommand:
         rows = csv_records(out)
         assert float(rows[0]["ratio_vs_fp16"]) == 1.0
 
-    def test_fp16_mode_is_exactly_lossless(self, tmp_path, capsys):
-        # The fp16 control stores every row at 16 bits and pools nothing.
-        out = tmp_path / "ratio.csv"
-        assert run(["ratio-curve", "--seq-lens", "128,1024,8192", "--mode", "fp16",
-                    "--out", str(out)]) == 0
-        rows = csv_records(out)
-        assert [int(r["seq_len"]) for r in rows] == [128, 1024, 8192]
-        assert all(float(r["ratio_vs_fp16"]) == 1.0 and r["outlier_num"] == "0" for r in rows)
-        assert all(line.endswith("ratio_vs_fp16=1") for line in out_lines(capsys))
-
     def test_prints_rows(self, capsys):
         assert run(["ratio-curve", "--seq-lens", "128,1024", "--head-dim", "16"]) == 0
         lines = out_lines(capsys)
@@ -734,7 +706,7 @@ HUGE_BLOCK = ["--layers", "1", "--seq-len", "4294967295", "--head-dim", "4294967
         (["compare-criteria", *SMALL, "--skip-layers", "1"], 1),
         (["compare-criteria", *SMALL, "--aux-capacity", "0"], 1),
         (["compare-criteria", *SMALL, "--mode", "baseline"], 1),
-        (["compare-criteria", *SMALL, "--bits", "9", "--mode", "fp16"], 1),
+        (["compare-criteria", *SMALL, "--mode", "fp16"], 1),
         (["simulate", *SMALL, "--sigma", "-1"], 1),
         (["gen-synthetic", *SMALL, "--mu", "inf", "--out", "{tmp}/inf.kvt"], 1),
         (["gen-synthetic", *SMALL, "--q-scale", "nan", "--out", "{tmp}/nan.kvt"], 1),
@@ -762,6 +734,8 @@ HUGE_BLOCK = ["--layers", "1", "--seq-len", "4294967295", "--head-dim", "4294967
         (["gen-synthetic", *HUGE_BLOCK, "--out", "{tmp}/huge.kvt"], 1),
         # A directory is not a trace file.
         (["simulate", "--trace", "{tmp}"], 2),
+        # simulate's fp16 control is the only one.
+        (["ratio-curve", "--mode", "fp16"], 1),
     ],
 )
 # Pytest would capture a numpy warning away from capsys; turned into an

@@ -1,5 +1,5 @@
 import csv
-import tracemalloc
+import signal
 
 import numpy as np
 import pytest
@@ -71,30 +71,20 @@ class TestCompareCriteria:
         ]
         assert errs[0] == errs[1] == errs[2]
 
-    def test_lossless_and_max_budget_is_exact(self, block):
-        err = compare_criteria(
-            block, 255, Criterion.SMALLEST_KEY, 2, group_size=64, passthrough=True
-        )
-        assert err <= 1e-5
-
     def test_budget_bounds(self, block):
         with pytest.raises(ContractViolation):
             compare_criteria(block, 256, Criterion.RANDOM, 2)
 
-    @pytest.mark.parametrize("passthrough", [False, True])
     @pytest.mark.parametrize("group_size", [0, -5])
-    def test_group_size_bounds(self, block, group_size, passthrough):
+    def test_group_size_bounds(self, block, group_size):
         with pytest.raises(ContractViolation):
-            compare_criteria(block, 3, Criterion.SMALLEST_KEY, 2, group_size=group_size,
-                             passthrough=passthrough)
+            compare_criteria(block, 3, Criterion.SMALLEST_KEY, 2, group_size=group_size)
 
-    @pytest.mark.parametrize("passthrough", [False, True])
     @pytest.mark.parametrize("bits", [0, 9])
-    def test_bits_bounds(self, block, bits, passthrough):
+    def test_bits_bounds(self, block, bits):
         with pytest.raises(ContractViolation, match="bits"):
-            compare_criteria(block, 3, Criterion.SMALLEST_KEY, bits, passthrough=passthrough)
+            compare_criteria(block, 3, Criterion.SMALLEST_KEY, bits)
 
-    @pytest.mark.parametrize("passthrough", [False, True])
     @pytest.mark.parametrize(
         "make",
         [
@@ -107,9 +97,9 @@ class TestCompareCriteria:
         ],
         ids=["2d", "two-rows", "four-rows", "no-tokens", "4d", "list"],
     )
-    def test_block_shape_rejected(self, block, make, passthrough):
+    def test_block_shape_rejected(self, block, make):
         with pytest.raises(ContractViolation, match=r"block must be a \(3, T, d\) array"):
-            compare_criteria(make(block), 0, Criterion.SMALLEST_KEY, 2, passthrough=passthrough)
+            compare_criteria(make(block), 0, Criterion.SMALLEST_KEY, 2)
 
     def test_smallest_key_wins_on_planted_trace(self, block):
         rng = np.random.default_rng(1)
@@ -119,10 +109,9 @@ class TestCompareCriteria:
         assert errs[Criterion.SMALLEST_KEY] < errs[Criterion.RANDOM]
         assert errs[Criterion.SMALLEST_KEY] < errs[Criterion.LARGEST_KEY]
 
-    @pytest.mark.parametrize("passthrough", [False, True])
-    def test_unknown_criterion_rejected(self, block, passthrough):
+    def test_unknown_criterion_rejected(self, block):
         with pytest.raises(ContractViolation, match="unknown criterion"):
-            compare_criteria(block, 3, "random", 2, passthrough=passthrough)
+            compare_criteria(block, 3, "random", 2)
 
     def test_random_without_rng_uses_seed_zero(self, block):
         want = compare_criteria(block, 5, Criterion.RANDOM, 2, rng=np.random.default_rng(0))
@@ -181,33 +170,6 @@ class TestRatioCurve:
         assert rows[0].ratio_vs_fp16 == 1.0
         assert rows[0].l1_output_error is None
 
-    def test_passthrough_accounting_stays_near_one(self):
-        cfg = EngineConfig(head_dim=16, outlier_num=0)
-        rows = ratio_curve(cfg, [64, 256, 1024], passthrough=True)
-        for row in rows:
-            assert row.mode == "fp16"
-            assert row.ratio_vs_fp16 == 1.0
-
-    def test_passthrough_pools_nothing(self):
-        # An ott config still gives the lossless control: no pool rows charged.
-        rows = ratio_curve(EngineConfig(head_dim=64), [64, 1024], passthrough=True)
-        for row in rows:
-            assert row.mode == "fp16"
-            assert row.outlier_num == 0
-            assert row.ratio_vs_fp16 == 1.0
-
-    def test_passthrough_is_closed_form_and_stores_nothing(self):
-        cfg = EngineConfig(head_dim=64)
-        ratio_curve(cfg, [128], passthrough=True)  # warms imports
-        tracemalloc.start()
-        try:
-            rows = ratio_curve(cfg, [65536], passthrough=True)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert rows == [ExperimentRow("fp16", 2, 128, 32, 0, 65536, None, 2 * 65536 * 64 * 16, 1.0)]
-        assert peak < 2**20
-
     def test_monotone_at_power_of_two_lengths(self):
         cfg = EngineConfig(bits=2, group_size=8, residual=2, outlier_num=0, head_dim=4)
         lengths = [16, 32, 64, 128, 256, 512]
@@ -227,22 +189,19 @@ class TestRatioCurve:
         with pytest.raises(ContractViolation):
             ratio_curve(EngineConfig(), [128, 64])
 
-    @pytest.mark.parametrize("passthrough", [False, True])
-    def test_empty_lengths_rejected(self, passthrough):
+    def test_empty_lengths_rejected(self):
         with pytest.raises(ContractViolation, match="non-empty"):
-            ratio_curve(EngineConfig(), [], passthrough=passthrough)
+            ratio_curve(EngineConfig(), [])
 
-    @pytest.mark.parametrize("passthrough", [False, True])
     @pytest.mark.parametrize("seed", [-1, -(2**70)])
-    def test_negative_seed_rejected(self, seed, passthrough):
+    def test_negative_seed_rejected(self, seed):
         with pytest.raises(ContractViolation, match="seed must be >= 0"):
-            ratio_curve(EngineConfig(), [1000], seed=seed, passthrough=passthrough)
+            ratio_curve(EngineConfig(), [1000], seed=seed)
 
-    @pytest.mark.parametrize("passthrough", [False, True])
     @pytest.mark.parametrize("lengths", [[0], [-5, 64], [64, 64.5]])
-    def test_bad_lengths_rejected_in_every_mode(self, lengths, passthrough):
+    def test_bad_lengths_rejected_in_every_mode(self, lengths):
         with pytest.raises(ContractViolation, match="seq_lens"):
-            ratio_curve(EngineConfig(outlier_num=0), lengths, passthrough=passthrough)
+            ratio_curve(EngineConfig(outlier_num=0), lengths)
 
     def test_numpy_integers_accepted(self):
         cfg = EngineConfig(head_dim=8)
@@ -271,17 +230,14 @@ class TestRatioCurve:
             froze += cache.pool.frozen and cache.pool.aux_positions.size == aux > 0
         assert froze == 7
 
-    @pytest.mark.parametrize("cfg, passthrough", [
-        (EngineConfig(outlier_num=0), False),
-        (EngineConfig(), True),
-        (EngineConfig(aux_capacity=0), False),
-    ], ids=["no pool", "fp16", "frozen from the start"])
-    def test_unchangeable_pool_draws_nothing(self, cfg, passthrough, monkeypatch):
+    @pytest.mark.parametrize("cfg", [EngineConfig(outlier_num=0), EngineConfig(aux_capacity=0)],
+                             ids=["no pool", "frozen from the start"])
+    def test_unchangeable_pool_draws_nothing(self, cfg, monkeypatch):
         def no_rng(seed):
             raise AssertionError("drew rows that no output reads")
 
         monkeypatch.setattr(np.random, "default_rng", no_rng)
-        rows = ratio_curve(cfg, [64, 1000, 65536], passthrough=passthrough)
+        rows = ratio_curve(cfg, [64, 1000, 65536])
         assert [row.seq_len for row in rows] == [64, 1000, 65536]
 
     def test_frozen_pool_draws_no_later_group(self, monkeypatch):
@@ -310,6 +266,30 @@ class TestRatioCurve:
         monkeypatch.setattr(np.random, "default_rng", CountingRng)
         ratio_curve(cfg, [g * groups - 1, 100 * g, 1000 * g], seed=seed)
         assert draws == [(g, 2, d)] * groups
+
+    @pytest.mark.parametrize("cfg, pooled", [(EngineConfig(outlier_num=0), 0), (EngineConfig(), 3 + 32)],
+                             ids=["no pool", "pool freezes"])
+    def test_longest_length_returns_at_once(self, cfg, pooled):
+        # Once the pool is frozen every due group is counted at once; group by
+        # group, 2**63 - 1 tokens would take centuries.
+        def too_slow(signum, frame):
+            raise AssertionError("ratio_curve did not return within 10 s")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.alarm(10)
+        try:
+            [row] = ratio_curve(cfg, [2**63 - 1])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        t, g, d, bits = 2**63 - 1, cfg.group_size, cfg.head_dim, cfg.bits
+        quantized = (t - g - cfg.residual) // g * g + g
+        # MemoryBreakdown.of's closed form, with a frozen pool holding its
+        # members and a full aux list.
+        want = (2 * quantized * d * bits + quantized // g * (d + g) * 2 * 16
+                + (t - quantized) * d * 16 * 2 + pooled * d * 16 * 2)
+        assert (row.seq_len, row.total_bits, row.outlier_num) == (t, want, cfg.outlier_num)
+        assert row.ratio_vs_fp16 == 2 * t * d * 16 / want
 
     def test_ott_layer_includes_pool_overhead(self):
         cfg = EngineConfig(group_size=8, residual=0, outlier_num=2, head_dim=4)
