@@ -35,7 +35,10 @@ print()
 print("=== With outlier-token tracking (pool capacity 3) ===")
 [(_, _, cache, ott_errs)] = replay_caches(trace, config(outlier_num=3))
 print(f"pooled positions: {sorted(cache.pool.positions.tolist())}")
-print(f"mean-substituted positions: {sorted(cache.substituted_positions)}")
+# Every token the pool took was mean-substituted in its group: its members,
+# and those it evicted, which all fit in the 32-slot aux list here.
+pool = cache.pool
+print(f"mean-substituted positions: {sorted(pool.positions.tolist() + pool.aux_positions.tolist())}")
 print(f"mean per-step L1 error: {ott_errs.mean():.4f}")
 print()
 

@@ -146,7 +146,6 @@ class TieredCache:
     def __init__(self, config: EngineConfig, layer: int = 0):
         self.config = config
         self.pool = OutlierPool(config.outlier_capacity(layer), config.aux_capacity)
-        self.substituted_positions: set[int] = set()
         self.total_tokens = 0
         self.quantized_tokens = 0
         # Pending count at which the oldest group is quantized.
@@ -210,7 +209,6 @@ class TieredCache:
         if not self.pool.frozen:
             # Positional: perfbench's tracer counts candidates as len(args[1]).
             selected, evicted = self.pool.update(score_tokens(group_k), base)
-            self.substituted_positions.update(selected.tolist())
 
         # The winners' exact rows, before the block's rows overwrite them.
         pooled_k, pooled_v = self._k[selected], self._v[selected]

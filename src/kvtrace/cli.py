@@ -256,8 +256,6 @@ def _cmd_compare_criteria(args) -> int:
         trace = _load_trace(args, args.seed + trial)
         h = trace.header
         layer = args.layer if args.layer is not None else h.n_layers - 1
-        _check_index("--layer", layer, h.n_layers)
-        _check_index("--head", args.head, h.n_heads)
         block = trace.block(layer, args.head)  # every criterion studies this one block
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=args.seed + trial, spawn_key=(layer, args.head, 1))
@@ -309,8 +307,6 @@ def _cmd_mem_estimate(args) -> int:
 
 def _cmd_decile_stats(args) -> int:
     trace = _load_trace(args, args.seed)
-    _check_index("--layer", args.layer, trace.header.n_layers)
-    _check_index("--head", args.head, trace.header.n_heads)
     keys = trace.block(args.layer, args.head)[1]
     channel = args.channel
     if channel is None:

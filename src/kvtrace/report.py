@@ -17,7 +17,6 @@ from .attention import attend_full_precision, l1_error
 from .cache import FP16_BITS, EngineConfig, MemoryBreakdown, dequantized_group
 from .errors import ContractViolation, check_integer
 from .outlier import OutlierPool, score_tokens
-from .quant import _check_bits
 
 
 def estimate_kv_bytes(
@@ -88,7 +87,6 @@ def compare_criteria(
         raise ContractViolation(f"budget must be in [0, seq_len), got {budget}")
     if check_integer(group_size, "group_size") < 1:
         raise ContractViolation(f"group_size must be >= 1, got {group_size}")
-    _check_bits(bits)
     if not isinstance(criterion, Criterion):
         raise ContractViolation(f"unknown criterion {criterion!r}")
 

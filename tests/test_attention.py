@@ -19,9 +19,10 @@ from kvtrace import (
     quantize_keys_channelwise,
     quantize_values_tokenwise,
     softmax,
-    substitute_means,
     unpack_codes,
 )
+
+from spec import substituted
 
 
 def scalar_attention(q, keys, values):
@@ -213,8 +214,8 @@ class TestMixedAttention:
         assert abs(float(res.weights.sum()) - 1.0) <= 1e-6
 
     def test_pool_logit_ignores_shadow_row(self):
-        # the group's blocks, built directly from the fed rows, give the
-        # cache's attention with the exact row at the pooled position,
+        # the group's blocks, built from the fed rows with the spec's mean
+        # substitution, give the cache's attention with the exact row at the pooled position,
         # however the mean-substituted shadow row there is corrupted
         rng = np.random.default_rng(45)
         g, d = 16, 4
@@ -224,7 +225,7 @@ class TestMixedAttention:
         cache = build_cache(keys, values, group_size=g, residual=0, outlier_num=1)
         assert cache.pool.positions.tolist() == [3]
 
-        group_k, group_v = substitute_means(keys, values, [3])
+        group_k, group_v = substituted(keys, values, [3])
         block = quantize_keys_channelwise(group_k, 2)
         vblock = quantize_values_tokenwise(group_v, 2)
         corrupted = copy.deepcopy(block), copy.deepcopy(vblock)

@@ -1,4 +1,3 @@
-import functools
 import tracemalloc
 
 import numpy as np
@@ -21,8 +20,9 @@ from kvtrace import (
     quantize_uniform,
     quantize_values_tokenwise,
     ratio_curve,
-    substitute_means,
 )
+
+from spec import group_rows, spec_steps, substituted
 
 
 def fill(cache, rows_k, rows_v):
@@ -46,56 +46,26 @@ def pending_kv(cache):
     return [rows[cache.quantized_tokens :] for rows in cache.attended_kv()]
 
 
-@functools.lru_cache(maxsize=1024)
-def group_blocks(k_bytes, v_bytes, d, picked, bits):
-    """One group's K and V blocks, mean-substituted at rows ``picked``; memoized by content."""
-    group_k, group_v = (np.frombuffer(b, dtype=np.float32).reshape(-1, d) for b in (k_bytes, v_bytes))
-    group_k, group_v = substitute_means(group_k, group_v, picked)
-    return quantize_keys_channelwise(group_k, bits), quantize_values_tokenwise(group_v, bits)
+def assert_matches_spec(cache, step):
+    """The rows attention reads and the pool's and aux list's positions are the spec's at this step."""
+    ref_k, ref_v, positions, aux_positions = step
+    keys, values = cache.attended_kv()
+    assert keys.tobytes() == ref_k.tobytes() and values.tobytes() == ref_v.tobytes()
+    assert cache.pool.positions.tolist() == positions
+    assert cache.pool.aux_positions.tolist() == aux_positions
 
 
-def fed_blocks(keys, values, g, bits, substituted=()):
-    """The K and V blocks of each whole group of fed rows, quantized directly.
-
-    Rows at ``substituted`` positions are mean-substituted first.
-    """
-    keys, values = np.asarray(keys, np.float32), np.asarray(values, np.float32)
-    blocks = []
-    for base in range(0, len(keys) - g + 1, g):
-        picked = tuple(p - base for p in sorted(substituted) if base <= p < base + g)
-        blocks.append(group_blocks(keys[base : base + g].tobytes(), values[base : base + g].tobytes(),
-                                   keys.shape[1], picked, bits))
-    return blocks
-
-
-def reconstructed_kv(cache, keys, values):
-    """The cache as full (total_tokens, d) key/value matrices, built from scratch.
-
-    ``keys`` and ``values`` are the rows fed to the cache, row i at
-    position i. Each quantized group is quantized again from the fed rows,
-    mean-substituted at the positions the cache substituted, and
-    dequantized; pending rows are copied from the fed rows, and rows at
-    pooled positions replaced with the fed rows: the slow reference for
-    ``TieredCache.attended_kv``.
-    """
-    n, q = cache.total_tokens, cache.quantized_tokens
-    if not n:
-        empty = np.empty((0, cache.config.head_dim), np.float32)
-        return empty, empty.copy()
-    blocks = fed_blocks(keys[:q], values[:q], cache.config.group_size, cache.config.bits,
-                        cache.substituted_positions)
-    ref_k = np.concatenate([b.to_matrix() for b, _ in blocks] + [keys[q:n]])
-    ref_v = np.concatenate([b.to_matrix() for _, b in blocks] + [values[q:n]])
-    ref_k[cache.pool.positions] = keys[cache.pool.positions]
-    ref_v[cache.pool.positions] = values[cache.pool.positions]
-    return ref_k, ref_v
+def final_step(keys, values, config, layer):
+    """The spec's last step after feeding every row of ``keys`` and ``values``."""
+    *_, step = spec_steps(keys, values, config, layer)
+    return step
 
 
 def per_block_memory_usage(cache, blocks):
     """The slow reference for ``memory_usage``: what the packed blocks would hold.
 
-    ``blocks`` are the (K, V) blocks of the fed rows' groups, as
-    ``fed_blocks`` quantizes them. Each of the cache's quantized groups is
+    ``blocks`` are the (K, V) blocks of the fed rows' whole groups,
+    quantized directly. Each of the cache's quantized groups is
     charged its blocks' codes at their width and two 16-bit values per
     parameter line; pending rows at 16 bits per value. The pool holds no
     rows, so each member and auxiliary position is charged one K and one V
@@ -125,7 +95,6 @@ def assert_same_cache(a, b):
         assert x.tobytes() == y.tobytes()
     assert pool_fields(a.pool) == pool_fields(b.pool)
     assert a.pool.frozen == b.pool.frozen
-    assert a.substituted_positions == b.substituted_positions
     assert a.memory_usage() == b.memory_usage()
 
 
@@ -194,8 +163,7 @@ class TestAppendTrigger:
         cache = TieredCache(EngineConfig(group_size=4, residual=0, head_dim=3), layer=2)
         keys, values = random_rows(rng, 4, 3), random_rows(rng, 4, 3)
         fill(cache, keys, values)
-        assert [a.tobytes() for a in cache.attended_kv()] == [
-            a.tobytes() for a in reconstructed_kv(cache, keys, values)]
+        assert_matches_spec(cache, final_step(keys, values, cache.config, 2))
         assert cache.pending_rows == 0
         assert cache.quantized_tokens == 4
 
@@ -205,8 +173,7 @@ class TestAppendTrigger:
         keys, values = random_rows(rng, 6, 3), random_rows(rng, 6, 3)
         fill(cache, keys, values)
         # trigger fired at the 6th append: block covers positions 0-3
-        assert [a.tobytes() for a in cache.attended_kv()] == [
-            a.tobytes() for a in reconstructed_kv(cache, keys, values)]
+        assert_matches_spec(cache, final_step(keys, values, cache.config, 2))
         assert cache.pending_rows == 2
         assert cache.quantized_tokens == 4
 
@@ -284,16 +251,13 @@ class TestOutlierPath:
         fill(cache, keys, values)
 
         assert cache.pool.positions.tolist() == [5]
-        assert cache.substituted_positions == {5}
-        group_mean = keys.mean(axis=0)
-        [(block_k, block_v)] = fed_blocks(keys, values, g, 2, substituted={5})
-        recon = block_k.to_matrix()[5]
-        step = max(p.step for p in block_k.params)
-        assert np.abs(recon - group_mean).max() <= step + 1e-6
+        block_k, block_v = group_rows(keys, values, [5], 2)
+        step = max(p.step for p in quantize_keys_channelwise(substituted(keys, values, [5])[0], 2).params)
+        assert np.abs(block_k[5] - keys.mean(axis=0)).max() <= step + 1e-6
         # the other rows attend through the substituted group's block ...
         got_k, got_v = cache.attended_kv()
-        np.testing.assert_array_equal(np.delete(got_k, 5, 0), np.delete(block_k.to_matrix(), 5, 0))
-        np.testing.assert_array_equal(np.delete(got_v, 5, 0), np.delete(block_v.to_matrix(), 5, 0))
+        np.testing.assert_array_equal(np.delete(got_k, 5, 0), np.delete(block_k, 5, 0))
+        np.testing.assert_array_equal(np.delete(got_v, 5, 0), np.delete(block_v, 5, 0))
         # ... and the pooled token through the rows it was fed
         np.testing.assert_array_equal(got_k[5], keys[5])
         np.testing.assert_array_equal(got_v[5], values[5])
@@ -307,12 +271,13 @@ class TestOutlierPath:
         first[2] = 0.5  # pooled after group 1
         second = rng.uniform(4.5, 5.5, size=(g, d)).astype(np.float32)
         second[6] = 0.01  # lower score: wins the slot in group 2
-        fill(cache, first, random_rows(rng, g, d))
+        values = random_rows(rng, 2 * g, d)
+        fill(cache, first, values[:g])
         assert cache.pool.positions.tolist() == [2]
-        fill(cache, second, random_rows(rng, g, d))
+        fill(cache, second, values[g:])
         assert cache.pool.positions.tolist() == [g + 6]
         assert cache.pool.aux_positions.tolist() == [2]
-        assert cache.substituted_positions == {2, g + 6}
+        assert_matches_spec(cache, final_step(np.concatenate((first, second)), values, cfg, 0))
 
 
 class TestMemoryUsage:
@@ -365,13 +330,14 @@ class TestMemoryUsage:
         n = 6 * g + r + 3
         rng = np.random.default_rng(100 * g + 10 * r + d + bits)
         keys, values = shrinking_keys(rng, n, d), random_rows(rng, n, d)
+        blocks = [(quantize_keys_channelwise(keys[b : b + g], bits),
+                   quantize_values_tokenwise(values[b : b + g], bits)) for b in range(0, n - g + 1, g)]
         evicted = 0
         # (outlier_num, aux_capacity, layer): pool off, on, and skipped.
         for outlier_num, aux, layer in [(0, 0, 0), (2, 1, 0), (3, 4, 0), (3, 4, 1)]:
             cfg = EngineConfig(bits=bits, group_size=g, residual=r, outlier_num=outlier_num,
                                skip_layers=(1,), aux_capacity=aux, head_dim=d)
             cache = TieredCache(cfg, layer=layer)
-            blocks = fed_blocks(keys, values, g, bits)
             assert cache.memory_usage() == per_block_memory_usage(cache, blocks)
             for t in range(n):
                 cache.append(keys[t], values[t])
@@ -380,7 +346,7 @@ class TestMemoryUsage:
         assert evicted
 
 
-class TestPassthrough:
+class TestLosslessWindow:
     """A cache whose window never fills is lossless: it quantizes and pools nothing.
 
     Its row buffer grows one side at a time.
@@ -388,7 +354,7 @@ class TestPassthrough:
 
     G, R, D = 4, 3, 5
 
-    def fed(self, feed):
+    def fed(self):
         # Pooling on with room to evict, so any quantization would show;
         # the group is one row longer than the rows fed.
         rng = np.random.default_rng(48)
@@ -397,22 +363,15 @@ class TestPassthrough:
                            skip_layers=(), aux_capacity=2, head_dim=self.D)
         keys, values = shrinking_keys(rng, n, self.D), random_rows(rng, n, self.D)
         cache = TieredCache(cfg, layer=0)
-        fed = feed(cache, keys, values)
-        return cache, keys[:fed], values[:fed]
-
-    @staticmethod
-    def by_append(cache, keys, values):
         fill(cache, keys, values)
-        return len(keys)
+        return cache, keys, values
 
-    @pytest.mark.parametrize("feed", ["by_append"])
-    def test_every_row_stays_pending(self, feed):
-        cache, keys, values = self.fed(getattr(self, feed))
+    def test_every_row_stays_pending(self):
+        cache, keys, values = self.fed()
         t = len(keys)
         assert cache.total_tokens == cache.pending_rows == t
         assert cache.quantized_tokens == 0
         assert cache.pool.positions.size == cache.pool.aux_positions.size == 0
-        assert not cache.substituted_positions
         got_k, got_v = cache.attended_kv()
         assert got_k.tobytes() == keys.tobytes() and got_v.tobytes() == values.tobytes()
         usage = cache.memory_usage()
@@ -442,7 +401,7 @@ class TestPassthrough:
 
 
 class TestAttendedKv:
-    """The in-place read buffer against the slow from-scratch reference."""
+    """The in-place read buffer against the spec, OTT's rule replayed from the fed rows."""
 
     # (outlier_num, aux_capacity): pool off, frozen from the start, and
     # pools that evict and then freeze after a few groups.
@@ -455,15 +414,12 @@ class TestAttendedKv:
         return [(0, 1), (mid_group, 3), (several_groups, 1), (several_groups, 4)]
 
     @staticmethod
-    def check_read(cache, q, fed_k, fed_v):
+    def check_read(cache, q, step):
         # Shadow rows are kept for the pool's members and no one else.
         assert sorted(cache._shadows) == sorted(cache.pool.positions.tolist())
-        ref_k, ref_v = reconstructed_kv(cache, fed_k, fed_v)
-        keys, values = cache.attended_kv()
-        np.testing.assert_array_equal(keys, ref_k)
-        np.testing.assert_array_equal(values, ref_v)
+        assert_matches_spec(cache, step)
         got = attend_mixed(q, cache)
-        want = attend_full_precision(q, ref_k, ref_v)
+        want = attend_full_precision(q, step[0], step[1])
         np.testing.assert_array_equal(got.output, want.output)
         np.testing.assert_array_equal(got.weights, want.weights)
         np.testing.assert_array_equal(got.scores, want.scores)
@@ -485,20 +441,21 @@ class TestAttendedKv:
             cfg = EngineConfig(group_size=n + 1 if lossless else g, residual=r,
                                outlier_num=outlier_num, skip_layers=(), aux_capacity=aux,
                                head_dim=d)
+            steps = list(spec_steps(keys, values, cfg, 0))
             for first, every in self.schedules(g, r):
                 cache = TieredCache(cfg, layer=0)
                 for t in range(n):
                     cache.append(keys[t], values[t])
                     if t >= first and (t - first) % every == 0:
-                        self.check_read(cache, queries[t], keys, values)
-                self.check_read(cache, queries[-1], keys, values)
+                        self.check_read(cache, queries[t], steps[t])
+                self.check_read(cache, queries[-1], steps[-1])
                 froze += outlier_num > 0 and aux > 0 and cache.pool.frozen
                 evicted += cache.pool.aux_positions.size
                 if lossless:
                     assert cache.quantized_tokens == 0 and cache.pool.positions.size == 0
         assert lossless or (froze and evicted)
 
-class TestExtend:
+class TestRejectedRows:
     """Rejected and extreme rows through ``append`` on a cache several groups in."""
 
     @staticmethod

@@ -16,12 +16,12 @@ from kvtrace import (
     estimate_kv_bytes,
     generate_synthetic,
     l1_error,
-    quantize_keys_channelwise,
-    quantize_values_tokenwise,
     ratio_curve,
     write_rows,
 )
 from kvtrace.report import CSV_COLUMNS
+
+from spec import group_rows
 
 
 class TestEstimateKvBytes:
@@ -124,23 +124,19 @@ class TestCompareCriteria:
 
 
 def cache_rule_error(block, retained, bits, group_size):
-    """The retention study's error written out by hand with the cache's exclusion rule.
+    """The retention study's error with the spec's exclusion rule (``spec.group_rows``).
 
-    Each fixed block of ``group_size`` positions has its retained rows
-    replaced by the block's float64 per-channel means, keys are quantized per
-    channel and values per token, and the retained tokens' exact rows are
-    laid over the dequantized ones before the last query attends.
+    Each fixed block of ``group_size`` positions is written as the spec
+    writes a cache group, with its retained rows excluded, and the retained
+    tokens' exact rows are laid over the dequantized ones before the last
+    query attends.
     """
     queries, keys, values = block
     k_hat, v_hat = keys.copy(), values.copy()
     for start in range(0, len(keys), group_size):
         rows = np.arange(start, min(start + group_size, len(keys)))
-        held = np.isin(rows, retained)
-        k, v = keys[rows].copy(), values[rows].copy()
-        k[held] = keys[rows].mean(axis=0, dtype=np.float64)
-        v[held] = values[rows].mean(axis=0, dtype=np.float64)
-        k_hat[rows] = quantize_keys_channelwise(k, bits).to_matrix()
-        v_hat[rows] = quantize_values_tokenwise(v, bits).to_matrix()
+        held = np.flatnonzero(np.isin(rows, retained))
+        k_hat[rows], v_hat[rows] = group_rows(keys[rows], values[rows], held, bits)
     k_hat[retained], v_hat[retained] = keys[retained], values[retained]
     mixed = attend_full_precision(queries[-1], k_hat, v_hat)
     return l1_error(mixed.output, attend_full_precision(queries[-1], keys, values).output)
