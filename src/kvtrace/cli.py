@@ -307,11 +307,10 @@ def _cmd_mem_estimate(args) -> int:
 
 def _cmd_decile_stats(args) -> int:
     trace = _load_trace(args, args.seed)
+    if args.channel is not None:  # before the block is drawn or read; the default is in range
+        _check_index("--channel", args.channel, trace.header.head_dim)
     keys = trace.block(args.layer, args.head)[1]
-    channel = args.channel
-    if channel is None:
-        channel = int(np.abs(keys).mean(axis=0).argmax())
-    _check_index("--channel", channel, trace.header.head_dim)
+    channel = int(np.abs(keys).mean(axis=0).argmax()) if args.channel is None else args.channel
     stats = decile_stats(keys[:, channel])
     if args.out:
         write_csv(

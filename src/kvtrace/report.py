@@ -161,15 +161,13 @@ def ratio_curve(
     d, g = config.head_dim, config.group_size
     pool = OutlierPool(config.outlier_num, config.aux_capacity)
     mode = "ott" if pool.capacity > 0 else "baseline"
-    # A cache quantizes its oldest group once G + R rows are pending.
-    due = g + config.residual
     rows: list[ExperimentRow] = []
     rng, quantized = None, 0
     for target in seq_lens:
-        while target - quantized >= due:
-            if pool.frozen:  # no draw can change the pool: take every due group at once
-                quantized += g * ((target - quantized - due) // g + 1)
-                break
+        # A cache quantizes its oldest group once G + R rows are pending,
+        # so after ``target`` tokens it has quantized the first ``due``.
+        due = g * max(0, (target - config.residual) // g)
+        while quantized < due and not pool.frozen:  # a frozen pool takes no draw
             if rng is None:
                 rng = np.random.default_rng(seed)
             # One (G, 2, d) draw is the same stream, in the same order, as
@@ -177,6 +175,7 @@ def ratio_curve(
             keys = rng.standard_normal((g, 2, d))[:, 0].astype(np.float32)
             pool.update(score_tokens(keys), quantized)
             quantized += g
+        quantized = due
         total = MemoryBreakdown.of(config, quantized, target - quantized, pool).total_bits
         rows.append(ExperimentRow(
             mode=mode,

@@ -16,11 +16,8 @@ from kvtrace import (
     TieredCache,
     TraceFile,
     TraceFormatError,
-    attend_full_precision,
-    attend_mixed,
     cli,
     generate_synthetic,
-    l1_error,
     read_trace,
     replay_caches,
     write_trace,
@@ -30,7 +27,7 @@ import kvtrace.trace as trace_module
 from kvtrace.cli import run
 from kvtrace.report import CSV_COLUMNS, write_csv
 
-USAGE_KEYS = ("quantized_bits", "param_bits", "pending_bits", "pool_bits", "total_bits")
+from spec import USAGE_KEYS, closed_form_bits, spec_replay
 
 
 def out_lines(capsys):
@@ -189,34 +186,9 @@ class TestSimulate:
         assert a.read_bytes() == b.read_bytes()
 
 
-def step_major_replay(trace, config):
-    """Slow reference for ``simulate``: every cache alive, each step visits them all.
-
-    Returns the per-step mean errors, the summed memory fields, the caches
-    and each cache's per-step errors, all keyed by (layer, head).
-    """
-    h = trace.header
-    caches = {
-        (layer, head): TieredCache(config, layer=layer)
-        for layer in range(h.n_layers)
-        for head in range(h.n_heads)
-    }
-    blocks = {key: trace.block(*key) for key in caches}
-    cache_errors = {key: np.zeros(h.seq_len) for key in caches}
-    step_errors = np.zeros(h.seq_len)
-    for t in range(h.seq_len):
-        total = 0.0
-        for key, cache in caches.items():
-            q, k, v = blocks[key]
-            cache.append(k[t], v[t])
-            mixed = attend_mixed(q[t], cache)
-            oracle = attend_full_precision(q[t], k[: t + 1], v[: t + 1])
-            cache_errors[key][t] = l1_error(mixed.output, oracle.output)
-            total += cache_errors[key][t]
-        step_errors[t] = total / len(caches)
-    breakdowns = [c.memory_usage() for c in caches.values()]
-    usage = {key: sum(getattr(b, key) for b in breakdowns) for key in USAGE_KEYS}
-    return step_errors, usage, caches, cache_errors
+def usage_fields(breakdown):
+    """A ``MemoryBreakdown``'s fields, keyed as ``spec.closed_form_bits`` keys them."""
+    return {key: getattr(breakdown, key) for key in USAGE_KEYS}
 
 
 def engine_flags(cfg):
@@ -237,7 +209,7 @@ REPLAY_CASES = {
 
 
 class TestLayerByLayerReplay:
-    """``simulate`` replays one cache at a time; the step-major loop is the reference."""
+    """``simulate`` replays one cache at a time; the spec's replay (``spec.spec_replay``) is the reference."""
 
     @pytest.mark.parametrize("mode", ["ott", "baseline"])
     @pytest.mark.parametrize("case", sorted(REPLAY_CASES))
@@ -256,7 +228,9 @@ class TestLayerByLayerReplay:
 
         def recording_replay(trace, config):
             for layer, head, cache, errors in replay_caches(trace, config):
-                yielded.append((layer, head, errors, cache.memory_usage()))
+                pool = cache.pool
+                yielded.append((layer, head, errors.tobytes(), pool.positions.tolist(),
+                                pool.aux_positions.tolist(), usage_fields(cache.memory_usage())))
                 yield layer, head, cache, errors
 
         monkeypatch.setattr(cli, "write_csv", recording_write_csv)
@@ -268,29 +242,31 @@ class TestLayerByLayerReplay:
 
         outlier_num = cfg.outlier_num if mode == "ott" else 0
         config = replace(cfg, outlier_num=outlier_num, head_dim=head_dim)
-        want, usage, caches, cache_errors = step_major_replay(trace, config)
+        spec = list(spec_replay(trace, config))
+        want = np.zeros(seq_len)
+        for _, _, errors, _, _ in spec:  # layer-major, as simulate sums the caches' errors
+            want += errors
+        want /= layers * heads
         got = np.array([row[1] for row in recorded[0]])
         assert got.tobytes() == want.tobytes()
         want_csv = tmp_path / "want.csv"
         write_csv(want_csv, ["step", "l1_error"], [[t, float(e)] for t, e in enumerate(want)])
         assert got_csv.read_bytes() == want_csv.read_bytes()
+        bits = [closed_form_bits(config, seq_len, len(positions) + len(aux)) for *_, positions, aux in spec]
+        usage = {key: sum(b[key] for b in bits) for key in USAGE_KEYS}
         fp16_bits = layers * heads * 2 * seq_len * head_dim * 16
         assert got_lines == [
             f"mode={mode} steps={seq_len} aggregate_l1_error={want.mean():.6g}",
             *(f"{key}={usage[key]}" for key in USAGE_KEYS),
             f"ratio_vs_fp16={fp16_bits / usage['total_bits']:.6g}",
         ]
-        # The generator yields each cache, layer-major, exactly as the reference
-        # leaves it, and simulate prints the sums of the yielded memory fields.
-        assert [(layer, head) for layer, head, _, _ in yielded] == list(caches)
-        for layer, head, errors, breakdown in yielded:
-            assert errors.tobytes() == cache_errors[layer, head].tobytes()
-            assert breakdown == caches[layer, head].memory_usage()
-        summed = {key: sum(getattr(b, key) for *_, b in yielded) for key in USAGE_KEYS}
-        assert got_lines[1:6] == [f"{key}={summed[key]}" for key in USAGE_KEYS]
+        # The generator yields each cache, layer-major, with the spec's errors,
+        # pool and aux positions, and the memory of the spec's pool size.
+        assert yielded == [(layer, head, errors.tobytes(), positions, aux, b)
+                           for (layer, head, errors, positions, aux), b in zip(spec, bits)]
         if case == "evicting" and mode == "ott":
-            pooled = [c.pool for c in caches.values() if c.pool.capacity]
-            assert pooled and all(p.frozen and p.aux_positions.size == 2 for p in pooled)
+            pooled = [aux for layer, *_, aux in spec if layer not in config.skip_layers]
+            assert pooled and all(len(aux) == 2 for aux in pooled)
 
     def test_memory_above_trace_does_not_grow_with_caches(self, tmp_path, capsys):
         head_dim, seq_len = 32, 512
@@ -320,13 +296,15 @@ class TestReplayCaches:
         (layers, heads, head_dim, seq_len), cfg = REPLAY_CASES["pooled"]
         trace = generate_synthetic(SyntheticSpec(seed=3), layers, heads, head_dim, seq_len)
         config = replace(cfg, head_dim=head_dim)
-        _, _, caches, cache_errors = step_major_replay(trace, config)
-        got = list(replay_caches(trace, config))
-        assert [(layer, head) for layer, head, _, _ in got] == list(caches)
-        for layer, head, cache, errors in got:
+        got, want = replay_caches(trace, config), spec_replay(trace, config)
+        for (layer, head, cache, errors), (*key, spec_errors, positions, aux_positions) in zip(got, want, strict=True):
+            assert [layer, head] == key
             assert errors.dtype == np.float64 and errors.shape == (seq_len,)
-            assert errors.tobytes() == cache_errors[layer, head].tobytes()
-            assert cache.memory_usage() == caches[layer, head].memory_usage()
+            assert errors.tobytes() == spec_errors.tobytes()
+            assert cache.pool.positions.tolist() == positions
+            assert cache.pool.aux_positions.tolist() == aux_positions
+            pool_rows = len(positions) + len(aux_positions)
+            assert usage_fields(cache.memory_usage()) == closed_form_bits(config, seq_len, pool_rows)
             assert cache.total_tokens == seq_len
 
     # decode-long with the default engine, and the evicting golden case.
@@ -513,6 +491,11 @@ class TestSyntheticTraceDrawnBlockByBlock:
     def test_decile_stats_draws_one_block(self, draws, capsys):
         assert run(["decile-stats", *self.SHAPE, "--layer", "2", "--head", "1", "--seed", "4"]) == 0
         assert draws == [(4, 2, 1)]
+
+    def test_decile_stats_bad_channel_draws_nothing(self, draws, capsys):
+        assert run(["decile-stats", *self.SHAPE, "--channel", "8"]) == 1
+        assert capsys.readouterr().err == "error: --channel 8 out of range [0, 8)\n"
+        assert draws == []
 
     def test_compare_criteria_draws_one_block_per_trial(self, draws, capsys):
         argv = ["compare-criteria", *self.SHAPE, "--head", "1", "--trials", "3", "--seed", "5"]

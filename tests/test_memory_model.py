@@ -1,10 +1,7 @@
-"""The memory model in closed form, checked independently of ``memory_usage``'s arithmetic.
+"""``memory_usage`` and ``ratio_curve`` against the memory model's closed form, ``spec.closed_form_bits``.
 
-After T tokens a cache has quantized Q = G·max(0, ⌊(T − R)/G⌋) of them, so
-
-    total_bits = 2·Q·d·b + (Q/G)·(d + G)·32 + (T − Q)·d·32 + P·d·32
-
-where P counts the pool's members plus its aux rows, 0 ≤ P ≤ outlier_num +
+The closed form shares none of ``MemoryBreakdown.of``'s arithmetic. Its
+P term counts the pool's members plus its aux rows, 0 ≤ P ≤ outlier_num +
 aux_capacity.
 """
 
@@ -12,12 +9,7 @@ import pytest
 
 from kvtrace import EngineConfig, SyntheticSpec, SyntheticTrace, TieredCache, TraceHeader, ratio_curve
 
-
-def closed_form_bits(config: EngineConfig, tokens: int, pool_rows: int) -> int:
-    g, r, d, b = config.group_size, config.residual, config.head_dim, config.bits
-    quantized = g * max(0, (tokens - r) // g)
-    return (2 * quantized * d * b + quantized // g * (d + g) * 32
-            + (tokens - quantized) * d * 32 + pool_rows * d * 32)
+from spec import USAGE_KEYS, closed_form_bits
 
 
 @pytest.mark.parametrize(
@@ -42,7 +34,8 @@ def test_total_bits_match_the_closed_form_after_every_append(config, header, spe
         cache.append(block[1, t], block[2, t])
         pool_rows = cache.pool.positions.size + cache.pool.aux_positions.size
         assert 0 <= pool_rows <= config.outlier_num + config.aux_capacity
-        assert cache.memory_usage().total_bits == closed_form_bits(config, t + 1, pool_rows)
+        usage = cache.memory_usage()
+        assert {key: getattr(usage, key) for key in USAGE_KEYS} == closed_form_bits(config, t + 1, pool_rows)
         most_pool_rows = max(most_pool_rows, pool_rows)
     assert most_pool_rows > 0  # the P term was exercised
     assert cache.pool.frozen is frozen
@@ -52,10 +45,10 @@ def test_reference_ratio_lies_in_the_closed_form_band():
     # The abstract's 6.4x: the reference setting at d=128 and T=8192.
     config = EngineConfig(head_dim=128)
     [row] = ratio_curve(config, [8192])
-    assert row.total_bits == 5_222_400 == closed_form_bits(config, 8192, 13)
+    assert row.total_bits == 5_222_400 == closed_form_bits(config, 8192, 13)["total_bits"]
     assert f"{row.ratio_vs_fp16:.5g}" == "6.4251"
     fp16_bits = 2 * 8192 * 128 * 16
     most = config.outlier_num + config.aux_capacity
-    low, high = (fp16_bits / closed_form_bits(config, 8192, p) for p in (most, 0))
+    low, high = (fp16_bits / closed_form_bits(config, 8192, p)["total_bits"] for p in (most, 0))
     assert (round(low, 3), round(high, 3)) == (6.316, 6.491)
     assert low <= row.ratio_vs_fp16 <= high

@@ -1,5 +1,3 @@
-from typing import NamedTuple
-
 import numpy as np
 import pytest
 
@@ -9,6 +7,8 @@ from kvtrace import (
     score_tokens,
     substitute_means,
 )
+
+from spec import pool_update
 
 
 def offer(pool, scores, first, d=4):
@@ -28,60 +28,12 @@ def brute_force_pool(history, capacity):
     return {p for _, p in sorted(history)[:capacity]}
 
 
-class Entry(NamedTuple):
-    position: int
-    score: float
-
-
-class ReferencePool:
-    """State of the slow reference pool: one entry object per token, in lists."""
-
-    def __init__(self, capacity, aux_capacity):
-        self.capacity, self.aux_capacity = capacity, aux_capacity
-        self.entries: list[Entry] = []
-        self.aux: list[Entry] = []
-        # Frozen: no update can change the pool.
-        self.frozen = capacity == 0 or aux_capacity == 0
-
-
-def reference_pool_update(pool, candidates):
-    """Slow reference for ``OutlierPool.update``: one ``sorted`` over entry objects.
-
-    Returns ``(selected, evicted)`` position lists in the order the array
-    pool reports them: winners in rank order, losers in member rank order.
-    """
-    if pool.frozen:
-        return [], []
-    ranked = sorted(pool.entries + list(candidates), key=lambda e: (e.score, e.position))
-    winners = ranked[: pool.capacity]
-    winner_positions = {e.position for e in winners}
-    old_positions = {e.position for e in pool.entries}
-    selected = [e.position for e in winners if e.position not in old_positions]
-    evicted = [e for e in pool.entries if e.position not in winner_positions]
-    pool.entries = winners
-    room = pool.aux_capacity - len(pool.aux)
-    pool.aux.extend(evicted[:room])
-    if len(pool.aux) >= pool.aux_capacity:
-        pool.frozen = True
-    return selected, [e.position for e in evicted]
-
-
 def pool_fields(pool):
     """Every stored field of an ``OutlierPool``, as plain lists."""
     return {
         name: getattr(pool, name).tolist()
         for name in ("positions", "scores", "aux_positions")
     } | {"frozen": pool.frozen}
-
-
-def reference_fields(ref):
-    """The fields of ``pool_fields``, read from a ``ReferencePool``."""
-    return {
-        "positions": [e.position for e in ref.entries],
-        "scores": [e.score for e in ref.entries],
-        "aux_positions": [e.position for e in ref.aux],
-        "frozen": ref.frozen,
-    }
 
 
 class TestScoreTokens:
@@ -211,7 +163,7 @@ class TestPoolUpdate:
 
 
 class TestAgainstReference:
-    """The array pool equals the list-and-``sorted`` pool field for field."""
+    """The array pool equals the spec's list pool (``spec.pool_update``) field for field."""
 
     @pytest.mark.parametrize("aux_capacity", range(6))
     @pytest.mark.parametrize("capacity", range(5))
@@ -220,21 +172,24 @@ class TestAgainstReference:
         for group_size in range(1, 10):
             rng = np.random.default_rng(100 * capacity + 10 * aux_capacity + group_size)
             pool = OutlierPool(capacity, aux_capacity)
-            ref = ReferencePool(capacity, aux_capacity)
+            ref, aux = [], []
             position = 0
             for step in range(12):
                 # Integer scores repeat, so ties are broken by position
                 # within and across groups; the scores drift down, so
                 # members keep being evicted.
-                positions = range(position, position + group_size)
                 scores = (rng.integers(0, 4, size=group_size) + 12 - step).astype(np.float64)
-                want = reference_pool_update(
-                    ref, [Entry(*c) for c in zip(positions, scores.tolist())])
+                ref, aux, *want = pool_update(ref, aux, scores.tolist(), position, capacity, aux_capacity)
                 selected, evicted = pool.update(scores, position)
                 position += group_size
-                assert (selected.tolist(), evicted.tolist()) == want
+                assert [selected.tolist(), evicted.tolist()] == want
                 assert selected.dtype == evicted.dtype == np.int64
-                assert pool_fields(pool) == reference_fields(ref)
+                assert pool_fields(pool) == {
+                    "positions": [p for _, p in ref],
+                    "scores": [s for s, _ in ref],
+                    "aux_positions": [p for _, p in aux],
+                    "frozen": capacity == 0 or len(aux) >= aux_capacity,
+                }
                 evicted_total += evicted.size
             froze += pool.frozen
         if capacity and aux_capacity:

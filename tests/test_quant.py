@@ -106,7 +106,8 @@ def reference_quantize_line(x, bits):
     code reconstructs at or below x_max; each code is then the highest
     level whose float64 reconstruction is <= x (``searchsorted`` on the
     lattice), and step shrinks by the excess wherever round-off left a
-    lattice cell wider than step.
+    lattice cell wider than step, in at most as many passes as the
+    quantizer allows itself.
     """
     x = np.asarray(x, dtype=np.float64)
     levels = (1 << bits) - 1
@@ -117,13 +118,14 @@ def reference_quantize_line(x, bits):
         step = math.nextafter(step, 0.0)
     if step == 0.0:
         return np.zeros(x.size, dtype=np.int64), x_min, step
-    while True:
+    for _ in range(quant._SHRINK_PASSES):
         lattice = np.arange(levels + 1) * step + x_min
         codes = np.searchsorted(lattice, x, side="right") - 1
         excess = float((x - lattice[codes]).max()) - step
         if not 0.0 < excess < step:
             return codes, x_min, step
         step = min(math.nextafter(step, 0.0), step - excess)
+    raise AssertionError("the reference's excess shrink took more than _SHRINK_PASSES passes")
 
 
 # Inputs hypothesis found where round-off left the dequantized cell just
