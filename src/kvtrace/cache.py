@@ -64,6 +64,9 @@ class EngineConfig:
         _check_bits(self.bits)
         for name in ("group_size", "residual", "outlier_num", "aux_capacity", "head_dim"):
             check_integer(getattr(self, name), name)
+        # A tuple of ints, like TraceHeader's fields: the frozen config stays hashable.
+        skip = tuple(check_integer(layer, "skip_layers entry") for layer in self.skip_layers)
+        object.__setattr__(self, "skip_layers", skip)
         if self.group_size < 1:
             raise ContractViolation("group_size must be >= 1")
         if self.residual < 0 or self.outlier_num < 0 or self.aux_capacity < 0:

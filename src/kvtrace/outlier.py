@@ -103,7 +103,7 @@ def substitute_means(
     selected tokens stop stretching per-channel extrema without shifting
     group statistics. Inputs are not modified.
     """
-    selected = sorted(set(int(i) for i in selected))
+    selected = sorted(set(check_integer(i, "selected row index") for i in selected))
     k = np.array(group_k, dtype=np.float32, copy=True)
     v = np.array(group_v, dtype=np.float32, copy=True)
     if k.shape[0] != v.shape[0]:

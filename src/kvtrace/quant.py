@@ -19,14 +19,12 @@ Group variants quantize keys per channel (one parameter line per column)
 and values per token (one line per row), all lines of a group in one
 vectorized pass: every line's min, max and step at once, the step nudge
 and shrink repeated only on the lines that still need them. Each code is
-estimated as ``floor((x - x_min) / step)`` and checked through its
-float64 residual ``x - (code * step + x_min)``: a negative residual means
-the estimate is too high, and only a residual within a derived
-round-off bound ``tol`` of a whole step can hide one that is too low (see
-``_quantize_lines``). Those few elements are settled against the lattice;
-the cost of the pass does not depend on ``bits``. Codes stay ``uint8``
-from the finder to the packer, which joins each word's eight codes in
-three shift-and-merge rounds.
+estimated as ``floor((x - x_min) / step)`` and checked exactly in float64:
+it is too high if it reconstructs above x, too low if the next level
+reconstructs at or below x. The few elements either test flags are
+settled against the lattice; the cost of the pass does not depend on
+``bits``. Codes stay ``uint8`` from the finder to the packer, which
+joins each word's eight codes in three shift-and-merge rounds.
 ``quantize_uniform`` is the one-line case of the same pass. A
 ``QuantizedBlock`` holds the packed codes plus two float64 arrays,
 ``mins`` and ``steps``, with one entry per parameter line; it is the only
@@ -56,6 +54,12 @@ def _check_bits(bits: int) -> None:
         raise ContractViolation(f"bits must be in [1, 8], got {bits}")
 
 
+def _check_params(mins, steps) -> None:
+    # The one rule for parameter lines, scalars or arrays alike.
+    if not (np.isfinite(mins).all() and np.isfinite(steps).all() and np.all(steps >= 0)):
+        raise ContractViolation("mins and steps must be finite and each step must be nonnegative")
+
+
 class GroupAxis(enum.Enum):
     PER_CHANNEL = "per_channel"
     PER_TOKEN = "per_token"
@@ -76,22 +80,22 @@ class QuantParams:
 
     def __post_init__(self):
         _check_bits(self.bits)
-        if self.step < 0:
-            raise ContractViolation("step must be nonnegative")
+        _check_params(self.x_min, self.step)
 
 
 def _floor_codes(
-    lines: np.ndarray, mins: np.ndarray, steps: np.ndarray, tol: np.ndarray, levels: int
+    lines: np.ndarray, mins: np.ndarray, steps: np.ndarray, levels: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per element, the highest level whose float64 reconstruction is <= x.
 
-    ``lines`` is (m, n); ``mins``, ``steps`` and ``tol`` are (m, 1) columns.
+    ``lines`` is (m, n); ``mins`` and ``steps`` are (m, 1) columns.
     Returns the codes (float64, integer-valued) and the residuals
     ``x - (code * step + x_min)``, the float64 operations of ``dequantize``.
     The estimate ``floor((x - x_min) / step + 2**-32)``, capped at
-    ``levels``, is right for all but a few elements; two tests on the
-    residual flag every wrong one (``_quantize_lines`` derives why), and
-    only the flagged elements are settled against the lattice.
+    ``levels``, is right for all but a few elements. Two exact tests flag
+    every wrong one: it is too high if its residual is negative, and too
+    low if the next level's reconstruction is <= x. Only the flagged
+    elements are settled against the lattice.
     """
     # Full-size copies of the columns: arithmetic against a broadcast column
     # runs one short inner loop per line, a copy of it does not.
@@ -107,27 +111,33 @@ def _floor_codes(
     codes += 2.0**-32
     np.floor(codes, out=codes)
     np.minimum(codes, levels, out=codes)
-    resid = codes * width
+    # The next level's reconstruction, then the code's own in ``width``'s
+    # buffer: a fresh full-size array costs more than the rest of the test.
+    # At the top level, which has no next level, the first test can flag a
+    # right code; the settle leaves it there.
+    resid = codes + 1
+    resid *= width
     resid += lo
-    np.subtract(lines, resid, out=resid)
-    unsure = resid >= steps - tol
+    unsure = resid <= lines
+    width *= codes
+    width += lo
+    np.subtract(lines, width, out=resid)
     unsure |= resid < 0
     if unsure.any():
         i, j = np.nonzero(unsure)
         x, step, x_min, k = lines[i, j], steps[i, 0], mins[i, 0], codes[i, j]
         # Each pass moves every flagged code one level toward its right
-        # value, and both lie in [0, levels] (level 0 reconstructs to
-        # x_min <= x): at most ``levels`` passes each way.
+        # value, which lies in [0, levels] (level 0 reconstructs to
+        # x_min <= x). Reconstructions rise with the level, so a code that
+        # was too high never becomes too low: at most ``levels`` moves.
         for _ in range(levels + 1):
-            if not (high := k * step + x_min > x).any():
-                break
-            k -= high
-        assert not high.any(), "settling down took more than `levels` passes"
-        for _ in range(levels + 1):
-            if not (low := (k < levels) & ((k + 1) * step + x_min <= x)).any():
+            high = k * step + x_min > x
+            low = (k < levels) & ((k + 1) * step + x_min <= x)
+            if not (wrong := high | low).any():
                 break
             k += low
-        assert not low.any(), "settling up took more than `levels` passes"
+            k -= high
+        assert not wrong.any(), "settling took more than `levels` passes"
         codes[i, j] = k
         resid[i, j] = x - (k * step + x_min)
     return codes, resid
@@ -141,8 +151,9 @@ _NUDGE_PASSES = 5
 _SHRINK_PASSES = 64
 
 
-# ``(k + 1) * step`` overflows only where ``k == levels`` masks it, and the
-# range test rejects an all-Inf line's ``inf - inf``: both are harmless.
+# ``(k + 1) * step`` overflows only past the top level, where its Inf is
+# never <= x, and the range test rejects an all-Inf line's ``inf - inf``:
+# both are harmless.
 @np.errstate(over="ignore", invalid="ignore")
 def _quantize_lines(lines: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Quantize each row of a non-empty float64 (L, n) matrix.
@@ -151,27 +162,8 @@ def _quantize_lines(lines: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarra
     in memory like ``lines``, and the float64 zero point and step of each
     row. A row whose range is not finite (NaN, Inf or overflow) raises.
 
-    Each code c is first estimated (see ``_floor_codes``) and checked
-    through its residual ``r = x - (c * step + x_min)``, the float64
-    operations of ``dequantize``. The estimate is too high exactly
-    when ``r < 0``, since a rounded difference has the sign of the exact
-    one. It can be too low only if ``r >= step - tol``. With u = 2**-53 and
-    X = |x_min| + |x_max| + levels * step, a lattice point ``fl(fl(k *
-    step) + x_min)`` lies within ``2u * X + 2**-1074`` of ``k * step +
-    x_min`` (the subnormal term is the underflow of the product; sums with
-    a subnormal result are exact). So if level c + 1 reconstructs at or
-    below x, then ``x - fl(c * step + x_min) >= step - 4u * X - 2**-1073``,
-    and rounding that subtraction, whose operands are each below X in
-    magnitude, costs at most ``2u * X`` more: ``r >= step - 6u * X -
-    2**-1073``. ``tol = 16 * 2**-52 * X + 4 * 2**-1074`` is over four
-    times that bound, which also covers the rounding of ``tol`` and of
-    ``step - tol``. It is summed as 2**-48 times each term of X, so it
-    stays finite where X itself would overflow; that is exact unless a
-    term is subnormal, and rounding those costs at most 3 * 2**-1075.
-    Only elements failing one of the two tests (none, for
-    most groups) are settled, one level at a time, so the result is
-    exactly the highest level whose reconstruction is <= x, for any
-    ``bits``.
+    Each code is the highest level whose float64 reconstruction is <= x
+    (see ``_floor_codes``), for any ``bits``.
     """
     levels = (1 << bits) - 1
     mins = lines.min(axis=1)
@@ -194,21 +186,14 @@ def _quantize_lines(lines: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarra
         steps[nudge] = np.nextafter(steps[nudge], 0.0)
         nudge = nudge[(steps[nudge] > 0) & (mins[nudge] + levels * steps[nudge] > maxs[nudge])]
     assert not nudge.size, "the step nudge took more than _NUDGE_PASSES passes"
-    # The steps below only shrink, so this bound stays valid for them.
-    scale = 16 * 2.0**-52
-    tol = np.abs(mins) * scale + np.abs(maxs) * scale + levels * steps * scale + 4 * 2.0**-1074
 
     # Constant rows (step 0) keep all-zero codes.
     codes = np.zeros_like(lines, dtype=np.uint8)
     todo = np.flatnonzero(steps > 0)
     for _ in range(_SHRINK_PASSES):
-        if not todo.size:
-            break
         rows = slice(None) if todo.size == len(lines) else todo
         step = steps[todo]
-        codes[rows], resid = _floor_codes(
-            lines[rows], mins[rows, None], step[:, None], tol[rows, None], levels
-        )
+        codes[rows], resid = _floor_codes(lines[rows], mins[rows, None], step[:, None], levels)
         excess = resid.max(axis=1) - step
         # excess > 0: round-off made a lattice cell wider than step (by a few
         # ulps of the levels), so some x has no code within the bound.
@@ -217,9 +202,11 @@ def _quantize_lines(lines: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarra
         # the row spans too few float64 values for any step to meet the
         # bound (never the case for float32 data), so that row stops there.
         shrink = (0.0 < excess) & (excess < step)
-        todo, step, excess = todo[shrink], step[shrink], excess[shrink]
-        steps[todo] = np.minimum(np.nextafter(step, 0.0), step - excess)
-    assert not todo.size, "the excess shrink took more than _SHRINK_PASSES passes"
+        if not shrink.any():
+            break
+        todo = todo[shrink]
+        steps[todo] = np.minimum(np.nextafter(step, 0.0), step - excess)[shrink]
+    assert not shrink.any(), "the excess shrink took more than _SHRINK_PASSES passes"
     return codes, mins, steps
 
 
@@ -276,8 +263,7 @@ class QuantizedBlock:
                 f"expected {expected} parameter lines, got mins {self.mins.shape} "
                 f"and steps {self.steps.shape}"
             )
-        if not np.isfinite(self.steps).all() or (self.steps < 0).any():
-            raise ContractViolation("steps must be finite and nonnegative")
+        _check_params(self.mins, self.steps)
         if len(self.codes) != _packed_size(self.n_tokens * self.n_channels, self.bits):
             raise ContractViolation("packed code length does not match block shape")
 

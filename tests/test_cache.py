@@ -20,6 +20,7 @@ from kvtrace import (
     quantize_uniform,
     quantize_values_tokenwise,
     ratio_curve,
+    substitute_means,
 )
 
 from spec import group_rows, spec_steps, substituted
@@ -111,6 +112,12 @@ class TestEngineConfig:
         assert cfg.outlier_capacity(1) == 0
         assert cfg.outlier_capacity(2) == 3
 
+    def test_skip_layers_stored_as_a_tuple_of_ints(self):
+        cfg = EngineConfig(skip_layers=[0, np.int64(1)])
+        assert cfg.skip_layers == (0, 1)
+        assert all(type(layer) is int for layer in cfg.skip_layers)
+        assert cfg == EngineConfig() and hash(cfg) == hash(EngineConfig())
+
     def test_validation(self):
         with pytest.raises(ContractViolation):
             EngineConfig(bits=0)
@@ -140,10 +147,14 @@ class TestEngineConfig:
     lambda: estimate_kv_bytes(1, 1, 1, 1.0, 1, 2),
     lambda: ratio_curve(EngineConfig(), [200.5]),
     lambda: ratio_curve(EngineConfig(), [64], seed=1.5),
+    lambda: EngineConfig(skip_layers=(0.0, 1.0)),
+    lambda: TieredCache(EngineConfig(skip_layers="0,1"), 0),
+    lambda: substitute_means(np.zeros((3, 2)), np.zeros((3, 2)), [1.5]),
 ], ids=["bits", "group_size", "residual", "outlier_num", "aux_capacity", "head_dim",
         "pool capacity", "pool aux_capacity", "pool first", "quantize bits",
         "trace header", "spec m", "spec outlier_channels", "spec seed", "criteria budget",
-        "criteria group_size", "kv bytes seq_len", "curve seq_lens", "curve seed"])
+        "criteria group_size", "kv bytes seq_len", "curve seq_lens", "curve seed",
+        "skip_layers float", "skip_layers string", "substituted row"])
 def test_non_integer_size_rejected(build):
     # A float that would otherwise fail later, inside numpy, with a TypeError.
     with pytest.raises(ContractViolation, match="must be an integer"):

@@ -416,21 +416,11 @@ class TestInputDomain:
         [-2.2250738585072014e-308, 2.2250738585072014e-308, 0.0, 1e-310, -1e-310],
     ]
 
-    def test_largest_admitted_magnitudes_keep_tol_finite(self, monkeypatch):
+    def test_largest_admitted_magnitudes_match_reference(self):
         # |x_min| + |x_max| passes the largest float here, though the range
-        # does not: an infinite tol would send every element to the
-        # one-level-per-pass settle loops.
-        tols = []
-        floor_codes = quant._floor_codes
-
-        def spy(lines, mins, steps, tol, levels):
-            tols.append(tol.copy())
-            return floor_codes(lines, mins, steps, tol, levels)
-
-        monkeypatch.setattr(quant, "_floor_codes", spy)
+        # does not.
         group = np.random.default_rng(12).uniform(-8.9e307, 8.9e307, size=(64, 128))
         steps = assert_matches_reference(group.T, 8)
-        assert tols and all(np.isfinite(t).all() for t in tols)
         assert (steps > 0).all()
 
     @pytest.mark.parametrize("bits", range(1, 9))
@@ -609,10 +599,21 @@ class TestQuantizedBlockChecks:
         with pytest.raises(ContractViolation, match="bits"):
             QuantizedBlock(**self.fields(bits=bits, codes=codes))
 
+    # One rule for every parameter line, in both types: a finite zero point
+    # and a finite, nonnegative step.
     @pytest.mark.parametrize("bad", [-1e-300, float("nan"), float("inf")])
     def test_rejects_negative_or_nonfinite_step(self, bad):
         with pytest.raises(ContractViolation, match="steps"):
             QuantizedBlock(**self.fields(steps=[1.0, bad, 1.0]))
+        with pytest.raises(ContractViolation, match="steps"):
+            QuantParams(x_min=0.0, step=bad, bits=2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_min(self, bad):
+        with pytest.raises(ContractViolation, match="mins"):
+            QuantizedBlock(**self.fields(mins=[0.0, bad, 0.0]))
+        with pytest.raises(ContractViolation, match="mins"):
+            QuantParams(x_min=bad, step=1.0, bits=2)
 
     @pytest.mark.parametrize(
         "override",
