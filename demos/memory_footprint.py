@@ -19,10 +19,10 @@ print()
 print("=== Compression ratio vs sequence length (2-bit tiered cache) ===")
 cfg = EngineConfig(bits=2, group_size=128, residual=32, outlier_num=3, head_dim=64)
 lengths = [128, 256, 1024, 4096, 16384, 65536]
-rows = ratio_curve(cfg, lengths)
 print(f"{'seq_len':>8} {'stored bits':>14} {'ratio vs fp16':>14}")
-for row in rows:
-    print(f"{row.seq_len:>8} {row.total_bits:>14,} {row.ratio_vs_fp16:>14.3f}")
+for t, usage in zip(lengths, ratio_curve(cfg, lengths)):
+    ratio = 2 * t * cfg.head_dim * 16 / usage.total_bits  # fp16 bits over stored bits
+    print(f"{t:>8} {usage.total_bits:>14,} {ratio:>14.3f}")
 print()
 print("below group_size + residual nothing is quantized (ratio 1.0);")
 print("with length the full-precision tiers amortize and the ratio")

@@ -22,11 +22,9 @@ from .quant import (
 )
 from .report import (
     Criterion,
-    ExperimentRow,
     compare_criteria,
     estimate_kv_bytes,
     ratio_curve,
-    write_rows,
 )
 from .replay import replay_caches
 from .trace import (
@@ -47,7 +45,6 @@ __all__ = [
     "ContractViolation",
     "Criterion",
     "EngineConfig",
-    "ExperimentRow",
     "GroupAxis",
     "MemoryBreakdown",
     "OutlierPool",
@@ -79,6 +76,5 @@ __all__ = [
     "softmax",
     "substitute_means",
     "unpack_codes",
-    "write_rows",
     "write_trace",
 ]

@@ -42,7 +42,6 @@ from .report import (
     estimate_kv_bytes,
     ratio_curve,
     write_csv,
-    write_rows,
 )
 from .replay import replay_caches
 from .trace import (
@@ -69,7 +68,8 @@ def _add_quant_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--group-size", type=int, default=EngineConfig.group_size, help="tokens per quantized group (default %(default)s)")
 
 
-def _add_engine_flags(p: argparse.ArgumentParser) -> None:
+def _add_engine_flags(p: argparse.ArgumentParser,
+                      skip_help: str = "comma-separated layers with outlier pooling disabled") -> None:
     _add_quant_flags(p)
     p.add_argument("--residual", type=int, default=EngineConfig.residual, help="recent tokens kept full precision (default %(default)s)")
     p.add_argument("--outlier-num", type=int, default=EngineConfig.outlier_num,
@@ -77,7 +77,7 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--skip-layers",
         default=",".join(map(str, EngineConfig.skip_layers)),
-        help="comma-separated layers with outlier pooling disabled (default '%(default)s')",
+        help=f"{skip_help} (default '%(default)s')",
     )
     p.add_argument("--aux-capacity", type=int, default=EngineConfig.aux_capacity, help="auxiliary pool capacity; 0 freezes the pool at construction, so nothing is pooled (default %(default)s)")
 
@@ -140,7 +140,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out", help="CSV path (default: print)")
 
     p = add_parser("ratio-curve", help="compression ratio vs fp16 accounting")
-    _add_engine_flags(p)
+    _add_engine_flags(p, "comma-separated layers; parsed, but no effect here: ratio-curve models "
+                         "one cache of a layer with pooling on")
     p.add_argument("--mode", choices=("baseline", "ott"), default="ott", help="baseline (no pool) or ott")
     p.add_argument("--head-dim", type=int, default=EngineConfig.head_dim, help="channels per head (default %(default)s)")
     p.add_argument(
@@ -284,11 +285,17 @@ def _cmd_compare_criteria(args) -> int:
 def _cmd_ratio_curve(args) -> int:
     seq_lens = _int_list("--seq-lens", args.seq_lens)
     config = _config_from_args(args, args.head_dim)
-    rows = ratio_curve(config, seq_lens, seed=args.seed)
+    # l1_output_error stays empty: a memory-only run measures no attention.
+    rows = [
+        [args.mode, config.bits, config.group_size, config.residual, config.outlier_num, t, None,
+         usage.total_bits, 2 * t * config.head_dim * FP16_BITS / usage.total_bits]
+        for t, usage in zip(seq_lens, ratio_curve(config, seq_lens, seed=args.seed))
+    ]
     if args.out:
-        write_rows(args.out, rows)
-    for r in rows:
-        print(f"seq_len={r.seq_len} total_bits={r.total_bits} ratio_vs_fp16={r.ratio_vs_fp16:.6g}")
+        write_csv(args.out, ["mode", "bits", "group_size", "residual", "outlier_num", "seq_len",
+                             "l1_output_error", "total_bits", "ratio_vs_fp16"], rows)
+    for row in rows:
+        print(f"seq_len={row[5]} total_bits={row[7]} ratio_vs_fp16={row[8]:.6g}")
     return 0
 
 

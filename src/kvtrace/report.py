@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import csv
 import enum
-from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .attention import attend_full_precision, l1_error
-from .cache import FP16_BITS, EngineConfig, MemoryBreakdown, dequantized_group
+from .cache import EngineConfig, MemoryBreakdown, dequantized_group
 from .errors import ContractViolation, check_integer
 from .outlier import OutlierPool, score_tokens
 
@@ -112,36 +111,13 @@ def compare_criteria(
     return l1_error(mixed.output, oracle.output)
 
 
-@dataclass(frozen=True)
-class ExperimentRow:
-    """One line of an experiment report.
-
-    ``ratio_vs_fp16`` is fp16-equivalent bits divided by actual stored
-    bits for the same tokens; it exceeds 1 whenever any block is quantized
-    below 16 bits. ``l1_output_error`` is None for memory-only runs.
-    """
-
-    mode: str
-    bits: int
-    group_size: int
-    residual: int
-    outlier_num: int
-    seq_len: int
-    l1_output_error: float | None
-    total_bits: int
-    ratio_vs_fp16: float
-
-
-CSV_COLUMNS = [f.name for f in fields(ExperimentRow)]
-
-
 def ratio_curve(
     config: EngineConfig,
     seq_lens: list[int],
     *,
     seed: int = 0,
-) -> list[ExperimentRow]:
-    """Compression ratio against fp16 accounting at increasing lengths.
+) -> list[MemoryBreakdown]:
+    """The memory model of one cache after each of ``seq_lens`` tokens.
 
     Replays one representative (layer, head) cache's outlier pool, sized
     as on a layer outside ``skip_layers``, on random rows: when a cache
@@ -150,8 +126,8 @@ def ratio_curve(
     length's bits come from ``MemoryBreakdown.of``, which reads the rows
     only through the pool's size, so nothing is drawn that cannot change
     the pool: no group once it is frozen (or has no capacity), and no row
-    that is never quantized. Below ``group_size + residual`` tokens the
-    ratio is exactly 1.
+    that is never quantized. Below ``group_size + residual`` tokens every
+    row is pending, at exactly the fp16 bits ``2 * T * head_dim * 16``.
     """
     seq_lens = [check_integer(s, "seq_lens entry") for s in seq_lens]
     if not seq_lens or seq_lens != sorted(seq_lens) or seq_lens[0] < 1:
@@ -160,8 +136,7 @@ def ratio_curve(
         raise ContractViolation("seed must be >= 0")
     d, g = config.head_dim, config.group_size
     pool = OutlierPool(config.outlier_num, config.aux_capacity)
-    mode = "ott" if pool.capacity > 0 else "baseline"
-    rows: list[ExperimentRow] = []
+    usages: list[MemoryBreakdown] = []
     rng, quantized = None, 0
     for target in seq_lens:
         # A cache quantizes its oldest group once G + R rows are pending,
@@ -176,19 +151,8 @@ def ratio_curve(
             pool.update(score_tokens(keys), quantized)
             quantized += g
         quantized = due
-        total = MemoryBreakdown.of(config, quantized, target - quantized, pool).total_bits
-        rows.append(ExperimentRow(
-            mode=mode,
-            bits=config.bits,
-            group_size=g,
-            residual=config.residual,
-            outlier_num=pool.capacity,
-            seq_len=target,
-            l1_output_error=None,
-            total_bits=total,
-            ratio_vs_fp16=2 * target * d * FP16_BITS / total,
-        ))
-    return rows
+        usages.append(MemoryBreakdown.of(config, quantized, target - quantized, pool))
+    return usages
 
 
 def _format_value(value) -> str:
@@ -199,13 +163,8 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def write_rows(path, rows: list[ExperimentRow]) -> None:
-    """Write experiment rows as CSV with the fixed column order."""
-    write_csv(path, CSV_COLUMNS, [[getattr(row, col) for col in CSV_COLUMNS] for row in rows])
-
-
 def write_csv(path, header: list[str], rows: list[list]) -> None:
-    """Write a generic CSV with floats at 6 significant digits."""
+    """Write a CSV: the header, then each row with floats at 6 significant digits and None empty."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(header)

@@ -209,10 +209,12 @@ def test_criterion_6_retention_ordering_and_outlier_benefit():
 def test_criterion_7_compression_ratio():
     with criterion(7, "compression ratio", budget_s=60.0):
         cfg = EngineConfig(bits=2, group_size=128, residual=32, outlier_num=3, head_dim=64)
-        short = ratio_curve(cfg, [cfg.group_size + cfg.residual - 1])
-        assert short[0].ratio_vs_fp16 == 1.0
-        long = ratio_curve(cfg, [65_536])
-        assert 6.0 <= long[0].ratio_vs_fp16 <= 7.2, long[0].ratio_vs_fp16
+        short_len, long_len = cfg.group_size + cfg.residual - 1, 65_536
+        [short] = ratio_curve(cfg, [short_len])
+        assert 2 * short_len * cfg.head_dim * 16 / short.total_bits == 1.0
+        [long] = ratio_curve(cfg, [long_len])
+        long_ratio = 2 * long_len * cfg.head_dim * 16 / long.total_bits
+        assert 6.0 <= long_ratio <= 7.2, long_ratio
 
 
 def test_criterion_8_weight_normalization():

@@ -25,7 +25,7 @@ from kvtrace import (
 import kvtrace.replay as replay_module
 import kvtrace.trace as trace_module
 from kvtrace.cli import run
-from kvtrace.report import CSV_COLUMNS, write_csv
+from kvtrace.report import write_csv
 
 from spec import USAGE_KEYS, closed_form_bits, spec_replay
 
@@ -614,11 +614,15 @@ class TestGeneratorFlagsWithTrace:
             assert capsys.readouterr() == ("", f"error: {flag} applies only to synthetic traces (omit --trace)\n")
 
 
+RATIO_COLUMNS = ["mode", "bits", "group_size", "residual", "outlier_num", "seq_len",
+                 "l1_output_error", "total_bits", "ratio_vs_fp16"]
+
+
 def csv_records(path) -> list[dict]:
     """The rows of a ``ratio-curve`` CSV, after checking its header."""
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
-        assert reader.fieldnames == CSV_COLUMNS
+        assert reader.fieldnames == RATIO_COLUMNS
         return list(reader)
 
 
@@ -629,12 +633,43 @@ class TestRatioCurveCommand:
         assert code == 0
         rows = csv_records(out)
         assert float(rows[0]["ratio_vs_fp16"]) == 1.0
+        assert rows[0]["l1_output_error"] == ""  # a memory-only run measures no error
 
     def test_prints_rows(self, capsys):
         assert run(["ratio-curve", "--seq-lens", "128,1024", "--head-dim", "16"]) == 0
         lines = out_lines(capsys)
         assert len(lines) == 2
         assert lines[0].startswith("seq_len=128")
+
+    def test_ott_row_labels(self, tmp_path):
+        out = tmp_path / "ratio.csv"
+        assert run(["ratio-curve", "--group-size", "8", "--residual", "0", "--outlier-num", "2",
+                    "--head-dim", "4", "--seq-lens", "64", "--out", str(out)]) == 0
+        [row] = csv_records(out)
+        assert (row["mode"], row["outlier_num"]) == ("ott", "2")
+
+    def test_mode_label_follows_the_flag(self, tmp_path, capsys):
+        # An ott run with no pool slots is still labelled ott, as simulate prints it.
+        out = tmp_path / "ratio.csv"
+        assert run(["ratio-curve", "--mode", "ott", "--outlier-num", "0", "--seq-lens", "256",
+                    "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1] == "ott,2,128,32,0,256,,301056,1.7415"
+        capsys.readouterr()
+        assert run(["simulate", *SMALL, "--outlier-num", "0"]) == 0
+        assert out_lines(capsys)[0].startswith("mode=ott ")
+
+    @pytest.mark.parametrize("mode, outlier_num, pooled", [("baseline", 0, 0), ("ott", 3, 3 + 32)])
+    def test_longest_length_row(self, tmp_path, capsys, mode, outlier_num, pooled):
+        # The pool freezes, so 2**63 - 1 tokens are counted at once.
+        t, out = 2**63 - 1, tmp_path / "ratio.csv"
+        assert run(["ratio-curve", "--mode", mode, "--seq-lens", str(t), "--out", str(out)]) == 0
+        [row] = csv_records(out)
+        want = closed_form_bits(EngineConfig(outlier_num=outlier_num), t, pooled)["total_bits"]
+        assert (row["mode"], row["seq_len"], row["outlier_num"]) == (mode, str(t), str(outlier_num))
+        assert row["total_bits"] == str(want)
+        ratio = f"{2 * t * EngineConfig.head_dim * 16 / want:.6g}"
+        assert row["ratio_vs_fp16"] == ratio
+        assert out_lines(capsys) == [f"seq_len={t} total_bits={want} ratio_vs_fp16={ratio}"]
 
 
 class TestDecileStatsCommand:

@@ -44,11 +44,12 @@ def test_total_bits_match_the_closed_form_after_every_append(config, header, spe
 def test_reference_ratio_lies_in_the_closed_form_band():
     # The abstract's 6.4x: the reference setting at d=128 and T=8192.
     config = EngineConfig(head_dim=128)
-    [row] = ratio_curve(config, [8192])
-    assert row.total_bits == 5_222_400 == closed_form_bits(config, 8192, 13)["total_bits"]
-    assert f"{row.ratio_vs_fp16:.5g}" == "6.4251"
+    [usage] = ratio_curve(config, [8192])
+    assert usage.total_bits == 5_222_400 == closed_form_bits(config, 8192, 13)["total_bits"]
     fp16_bits = 2 * 8192 * 128 * 16
+    ratio = fp16_bits / usage.total_bits
+    assert f"{ratio:.5g}" == "6.4251"
     most = config.outlier_num + config.aux_capacity
     low, high = (fp16_bits / closed_form_bits(config, 8192, p)["total_bits"] for p in (most, 0))
     assert (round(low, 3), round(high, 3)) == (6.316, 6.491)
-    assert low <= row.ratio_vs_fp16 <= high
+    assert low <= ratio <= high

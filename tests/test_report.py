@@ -8,7 +8,6 @@ from kvtrace import (
     ContractViolation,
     Criterion,
     EngineConfig,
-    ExperimentRow,
     SyntheticSpec,
     TieredCache,
     attend_full_precision,
@@ -17,11 +16,10 @@ from kvtrace import (
     generate_synthetic,
     l1_error,
     ratio_curve,
-    write_rows,
 )
-from kvtrace.report import CSV_COLUMNS
+from kvtrace.report import write_csv
 
-from spec import group_rows
+from spec import closed_form_bits, group_rows
 
 
 class TestEstimateKvBytes:
@@ -159,18 +157,22 @@ def test_compare_criteria_follows_cache_rule(criterion, budget):
     assert got == cache_rule_error(block, retained, 2, 8)
 
 
+def fp16_ratio(seq_len, head_dim, usage):
+    """fp16 bits of ``seq_len`` K and V rows over the bits ``usage`` stores."""
+    return 2 * seq_len * head_dim * 16 / usage.total_bits
+
+
 class TestRatioCurve:
     def test_nothing_quantized_below_group_plus_residual(self):
         cfg = EngineConfig(head_dim=16)
-        rows = ratio_curve(cfg, [cfg.group_size + cfg.residual - 1])
-        assert rows[0].ratio_vs_fp16 == 1.0
-        assert rows[0].l1_output_error is None
+        t = cfg.group_size + cfg.residual - 1
+        [usage] = ratio_curve(cfg, [t])
+        assert fp16_ratio(t, cfg.head_dim, usage) == 1.0
 
     def test_monotone_at_power_of_two_lengths(self):
         cfg = EngineConfig(bits=2, group_size=8, residual=2, outlier_num=0, head_dim=4)
         lengths = [16, 32, 64, 128, 256, 512]
-        rows = ratio_curve(cfg, lengths)
-        ratios = [r.ratio_vs_fp16 for r in rows]
+        ratios = [fp16_ratio(t, 4, usage) for t, usage in zip(lengths, ratio_curve(cfg, lengths))]
         assert all(a <= b for a, b in zip(ratios, ratios[1:]))
 
     def test_converges_to_block_rate_without_residual(self):
@@ -178,8 +180,8 @@ class TestRatioCurve:
         cfg = EngineConfig(bits=bits, group_size=g, residual=0, outlier_num=0, head_dim=d)
         block_bits = 2 * g * d * bits + (d + g) * 2 * 16
         block_rate = (2 * g * d * 16) / block_bits
-        rows = ratio_curve(cfg, [512 * g])
-        assert rows[0].ratio_vs_fp16 == pytest.approx(block_rate, rel=0.01)
+        [usage] = ratio_curve(cfg, [512 * g])
+        assert fp16_ratio(512 * g, d, usage) == pytest.approx(block_rate, rel=0.01)
 
     def test_unsorted_lengths_rejected(self):
         with pytest.raises(ContractViolation):
@@ -222,7 +224,7 @@ class TestRatioCurve:
                     k = rng.standard_normal(d).astype(np.float32)
                     cache.append(k, rng.standard_normal(d).astype(np.float32))
                 want.append(cache.memory_usage().total_bits)
-            assert [row.total_bits for row in ratio_curve(cfg, lengths, seed=seed)] == want
+            assert [usage.total_bits for usage in ratio_curve(cfg, lengths, seed=seed)] == want
             froze += cache.pool.frozen and cache.pool.aux_positions.size == aux > 0
         assert froze == 7
 
@@ -233,8 +235,10 @@ class TestRatioCurve:
             raise AssertionError("drew rows that no output reads")
 
         monkeypatch.setattr(np.random, "default_rng", no_rng)
-        rows = ratio_curve(cfg, [64, 1000, 65536])
-        assert [row.seq_len for row in rows] == [64, 1000, 65536]
+        lengths = [64, 1000, 65536]
+        # Nothing pooled: each length's bits are the closed form with no pool rows.
+        assert ([usage.total_bits for usage in ratio_curve(cfg, lengths)]
+                == [closed_form_bits(cfg, t, 0)["total_bits"] for t in lengths])
 
     def test_frozen_pool_draws_no_later_group(self, monkeypatch):
         g, d, seed = 8, 4, 0
@@ -274,37 +278,43 @@ class TestRatioCurve:
         previous = signal.signal(signal.SIGALRM, too_slow)
         signal.alarm(10)
         try:
-            [row] = ratio_curve(cfg, [2**63 - 1])
+            [usage] = ratio_curve(cfg, [2**63 - 1])
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
         t, g, d, bits = 2**63 - 1, cfg.group_size, cfg.head_dim, cfg.bits
         quantized = (t - g - cfg.residual) // g * g + g
         # MemoryBreakdown.of's closed form, with a frozen pool holding its
-        # members and a full aux list.
-        want = (2 * quantized * d * bits + quantized // g * (d + g) * 2 * 16
-                + (t - quantized) * d * 16 * 2 + pooled * d * 16 * 2)
-        assert (row.seq_len, row.total_bits, row.outlier_num) == (t, want, cfg.outlier_num)
-        assert row.ratio_vs_fp16 == 2 * t * d * 16 / want
+        # members and a full aux list. The CLI's row at this length is
+        # checked in test_cli.TestRatioCurveCommand.
+        want = (2 * quantized * d * bits, quantized // g * (d + g) * 2 * 16,
+                (t - quantized) * d * 16 * 2, pooled * d * 16 * 2)
+        assert (usage.quantized_bits, usage.param_bits, usage.pending_bits, usage.pool_bits) == want
+        assert usage.total_bits == sum(want)
 
     def test_ott_layer_includes_pool_overhead(self):
         cfg = EngineConfig(group_size=8, residual=0, outlier_num=2, head_dim=4)
-        rows = ratio_curve(cfg, [64])
-        assert rows[0].mode == "ott"
-        assert rows[0].outlier_num == 2
+        [usage] = ratio_curve(cfg, [64])
+        # Both members are charged, one K and one V row each, plus any aux rows.
+        assert usage.pool_bits >= cfg.outlier_num * cfg.head_dim * 16 * 2
+        # The CLI labels this row: test_cli.TestRatioCurveCommand.test_ott_row_labels.
 
 
 class TestCsvRoundTrip:
+    # ratio-curve's columns, one of them empty in its rows.
+    HEADER = ["mode", "bits", "group_size", "residual", "outlier_num", "seq_len",
+              "l1_output_error", "total_bits", "ratio_vs_fp16"]
+
     def test_rows_round_trip(self, tmp_path):
         rows = [
-            ExperimentRow("ott", 2, 128, 32, 3, 4096, 1.25, 1_000_000, 6.402317),
-            ExperimentRow("baseline", 2, 128, 32, 0, 128, None, 65536, 1.0),
+            ["ott", 2, 128, 32, 3, 4096, 1.25, 1_000_000, 6.402317],
+            ["baseline", 2, 128, 32, 0, 128, None, 65536, 1.0],
         ]
         path = tmp_path / "rows.csv"
-        write_rows(path, rows)
+        write_csv(path, self.HEADER, rows)
         with open(path, newline="") as f:
             reader = csv.DictReader(f)
-            assert reader.fieldnames == CSV_COLUMNS
+            assert reader.fieldnames == self.HEADER
             back = list(reader)
         assert len(back) == 2
         assert back[1] == {
@@ -313,13 +323,13 @@ class TestCsvRoundTrip:
             "total_bits": "65536", "ratio_vs_fp16": "1",
         }
         # floats survive at six significant digits
-        assert float(back[0]["ratio_vs_fp16"]) == float(f"{rows[0].ratio_vs_fp16:.6g}")
+        assert float(back[0]["ratio_vs_fp16"]) == float(f"{rows[0][8]:.6g}")
         assert float(back[0]["l1_output_error"]) == 1.25
 
     def test_exact_bytes(self, tmp_path):
-        rows = [ExperimentRow("ott", 2, 128, 32, 3, 4096, None, 1_000_000, 6.402317891)]
+        rows = [["ott", 2, 128, 32, 3, 4096, None, 1_000_000, 6.402317891]]
         path = tmp_path / "rows.csv"
-        write_rows(path, rows)
+        write_csv(path, self.HEADER, rows)
         assert path.read_bytes() == (
             b"mode,bits,group_size,residual,outlier_num,seq_len,l1_output_error,total_bits,ratio_vs_fp16\r\n"
             b"ott,2,128,32,3,4096,,1000000,6.40232\r\n"
