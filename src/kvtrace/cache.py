@@ -69,8 +69,8 @@ class EngineConfig:
         object.__setattr__(self, "skip_layers", skip)
         if self.group_size < 1:
             raise ContractViolation("group_size must be >= 1")
-        if self.residual < 0 or self.outlier_num < 0 or self.aux_capacity < 0:
-            raise ContractViolation("residual, outlier_num, aux_capacity must be >= 0")
+        if min(self.residual, self.outlier_num, self.aux_capacity, *skip) < 0:
+            raise ContractViolation("residual, outlier_num, aux_capacity and skip_layers entries must be >= 0")
         if self.head_dim < 1:
             raise ContractViolation("head_dim must be >= 1")
         # A cache's first buffers: G + R rows, and two for an appended pair.

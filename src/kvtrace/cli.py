@@ -285,17 +285,16 @@ def _cmd_compare_criteria(args) -> int:
 def _cmd_ratio_curve(args) -> int:
     seq_lens = _int_list("--seq-lens", args.seq_lens)
     config = _config_from_args(args, args.head_dim)
-    # l1_output_error stays empty: a memory-only run measures no attention.
     rows = [
-        [args.mode, config.bits, config.group_size, config.residual, config.outlier_num, t, None,
+        [args.mode, config.bits, config.group_size, config.residual, config.outlier_num, t,
          usage.total_bits, 2 * t * config.head_dim * FP16_BITS / usage.total_bits]
         for t, usage in zip(seq_lens, ratio_curve(config, seq_lens, seed=args.seed))
     ]
     if args.out:
         write_csv(args.out, ["mode", "bits", "group_size", "residual", "outlier_num", "seq_len",
-                             "l1_output_error", "total_bits", "ratio_vs_fp16"], rows)
+                             "total_bits", "ratio_vs_fp16"], rows)
     for row in rows:
-        print(f"seq_len={row[5]} total_bits={row[7]} ratio_vs_fp16={row[8]:.6g}")
+        print(f"seq_len={row[5]} total_bits={row[6]} ratio_vs_fp16={row[7]:.6g}")
     return 0
 
 

@@ -156,15 +156,13 @@ def ratio_curve(
 
 
 def _format_value(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, float):
         return f"{value:.6g}"
     return str(value)
 
 
 def write_csv(path, header: list[str], rows: list[list]) -> None:
-    """Write a CSV: the header, then each row with floats at 6 significant digits and None empty."""
+    """Write a CSV: the header, then each row with floats at 6 significant digits."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(header)

@@ -18,6 +18,7 @@ from kvtrace import (
     pack_codes,
     quantize_keys_channelwise,
     quantize_values_tokenwise,
+    replay_caches,
     softmax,
     unpack_codes,
 )
@@ -247,20 +248,11 @@ class TestMixedAttention:
             np.testing.assert_array_equal(res_a.output, res_b.output)
 
     def test_outlier_tracking_beats_baseline_on_planted_trace(self):
-        spec = SyntheticSpec(seed=12)
-        queries, keys, values = generate_synthetic(spec, 1, 1, 16, 256).block(0, 0)
+        trace = generate_synthetic(SyntheticSpec(seed=12), 1, 1, 16, 256)
         errors = {}
         for name, n_out in (("baseline", 0), ("tracked", 3)):
-            cfg = EngineConfig(
-                group_size=64, residual=16, outlier_num=n_out, skip_layers=(), head_dim=16
-            )
-            cache = TieredCache(cfg, layer=0)
-            errs = []
-            for t, q in enumerate(queries):
-                cache.append(keys[t], values[t])
-                mixed = attend_mixed(q, cache)
-                oracle = attend_full_precision(q, keys[: t + 1], values[: t + 1])
-                errs.append(l1_error(mixed.output, oracle.output))
+            cfg = EngineConfig(group_size=64, residual=16, outlier_num=n_out, skip_layers=(), head_dim=16)
+            [(_, _, _, errs)] = replay_caches(trace, cfg)
             errors[name] = float(np.mean(errs))
         assert errors["tracked"] < errors["baseline"]
 

@@ -125,6 +125,8 @@ class TestEngineConfig:
             EngineConfig(group_size=0)
         with pytest.raises(ContractViolation):
             EngineConfig(residual=-1)
+        with pytest.raises(ContractViolation, match="skip_layers entries must be >= 0"):
+            EngineConfig(skip_layers=(0, -1))
 
 
 @pytest.mark.parametrize("build", [

@@ -614,8 +614,7 @@ class TestGeneratorFlagsWithTrace:
             assert capsys.readouterr() == ("", f"error: {flag} applies only to synthetic traces (omit --trace)\n")
 
 
-RATIO_COLUMNS = ["mode", "bits", "group_size", "residual", "outlier_num", "seq_len",
-                 "l1_output_error", "total_bits", "ratio_vs_fp16"]
+RATIO_COLUMNS = ["mode", "bits", "group_size", "residual", "outlier_num", "seq_len", "total_bits", "ratio_vs_fp16"]
 
 
 def csv_records(path) -> list[dict]:
@@ -631,9 +630,9 @@ class TestRatioCurveCommand:
         out = tmp_path / "ratio.csv"
         code = run(["ratio-curve", "--seq-lens", "159", "--out", str(out)])
         assert code == 0
+        # csv_records checks the header: a memory-only run has no error column.
         rows = csv_records(out)
         assert float(rows[0]["ratio_vs_fp16"]) == 1.0
-        assert rows[0]["l1_output_error"] == ""  # a memory-only run measures no error
 
     def test_prints_rows(self, capsys):
         assert run(["ratio-curve", "--seq-lens", "128,1024", "--head-dim", "16"]) == 0
@@ -653,7 +652,7 @@ class TestRatioCurveCommand:
         out = tmp_path / "ratio.csv"
         assert run(["ratio-curve", "--mode", "ott", "--outlier-num", "0", "--seq-lens", "256",
                     "--out", str(out)]) == 0
-        assert out.read_text().splitlines()[1] == "ott,2,128,32,0,256,,301056,1.7415"
+        assert out.read_text().splitlines()[1] == "ott,2,128,32,0,256,301056,1.7415"
         capsys.readouterr()
         assert run(["simulate", *SMALL, "--outlier-num", "0"]) == 0
         assert out_lines(capsys)[0].startswith("mode=ott ")
@@ -757,6 +756,9 @@ HUGE_BLOCK = ["--layers", "1", "--seq-len", "4294967295", "--head-dim", "4294967
         (["simulate", "--trace", "{tmp}"], 2),
         # simulate's fp16 control is the only one.
         (["ratio-curve", "--mode", "fp16"], 1),
+        # A negative layer index, which no layer matches.
+        (["simulate", *SMALL, "--skip-layers", "-1"], 1),
+        (["ratio-curve", "--skip-layers", "0,-1"], 1),
     ],
 )
 # Pytest would capture a numpy warning away from capsys; turned into an

@@ -243,9 +243,16 @@ class TestRowL1Errors:
 
     @staticmethod
     def check(d, lengths):
-        # Rows are independent, so the reference runs once over all of them.
+        # Rows are independent, so the reference runs once over all of them,
+        # and once per distinct set of values: several layouts hold the same ones.
+        done = []  # (mixed, oracle, reference errors)
         for _name, _q, mixed, oracle in layouts(d, WIDE):
-            want = reference_row_l1_errors(mixed, oracle)
+            for m, o, want in done:
+                if np.array_equal(m, mixed) and np.array_equal(o, oracle):
+                    break
+            else:
+                want = reference_row_l1_errors(mixed, oracle)
+                done.append((mixed, oracle, want))
             for steps in lengths:
                 assert_same_bits(row_l1_errors(mixed[:steps], oracle[:steps]), want[:steps])
             for t in lengths:

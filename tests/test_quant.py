@@ -28,20 +28,6 @@ def code_matrix(block):
     return flat.reshape(block.n_tokens, block.n_channels)
 
 
-def oracle_quantize(x, bits):
-    """Scalar re-evaluation of the floor rule, element by element."""
-    levels = (1 << bits) - 1
-    x_min, x_max = min(x), max(x)
-    q = (x_max - x_min) / levels
-    if q == 0:
-        return [0] * len(x), x_min, q
-    codes = []
-    for xi in x:
-        c = math.floor((xi - x_min) / q)
-        codes.append(max(0, min(levels, c)))
-    return codes, x_min, q
-
-
 def reference_pack_codes(codes, bits):
     """The bit-column form of the packed byte format, the word packer's reference.
 
@@ -469,13 +455,13 @@ class TestDequantize:
         rng = np.random.default_rng(4)
         x = rng.uniform(-3, 3, size=1000)
         codes, p = quantize_uniform(x, 2)
-        oracle_codes, x_min, q = oracle_quantize(list(x), 2)
-        # same floor rule per element (step may differ by <= 1 ulp)
-        assert np.abs(codes - np.array(oracle_codes)).max() <= 1
+        ref_codes, ref_min, ref_step = reference_quantize_line(x, 2)
+        assert codes.tolist() == ref_codes.tolist()
+        assert bits_of([p.x_min, p.step]).tolist() == bits_of([ref_min, ref_step]).tolist()
         err = x - dequantize(codes, p)
         assert err.min() >= 0.0
         assert err.max() <= p.step
-        assert p.step == pytest.approx(q, rel=1e-12)
+        assert p.step == pytest.approx((x.max() - x.min()) / 3, rel=1e-12)
 
     def test_code_overflow_rejected(self):
         _, p = quantize_uniform([0.0, 1.0], 2)

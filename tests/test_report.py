@@ -19,7 +19,7 @@ from kvtrace import (
 )
 from kvtrace.report import write_csv
 
-from spec import closed_form_bits, group_rows
+from spec import USAGE_KEYS, closed_form_bits, group_rows
 
 
 class TestEstimateKvBytes:
@@ -282,15 +282,10 @@ class TestRatioCurve:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
-        t, g, d, bits = 2**63 - 1, cfg.group_size, cfg.head_dim, cfg.bits
-        quantized = (t - g - cfg.residual) // g * g + g
-        # MemoryBreakdown.of's closed form, with a frozen pool holding its
-        # members and a full aux list. The CLI's row at this length is
-        # checked in test_cli.TestRatioCurveCommand.
-        want = (2 * quantized * d * bits, quantized // g * (d + g) * 2 * 16,
-                (t - quantized) * d * 16 * 2, pooled * d * 16 * 2)
-        assert (usage.quantized_bits, usage.param_bits, usage.pending_bits, usage.pool_bits) == want
-        assert usage.total_bits == sum(want)
+        # The closed form, with a frozen pool holding its members and a full
+        # aux list. The CLI's row at this length is checked in
+        # test_cli.TestRatioCurveCommand.
+        assert {key: getattr(usage, key) for key in USAGE_KEYS} == closed_form_bits(cfg, 2**63 - 1, pooled)
 
     def test_ott_layer_includes_pool_overhead(self):
         cfg = EngineConfig(group_size=8, residual=0, outlier_num=2, head_dim=4)
@@ -301,14 +296,12 @@ class TestRatioCurve:
 
 
 class TestCsvRoundTrip:
-    # ratio-curve's columns, one of them empty in its rows.
-    HEADER = ["mode", "bits", "group_size", "residual", "outlier_num", "seq_len",
-              "l1_output_error", "total_bits", "ratio_vs_fp16"]
+    HEADER = ["mode", "bits", "group_size", "residual", "outlier_num", "seq_len", "total_bits", "ratio_vs_fp16"]
 
     def test_rows_round_trip(self, tmp_path):
         rows = [
-            ["ott", 2, 128, 32, 3, 4096, 1.25, 1_000_000, 6.402317],
-            ["baseline", 2, 128, 32, 0, 128, None, 65536, 1.0],
+            ["ott", 2, 128, 32, 3, 4096, 1_000_000, 6.402317],
+            ["baseline", 2, 128, 32, 0, 128, 65536, 1.0],
         ]
         path = tmp_path / "rows.csv"
         write_csv(path, self.HEADER, rows)
@@ -319,18 +312,16 @@ class TestCsvRoundTrip:
         assert len(back) == 2
         assert back[1] == {
             "mode": "baseline", "bits": "2", "group_size": "128", "residual": "32",
-            "outlier_num": "0", "seq_len": "128", "l1_output_error": "",
-            "total_bits": "65536", "ratio_vs_fp16": "1",
+            "outlier_num": "0", "seq_len": "128", "total_bits": "65536", "ratio_vs_fp16": "1",
         }
         # floats survive at six significant digits
-        assert float(back[0]["ratio_vs_fp16"]) == float(f"{rows[0][8]:.6g}")
-        assert float(back[0]["l1_output_error"]) == 1.25
+        assert float(back[0]["ratio_vs_fp16"]) == float(f"{rows[0][7]:.6g}")
 
     def test_exact_bytes(self, tmp_path):
-        rows = [["ott", 2, 128, 32, 3, 4096, None, 1_000_000, 6.402317891]]
+        rows = [["ott", 2, 128, 32, 3, 4096, 1_000_000, 6.402317891]]
         path = tmp_path / "rows.csv"
         write_csv(path, self.HEADER, rows)
         assert path.read_bytes() == (
-            b"mode,bits,group_size,residual,outlier_num,seq_len,l1_output_error,total_bits,ratio_vs_fp16\r\n"
-            b"ott,2,128,32,3,4096,,1000000,6.40232\r\n"
+            b"mode,bits,group_size,residual,outlier_num,seq_len,total_bits,ratio_vs_fp16\r\n"
+            b"ott,2,128,32,3,4096,1000000,6.40232\r\n"
         )
