@@ -4,8 +4,8 @@
 Streams tokens into per-tier storage (quantized groups + full-precision
 pending window + outlier pool) through ``kvtrace.replay_caches`` (see
 ``kvtrace/replay.py``), which runs mixed-tier attention at every decode
-step and compares it against the exact full-precision oracle; here with
-and without outlier tracking.
+step and compares it against the exact full-precision oracle; here without
+and with outlier tracking, against one oracle.
 """
 
 from kvtrace import EngineConfig, SyntheticSpec, generate_synthetic, replay_caches
@@ -24,16 +24,18 @@ def config(outlier_num):
                         skip_layers=(), head_dim=DIM)
 
 
-# The trace has one (layer, head), so each replay yields one cache.
+# The trace has one (layer, head), so the replay yields one cache per
+# config, both measured against the same oracle rows.
+[(_, _, base, base_errs), (_, _, cache, ott_errs)] = replay_caches(
+    trace, config(outlier_num=0), config(outlier_num=3))
+
 print("=== Baseline: plain group quantization (no outlier pool) ===")
-[(_, _, cache, base_errs)] = replay_caches(trace, config(outlier_num=0))
-print(f"blocks {cache.quantized_tokens // 128}, pending {cache.pending_rows}, "
-      f"pool empty: {cache.pool.positions.size == 0}")
+print(f"blocks {base.quantized_tokens // 128}, pending {base.pending_rows}, "
+      f"pool empty: {base.pool.positions.size == 0}")
 print(f"mean per-step L1 error: {base_errs.mean():.4f}")
 print()
 
 print("=== With outlier-token tracking (pool capacity 3) ===")
-[(_, _, cache, ott_errs)] = replay_caches(trace, config(outlier_num=3))
 print(f"pooled positions: {sorted(cache.pool.positions.tolist())}")
 # Every token the pool took was mean-substituted in its group: its members,
 # and those it evicted, which all fit in the 32-slot aux list here.

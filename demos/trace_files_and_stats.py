@@ -53,12 +53,12 @@ print("=== Retention criteria at a budget of 3 tokens, 2-bit codes ===")
 errs = {c: [] for c in Criterion}
 for seed in range(8):
     t = generate_synthetic(SyntheticSpec(seed=seed), 1, 2, 16, 1024)
+    per_head = []
+    for h in range(2):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0, h, 1)))
+        per_head.append(compare_criteria(t.block(0, h), 3, 2, rng=rng))
     for c in Criterion:
-        per_head = []
-        for h in range(2):
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0, h, 1)))
-            per_head.append(compare_criteria(t.block(0, h), 3, c, 2, rng=rng))
-        errs[c].append(np.mean(per_head))
+        errs[c].append(np.mean([head_errs[c] for head_errs in per_head]))
 for c in (Criterion.SMALLEST_KEY, Criterion.RANDOM, Criterion.LARGEST_KEY):
     print(f"  retain {c.value:<12} mean L1 error {np.mean(errs[c]):.4f}")
 print("protecting the smallest keys deflates the quantization step for the")

@@ -252,27 +252,17 @@ def _cmd_compare_criteria(args) -> int:
         raise ContractViolation(f"--trials must be >= 1, got {args.trials}")
     if args.trace and args.trials != 1:
         raise ContractViolation("--trials requires synthetic traces (omit --trace)")
-    results = {c: [] for c in Criterion}
+    trials = []  # one {Criterion: error} per trial
     for trial in range(args.trials):
         trace = _load_trace(args, args.seed + trial)
-        h = trace.header
-        layer = args.layer if args.layer is not None else h.n_layers - 1
-        block = trace.block(layer, args.head)  # every criterion studies this one block
+        layer = args.layer if args.layer is not None else trace.header.n_layers - 1
+        block = trace.block(layer, args.head)  # checks the indices the seed sequence takes
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=args.seed + trial, spawn_key=(layer, args.head, 1))
         )
-        for criterion in Criterion:
-            err = compare_criteria(
-                block,
-                args.budget,
-                criterion,
-                args.bits,
-                group_size=args.group_size,
-                rng=rng,
-            )
-            results[criterion].append(err)
+        trials.append(compare_criteria(block, args.budget, args.bits, group_size=args.group_size, rng=rng))
     rows = [
-        [c.value, args.budget, args.trials, float(np.mean(results[c]))]
+        [c.value, args.budget, args.trials, float(np.mean([errors[c] for errors in trials]))]
         for c in Criterion
     ]
     if args.out:

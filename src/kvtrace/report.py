@@ -59,13 +59,13 @@ class Criterion(enum.Enum):
 def compare_criteria(
     block: np.ndarray,
     budget: int,
-    criterion: Criterion,
     bits: int,
     *,
     group_size: int = EngineConfig.group_size,
     rng: np.random.Generator | None = None,
-) -> float:
-    """L1 attention-output error after retaining ``budget`` of one block's tokens.
+) -> dict[Criterion, float]:
+    """L1 attention-output error after retaining ``budget`` of one block's
+    tokens, per criterion, as ``{Criterion: error}`` in ``Criterion`` order.
 
     ``block`` is one (layer, head)'s (3, T, d) Q/K/V array, as a trace's
     ``block`` returns it.
@@ -75,8 +75,10 @@ def compare_criteria(
     quantizes a group (``dequantized_group``): each fixed block of
     ``group_size`` positions, the last one possibly shorter, is quantized
     with its retained tokens mean-substituted, so retaining a token
-    perturbs only its own block. The final query attends over the mix.
-    Returns the L1 distance to the full-precision oracle output.
+    perturbs only its own block. The final query attends over the mix,
+    measured against one full-precision oracle output. The keys are
+    scored once; only ``Criterion.RANDOM`` draws from ``rng`` (seed 0 if
+    it is None).
     """
     if not (isinstance(block, np.ndarray) and block.ndim == 3 and block.shape[0] == 3 and block.shape[1] >= 1):
         raise ContractViolation(f"block must be a (3, T, d) array with T >= 1, got shape {np.shape(block)}")
@@ -86,29 +88,26 @@ def compare_criteria(
         raise ContractViolation(f"budget must be in [0, seq_len), got {budget}")
     if check_integer(group_size, "group_size") < 1:
         raise ContractViolation(f"group_size must be >= 1, got {group_size}")
-    if not isinstance(criterion, Criterion):
-        raise ContractViolation(f"unknown criterion {criterion!r}")
 
-    if criterion is Criterion.RANDOM:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        retained = rng.choice(seq_len, size=budget, replace=False)
-    else:
-        scores = score_tokens(keys)
-        if criterion is Criterion.LARGEST_KEY:
-            scores = -scores
-        retained = np.argsort(scores, kind="stable")[:budget]
-
-    mask = np.isin(np.arange(seq_len), retained)
-    k_hat, v_hat = np.empty_like(keys), np.empty_like(values)
-    for start in range(0, seq_len, group_size):
-        s = slice(start, start + group_size)  # the last block may be shorter
-        k_hat[s], v_hat[s] = dequantized_group(keys[s], values[s], np.flatnonzero(mask[s]), bits)
-    k_hat[retained], v_hat[retained] = keys[retained], values[retained]
-
-    mixed = attend_full_precision(queries[-1], k_hat, v_hat)
-    oracle = attend_full_precision(queries[-1], keys, values)
-    return l1_error(mixed.output, oracle.output)
+    scores = score_tokens(keys)
+    oracle = attend_full_precision(queries[-1], keys, values).output
+    errors = {}
+    for criterion in Criterion:
+        if criterion is Criterion.RANDOM:
+            if rng is None:
+                rng = np.random.default_rng(0)
+            retained = rng.choice(seq_len, size=budget, replace=False)
+        else:
+            sign = 1 if criterion is Criterion.SMALLEST_KEY else -1
+            retained = np.argsort(sign * scores, kind="stable")[:budget]
+        mask = np.isin(np.arange(seq_len), retained)
+        k_hat, v_hat = np.empty_like(keys), np.empty_like(values)
+        for start in range(0, seq_len, group_size):
+            s = slice(start, start + group_size)  # the last block may be shorter
+            k_hat[s], v_hat[s] = dequantized_group(keys[s], values[s], np.flatnonzero(mask[s]), bits)
+        k_hat[retained], v_hat[retained] = keys[retained], values[retained]
+        errors[criterion] = l1_error(attend_full_precision(queries[-1], k_hat, v_hat).output, oracle)
+    return errors
 
 
 def ratio_curve(

@@ -24,11 +24,12 @@ from kvtrace import (
     decile_stats,
     dequantize,
     generate_synthetic,
-    l1_error,
     quantize_uniform,
     ratio_curve,
+    replay_caches,
     score_tokens,
 )
+import kvtrace.replay as replay_module
 from kvtrace.cli import run
 
 
@@ -164,45 +165,57 @@ def test_criterion_5_lossless_equivalence():
             assert float(np.abs(mixed.output - oracle.output).max()) / scale <= 1e-5
 
 
-def _replay_errors(block, outlier_nums):
-    """Mean per-step L1 error of one cache per pool size, fed side by side against one oracle."""
-    queries, keys, values = block
-    caches = [
-        TieredCache(EngineConfig(bits=2, group_size=128, residual=32, outlier_num=n,
-                                 skip_layers=(), aux_capacity=32, head_dim=keys.shape[1]), layer=0)
-        for n in outlier_nums
-    ]
-    errs = np.empty((len(caches), len(queries)))
-    for t, q in enumerate(queries):
-        oracle = attend_full_precision(q, keys[: t + 1], values[: t + 1])
-        for cache, row in zip(caches, errs):
-            cache.append(keys[t], values[t])
-            row[t] = l1_error(_checked_attend(q, cache).output, oracle.output)
-    return errs.mean(axis=1)
+def _assert_ott_excludes_planted(trace, cache):
+    """OTT's mechanism in one replayed cache: the pool takes the planted
+    tokens, attention reads their exact key rows, and their groups'
+    outlier channel is quantized as if they were absent."""
+    _, keys, _ = trace.block(0, 0)
+    planted = trace.planted(0, 0)
+    offered = planted[planted < cache.quantized_tokens]
+    pooled, aux = cache.pool.positions, cache.pool.aux_positions
+    assert set(offered.tolist()) <= set(pooled.tolist())
+    attended_keys, _ = cache.attended_kv()
+    np.testing.assert_array_equal(attended_keys[pooled], keys[pooled])
+    never_pooled = np.ones(cache.quantized_tokens, dtype=bool)
+    never_pooled[pooled] = never_pooled[aux] = False
+    g = cache.config.group_size
+    for start in np.unique(offered // g * g):
+        rows = np.arange(start, start + g)
+        rows = rows[never_pooled[rows]]
+        # The group's smallest key in the outlier channel (channel 0) gets
+        # code 0, which dequantizes exactly once the planted rows are excluded.
+        assert attended_keys[rows, 0].min() == keys[rows, 0].min()
 
 
-def test_criterion_6_retention_ordering_and_outlier_benefit():
+def test_criterion_6_retention_ordering_and_outlier_benefit(monkeypatch):
+    # Criterion 8 audits every mixed attention the replays below make.
+    monkeypatch.setattr(replay_module, "attend_mixed", _checked_attend)
     with criterion(6, "retention ordering + outlier benefit", budget_s=120.0):
         n_seeds, heads, d, seq_len, budget = 20, 2, 16, 1024, 3
+        baseline_cfg, ott_cfg = (
+            EngineConfig(bits=2, group_size=128, residual=32, outlier_num=n,
+                         skip_layers=(), aux_capacity=32, head_dim=d)
+            for n in (0, 3)
+        )
         crit_errs = {c: [] for c in Criterion}
         ott_errs, baseline_errs = [], []
         for seed in range(n_seeds):
             spec = SyntheticSpec(seed=seed)
             trace = generate_synthetic(spec, 1, heads, d, seq_len)
-            blocks = [trace.block(0, h) for h in range(heads)]
+            per_head = [
+                compare_criteria(trace.block(0, h), budget, 2, group_size=128, rng=np.random.default_rng(
+                    np.random.SeedSequence(entropy=seed, spawn_key=(0, h, 1))))
+                for h in range(heads)
+            ]
             for c in Criterion:
-                per_head = []
-                for h in range(heads):
-                    rng = np.random.default_rng(
-                        np.random.SeedSequence(entropy=seed, spawn_key=(0, h, 1))
-                    )
-                    per_head.append(
-                        compare_criteria(blocks[h], budget, c, 2, group_size=128, rng=rng)
-                    )
-                crit_errs[c].append(float(np.mean(per_head)))
-            baseline, ott = _replay_errors(blocks[0], (0, 3))
-            baseline_errs.append(baseline)
-            ott_errs.append(ott)
+                crit_errs[c].append(float(np.mean([errs[c] for errs in per_head])))
+            # A one-head trace's head 0 is ``trace``'s head 0: blocks are
+            # drawn from their (layer, head)'s own stream.
+            head_0 = generate_synthetic(spec, 1, 1, d, seq_len)
+            [(*_, baseline), (*_, cache, ott)] = replay_caches(head_0, baseline_cfg, ott_cfg)
+            baseline_errs.append(baseline.mean())
+            ott_errs.append(ott.mean())
+            _assert_ott_excludes_planted(head_0, cache)
         smallest = float(np.mean(crit_errs[Criterion.SMALLEST_KEY]))
         random_ = float(np.mean(crit_errs[Criterion.RANDOM]))
         largest = float(np.mean(crit_errs[Criterion.LARGEST_KEY]))

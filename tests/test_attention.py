@@ -249,12 +249,12 @@ class TestMixedAttention:
 
     def test_outlier_tracking_beats_baseline_on_planted_trace(self):
         trace = generate_synthetic(SyntheticSpec(seed=12), 1, 1, 16, 256)
-        errors = {}
-        for name, n_out in (("baseline", 0), ("tracked", 3)):
-            cfg = EngineConfig(group_size=64, residual=16, outlier_num=n_out, skip_layers=(), head_dim=16)
-            [(_, _, _, errs)] = replay_caches(trace, cfg)
-            errors[name] = float(np.mean(errs))
-        assert errors["tracked"] < errors["baseline"]
+        baseline, tracked = (
+            EngineConfig(group_size=64, residual=16, outlier_num=n_out, skip_layers=(), head_dim=16)
+            for n_out in (0, 3)
+        )
+        [(*_, base_errs), (*_, tracked_errs)] = replay_caches(trace, baseline, tracked)
+        assert float(np.mean(tracked_errs)) < float(np.mean(base_errs))
 
 
 class TestStepErrorPropagation:

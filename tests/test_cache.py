@@ -5,7 +5,6 @@ import pytest
 
 from kvtrace import (
     ContractViolation,
-    Criterion,
     EngineConfig,
     MemoryBreakdown,
     OutlierPool,
@@ -144,8 +143,8 @@ class TestEngineConfig:
     lambda: SyntheticSpec(m=2.5),
     lambda: SyntheticSpec(outlier_channels=1.0),
     lambda: SyntheticSpec(seed=1.5),
-    lambda: compare_criteria(np.ones((3, 8, 2), np.float32), 2.5, Criterion.RANDOM, 2),
-    lambda: compare_criteria(np.ones((3, 8, 2), np.float32), 2, Criterion.RANDOM, 2, group_size=16.0),
+    lambda: compare_criteria(np.ones((3, 8, 2), np.float32), 2.5, 2),
+    lambda: compare_criteria(np.ones((3, 8, 2), np.float32), 2, 2, group_size=16.0),
     lambda: estimate_kv_bytes(1, 1, 1, 1.0, 1, 2),
     lambda: ratio_curve(EngineConfig(), [200.5]),
     lambda: ratio_curve(EngineConfig(), [64], seed=1.5),

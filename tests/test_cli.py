@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from kvtrace import (
+    ContractViolation,
     EngineConfig,
     SyntheticSpec,
     TieredCache,
@@ -321,6 +322,30 @@ class TestReplayCaches:
             assert (errors[:first] == 0.0).all()
             assert errors[first] > 0
 
+    def test_several_configs_equal_one_config_replays(self):
+        # One shared oracle per (layer, head): each config's yields are, byte
+        # for byte, those of its own replay.
+        trace = generate_synthetic(SyntheticSpec(seed=5), 3, 2, 8, 512)
+        evicting, four_bit = (replace(REPLAY_CASES[case][1], head_dim=8) for case in ("evicting", "four_bit"))
+        configs = [evicting, four_bit, replace(evicting, outlier_num=0)]
+
+        def yields(*configs):
+            return [(layer, head, errors.tobytes(), cache.pool.positions.tolist(),
+                     cache.pool.aux_positions.tolist(), cache.memory_usage())
+                    for layer, head, cache, errors in replay_caches(trace, *configs)]
+
+        alone = [yields(config) for config in configs]
+        assert any(aux for *_, aux, _ in alone[0])  # the evicting config fills aux lists
+        for n in (2, 3):
+            together = yields(*configs[:n])
+            for i in range(n):
+                assert together[i::n] == alone[i]
+
+    def test_no_config_rejected(self):
+        trace = generate_synthetic(SyntheticSpec(seed=4), 1, 1, 4, 40)
+        with pytest.raises(ContractViolation, match="at least one config"):
+            next(replay_caches(trace))
+
     def test_drops_each_cache_before_building_the_next(self, monkeypatch):
         built = []
 
@@ -332,9 +357,10 @@ class TestReplayCaches:
 
         monkeypatch.setattr(replay_module, "TieredCache", tracked_cache)
         trace = generate_synthetic(SyntheticSpec(seed=4), 2, 2, 4, 40)
-        for _, _, cache, _ in replay_caches(trace, EngineConfig(group_size=8, residual=2, head_dim=4)):
+        configs = [EngineConfig(group_size=8, residual=2, head_dim=4, outlier_num=n) for n in (2, 0)]
+        for _, _, cache, _ in replay_caches(trace, *configs):
             del cache  # the caller's reference; the generator must drop its own
-        assert len(built) == 4
+        assert len(built) == 8
 
 
 class TestFp16SimulateReadsOnlyTheHeader:
@@ -759,6 +785,8 @@ HUGE_BLOCK = ["--layers", "1", "--seq-len", "4294967295", "--head-dim", "4294967
         # A negative layer index, which no layer matches.
         (["simulate", *SMALL, "--skip-layers", "-1"], 1),
         (["ratio-curve", "--skip-layers", "0,-1"], 1),
+        # compare_criteria's budget bound: SMALL has 64 tokens.
+        (["compare-criteria", *SMALL, "--budget", "64"], 1),
     ],
 )
 # Pytest would capture a numpy warning away from capsys; turned into an

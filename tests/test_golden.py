@@ -111,10 +111,6 @@ class TestComparison:
         with pytest.raises(AssertionError):
             assert_csv_matches(got, "step,l1_error\n0,1.0\n", d=16)
 
-    def test_empty_l1_cells_compare_equal(self):
-        header = "seq_len,l1_output_error,total_bits\n"
-        assert_csv_matches(header + "128,,262144\n", header + "128,,262144\n", d=64)
-
 
 class TestRegenScript:
     """``regen.py`` records new files, overwrites only with --accept, and --check writes nothing."""

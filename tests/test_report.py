@@ -53,8 +53,7 @@ class TestEstimateKvBytes:
 @pytest.fixture(scope="module")
 def block():
     # The (3, T, d) Q/K/V block of a one-(layer, head) synthetic trace. Every
-    # test shares it, and the CLI reuses one block for every criterion, so
-    # compare_criteria must not write to it.
+    # test shares it, so compare_criteria must not write to it.
     block = generate_synthetic(SyntheticSpec(seed=61), 1, 1, 16, 256).block(0, 0)
     block.flags.writeable = False
     return block
@@ -63,25 +62,23 @@ def block():
 class TestCompareCriteria:
 
     def test_zero_budget_identical_across_criteria(self, block):
-        errs = [
-            compare_criteria(block, 0, c, 2, group_size=64, rng=np.random.default_rng(0))
-            for c in Criterion
-        ]
-        assert errs[0] == errs[1] == errs[2]
+        errs = compare_criteria(block, 0, 2, group_size=64, rng=np.random.default_rng(0))
+        assert list(errs) == list(Criterion)
+        assert errs[Criterion.SMALLEST_KEY] == errs[Criterion.LARGEST_KEY] == errs[Criterion.RANDOM]
 
     def test_budget_bounds(self, block):
         with pytest.raises(ContractViolation):
-            compare_criteria(block, 256, Criterion.RANDOM, 2)
+            compare_criteria(block, 256, 2)
 
     @pytest.mark.parametrize("group_size", [0, -5])
     def test_group_size_bounds(self, block, group_size):
         with pytest.raises(ContractViolation):
-            compare_criteria(block, 3, Criterion.SMALLEST_KEY, 2, group_size=group_size)
+            compare_criteria(block, 3, 2, group_size=group_size)
 
     @pytest.mark.parametrize("bits", [0, 9])
     def test_bits_bounds(self, block, bits):
         with pytest.raises(ContractViolation, match="bits"):
-            compare_criteria(block, 3, Criterion.SMALLEST_KEY, bits)
+            compare_criteria(block, 3, bits)
 
     @pytest.mark.parametrize(
         "make",
@@ -97,27 +94,21 @@ class TestCompareCriteria:
     )
     def test_block_shape_rejected(self, block, make):
         with pytest.raises(ContractViolation, match=r"block must be a \(3, T, d\) array"):
-            compare_criteria(make(block), 0, Criterion.SMALLEST_KEY, 2)
+            compare_criteria(make(block), 0, 2)
 
     def test_smallest_key_wins_on_planted_trace(self, block):
         rng = np.random.default_rng(1)
-        errs = {
-            c: compare_criteria(block, 3, c, 2, group_size=64, rng=rng) for c in Criterion
-        }
+        errs = compare_criteria(block, 3, 2, group_size=64, rng=rng)
         assert errs[Criterion.SMALLEST_KEY] < errs[Criterion.RANDOM]
         assert errs[Criterion.SMALLEST_KEY] < errs[Criterion.LARGEST_KEY]
 
-    def test_unknown_criterion_rejected(self, block):
-        with pytest.raises(ContractViolation, match="unknown criterion"):
-            compare_criteria(block, 3, "random", 2)
-
     def test_random_without_rng_uses_seed_zero(self, block):
-        want = compare_criteria(block, 5, Criterion.RANDOM, 2, rng=np.random.default_rng(0))
-        assert compare_criteria(block, 5, Criterion.RANDOM, 2) == want
+        want = compare_criteria(block, 5, 2, rng=np.random.default_rng(0))
+        assert compare_criteria(block, 5, 2) == want
 
     def test_random_is_seed_deterministic(self, block):
-        a = compare_criteria(block, 5, Criterion.RANDOM, 2, rng=np.random.default_rng(9))
-        b = compare_criteria(block, 5, Criterion.RANDOM, 2, rng=np.random.default_rng(9))
+        a = compare_criteria(block, 5, 2, rng=np.random.default_rng(9))
+        b = compare_criteria(block, 5, 2, rng=np.random.default_rng(9))
         assert a == b
 
 
@@ -153,7 +144,7 @@ def test_compare_criteria_follows_cache_rule(criterion, budget):
         scores = np.abs(block[1]).sum(axis=1, dtype=np.float64)
         sign = 1 if criterion is Criterion.SMALLEST_KEY else -1
         retained = np.argsort(sign * scores, kind="stable")[:budget]
-    got = compare_criteria(block, budget, criterion, 2, group_size=8, rng=np.random.default_rng(4))
+    got = compare_criteria(block, budget, 2, group_size=8, rng=np.random.default_rng(4))[criterion]
     assert got == cache_rule_error(block, retained, 2, 8)
 
 
