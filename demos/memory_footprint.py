@@ -6,12 +6,10 @@ decoder, then the measured compression-ratio curve of the 2-bit tiered
 cache as sequence length grows.
 """
 
-from kvtrace import EngineConfig, estimate_kv_bytes, ratio_curve
+from kvtrace import EngineConfig, fp16_bits, ratio_curve
 
 print("=== Full-precision KV cache footprint ===")
-total = estimate_kv_bytes(
-    n_layers=32, n_heads=8, head_dim=512, seq_len=8192, batch=64, bytes_per_value=2
-)
+total = fp16_bits(32 * 8 * 8192 * 64, 512) // 8  # layers x heads x tokens x batch rows of 512
 print("32 layers x 8 heads x 512 dims, 8192 tokens, batch 64, fp16:")
 print(f"  {total:,} bytes = {total / 2**30:.0f} GiB")
 print()
@@ -21,7 +19,7 @@ cfg = EngineConfig(bits=2, group_size=128, residual=32, outlier_num=3, head_dim=
 lengths = [128, 256, 1024, 4096, 16384, 65536]
 print(f"{'seq_len':>8} {'stored bits':>14} {'ratio vs fp16':>14}")
 for t, usage in zip(lengths, ratio_curve(cfg, lengths)):
-    ratio = 2 * t * cfg.head_dim * 16 / usage.total_bits  # fp16 bits over stored bits
+    ratio = fp16_bits(t, cfg.head_dim) / usage.total_bits
     print(f"{t:>8} {usage.total_bits:>14,} {ratio:>14.3f}")
 print()
 print("below group_size + residual nothing is quantized (ratio 1.0);")
@@ -32,7 +30,7 @@ print()
 print("=== Where the steady-state rate comes from ===")
 g, d, b = cfg.group_size, cfg.head_dim, cfg.bits
 code_bits = 2 * g * d * b
-param_bits = (d + g) * 2 * 16
-fp16_bits = 2 * g * d * 16
+param_bits = (d + g) * 2 * 16  # a min and a step per line, both fp16
+fp16 = fp16_bits(g, d)
 print(f"per group of {g} tokens: {code_bits} code bits + {param_bits} parameter bits")
-print(f"fp16 equivalent: {fp16_bits} bits -> {fp16_bits / (code_bits + param_bits):.3f}x")
+print(f"fp16 equivalent: {fp16} bits -> {fp16 / (code_bits + param_bits):.3f}x")

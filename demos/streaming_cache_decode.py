@@ -8,7 +8,7 @@ step and compares it against the exact full-precision oracle; here without
 and with outlier tracking, against one oracle.
 """
 
-from kvtrace import EngineConfig, SyntheticSpec, generate_synthetic, replay_caches
+from kvtrace import EngineConfig, SyntheticSpec, fp16_bits, generate_synthetic, replay_caches
 
 SEQ, DIM = 1024, 16
 spec = SyntheticSpec(seed=2)
@@ -54,5 +54,5 @@ print(f"quantized codes : {usage.quantized_bits}")
 print(f"parameter lines : {usage.param_bits}")
 print(f"pending window  : {usage.pending_bits}")
 print(f"outlier pool    : {usage.pool_bits}")
-fp16 = 2 * SEQ * DIM * 16
+fp16 = fp16_bits(SEQ, DIM)
 print(f"total {usage.total_bits} vs fp16 {fp16} -> {fp16 / usage.total_bits:.2f}x smaller")

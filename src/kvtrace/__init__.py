@@ -2,11 +2,12 @@
 
 The library replays recorded or synthetic attention traces through a
 tiered, group-quantized KV cache, measures attention-output error against
-a full-precision oracle, and accounts memory against an fp16 baseline.
+a full-precision oracle, and accounts memory against an fp16 baseline
+(``fp16_bits``).
 """
 
-from .attention import AttentionResult, attend_full_precision, attend_mixed, l1_error, row_l1_errors, softmax
-from .cache import EngineConfig, MemoryBreakdown, TieredCache
+from .attention import AttentionResult, attend_full_precision, attend_mixed, row_l1_errors, softmax
+from .cache import EngineConfig, MemoryBreakdown, TieredCache, fp16_bits
 from .errors import ContractViolation, TraceFormatError
 from .outlier import OutlierPool, score_tokens, substitute_means
 from .quant import (
@@ -20,12 +21,7 @@ from .quant import (
     quantize_values_tokenwise,
     unpack_codes,
 )
-from .report import (
-    Criterion,
-    compare_criteria,
-    estimate_kv_bytes,
-    ratio_curve,
-)
+from .report import Criterion, compare_criteria, ratio_curve
 from .replay import replay_caches
 from .trace import (
     SyntheticSpec,
@@ -61,9 +57,8 @@ __all__ = [
     "compare_criteria",
     "decile_stats",
     "dequantize",
-    "estimate_kv_bytes",
+    "fp16_bits",
     "generate_synthetic",
-    "l1_error",
     "pack_codes",
     "quantize_keys_channelwise",
     "quantize_uniform",

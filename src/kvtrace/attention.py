@@ -100,8 +100,3 @@ def row_l1_errors(a, b) -> np.ndarray:
         raise ContractViolation(f"length mismatch: {a.shape} vs {b.shape}")
     diff = np.subtract(a, b, dtype=np.float64, order="C")
     return np.add.reduce(np.abs(diff, out=diff), axis=-1)
-
-
-def l1_error(a, b) -> float:
-    """Sum of absolute element differences between two equal-length vectors."""
-    return float(row_l1_errors(a, b))

@@ -44,6 +44,14 @@ from .quant import _check_bits, quantize_keys_channelwise, quantize_values_token
 FP16_BITS = 16
 
 
+def fp16_bits(tokens: int, head_dim: int) -> int:
+    """Bits of ``tokens`` tokens' full-precision K and V rows: the fp16 baseline."""
+    tokens, head_dim = check_integer(tokens, "tokens"), check_integer(head_dim, "head_dim")
+    if tokens < 0 or head_dim < 1:
+        raise ContractViolation(f"need tokens >= 0 and head_dim >= 1, got {tokens} and {head_dim}")
+    return 2 * tokens * head_dim * FP16_BITS
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     """Quantization engine settings; the field defaults are the reference setting.
@@ -89,7 +97,7 @@ class MemoryBreakdown:
 
     Quantized codes count at their code width, parameter lines at 2x16
     bits, and full-precision rows (pending buffer and outlier/aux pool) at
-    16 bits per value.
+    the fp16 baseline, ``fp16_bits``.
     """
 
     quantized_bits: int
@@ -114,8 +122,8 @@ class MemoryBreakdown:
         return cls(
             quantized_bits=2 * quantized_tokens * d * config.bits,
             param_bits=quantized_tokens // config.group_size * (d + config.group_size) * 2 * FP16_BITS,
-            pending_bits=pending_rows * d * FP16_BITS * 2,
-            pool_bits=pool_rows * d * FP16_BITS * 2,
+            pending_bits=fp16_bits(pending_rows, d),
+            pool_bits=fp16_bits(pool_rows, d),
         )
 
 

@@ -34,15 +34,9 @@ import sys
 import numpy as np
 
 from .attention import attend_full_precision  # noqa: F401  unused; pinned by perfbench's tracer test (ROADMAP item 1)
-from .cache import FP16_BITS, EngineConfig
+from .cache import EngineConfig, fp16_bits
 from .errors import ContractViolation, TraceFormatError
-from .report import (
-    Criterion,
-    compare_criteria,
-    estimate_kv_bytes,
-    ratio_curve,
-    write_csv,
-)
+from .report import Criterion, compare_criteria, ratio_curve, write_csv
 from .replay import replay_caches
 from .trace import (
     SyntheticSpec,
@@ -147,7 +141,8 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--seq-lens",
         default="128,1024,8192,65536",
-        help="comma-separated ascending lengths",
+        help="comma-separated ascending lengths; run time grows with the longest until the pool freezes "
+             "(about 3 s per million tokens at d=64), and a large --aux-capacity may never freeze it",
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="CSV path (default: print)")
@@ -158,7 +153,6 @@ def build_parser() -> _Parser:
     p.add_argument("--head-dim", type=int, required=True)
     p.add_argument("--seq-len", type=int, required=True)
     p.add_argument("--batch", type=int, required=True)
-    p.add_argument("--bytes-per-value", type=int, default=2, help="2 for fp16 (default)")
 
     p = add_parser("decile-stats", help="decile histogram of one key channel")
     _add_generator_flags(p)
@@ -223,11 +217,11 @@ def _cmd_simulate(args) -> int:
     h = trace.header
     config = _config_from_args(args, h.head_dim)
     steps = h.seq_len
-    fp16_bits = h.n_layers * h.n_heads * 2 * steps * h.head_dim * FP16_BITS
+    fp16 = fp16_bits(h.n_layers * h.n_heads * steps, h.head_dim)
     step_errors = np.zeros(steps)
     usage = dict.fromkeys(_USAGE_KEYS, 0)
     if args.mode == "fp16":  # mixed attention is the oracle itself: every error is 0
-        usage["pending_bits"] = usage["total_bits"] = fp16_bits
+        usage["pending_bits"] = usage["total_bits"] = fp16
     else:
         for _layer, _head, cache, errors in replay_caches(trace, config):
             step_errors += errors
@@ -243,7 +237,7 @@ def _cmd_simulate(args) -> int:
     print(f"mode={args.mode} steps={steps} aggregate_l1_error={step_errors.mean():.6g}")
     for key in _USAGE_KEYS:
         print(f"{key}={usage[key]}")
-    print(f"ratio_vs_fp16={fp16_bits / usage['total_bits']:.6g}")
+    print(f"ratio_vs_fp16={fp16 / usage['total_bits']:.6g}")
     return 0
 
 
@@ -277,7 +271,7 @@ def _cmd_ratio_curve(args) -> int:
     config = _config_from_args(args, args.head_dim)
     rows = [
         [args.mode, config.bits, config.group_size, config.residual, config.outlier_num, t,
-         usage.total_bits, 2 * t * config.head_dim * FP16_BITS / usage.total_bits]
+         usage.total_bits, fp16_bits(t, config.head_dim) / usage.total_bits]
         for t, usage in zip(seq_lens, ratio_curve(config, seq_lens, seed=args.seed))
     ]
     if args.out:
@@ -289,14 +283,10 @@ def _cmd_ratio_curve(args) -> int:
 
 
 def _cmd_mem_estimate(args) -> int:
-    total = estimate_kv_bytes(
-        n_layers=args.layers,
-        n_heads=args.heads,
-        head_dim=args.head_dim,
-        seq_len=args.seq_len,
-        batch=args.batch,
-        bytes_per_value=args.bytes_per_value,
-    )
+    for name in ("layers", "heads", "head_dim", "seq_len", "batch"):
+        if (size := getattr(args, name)) < 1:
+            raise ContractViolation(f"--{name.replace('_', '-')} must be >= 1, got {size}")
+    total = fp16_bits(args.layers * args.heads * args.seq_len * args.batch, args.head_dim) // 8
     print(f"{total} bytes ({total / 2**30:.6g} GiB)")
     return 0
 

@@ -1,4 +1,4 @@
-"""Experiment metrics: memory estimation, compression curves, retention study.
+"""Experiment metrics: compression curves, retention study.
 
 Experiments over seeds and configurations are embarrassingly parallel;
 each run owns its caches. CSV emission uses one header row, a fixed column
@@ -12,40 +12,10 @@ import enum
 
 import numpy as np
 
-from .attention import attend_full_precision, l1_error
+from .attention import attend_full_precision, row_l1_errors
 from .cache import EngineConfig, MemoryBreakdown, dequantized_group
 from .errors import ContractViolation, check_integer
 from .outlier import OutlierPool, score_tokens
-
-
-def estimate_kv_bytes(
-    n_layers: int,
-    n_heads: int,
-    head_dim: int,
-    seq_len: int,
-    batch: int,
-    bytes_per_value: int,
-) -> int:
-    """Bytes needed to hold full K and V caches for a dense decoder.
-
-    2 (K and V) x bytes_per_value x batch x heads x head_dim x seq_len x
-    layers; linear in every argument.
-    """
-    args = dict(
-        n_layers=n_layers,
-        n_heads=n_heads,
-        head_dim=head_dim,
-        seq_len=seq_len,
-        batch=batch,
-        bytes_per_value=bytes_per_value,
-    )
-    total = 2
-    for name, v in args.items():
-        v = check_integer(v, name)
-        if v < 1:
-            raise ContractViolation(f"{name} must be a positive integer, got {v!r}")
-        total *= v
-    return total
 
 
 class Criterion(enum.Enum):
@@ -106,7 +76,7 @@ def compare_criteria(
             s = slice(start, start + group_size)  # the last block may be shorter
             k_hat[s], v_hat[s] = dequantized_group(keys[s], values[s], np.flatnonzero(mask[s]), bits)
         k_hat[retained], v_hat[retained] = keys[retained], values[retained]
-        errors[criterion] = l1_error(attend_full_precision(queries[-1], k_hat, v_hat).output, oracle)
+        errors[criterion] = float(row_l1_errors(attend_full_precision(queries[-1], k_hat, v_hat).output, oracle))
     return errors
 
 
@@ -126,7 +96,7 @@ def ratio_curve(
     only through the pool's size, so nothing is drawn that cannot change
     the pool: no group once it is frozen (or has no capacity), and no row
     that is never quantized. Below ``group_size + residual`` tokens every
-    row is pending, at exactly the fp16 bits ``2 * T * head_dim * 16``.
+    row is pending, at exactly the fp16 bits ``fp16_bits(T, head_dim)``.
     """
     seq_lens = [check_integer(s, "seq_lens entry") for s in seq_lens]
     if not seq_lens or seq_lens != sorted(seq_lens) or seq_lens[0] < 1:

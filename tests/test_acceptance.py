@@ -62,7 +62,7 @@ def test_criterion_1_memory_formula(capsys):
             [
                 "mem-estimate",
                 "--layers", "32", "--heads", "8", "--head-dim", "512",
-                "--seq-len", "8192", "--batch", "64", "--bytes-per-value", "2",
+                "--seq-len", "8192", "--batch", "64",
             ]
         )
         out = capsys.readouterr().out

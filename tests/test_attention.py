@@ -14,11 +14,11 @@ from kvtrace import (
     attend_full_precision,
     attend_mixed,
     generate_synthetic,
-    l1_error,
     pack_codes,
     quantize_keys_channelwise,
     quantize_values_tokenwise,
     replay_caches,
+    row_l1_errors,
     softmax,
     unpack_codes,
 )
@@ -145,21 +145,23 @@ class TestFullPrecision:
 
 
 class TestL1Error:
+    """``row_l1_errors`` on one row: one step's L1 error."""
+
     def test_identical(self):
-        assert l1_error([1.0, 2.0], [1.0, 2.0]) == 0.0
+        assert row_l1_errors([1.0, 2.0], [1.0, 2.0]) == 0.0
 
     def test_simple(self):
-        assert l1_error([1.0, 2.0], [2.0, 0.0]) == 3.0
+        assert row_l1_errors([1.0, 2.0], [2.0, 0.0]) == 3.0
 
     def test_matches_scalar_loop(self):
         rng = np.random.default_rng(42)
         a, b = rng.standard_normal(50), rng.standard_normal(50)
         want = sum(abs(float(x) - float(y)) for x, y in zip(a, b))
-        assert l1_error(a, b) == pytest.approx(want, rel=1e-12)
+        assert row_l1_errors(a, b) == pytest.approx(want, rel=1e-12)
 
     def test_length_mismatch(self):
         with pytest.raises(ContractViolation):
-            l1_error([1.0], [1.0, 2.0])
+            row_l1_errors([1.0], [1.0, 2.0])
 
 
 class TestMixedAttention:

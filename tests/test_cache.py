@@ -14,7 +14,7 @@ from kvtrace import (
     attend_full_precision,
     attend_mixed,
     compare_criteria,
-    estimate_kv_bytes,
+    fp16_bits,
     quantize_keys_channelwise,
     quantize_uniform,
     quantize_values_tokenwise,
@@ -145,7 +145,7 @@ class TestEngineConfig:
     lambda: SyntheticSpec(seed=1.5),
     lambda: compare_criteria(np.ones((3, 8, 2), np.float32), 2.5, 2),
     lambda: compare_criteria(np.ones((3, 8, 2), np.float32), 2, 2, group_size=16.0),
-    lambda: estimate_kv_bytes(1, 1, 1, 1.0, 1, 2),
+    lambda: fp16_bits(1.0, 1),
     lambda: ratio_curve(EngineConfig(), [200.5]),
     lambda: ratio_curve(EngineConfig(), [64], seed=1.5),
     lambda: EngineConfig(skip_layers=(0.0, 1.0)),
@@ -296,6 +296,16 @@ class TestMemoryUsage:
     def test_empty_cache(self):
         usage = TieredCache(EngineConfig(), layer=2).memory_usage()
         assert usage.total_bits == 0
+
+    # (T, d, residual) with T < G + R, G = 8; the last is one row short of a group write.
+    @pytest.mark.parametrize("t, d, r", [(0, 4, 2), (1, 1, 0), (7, 3, 0), (9, 5, 4), (11, 64, 4)])
+    def test_unquantized_cache_costs_fp16_bits(self, t, d, r):
+        rng = np.random.default_rng(37)
+        cfg = EngineConfig(group_size=8, residual=r, outlier_num=3, skip_layers=(), head_dim=d)
+        cache = TieredCache(cfg, layer=0)
+        fill(cache, random_rows(rng, t, d), random_rows(rng, t, d))
+        assert cache.quantized_tokens == 0
+        assert cache.memory_usage().total_bits == fp16_bits(t, d)
 
     def test_single_block_accounting(self):
         rng = np.random.default_rng(38)

@@ -115,7 +115,7 @@ class TestMemEstimate:
             [
                 "mem-estimate",
                 "--layers", "32", "--heads", "8", "--head-dim", "512",
-                "--seq-len", "8192", "--batch", "64", "--bytes-per-value", "2",
+                "--seq-len", "8192", "--batch", "64",
             ]
         )
         assert code == 0
@@ -787,6 +787,9 @@ HUGE_BLOCK = ["--layers", "1", "--seq-len", "4294967295", "--head-dim", "4294967
         (["ratio-curve", "--skip-layers", "0,-1"], 1),
         # compare_criteria's budget bound: SMALL has 64 tokens.
         (["compare-criteria", *SMALL, "--budget", "64"], 1),
+        # The width is fp16's, that of every ratio's baseline.
+        (["mem-estimate", "--layers", "1", "--heads", "1", "--head-dim", "1", "--seq-len", "1",
+          "--batch", "1", "--bytes-per-value", "2"], 1),
     ],
 )
 # Pytest would capture a numpy warning away from capsys; turned into an

@@ -1,10 +1,11 @@
 """The decode step's fast paths against the slow code they replaced.
 
-``softmax``, ``TieredCache.append`` and ``l1_error`` were rewritten to make
+``softmax``, ``TieredCache.append`` and the L1 error were rewritten to make
 fewer and cheaper numpy calls, and ``simulate`` takes each cache's per-step
-L1 errors in one ``row_l1_errors`` pass. The code they replaced is kept
-here as the reference, and ``attend_full_precision`` and ``attend_mixed``,
-which run the new ``softmax``, are held to it too. Every fast path must
+L1 errors in one ``row_l1_errors`` pass, which also gives one row's error.
+The code they replaced is kept here as the reference, and
+``attend_full_precision`` and ``attend_mixed``, which run the new
+``softmax``, are held to it too. Every fast path must
 match it bit for bit, on float32, float64 and non-contiguous inputs, and
 must reject the same inputs with the same message.
 """
@@ -20,7 +21,6 @@ from kvtrace import (
     TieredCache,
     attend_full_precision,
     attend_mixed,
-    l1_error,
     row_l1_errors,
     softmax,
 )
@@ -70,7 +70,7 @@ def reference_l1_error(a, b):
 
 
 def reference_row_l1_errors(mixed, oracle):
-    """``simulate``'s old per-step loop: one ``l1_error`` call per step."""
+    """``simulate``'s old per-step loop: one ``reference_l1_error`` call per step."""
     errors = np.empty(len(mixed))
     for t in range(len(mixed)):
         errors[t] = reference_l1_error(mixed[t], oracle[t])
@@ -256,7 +256,7 @@ class TestRowL1Errors:
             for steps in lengths:
                 assert_same_bits(row_l1_errors(mixed[:steps], oracle[:steps]), want[:steps])
             for t in lengths:
-                assert l1_error(mixed[t - 1], oracle[t - 1]) == want[t - 1]
+                assert row_l1_errors(mixed[t - 1], oracle[t - 1]) == want[t - 1]
 
     @pytest.mark.parametrize(
         "a, b",
@@ -265,7 +265,6 @@ class TestRowL1Errors:
     def test_same_rejection(self, a, b):
         with pytest.raises(ContractViolation) as want:
             reference_l1_error(a, b)
-        for function in (l1_error, row_l1_errors):
-            with pytest.raises(ContractViolation) as got:
-                function(a, b)
-            assert str(got.value) == str(want.value)
+        with pytest.raises(ContractViolation) as got:
+            row_l1_errors(a, b)
+        assert str(got.value) == str(want.value)

@@ -12,10 +12,10 @@ from kvtrace import (
     TieredCache,
     attend_full_precision,
     compare_criteria,
-    estimate_kv_bytes,
+    fp16_bits,
     generate_synthetic,
-    l1_error,
     ratio_curve,
+    row_l1_errors,
 )
 from kvtrace.report import write_csv
 
@@ -23,31 +23,33 @@ from spec import USAGE_KEYS, closed_form_bits, group_rows
 
 
 class TestEstimateKvBytes:
+    """``fp16_bits`` as a model's full-precision KV footprint, which ``mem-estimate`` prints in bytes."""
+
     def test_reference_model_footprint(self):
-        total = estimate_kv_bytes(
-            n_layers=32, n_heads=8, head_dim=512, seq_len=8192, batch=64, bytes_per_value=2
-        )
+        # 32 layers x 8 heads x 8192 tokens x batch 64 rows of 512 channels.
+        total = fp16_bits(32 * 8 * 8192 * 64, 512) // 8
         assert total == 274_877_906_944  # 256 GiB
         assert total == 256 * 2**30
 
     def test_unit_case(self):
-        assert estimate_kv_bytes(1, 1, 1, 1, 1, 2) == 4
+        assert fp16_bits(1, 1) == 32  # one fp16 key and one fp16 value: 4 bytes
+        assert fp16_bits(0, 1) == 0  # an empty cache
 
     def test_zero_batch_rejected(self):
-        with pytest.raises(ContractViolation):
-            estimate_kv_bytes(1, 1, 1, 1, 0, 2)
+        # mem-estimate rejects a zero --batch itself; fp16_bits rejects what no cache has.
+        for tokens, head_dim in [(-1, 1), (1, 0), (1, -1)]:
+            with pytest.raises(ContractViolation):
+                fp16_bits(tokens, head_dim)
 
     def test_numpy_integers_accepted(self):
-        total = estimate_kv_bytes(*(np.int64(v) for v in (32, 8, 512, 8192, 64, 2)))
-        assert type(total) is int and total == 256 * 2**30
+        total = fp16_bits(np.int64(32 * 8 * 8192 * 64), np.int64(512))
+        assert type(total) is int and total == 8 * 256 * 2**30
+        # Python ints throughout: no int64 wraparound past 2**63 bits.
+        assert fp16_bits(np.int64(2**62), np.int64(512)) == 2**62 * 512 * 32
 
     def test_linear_in_each_argument(self):
-        base = dict(n_layers=2, n_heads=3, head_dim=4, seq_len=5, batch=6, bytes_per_value=2)
-        ref = estimate_kv_bytes(**base)
-        for name in base:
-            doubled = dict(base)
-            doubled[name] *= 2
-            assert estimate_kv_bytes(**doubled) == 2 * ref
+        ref = fp16_bits(5, 4)
+        assert fp16_bits(10, 4) == fp16_bits(5, 8) == 2 * ref
 
 
 @pytest.fixture(scope="module")
@@ -128,7 +130,7 @@ def cache_rule_error(block, retained, bits, group_size):
         k_hat[rows], v_hat[rows] = group_rows(keys[rows], values[rows], held, bits)
     k_hat[retained], v_hat[retained] = keys[retained], values[retained]
     mixed = attend_full_precision(queries[-1], k_hat, v_hat)
-    return l1_error(mixed.output, attend_full_precision(queries[-1], keys, values).output)
+    return float(row_l1_errors(mixed.output, attend_full_precision(queries[-1], keys, values).output))
 
 
 # Budgets 60 and 150 of 256 tokens fill much of each 8-token block, where
