@@ -6,7 +6,7 @@ a full-precision oracle, and accounts memory against an fp16 baseline
 (``fp16_bits``).
 """
 
-from .attention import AttentionResult, attend_full_precision, attend_mixed, row_l1_errors, softmax
+from .attention import AttentionResult, attend_full_precision, attend_mixed, row_l1_errors
 from .cache import EngineConfig, MemoryBreakdown, TieredCache, fp16_bits
 from .errors import ContractViolation, TraceFormatError
 from .outlier import OutlierPool, score_tokens, substitute_means
@@ -68,7 +68,6 @@ __all__ = [
     "replay_caches",
     "row_l1_errors",
     "score_tokens",
-    "softmax",
     "substitute_means",
     "unpack_codes",
     "write_trace",

@@ -21,29 +21,6 @@ from .cache import TieredCache
 from .errors import ContractViolation
 
 
-def softmax(v) -> np.ndarray:
-    """Numerically stable softmax (max-subtracted) over a 1-D vector.
-
-    The output is a probability vector: nonnegative, summing to 1 within
-    1e-6, for any finite input including large magnitudes.
-    """
-    v = np.asarray(v)
-    if v.ndim != 1 or v.size == 0:
-        raise ContractViolation("softmax input must be a non-empty 1-D vector")
-    # ``argmax``/``argmin`` pick the first NaN if there is one, and an
-    # infinity is an extreme, so checking both picks checks every value.
-    # Each costs about half a ufunc reduction.
-    top = v.item(v.argmax())
-    if not (math.isfinite(top) and math.isfinite(v.item(v.argmin()))):
-        raise ContractViolation("softmax input contains NaN or Inf")
-    # In place on one float64 copy; a positional ``out`` parses faster.
-    e = v.astype(np.float64)
-    np.subtract(e, top, e)
-    np.exp(e, e)
-    np.divide(e, np.add.reduce(e), e)
-    return e.astype(np.float32)
-
-
 @dataclass(slots=True)
 class AttentionResult:
     """Output row plus the per-position weights and pre-softmax logits."""
@@ -54,7 +31,10 @@ class AttentionResult:
 
 
 def attend_full_precision(q, keys, values) -> AttentionResult:
-    """Exact single-query attention over (n, d) key/value matrices."""
+    """Exact single-query attention over (n, d) key/value matrices.
+
+    Its weights are nonnegative and sum to 1 within 1e-6 for any finite logits.
+    """
     q = np.asarray(q, dtype=np.float32)
     keys = np.asarray(keys, dtype=np.float32)
     values = np.asarray(values, dtype=np.float32)
@@ -69,11 +49,19 @@ def attend_full_precision(q, keys, values) -> AttentionResult:
     if keys.shape[0] == 0:
         raise ContractViolation("attention needs at least one cached token")
 
-    d = q.shape[0]
     scores = keys @ q
-    scores /= np.float32(math.sqrt(d))
-    weights = softmax(scores)
-    # float32 throughout: q, keys and values are float32, and so are the weights.
+    scores /= np.float32(math.sqrt(q.shape[0]))
+    # ``argmax``/``argmin`` pick the first NaN if there is one, and an
+    # infinity is an extreme, so checking both picks checks every logit.
+    top = scores.item(scores.argmax())
+    if not (math.isfinite(top) and math.isfinite(scores.item(scores.argmin()))):
+        raise ContractViolation("softmax input contains NaN or Inf")
+    # Softmax in place on one float64 copy (a positional ``out`` parses faster), then float32.
+    weights = scores.astype(np.float64)
+    np.subtract(weights, top, weights)
+    np.exp(weights, weights)
+    np.divide(weights, np.add.reduce(weights), weights)
+    weights = weights.astype(np.float32)
     return AttentionResult(output=weights @ values, weights=weights, scores=scores)
 
 

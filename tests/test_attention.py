@@ -19,7 +19,6 @@ from kvtrace import (
     quantize_values_tokenwise,
     replay_caches,
     row_l1_errors,
-    softmax,
     unpack_codes,
 )
 
@@ -53,6 +52,12 @@ def scalar_softmax(v):
     return [e / s for e in exps]
 
 
+def attention_weights(v):
+    """``attend_full_precision``'s weights over the logits ``v``: d = 1, q = [1], keys ``v[:, None]``."""
+    keys = np.asarray(v, dtype=np.float32)[:, None]
+    return attend_full_precision(np.ones(1), keys, np.zeros_like(keys)).weights
+
+
 def build_cache(keys, values, **cfg_kwargs):
     cfg_kwargs.setdefault("head_dim", keys.shape[1])
     cfg = EngineConfig(skip_layers=(), **cfg_kwargs)
@@ -63,23 +68,25 @@ def build_cache(keys, values, **cfg_kwargs):
 
 
 class TestSoftmax:
+    """The attention weights are the softmax of the logits, which ``attention_weights`` sets directly."""
+
     def test_symmetry(self):
-        np.testing.assert_allclose(softmax([0.0, 0.0]), [0.5, 0.5])
+        np.testing.assert_allclose(attention_weights([0.0, 0.0]), [0.5, 0.5])
 
     def test_singleton(self):
-        np.testing.assert_allclose(softmax([42.0]), [1.0])
+        np.testing.assert_allclose(attention_weights([42.0]), [1.0])
 
     def test_matches_direct_formula(self):
-        got = softmax([1.0, 2.0, 3.0])
+        got = attention_weights([1.0, 2.0, 3.0])
         np.testing.assert_allclose(got, scalar_softmax([1.0, 2.0, 3.0]), atol=1e-7)
 
     def test_empty_rejected(self):
         with pytest.raises(ContractViolation):
-            softmax([])
+            attention_weights([])
 
     def test_nan_rejected(self):
         with pytest.raises(ContractViolation):
-            softmax([1.0, float("nan")])
+            attention_weights([1.0, float("nan")])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("where", [0, 1, 2])
@@ -87,14 +94,16 @@ class TestSoftmax:
         values = [1.0, -2.0, 3.0]
         values[where] = bad
         with pytest.raises(ContractViolation, match="NaN or Inf"):
-            softmax(values)
+            attention_weights(values)
         with pytest.raises(ContractViolation, match="NaN or Inf"):
-            softmax(np.array(values, dtype=np.float32))
+            attention_weights(np.array(values, dtype=np.float32))
 
     def test_input_left_unchanged(self):
-        v = np.array([1.0, 2.0, 3.0])
-        softmax(v)
-        np.testing.assert_array_equal(v, [1.0, 2.0, 3.0])
+        # The softmax runs in place on a copy: the returned logits and the keys keep their values.
+        keys = np.array([[1.0], [2.0], [3.0]], dtype=np.float32)
+        res = attend_full_precision(np.ones(1, dtype=np.float32), keys, keys)
+        np.testing.assert_array_equal(res.scores, [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(keys, [[1.0], [2.0], [3.0]])
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -105,7 +114,7 @@ class TestSoftmax:
         )
     )
     def test_probability_vector(self, values):
-        w = softmax(values)
+        w = attention_weights(values)
         assert (w >= 0).all()
         assert abs(float(w.sum()) - 1.0) <= 1e-6
 

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import math
 import os
 import shutil
 import struct
@@ -55,6 +56,42 @@ class TestExitCodes:
         for command in ("gen-synthetic", "simulate", "compare-criteria", "ratio-curve",
                         "mem-estimate", "decile-stats"):
             assert command in out
+
+
+class TestNonFiniteTraceValues:
+    """A trace file holding a non-finite value, or a key whose logit overflows, ends in one ``error:`` line."""
+
+    LAYERS, HEADS, D, T = 2, 1, 8, 300
+
+    def patched_trace(self, tmp_path, side, channel, value):
+        """A generated trace with ``value`` at token 0, ``channel`` of layer 0's K (side 1) or V (side 2)."""
+        path = tmp_path / "t.kvt"
+        assert run(["gen-synthetic", "--layers", str(self.LAYERS), "--heads", str(self.HEADS),
+                    "--head-dim", str(self.D), "--seq-len", str(self.T), "--out", str(path)]) == 0
+        data = bytearray(path.read_bytes())
+        # The payload follows the 24-byte header: per (layer, head), Q, K, then V as (T, d) float32.
+        struct.pack_into("<f", data, 24 + (side * self.T * self.D + channel) * 4, value)
+        path.write_bytes(bytes(data))
+        return path
+
+    @pytest.mark.parametrize("mode", ["ott", "baseline"])
+    @pytest.mark.parametrize(
+        "side, channel, value, message",
+        [
+            (1, 0, math.nan, "softmax input contains NaN or Inf"),
+            # Finite, but its logit overflows float32 for any query with |q_1| > 1.14.
+            (1, 1, -3e38, "softmax input contains NaN or Inf"),
+            (2, 0, math.inf, "rows contain NaN or Inf"),
+        ],
+        ids=["nan-key", "overflowing-key", "inf-value"],
+    )
+    def test_one_error_line(self, tmp_path, capsys, mode, side, channel, value, message):
+        path = self.patched_trace(tmp_path, side, channel, value)
+        capsys.readouterr()
+        assert run(["simulate", "--trace", str(path), "--mode", mode]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message}\n"
 
 
 class TestParser:

@@ -1,13 +1,13 @@
 """The decode step's fast paths against the slow code they replaced.
 
-``softmax``, ``TieredCache.append`` and the L1 error were rewritten to make
-fewer and cheaper numpy calls, and ``simulate`` takes each cache's per-step
-L1 errors in one ``row_l1_errors`` pass, which also gives one row's error.
-The code they replaced is kept here as the reference, and
-``attend_full_precision`` and ``attend_mixed``, which run the new
-``softmax``, are held to it too. Every fast path must
-match it bit for bit, on float32, float64 and non-contiguous inputs, and
-must reject the same inputs with the same message.
+The softmax inside ``attend_full_precision``, ``TieredCache.append`` and the
+L1 error were rewritten to make fewer and cheaper numpy calls, and
+``simulate`` takes each cache's per-step L1 errors in one ``row_l1_errors``
+pass, which also gives one row's error. The code they replaced is kept here
+as the reference, and ``attend_full_precision`` and ``attend_mixed`` are
+held to it. Every fast path must match it bit for bit, on float32, float64
+and non-contiguous inputs, and must reject the same inputs with the same
+message.
 """
 
 import math
@@ -22,7 +22,6 @@ from kvtrace import (
     attend_full_precision,
     attend_mixed,
     row_l1_errors,
-    softmax,
 )
 
 
@@ -127,17 +126,27 @@ SOME_LENGTHS = (1, 2, 7, 128, 129, MAX_LEN)
 SOME_HEAD_DIMS = (1, 16, 64, 129)
 
 
+def logits_only(v):
+    """(q, keys, values) whose logits are ``v`` cast to float32: d = 1, q = [1], keys ``v[..., None]``."""
+    keys = np.asarray(v, dtype=np.float32)[..., None]
+    return np.ones(1, dtype=np.float32), keys, np.zeros_like(keys)
+
+
 class TestSoftmax:
+    """``attend_full_precision``'s weights over given logits against ``reference_softmax``."""
+
     def test_bit_equal_at_every_length(self):
         for n in range(1, MAX_LEN + 1):
             column = POOL[:n, n % 7]  # a strided view
-            wide = column.astype(np.float64)
-            for v in (np.ascontiguousarray(column), column, wide, wide[::-1], wide * 1e6):
-                assert_same_bits(softmax(v), reference_softmax(v))
+            scaled = column * np.float32(1e6)
+            for v in (np.ascontiguousarray(column), column, column[::-1], scaled, column.astype(np.float64)):
+                weights = attend_full_precision(*logits_only(v)).weights
+                assert_same_bits(weights, reference_softmax(v.astype(np.float32)))
 
     def test_bit_equal_on_lists_ints_and_ties(self):
-        for v in ([0.0, -0.0], [-0.0, 0.0], [3, 1, 3], [1e300, -1e300], [2.5] * 9, [1e-45, 0.0]):
-            assert_same_bits(softmax(v), reference_softmax(v))
+        for v in ([0.0, -0.0], [-0.0, 0.0], [3, 1, 3], [3e38, -3e38], [2.5] * 9, [1e-45, 0.0]):
+            weights = attend_full_precision(*logits_only(v)).weights
+            assert_same_bits(weights, reference_softmax(np.asarray(v, dtype=np.float32)))
 
     @pytest.mark.parametrize(
         "bad",
@@ -146,10 +155,12 @@ class TestSoftmax:
          np.array([2.0, np.nan, -np.inf], np.float32)],
     )
     def test_same_rejection(self, bad):
+        # Logits that are empty, not a vector, NaN or infinite: shape errors come
+        # from the attention checks, the rest from the softmax check.
         with pytest.raises(ContractViolation) as want:
-            reference_softmax(bad)
+            reference_attend_full_precision(*logits_only(bad))
         with pytest.raises(ContractViolation) as got:
-            softmax(bad)
+            attend_full_precision(*logits_only(bad))
         assert str(got.value) == str(want.value)
 
 
