@@ -57,7 +57,7 @@ v_block = quantize_values_tokenwise(group, bits=2)
 print(f"group shape {group.shape}")
 print(f"channel-wise block: {len(k_block.steps)} parameter lines (one per channel)")
 print(f"token-wise block  : {len(v_block.steps)} parameter lines (one per token)")
-print(f"packed payload    : {len(k_block.codes)} bytes for {group.size} 2-bit codes")
+print(f"packed payload    : {len(pack_codes(np.frombuffer(k_block.codes, np.uint8), 2))} bytes for {group.size} 2-bit codes")
 print()
 
 print("=== Bit packing round trip ===")

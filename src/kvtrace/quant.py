@@ -1,4 +1,4 @@
-"""Uniform min-max quantization, group-wise variants, and bit packing.
+"""Uniform min-max quantization, group-wise variants, and the packed code layout.
 
 The scalar rule maps a value x to the integer code
 
@@ -23,12 +23,15 @@ estimated as ``floor((x - x_min) / step)`` and checked exactly in float64:
 it is too high if it reconstructs above x, too low if the next level
 reconstructs at or below x. The few elements either test flags are
 settled against the lattice; the cost of the pass does not depend on
-``bits``. Codes stay ``uint8`` from the finder to the packer, which
-joins each word's eight codes in three shift-and-merge rounds.
-``quantize_uniform`` is the one-line case of the same pass. A
-``QuantizedBlock`` holds the packed codes plus two float64 arrays,
-``mins`` and ``steps``, with one entry per parameter line; it is the only
-block type, and ``TieredCache.memory_usage`` accounts for its bits.
+``bits``. ``quantize_uniform`` is the one-line case of the same pass. A
+``QuantizedBlock`` holds the finder's ``uint8`` codes, one byte per code
+in row-major order, plus two float64 arrays, ``mins`` and ``steps``, with
+one entry per parameter line; it is the only block type.
+
+A deployed cache stores the codes packed, ``bits`` bits each (KIVI packs
+them on the GPU). ``pack_codes`` writes that layout and ``unpack_codes``
+reads it; ``MemoryBreakdown.of`` charges its bits in closed form. Nothing
+on the write path packs: no block outlives the write that dequantizes it.
 
 The input domain is one test per line: its range ``x_max - x_min`` must
 be finite in float64. A NaN or an infinity fails it, and so does a finite
@@ -238,11 +241,12 @@ def dequantize(codes, params: QuantParams) -> np.ndarray:
 
 @dataclass(eq=False)
 class QuantizedBlock:
-    """Bit-packed codes plus per-line parameters for one group of tokens.
+    """Codes plus per-line parameters for one group of tokens.
 
-    Codes are packed little-endian within bytes, in row-major element
-    order. ``mins`` and ``steps`` are float64 arrays with one entry per
-    channel (PER_CHANNEL) or per token row (PER_TOKEN).
+    ``codes`` holds one byte per code, in row-major (n_tokens, n_channels)
+    order; :func:`pack_codes` gives the deployed layout. ``mins`` and
+    ``steps`` are float64 arrays with one entry per channel (PER_CHANNEL)
+    or per token row (PER_TOKEN).
     """
 
     codes: bytes
@@ -264,8 +268,11 @@ class QuantizedBlock:
                 f"and steps {self.steps.shape}"
             )
         _check_params(self.mins, self.steps)
-        if len(self.codes) != _packed_size(self.n_tokens * self.n_channels, self.bits):
-            raise ContractViolation("packed code length does not match block shape")
+        codes = np.frombuffer(self.codes, np.uint8)
+        if codes.size != self.n_tokens * self.n_channels:
+            raise ContractViolation("code count does not match block shape")
+        if codes.size and codes.max() >= 1 << self.bits:
+            raise ContractViolation(f"codes overflow {self.bits} bits")
 
     @property
     def params(self) -> list[QuantParams]:
@@ -277,8 +284,7 @@ class QuantizedBlock:
 
     def to_matrix(self) -> np.ndarray:
         """Dequantize to a float32 (n_tokens, n_channels) matrix."""
-        codes = _unpack(self.codes, self.bits, self.n_tokens * self.n_channels)
-        codes = codes.reshape(self.n_tokens, self.n_channels)
+        codes = np.frombuffer(self.codes, np.uint8).reshape(self.n_tokens, self.n_channels)
         if self.group_axis is GroupAxis.PER_CHANNEL:
             out = codes * self.steps[None, :] + self.mins[None, :]
         else:
@@ -302,7 +308,7 @@ def _quantize_group(group: np.ndarray, bits: int, axis: GroupAxis) -> QuantizedB
     else:
         codes, mins, steps = _quantize_lines(group, bits)
     return QuantizedBlock(
-        codes=_pack(codes.reshape(-1), bits),
+        codes=codes.tobytes(),
         group_axis=axis,
         mins=mins,
         steps=steps,
@@ -322,73 +328,34 @@ def quantize_values_tokenwise(group, bits: int) -> QuantizedBlock:
     return _quantize_group(group, bits, GroupAxis.PER_TOKEN)
 
 
-def _packed_size(count: int, bits: int) -> int:
-    return (count * bits + 7) // 8
-
-
 def pack_codes(codes, bits: int) -> bytes:
     """Pack integer codes at ``bits`` bits each, little-endian within bytes.
 
     Code i occupies bits ``i * bits`` to ``(i + 1) * bits - 1`` of the
-    stream, and stream bit j is bit ``j % 8`` of byte ``j // 8``. Eight
-    codes fill exactly ``bits`` bytes: one little-endian uint64 word of
-    which the low ``bits`` bytes are kept.
+    stream, and stream bit j is bit ``j % 8`` of byte ``j // 8``: the
+    deployed layout, ``ceil(count * bits / 8)`` bytes.
     """
     _check_bits(bits)
-    codes = np.asarray(codes, dtype=np.int64)
+    codes = np.asarray(codes)
     if codes.ndim != 1:
         raise ContractViolation("pack_codes expects a 1-D code vector")
     if codes.size == 0:
         return b""
+    if codes.dtype.kind not in "biuf" or (np.floor(codes) != codes).any():
+        raise ContractViolation("codes must be integer values")
     if codes.min() < 0 or codes.max() >= (1 << bits):
         raise ContractViolation(f"codes overflow {bits} bits")
-    return _pack(codes, bits)
+    bit_cols = np.unpackbits(codes.astype(np.uint8)[:, None], axis=1, count=bits, bitorder="little")
+    return np.packbits(bit_cols, bitorder="little").tobytes()
 
 
 def unpack_codes(data: bytes, bits: int, count: int) -> np.ndarray:
     """Inverse of :func:`pack_codes`; returns int64 codes of length ``count``."""
     _check_bits(bits)
-    if count < 0:
+    if check_integer(count, "count") < 0:
         raise ContractViolation("count must be nonnegative")
-    size = _packed_size(count, bits)
+    size = (count * bits + 7) // 8
     if len(data) < size:
-        raise ContractViolation(
-            f"need {size} bytes for {count} codes, got {len(data)}"
-        )
-    return _unpack(data, bits, count).astype(np.int64)
-
-
-# Offset of each of a word's eight codes.
-_WORD_SHIFTS = {bits: np.arange(0, 8 * bits, bits, dtype=np.uint64) for bits in range(1, 9)}
-
-def _pack(codes: np.ndarray, bits: int) -> bytes:
-    """:func:`pack_codes` for a 1-D array of codes known to fit in ``bits``.
-
-    Eight codes start one per byte of a uint64 word, and three rounds join
-    neighbouring lanes: a lane of 2 * half bits holding lo + hi * 2**half,
-    both parts ``width`` bits wide, becomes lo | hi << width by subtracting
-    hi * (2**half - 2**width).
-    """
-    n = codes.size
-    buf = np.zeros(-(-n // 8) * 8, dtype=np.uint8)
-    buf[:n] = codes
-    for lane, half, width in (("<u2", 8, bits), ("<u4", 16, 2 * bits), ("<u8", 32, 4 * bits)):
-        words = buf.view(lane)
-        words -= (words >> half) * ((1 << half) - (1 << width))
-    return buf.reshape(-1, 8)[:, :bits].tobytes()[: _packed_size(n, bits)]
-
-
-def _unpack(data: bytes, bits: int, count: int) -> np.ndarray:
-    """uint8 codes from ``data``, which holds at least their packed size.
-
-    Each word is shifted by all eight code offsets at once. Undoing
-    ``_pack``'s rounds instead touches fewer bytes but takes twelve numpy
-    calls.
-    """
-    n_words = -(-count // 8)
-    stream = bytes(data[: _packed_size(count, bits)]).ljust(n_words * bits, b"\0")
-    word_bytes = np.zeros((n_words, 8), dtype=np.uint8)
-    word_bytes[:, :bits] = np.frombuffer(stream, dtype=np.uint8).reshape(n_words, bits)
-    codes = (word_bytes.view("<u8") >> _WORD_SHIFTS[bits]).astype(np.uint8)
-    codes &= np.uint8((1 << bits) - 1)
-    return codes.reshape(-1)[:count]
+        raise ContractViolation(f"need {size} bytes for {count} codes, got {len(data)}")
+    stream = np.unpackbits(np.frombuffer(data, np.uint8, count=size), count=count * bits, bitorder="little")
+    return np.packbits(stream.reshape(count, bits), axis=1, bitorder="little")[:, 0].astype(np.int64)

@@ -14,12 +14,10 @@ from kvtrace import (
     attend_full_precision,
     attend_mixed,
     generate_synthetic,
-    pack_codes,
     quantize_keys_channelwise,
     quantize_values_tokenwise,
     replay_caches,
     row_l1_errors,
-    unpack_codes,
 )
 
 from spec import substituted
@@ -241,12 +239,12 @@ class TestMixedAttention:
         block = quantize_keys_channelwise(group_k, 2)
         vblock = quantize_values_tokenwise(group_v, 2)
         corrupted = copy.deepcopy(block), copy.deepcopy(vblock)
-        codes = unpack_codes(block.codes, block.bits, g * d).reshape(g, d)
+        codes = np.frombuffer(block.codes, np.uint8).reshape(g, d).copy()
         codes[3] = (codes[3] + 1) % (1 << block.bits)
-        corrupted[0].codes = pack_codes(codes.reshape(-1), block.bits)
-        vcodes = unpack_codes(vblock.codes, vblock.bits, g * d).reshape(g, d)
+        corrupted[0].codes = codes.tobytes()
+        vcodes = np.frombuffer(vblock.codes, np.uint8).reshape(g, d).copy()
         vcodes[3] = 0
-        corrupted[1].codes = pack_codes(vcodes.reshape(-1), vblock.bits)
+        corrupted[1].codes = vcodes.tobytes()
         assert (corrupted[0].to_matrix()[3] != block.to_matrix()[3]).all()
 
         q = rng.standard_normal(d).astype(np.float32)

@@ -2,12 +2,26 @@
 
 The closed form shares none of ``MemoryBreakdown.of``'s arithmetic. Its
 P term counts the pool's members plus its aux rows, 0 ≤ P ≤ outlier_num +
-aux_capacity.
+aux_capacity. The quantized term is the deployed layout's: a group's
+codes as ``pack_codes`` writes them.
 """
 
+import numpy as np
 import pytest
 
-from kvtrace import EngineConfig, SyntheticSpec, SyntheticTrace, TieredCache, TraceHeader, ratio_curve
+from kvtrace import (
+    EngineConfig,
+    MemoryBreakdown,
+    OutlierPool,
+    SyntheticSpec,
+    SyntheticTrace,
+    TieredCache,
+    TraceHeader,
+    pack_codes,
+    quantize_keys_channelwise,
+    quantize_values_tokenwise,
+    ratio_curve,
+)
 
 from spec import USAGE_KEYS, closed_form_bits
 
@@ -53,3 +67,18 @@ def test_reference_ratio_lies_in_the_closed_form_band():
     low, high = (fp16_bits / closed_form_bits(config, 8192, p)["total_bits"] for p in (most, 0))
     assert (round(low, 3), round(high, 3)) == (6.316, 6.491)
     assert low <= ratio <= high
+
+
+@pytest.mark.parametrize("bits", range(1, 9))
+@pytest.mark.parametrize("group_size, head_dim", [(128, 16), (16, 8), (3, 5), (1, 1)])
+def test_quantized_bits_are_the_packed_codes(bits, group_size, head_dim):
+    config = EngineConfig(bits=bits, group_size=group_size, head_dim=head_dim)
+    rng = np.random.default_rng(bits)
+    keys, values = rng.standard_normal((2, group_size, head_dim))
+    blocks = quantize_keys_channelwise(keys, bits), quantize_values_tokenwise(values, bits)
+    usage = MemoryBreakdown.of(config, group_size, 0, OutlierPool(0, 0))
+    assert usage.quantized_bits == 2 * group_size * head_dim * bits
+    for block in blocks:
+        # Each side's bits fill its packed bytes but for the last byte's padding.
+        packed = pack_codes(np.frombuffer(block.codes, np.uint8), bits)
+        assert 0 <= 8 * len(packed) - usage.quantized_bits // 2 < 8

@@ -23,9 +23,8 @@ from kvtrace import quant
 
 
 def code_matrix(block):
-    """A block's unpacked codes, shape (n_tokens, n_channels)."""
-    flat = unpack_codes(block.codes, block.bits, block.n_tokens * block.n_channels)
-    return flat.reshape(block.n_tokens, block.n_channels)
+    """A block's codes, one byte each, shape (n_tokens, n_channels)."""
+    return np.frombuffer(block.codes, np.uint8).reshape(block.n_tokens, block.n_channels)
 
 
 def reference_pack_codes(codes, bits):
@@ -66,7 +65,7 @@ def reference_word_shifts(bits):
 
 
 def reference_word_pack(codes, bits):
-    """The sum-reduction word packer ``_pack`` replaced (codes in range)."""
+    """The sum-reduction word packer, ``pack_codes``' first form (codes in range)."""
     codes = np.asarray(codes, dtype=np.int64)
     words = np.zeros((-(-codes.size // 8), 8), dtype=np.uint64)
     words.reshape(-1)[: codes.size] = codes
@@ -246,19 +245,20 @@ class TestFastPathsAgainstReplaced:
         for lines in self.groups(bits):
             codes = quant._quantize_lines(lines, bits)[0].reshape(-1)
             for n in sorted({0, 1, 7, 8, 9, codes.size} & set(range(codes.size + 1))):
-                packed = quant._pack(codes[:n], bits)
+                packed = pack_codes(codes[:n], bits)
                 assert packed == reference_word_pack(codes[:n], bits)
-                got = quant._unpack(packed, bits, n)
-                assert got.dtype == np.uint8
+                got = unpack_codes(packed, bits, n)
+                assert got.dtype == np.int64
                 np.testing.assert_array_equal(got, reference_word_unpack(packed, bits, n))
-                np.testing.assert_array_equal(unpack_codes(packed, bits, n), codes[:n])
+                np.testing.assert_array_equal(got, codes[:n])
 
     def test_public_types_unchanged(self):
         codes, _ = quantize_uniform([0.0, 1.0, 3.0], 2)
         assert codes.dtype == np.int64
         block = quantize_values_tokenwise(np.array([[0.0, 1.0, 3.0]]), 2)
         assert isinstance(block.codes, bytes)
-        assert unpack_codes(block.codes, 2, 3).dtype == np.int64
+        assert block.codes == bytes([0, 1, 3])
+        assert unpack_codes(pack_codes(code_matrix(block)[0], 2), 2, 3).dtype == np.int64
 
 
 class TestLatticeBoundaries:
@@ -567,7 +567,7 @@ class TestQuantizedBlockChecks:
     @staticmethod
     def fields(**overrides):
         # a valid 2-bit per-channel block of 4 tokens x 3 channels
-        kw = dict(codes=bytes(3), group_axis=GroupAxis.PER_CHANNEL, mins=np.zeros(3),
+        kw = dict(codes=bytes(12), group_axis=GroupAxis.PER_CHANNEL, mins=np.zeros(3),
                   steps=np.ones(3), n_tokens=4, n_channels=3, bits=2)
         kw.update(overrides)
         return kw
@@ -610,8 +610,18 @@ class TestQuantizedBlockChecks:
             QuantizedBlock(**self.fields(**override))
 
     def test_rejects_packed_length_off_the_shape(self):
-        with pytest.raises(ContractViolation, match="packed"):
-            QuantizedBlock(**self.fields(codes=bytes(4)))
+        # One byte per code: 3 bytes would hold the 12 codes packed.
+        for size in (0, 3, 4, 11, 13):
+            with pytest.raises(ContractViolation, match="code count"):
+                QuantizedBlock(**self.fields(codes=bytes(size)))
+
+    # A byte string holds any value, where packing held at most ``bits`` bits.
+    @pytest.mark.parametrize("bits", range(1, 8))
+    def test_rejects_code_past_the_top_level(self, bits):
+        top = (1 << bits) - 1
+        QuantizedBlock(**self.fields(bits=bits, codes=bytes([top] * 12)))
+        with pytest.raises(ContractViolation, match=f"overflow {bits} bits"):
+            QuantizedBlock(**self.fields(bits=bits, codes=bytes([0] * 11 + [top + 1])))
 
     def test_group_quantizers_keep_input_checks(self):
         with pytest.raises(ContractViolation):
@@ -677,6 +687,19 @@ class TestPacking:
     def test_negative_count_rejected(self):
         with pytest.raises(ContractViolation, match="count must be nonnegative"):
             unpack_codes(b"\0", 2, -1)
+
+    @pytest.mark.parametrize("count", [2.0, 1.5, "2", None])
+    def test_non_integer_count_rejected(self, count):
+        with pytest.raises(ContractViolation, match="count must be an integer"):
+            unpack_codes(b"\0", 2, count)
+
+    def test_non_integer_codes_rejected(self):
+        for codes in ([0.5, 1.0], [1.0, math.nan], [2.0, 1e-300], ["1"], [1 + 0j]):
+            with pytest.raises(ContractViolation, match="integer values"):
+                pack_codes(np.array(codes), 2)
+        # Integer values pass whatever their type, and give the int64 codes' bytes.
+        assert pack_codes(np.array([1.0, 3.0, 0.0]), 2) == pack_codes([1, 3, 0], 2) == b"\x0d"
+        assert pack_codes([True, False], 1) == b"\x01"
 
     def test_packed_density(self):
         for bits in range(1, 9):
