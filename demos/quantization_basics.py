@@ -21,32 +21,33 @@ rng = np.random.default_rng(0)
 
 print("=== Uniform quantization: floor rule ===")
 x = np.array([0.0, 0.4, 1.1, 2.7, 3.0])
-codes, params = quantize_uniform(x, bits=2)
+block = quantize_uniform(x, bits=2)
 print(f"input      : {x}")
-print(f"step       : {params.step:.4f} (range / (2^2 - 1))")
-print(f"codes      : {codes}")
-recon = dequantize(codes, params)
+print(f"step       : {block.steps[0]:.4f} (range / (2^2 - 1))")
+print(f"codes      : {np.frombuffer(block.codes, np.uint8)}")
+recon = dequantize(block)[0]
 print(f"reconstruct: {np.round(recon, 4)}")
 print(f"error      : {np.round(x - recon, 4)}  (always in [0, step])")
 print()
 
 print("=== One-sided error bound on random data ===")
 x = rng.uniform(-3, 3, size=2000)
-codes, params = quantize_uniform(x, bits=2)
-err = x - dequantize(codes, params)
+block = quantize_uniform(x, bits=2)
+err = x - dequantize(block)[0]
+step = block.steps[0]
 print(f"2000 samples at 2 bits: min error {err.min():.2e}, "
-      f"max error {err.max():.4f}, step {params.step:.4f}")
-assert err.min() >= 0 and err.max() <= params.step
+      f"max error {err.max():.4f}, step {step:.4f}")
+assert err.min() >= 0 and err.max() <= step
 print()
 
 print("=== Step inflation from one low value ===")
 mu, sigma, eps = 5.0, 0.5, 0.01
 channel = rng.uniform(mu - sigma, mu + sigma, size=128)
-_, clean = quantize_uniform(channel, bits=2)
-_, dirty = quantize_uniform(np.append(channel, eps), bits=2)
+clean = quantize_uniform(channel, bits=2).steps[0]
+dirty = quantize_uniform(np.append(channel, eps), bits=2).steps[0]
 print(f"channel uniform in [{mu - sigma}, {mu + sigma}], one appended value {eps}")
-print(f"step before: {clean.step:.4f}")
-print(f"step after : {dirty.step:.4f}  ({dirty.step / clean.step:.1f}x wider)")
+print(f"step before: {clean:.4f}")
+print(f"step after : {dirty:.4f}  ({dirty / clean:.1f}x wider)")
 print("every other token in the channel now reconstructs that much worse")
 print()
 

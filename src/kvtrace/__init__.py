@@ -12,7 +12,6 @@ from .errors import ContractViolation, TraceFormatError
 from .outlier import OutlierPool, score_tokens, substitute_means
 from .quant import (
     GroupAxis,
-    QuantParams,
     QuantizedBlock,
     dequantize,
     pack_codes,
@@ -44,7 +43,6 @@ __all__ = [
     "GroupAxis",
     "MemoryBreakdown",
     "OutlierPool",
-    "QuantParams",
     "QuantizedBlock",
     "SyntheticSpec",
     "SyntheticTrace",

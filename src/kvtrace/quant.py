@@ -7,7 +7,7 @@ The scalar rule maps a value x to the integer code
 with codes clamped to [0, 2**bits - 1]. Floor (not round-to-nearest) is
 deliberate: it gives the one-sided reconstruction bound
 
-    0 <= x - dequant(quant(x)) <= step
+    0 <= x - dequantize(quant(x)) <= step
 
 for every x inside the group's [x_min, x_max], exact at lattice points.
 In floating point the code is the highest level whose float64
@@ -23,10 +23,13 @@ estimated as ``floor((x - x_min) / step)`` and checked exactly in float64:
 it is too high if it reconstructs above x, too low if the next level
 reconstructs at or below x. The few elements either test flags are
 settled against the lattice; the cost of the pass does not depend on
-``bits``. ``quantize_uniform`` is the one-line case of the same pass. A
-``QuantizedBlock`` holds the finder's ``uint8`` codes, one byte per code
-in row-major order, plus two float64 arrays, ``mins`` and ``steps``, with
-one entry per parameter line; it is the only block type.
+``bits``. A ``QuantizedBlock`` is the one result type: the finder's
+``uint8`` codes, one byte per code in row-major order, and two float64
+arrays, ``mins`` and ``steps``, one entry per parameter line.
+``quantize_uniform`` returns a vector's one-token ``PER_TOKEN`` block, and
+``dequantize`` is the one reconstruction rule. ``quantize_uniform`` and
+``QuantizedBlock.params`` have no caller in the package; the benchmark's
+tests pin them.
 
 A deployed cache stores the codes packed, ``bits`` bits each (KIVI packs
 them on the GPU). ``pack_codes`` writes that layout and ``unpack_codes``
@@ -57,33 +60,9 @@ def _check_bits(bits: int) -> None:
         raise ContractViolation(f"bits must be in [1, 8], got {bits}")
 
 
-def _check_params(mins, steps) -> None:
-    # The one rule for parameter lines, scalars or arrays alike.
-    if not (np.isfinite(mins).all() and np.isfinite(steps).all() and np.all(steps >= 0)):
-        raise ContractViolation("mins and steps must be finite and each step must be nonnegative")
-
-
 class GroupAxis(enum.Enum):
     PER_CHANNEL = "per_channel"
     PER_TOKEN = "per_token"
-
-
-@dataclass(frozen=True)
-class QuantParams:
-    """Zero point and step size for one group line.
-
-    ``step == (x_max - x_min) / (2**bits - 1)`` at construction, where
-    x_max/x_min are the group line's extrema; step is 0 iff the line is
-    constant.
-    """
-
-    x_min: float
-    step: float
-    bits: int
-
-    def __post_init__(self):
-        _check_bits(self.bits)
-        _check_params(self.x_min, self.step)
 
 
 def _floor_codes(
@@ -213,32 +192,6 @@ def _quantize_lines(lines: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarra
     return codes, mins, steps
 
 
-def quantize_uniform(x, bits: int) -> tuple[np.ndarray, QuantParams]:
-    """Quantize a 1-D vector with min-max uniform quantization.
-
-    Returns:
-        ``(codes, params)`` where codes is an int64 array with every entry
-        in ``[0, 2**bits - 1]``. A constant input yields step 0 and all-zero
-        codes.
-    """
-    _check_bits(bits)
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
-        raise ContractViolation("quantize_uniform expects a non-empty 1-D vector")
-    codes, mins, steps = _quantize_lines(x[None, :], bits)
-    params = QuantParams(x_min=float(mins[0]), step=float(steps[0]), bits=bits)
-    return codes[0].astype(np.int64), params
-
-
-def dequantize(codes, params: QuantParams) -> np.ndarray:
-    """Reconstruct ``codes * step + x_min`` as float64."""
-    codes = np.asarray(codes, dtype=np.int64)
-    levels = (1 << params.bits) - 1
-    if codes.size and (codes.min() < 0 or codes.max() > levels):
-        raise ContractViolation(f"codes out of range for {params.bits}-bit params")
-    return codes * params.step + params.x_min
-
-
 @dataclass(eq=False)
 class QuantizedBlock:
     """Codes plus per-line parameters for one group of tokens.
@@ -261,13 +214,16 @@ class QuantizedBlock:
         self.mins = np.asarray(self.mins, dtype=np.float64)
         self.steps = np.asarray(self.steps, dtype=np.float64)
         _check_bits(self.bits)
+        check_integer(self.n_tokens, "n_tokens")
+        check_integer(self.n_channels, "n_channels")
         expected = self.n_channels if self.group_axis is GroupAxis.PER_CHANNEL else self.n_tokens
         if self.mins.shape != (expected,) or self.steps.shape != (expected,):
             raise ContractViolation(
                 f"expected {expected} parameter lines, got mins {self.mins.shape} "
                 f"and steps {self.steps.shape}"
             )
-        _check_params(self.mins, self.steps)
+        if not (np.isfinite(self.mins).all() and np.isfinite(self.steps).all() and (self.steps >= 0).all()):
+            raise ContractViolation("mins and steps must be finite and each step must be nonnegative")
         codes = np.frombuffer(self.codes, np.uint8)
         if codes.size != self.n_tokens * self.n_channels:
             raise ContractViolation("code count does not match block shape")
@@ -275,21 +231,35 @@ class QuantizedBlock:
             raise ContractViolation(f"codes overflow {self.bits} bits")
 
     @property
-    def params(self) -> list[QuantParams]:
-        """One :class:`QuantParams` per line, built from ``mins`` and ``steps``."""
-        return [
-            QuantParams(x_min=m, step=s, bits=self.bits)
-            for m, s in zip(self.mins.tolist(), self.steps.tolist())
-        ]
+    def params(self) -> list[tuple[float, float]]:
+        """One ``(x_min, step)`` float pair per line, as the benchmark's tests compare it."""
+        return list(zip(self.mins.tolist(), self.steps.tolist()))
 
     def to_matrix(self) -> np.ndarray:
         """Dequantize to a float32 (n_tokens, n_channels) matrix."""
-        codes = np.frombuffer(self.codes, np.uint8).reshape(self.n_tokens, self.n_channels)
-        if self.group_axis is GroupAxis.PER_CHANNEL:
-            out = codes * self.steps[None, :] + self.mins[None, :]
-        else:
-            out = codes * self.steps[:, None] + self.mins[:, None]
-        return out.astype(np.float32)
+        return dequantize(self).astype(np.float32)
+
+
+def quantize_uniform(x, bits: int) -> QuantizedBlock:
+    """A 1-D vector's one-token ``PER_TOKEN`` block; a constant one gets step 0."""
+    _check_bits(bits)
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1 or x.size == 0:
+        raise ContractViolation("quantize_uniform expects a non-empty 1-D vector")
+    return _quantize_group(x[None, :], bits, GroupAxis.PER_TOKEN)
+
+
+def dequantize(block: QuantizedBlock) -> np.ndarray:
+    """The one reconstruction rule: a block's float64 rows ``codes * steps + mins``.
+
+    These are the operations the code finder tests, so the bound is exact here.
+    """
+    if not isinstance(block, QuantizedBlock):
+        raise ContractViolation(f"dequantize expects a QuantizedBlock, got {type(block).__name__}")
+    codes = np.frombuffer(block.codes, np.uint8).reshape(block.n_tokens, block.n_channels)
+    if block.group_axis is GroupAxis.PER_CHANNEL:
+        return codes * block.steps[None, :] + block.mins[None, :]
+    return codes * block.steps[:, None] + block.mins[:, None]
 
 
 def _quantize_group(group: np.ndarray, bits: int, axis: GroupAxis) -> QuantizedBlock:
@@ -352,6 +322,8 @@ def pack_codes(codes, bits: int) -> bytes:
 def unpack_codes(data: bytes, bits: int, count: int) -> np.ndarray:
     """Inverse of :func:`pack_codes`; returns int64 codes of length ``count``."""
     _check_bits(bits)
+    if not isinstance(data, (bytes, bytearray, memoryview)):
+        raise ContractViolation(f"data must be bytes-like, got {type(data).__name__}")
     if check_integer(count, "count") < 0:
         raise ContractViolation("count must be nonnegative")
     size = (count * bits + 7) // 8

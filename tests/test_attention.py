@@ -285,7 +285,7 @@ class TestStepErrorPropagation:
             oracle = attend_full_precision(q, keys, values)
             block = quantize_keys_channelwise(keys, 2)
             assert cache.attended_kv()[0].tobytes() == block.to_matrix().tobytes()
-            step = block.params[0].step
+            step = block.steps[0]
             results.append((step, float(np.abs(mixed.scores - oracle.scores).mean())))
         (step_narrow, err_narrow), (step_wide, err_wide) = results
         assert step_wide > step_narrow

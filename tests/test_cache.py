@@ -264,7 +264,7 @@ class TestOutlierPath:
 
         assert cache.pool.positions.tolist() == [5]
         block_k, block_v = group_rows(keys, values, [5], 2)
-        step = max(p.step for p in quantize_keys_channelwise(substituted(keys, values, [5])[0], 2).params)
+        step = quantize_keys_channelwise(substituted(keys, values, [5])[0], 2).steps.max()
         assert np.abs(block_k[5] - keys.mean(axis=0)).max() <= step + 1e-6
         # the other rows attend through the substituted group's block ...
         got_k, got_v = cache.attended_kv()

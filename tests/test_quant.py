@@ -10,7 +10,6 @@ from hypothesis.extra import numpy as hnp
 from kvtrace import (
     ContractViolation,
     GroupAxis,
-    QuantParams,
     QuantizedBlock,
     dequantize,
     pack_codes,
@@ -122,6 +121,12 @@ ROUND_OFF_LINES = [
 ]
 
 
+def one_line_block(x_min, step, code=0):
+    """A hand-built 2-bit block of one token and one channel, quantize_uniform's shape."""
+    return QuantizedBlock(codes=bytes([code]), group_axis=GroupAxis.PER_TOKEN, mins=[x_min],
+                          steps=[step], n_tokens=1, n_channels=1, bits=2)
+
+
 def bits_of(values) -> np.ndarray:
     return np.asarray(values, dtype=np.float64).view(np.int64)
 
@@ -130,8 +135,10 @@ def assert_matches_reference(lines, bits):
     """Quantize each row of ``lines`` three ways, bit-equal to the reference.
 
     The rows are the key channels of ``lines.T``, the value tokens of
-    ``lines``, and single lines for quantize_uniform. Returns the
-    reference steps.
+    ``lines``, and single lines for quantize_uniform, whose block is the
+    one-token value block of its line field for field. Each block's
+    ``to_matrix`` is its ``dequantize`` rows cast to float32, byte for
+    byte. Returns the reference steps.
     """
     lines = np.asarray(lines, dtype=np.float64)
     ref = [reference_quantize_line(line, bits) for line in lines]
@@ -145,10 +152,17 @@ def assert_matches_reference(lines, bits):
     for block in (keys, values):
         np.testing.assert_array_equal(bits_of(block.mins), ref_mins)
         np.testing.assert_array_equal(bits_of(block.steps), ref_steps)
+        with np.errstate(over="ignore"):  # values past float32's range cast to inf on both sides
+            assert block.to_matrix().tobytes() == dequantize(block).astype(np.float32).tobytes()
     for i, line in enumerate(lines):
-        codes, p = quantize_uniform(line, bits)
-        np.testing.assert_array_equal(codes, ref_codes[i])
-        assert bits_of([p.x_min, p.step]).tolist() == [ref_mins[i], ref_steps[i]]
+        block = quantize_uniform(line, bits)
+        np.testing.assert_array_equal(code_matrix(block)[0], ref_codes[i])
+        assert bits_of([block.mins[0], block.steps[0]]).tolist() == [ref_mins[i], ref_steps[i]]
+        row = quantize_values_tokenwise(line[None, :], bits)
+        assert (block.codes, block.group_axis, block.n_tokens, block.n_channels, block.bits) == (
+            row.codes, row.group_axis, row.n_tokens, row.n_channels, row.bits)
+        assert bits_of(block.mins).tolist() == bits_of(row.mins).tolist()
+        assert bits_of(block.steps).tolist() == bits_of(row.steps).tolist()
     return ref_steps.view(np.float64)
 
 
@@ -206,13 +220,13 @@ class TestAgainstReference:
             (quantize_keys_channelwise(x, bits), x.T),
             (quantize_values_tokenwise(x, bits), x),
         ):
-            codes = code_matrix(block)
+            recon = dequantize(block)
             if block.group_axis is GroupAxis.PER_CHANNEL:
-                codes = codes.T
-            for line, line_codes, p in zip(lines, codes, block.params):
-                err = line - dequantize(line_codes, p)
+                recon = recon.T
+            for line, line_recon, step in zip(lines, recon, block.steps):
+                err = line - line_recon
                 assert err.min() >= 0.0
-                assert err.max() <= p.step or p.step == 0.0
+                assert err.max() <= step or step == 0.0
 
 
 class TestFastPathsAgainstReplaced:
@@ -253,8 +267,9 @@ class TestFastPathsAgainstReplaced:
                 np.testing.assert_array_equal(got, codes[:n])
 
     def test_public_types_unchanged(self):
-        codes, _ = quantize_uniform([0.0, 1.0, 3.0], 2)
-        assert codes.dtype == np.int64
+        line = quantize_uniform([0.0, 1.0, 3.0], 2)
+        assert isinstance(line, QuantizedBlock) and line.group_axis is GroupAxis.PER_TOKEN
+        assert dequantize(line).dtype == np.float64 and dequantize(line).shape == (1, 3)
         block = quantize_values_tokenwise(np.array([[0.0, 1.0, 3.0]]), 2)
         assert isinstance(block.codes, bytes)
         assert block.codes == bytes([0, 1, 3])
@@ -285,8 +300,8 @@ class TestLatticeBoundaries:
         # The quantizer's own lattice for this range, then every point of it
         # and both neighbours that stay inside the range (so the range, and
         # with it the lattice, is unchanged).
-        _, p = quantize_uniform([x_min, x_max], bits)
-        lattice = np.arange(1 << bits) * p.step + p.x_min
+        block = quantize_uniform([x_min, x_max], bits)
+        lattice = np.arange(1 << bits) * block.steps[0] + block.mins[0]
         values = np.concatenate(
             [lattice, np.nextafter(lattice, -np.inf), np.nextafter(lattice, np.inf), [x_max]]
         )
@@ -302,21 +317,21 @@ class TestLatticeBoundaries:
 
 class TestQuantizeUniform:
     def test_lattice_aligned(self):
-        codes, p = quantize_uniform([0.0, 1.0, 2.0, 3.0], 2)
-        assert p.step == 1.0
-        assert codes.tolist() == [0, 1, 2, 3]
+        block = quantize_uniform([0.0, 1.0, 2.0, 3.0], 2)
+        assert block.steps[0] == 1.0
+        assert code_matrix(block)[0].tolist() == [0, 1, 2, 3]
 
     def test_constant_group(self):
-        codes, p = quantize_uniform([5.0, 5.0, 5.0], 4)
-        assert p.step == 0.0
-        assert p.x_min == 5.0
-        assert codes.tolist() == [0, 0, 0]
+        block = quantize_uniform([5.0, 5.0, 5.0], 4)
+        assert block.steps[0] == 0.0
+        assert block.mins[0] == 5.0
+        assert code_matrix(block)[0].tolist() == [0, 0, 0]
 
     def test_one_bit_floor_rule(self):
         # floor((x - 0) / 1.0) for x in {0, 0.5, 1} -> [0, 0, 1]
-        codes, p = quantize_uniform([0.0, 0.5, 1.0], 1)
-        assert p.step == 1.0
-        assert codes.tolist() == [0, 0, 1]
+        block = quantize_uniform([0.0, 0.5, 1.0], 1)
+        assert block.steps[0] == 1.0
+        assert code_matrix(block)[0].tolist() == [0, 0, 1]
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ContractViolation):
@@ -337,7 +352,7 @@ class TestQuantizeUniform:
 
     def test_params_reject_negative_step(self):
         with pytest.raises(ContractViolation, match="step must be nonnegative"):
-            QuantParams(x_min=0.0, step=-1.0, bits=2)
+            one_line_block(x_min=0.0, step=-1.0)
 
     def test_rejects_bad_bits(self):
         with pytest.raises(ContractViolation):
@@ -347,7 +362,7 @@ class TestQuantizeUniform:
         rng = np.random.default_rng(3)
         for bits in (1, 2, 4, 8):
             x = rng.uniform(-10, 10, size=100)
-            codes, p = quantize_uniform(x, bits)
+            codes = code_matrix(quantize_uniform(x, bits))[0]
             levels = (1 << bits) - 1
             assert codes.min() >= 0 and codes.max() <= levels
             assert codes[int(np.argmax(x))] == levels
@@ -358,12 +373,13 @@ class TestQuantizeUniform:
         rng = np.random.default_rng(13)
         for bits in (2, 7, 8):
             x = (rng.standard_normal(24) * 1e-42).astype(np.float32).astype(np.float64)
-            codes, p = quantize_uniform(x, bits)
-            err = x - dequantize(codes, p)
+            block = quantize_uniform(x, bits)
+            err = x - dequantize(block)[0]
+            step = block.steps[0]
             assert err.min() >= 0.0
-            assert p.step == 0.0 or err.max() <= p.step
-            if p.step > 0:
-                assert codes[int(np.argmax(x))] == (1 << bits) - 1
+            assert step == 0.0 or err.max() <= step
+            if step > 0:
+                assert code_matrix(block)[0, int(np.argmax(x))] == (1 << bits) - 1
 
 
 # Lines whose range (max - min) overflows float64. The first one used to
@@ -431,42 +447,48 @@ class TestInputDomain:
             with pytest.raises(ContractViolation, match="overflows float64"):
                 quantize_uniform(x, bits)
             return
-        codes, p = quantize_uniform(x, bits)
+        block = quantize_uniform(x, bits)
+        step = block.steps[0]
         ref_codes, ref_min, ref_step = reference_quantize_line(x, bits)
-        assert codes.tolist() == ref_codes.tolist()
-        assert bits_of([p.x_min, p.step]).tolist() == bits_of([ref_min, ref_step]).tolist()
-        err = x - dequantize(codes, p)
+        assert code_matrix(block)[0].tolist() == ref_codes.tolist()
+        assert bits_of([block.mins[0], step]).tolist() == bits_of([ref_min, ref_step]).tolist()
+        err = x - dequantize(block)[0]
         assert err.min() >= 0.0
         # The one-sided bound, unless the line spans too few float64 values
         # for any step to meet it (the excess shrink stops at a whole step).
-        assert err.max() <= p.step or err.max() - p.step >= p.step
+        assert err.max() <= step or err.max() - step >= step
 
 
 class TestDequantize:
     def test_exact_lattice_round_trip(self):
-        codes, p = quantize_uniform([0.0, 1.0, 2.0, 3.0], 2)
-        np.testing.assert_array_equal(dequantize(codes, p), [0.0, 1.0, 2.0, 3.0])
+        block = quantize_uniform([0.0, 1.0, 2.0, 3.0], 2)
+        np.testing.assert_array_equal(dequantize(block), [[0.0, 1.0, 2.0, 3.0]])
 
     def test_constant_round_trip(self):
-        codes, p = quantize_uniform([7.5, 7.5], 2)
-        np.testing.assert_array_equal(dequantize(codes, p), [7.5, 7.5])
+        block = quantize_uniform([7.5, 7.5], 2)
+        np.testing.assert_array_equal(dequantize(block), [[7.5, 7.5]])
 
     def test_error_bound_against_scalar_oracle(self):
         rng = np.random.default_rng(4)
         x = rng.uniform(-3, 3, size=1000)
-        codes, p = quantize_uniform(x, 2)
+        block = quantize_uniform(x, 2)
+        step = block.steps[0]
         ref_codes, ref_min, ref_step = reference_quantize_line(x, 2)
-        assert codes.tolist() == ref_codes.tolist()
-        assert bits_of([p.x_min, p.step]).tolist() == bits_of([ref_min, ref_step]).tolist()
-        err = x - dequantize(codes, p)
+        assert code_matrix(block)[0].tolist() == ref_codes.tolist()
+        assert bits_of([block.mins[0], step]).tolist() == bits_of([ref_min, ref_step]).tolist()
+        err = x - dequantize(block)[0]
         assert err.min() >= 0.0
-        assert err.max() <= p.step
-        assert p.step == pytest.approx((x.max() - x.min()) / 3, rel=1e-12)
+        assert err.max() <= step
+        assert step == pytest.approx((x.max() - x.min()) / 3, rel=1e-12)
 
     def test_code_overflow_rejected(self):
-        _, p = quantize_uniform([0.0, 1.0], 2)
-        with pytest.raises(ContractViolation):
-            dequantize([4], p)
+        # A 2-bit code of 4 cannot be built, and bare codes are not a block.
+        line = quantize_uniform([0.0, 1.0], 2)
+        with pytest.raises(ContractViolation, match="overflow 2 bits"):
+            one_line_block(x_min=line.mins[0], step=line.steps[0], code=4)
+        for codes in ([4], np.array([[4]]), b"\x04"):
+            with pytest.raises(ContractViolation, match="expects a QuantizedBlock"):
+                dequantize(codes)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -484,10 +506,14 @@ class TestDequantize:
     @example(values=[0.0, -42.5, -1.401298464324817e-45], bits=2)
     def test_round_trip_bound_property(self, values, bits):
         x = np.array(values, dtype=np.float32).astype(np.float64)
-        codes, p = quantize_uniform(x, bits)
-        err = x - dequantize(codes, p)
+        block = quantize_uniform(x, bits)
+        recon = dequantize(block)[0]
+        # The rule the two-argument dequantize applied to the int64 codes, bit for bit.
+        step, x_min = float(block.steps[0]), float(block.mins[0])
+        assert bits_of(recon).tolist() == bits_of(code_matrix(block)[0].astype(np.int64) * step + x_min).tolist()
+        err = x - recon
         assert err.min() >= 0.0
-        assert err.max() <= p.step or p.step == 0.0
+        assert err.max() <= step or step == 0.0
 
 
 class TestStepInflation:
@@ -498,26 +524,26 @@ class TestStepInflation:
             sigma = rng.uniform(0.1, mu / 4)
             eps = rng.uniform(1e-3, (mu - sigma) * 0.5)
             channel = rng.uniform(mu - sigma, mu + sigma, size=128)
-            _, p_old = quantize_uniform(channel, 2)
-            _, p_new = quantize_uniform(np.append(channel, eps), 2)
+            step_old = quantize_uniform(channel, 2).steps[0]
+            step_new = quantize_uniform(np.append(channel, eps), 2).steps[0]
             x_max = channel.max()
             x_min_old = channel.min()
             expected = (x_max - eps) / (x_max - x_min_old)
-            assert p_new.step / p_old.step == pytest.approx(expected, rel=1e-6)
-            assert p_new.step / p_old.step > 1.0
+            assert step_new / step_old == pytest.approx(expected, rel=1e-6)
+            assert step_new / step_old > 1.0
 
 
 class TestGroupQuantizers:
     def test_channelwise_single_column(self):
         block = quantize_keys_channelwise(np.array([[0.0], [3.0]]), 2)
         assert block.group_axis is GroupAxis.PER_CHANNEL
-        assert block.params[0].step == 1.0
+        assert block.steps[0] == 1.0
         assert code_matrix(block).ravel().tolist() == [0, 3]
 
     def test_constant_channels_reconstruct_exactly(self):
         group = np.tile(np.array([[1.0, -2.0, 0.5]]), (8, 1))
         block = quantize_keys_channelwise(group, 2)
-        assert all(p.step == 0.0 for p in block.params)
+        assert (block.steps == 0.0).all()
         np.testing.assert_array_equal(block.to_matrix(), group.astype(np.float32))
 
     def test_channelwise_matches_per_column_oracle(self):
@@ -527,16 +553,16 @@ class TestGroupQuantizers:
         codes = code_matrix(block)
         recon = block.to_matrix().astype(np.float64)
         for c in range(8):
-            col_codes, col_params = quantize_uniform(group[:, c], 2)
-            np.testing.assert_array_equal(codes[:, c], col_codes)
+            col = quantize_uniform(group[:, c], 2)
+            np.testing.assert_array_equal(codes[:, c], code_matrix(col)[0])
             err = group[:, c] - recon[:, c]
             assert err.min() >= -1e-6
-            assert err.max() <= col_params.step + 1e-6
+            assert err.max() <= col.steps[0] + 1e-6
 
     def test_tokenwise_single_row(self):
         block = quantize_values_tokenwise(np.array([[0.0, 1.0, 2.0, 3.0]]), 2)
         assert block.group_axis is GroupAxis.PER_TOKEN
-        assert block.params[0].step == 1.0
+        assert block.steps[0] == 1.0
         assert code_matrix(block).ravel().tolist() == [0, 1, 2, 3]
 
     def test_tokenwise_matches_per_row_oracle(self):
@@ -545,10 +571,10 @@ class TestGroupQuantizers:
         block = quantize_values_tokenwise(group, 2)
         codes = code_matrix(block)
         for r in range(0, 128, 17):
-            row_codes, row_params = quantize_uniform(group[r], 2)
-            np.testing.assert_array_equal(codes[r], row_codes)
+            row = quantize_uniform(group[r], 2)
+            np.testing.assert_array_equal(codes[r], code_matrix(row)[0])
             err = group[r] - block.to_matrix().astype(np.float64)[r]
-            assert err.min() >= -1e-6 and err.max() <= row_params.step + 1e-6
+            assert err.min() >= -1e-6 and err.max() <= row.steps[0] + 1e-6
 
     def test_axes_commute_with_transposition(self):
         rng = np.random.default_rng(8)
@@ -556,7 +582,7 @@ class TestGroupQuantizers:
         cw = quantize_keys_channelwise(m, 3)
         tw = quantize_values_tokenwise(m.T, 3)
         np.testing.assert_array_equal(code_matrix(cw), code_matrix(tw).T)
-        assert [(p.x_min, p.step) for p in cw.params] == [(p.x_min, p.step) for p in tw.params]
+        assert cw.params == tw.params
 
     def test_empty_group_rejected(self):
         with pytest.raises(ContractViolation):
@@ -574,9 +600,8 @@ class TestQuantizedBlockChecks:
 
     def test_valid_block_and_params_view(self):
         block = QuantizedBlock(**self.fields(mins=[0.5, -1.0, 2.0], steps=[1.0, 0.0, 0.25]))
-        assert [(p.x_min, p.step, p.bits) for p in block.params] == [
-            (0.5, 1.0, 2), (-1.0, 0.0, 2), (2.0, 0.25, 2)
-        ]
+        assert block.params == [(0.5, 1.0), (-1.0, 0.0), (2.0, 0.25)]
+        assert all(type(v) is float for pair in block.params for v in pair)
         assert block.mins.dtype == block.steps.dtype == np.float64
 
     @pytest.mark.parametrize("bits", [0, 9])
@@ -585,21 +610,29 @@ class TestQuantizedBlockChecks:
         with pytest.raises(ContractViolation, match="bits"):
             QuantizedBlock(**self.fields(bits=bits, codes=codes))
 
-    # One rule for every parameter line, in both types: a finite zero point
-    # and a finite, nonnegative step.
+    # One rule for every parameter line, in a group's block and in a
+    # one-line block like quantize_uniform's: a finite zero point and a
+    # finite, nonnegative step.
     @pytest.mark.parametrize("bad", [-1e-300, float("nan"), float("inf")])
     def test_rejects_negative_or_nonfinite_step(self, bad):
         with pytest.raises(ContractViolation, match="steps"):
             QuantizedBlock(**self.fields(steps=[1.0, bad, 1.0]))
         with pytest.raises(ContractViolation, match="steps"):
-            QuantParams(x_min=0.0, step=bad, bits=2)
+            one_line_block(x_min=0.0, step=bad)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_nonfinite_min(self, bad):
         with pytest.raises(ContractViolation, match="mins"):
             QuantizedBlock(**self.fields(mins=[0.0, bad, 0.0]))
         with pytest.raises(ContractViolation, match="mins"):
-            QuantParams(x_min=bad, step=1.0, bits=2)
+            one_line_block(x_min=bad, step=1.0)
+
+    # A float size passed the shape tests (3.0 == 3), then failed in reshape.
+    @pytest.mark.parametrize("field", ["n_tokens", "n_channels"])
+    def test_rejects_non_integer_shape(self, field):
+        size = self.fields()[field]
+        with pytest.raises(ContractViolation, match=f"{field} must be an integer"):
+            QuantizedBlock(**self.fields(**{field: float(size)}))
 
     @pytest.mark.parametrize(
         "override",
@@ -692,6 +725,13 @@ class TestPacking:
     def test_non_integer_count_rejected(self, count):
         with pytest.raises(ContractViolation, match="count must be an integer"):
             unpack_codes(b"\0", 2, count)
+
+    @pytest.mark.parametrize("data", ["ab", [0, 1], None], ids=["str", "list", "None"])
+    def test_non_bytes_data_rejected(self, data):
+        with pytest.raises(ContractViolation, match="data must be bytes-like"):
+            unpack_codes(data, 2, 4)
+        for buffer in (bytearray, memoryview):
+            assert unpack_codes(buffer(b"\xe4"), 2, 4).tolist() == [0, 1, 2, 3]
 
     def test_non_integer_codes_rejected(self):
         for codes in ([0.5, 1.0], [1.0, math.nan], [2.0, 1e-300], ["1"], [1 + 0j]):
