@@ -34,6 +34,9 @@ def attend_full_precision(q, keys, values) -> AttentionResult:
     """Exact single-query attention over (n, d) key/value matrices.
 
     Its weights are nonnegative and sum to 1 within 1e-6 for any finite logits.
+    A C-contiguous ``keys`` or ``values`` goes through ``np.dot``, which makes
+    matmul's BLAS call without its ufunc dispatch and gives the same bits;
+    any other layout keeps ``@``, where ``np.dot`` may round differently.
     """
     q = np.asarray(q, dtype=np.float32)
     keys = np.asarray(keys, dtype=np.float32)
@@ -49,7 +52,7 @@ def attend_full_precision(q, keys, values) -> AttentionResult:
     if keys.shape[0] == 0:
         raise ContractViolation("attention needs at least one cached token")
 
-    scores = keys @ q
+    scores = np.dot(keys, q) if keys.flags.c_contiguous else keys @ q
     scores /= np.float32(math.sqrt(q.shape[0]))
     # ``argmax``/``argmin`` pick the first NaN if there is one, and an
     # infinity is an extreme, so checking both picks checks every logit.
@@ -62,7 +65,8 @@ def attend_full_precision(q, keys, values) -> AttentionResult:
     np.exp(weights, weights)
     np.divide(weights, np.add.reduce(weights), weights)
     weights = weights.astype(np.float32)
-    return AttentionResult(output=weights @ values, weights=weights, scores=scores)
+    output = np.dot(weights, values) if values.flags.c_contiguous else weights @ values
+    return AttentionResult(output=output, weights=weights, scores=scores)
 
 
 def attend_mixed(q, cache: TieredCache) -> AttentionResult:

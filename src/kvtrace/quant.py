@@ -216,6 +216,8 @@ class QuantizedBlock:
         _check_bits(self.bits)
         check_integer(self.n_tokens, "n_tokens")
         check_integer(self.n_channels, "n_channels")
+        if not isinstance(self.group_axis, GroupAxis):
+            raise ContractViolation(f"group_axis must be a GroupAxis, got {self.group_axis!r}")
         expected = self.n_channels if self.group_axis is GroupAxis.PER_CHANNEL else self.n_tokens
         if self.mins.shape != (expected,) or self.steps.shape != (expected,):
             raise ContractViolation(
@@ -224,6 +226,8 @@ class QuantizedBlock:
             )
         if not (np.isfinite(self.mins).all() and np.isfinite(self.steps).all() and (self.steps >= 0).all()):
             raise ContractViolation("mins and steps must be finite and each step must be nonnegative")
+        if not isinstance(self.codes, (bytes, bytearray, memoryview)):
+            raise ContractViolation(f"codes must be bytes-like, got {type(self.codes).__name__}")
         codes = np.frombuffer(self.codes, np.uint8)
         if codes.size != self.n_tokens * self.n_channels:
             raise ContractViolation("code count does not match block shape")

@@ -3,7 +3,9 @@
 The softmax inside ``attend_full_precision``, ``TieredCache.append`` and the
 L1 error were rewritten to make fewer and cheaper numpy calls, and
 ``simulate`` takes each cache's per-step L1 errors in one ``row_l1_errors``
-pass, which also gives one row's error. The code they replaced is kept here
+pass, which also gives one row's error. ``attend_full_precision`` calls
+``np.dot`` in place of ``@`` on C-contiguous operands, and the replay must
+keep handing it those. The code they replaced is kept here
 as the reference, and ``attend_full_precision`` and ``attend_mixed`` are
 held to it. Every fast path must match it bit for bit, on float32, float64
 and non-contiguous inputs, and must reject the same inputs with the same
@@ -15,13 +17,20 @@ import math
 import numpy as np
 import pytest
 
+import kvtrace.replay
 from kvtrace import (
     ContractViolation,
     EngineConfig,
+    OutlierPool,
+    SyntheticSpec,
     TieredCache,
     attend_full_precision,
     attend_mixed,
+    generate_synthetic,
+    read_trace,
+    replay_caches,
     row_l1_errors,
+    write_trace,
 )
 
 
@@ -91,19 +100,34 @@ WIDE = (POOL * 10.0 ** RNG.uniform(-9, 9, POOL.shape)).astype(np.float32)
 def layouts(d, pool=POOL):
     """(name, q, keys, values) at head dim d in every layout a caller may pass.
 
-    Keys and values have MAX_LEN rows; their first n rows keep the layout.
+    Keys and values have MAX_LEN rows, except the one-row layout's single
+    row; their first n rows keep the layout. ``attend_full_precision`` takes
+    ``np.dot`` for C-contiguous keys or values and ``@`` otherwise, so the
+    layouts cover both sides of that test: operands numpy flags C- and
+    F-contiguous whatever the stride of their size-1 axis ((1, d), and
+    (n, 1) at d = 1), negative and zero row strides, and one contiguous
+    operand beside a strided one.
     """
     keys = np.ascontiguousarray(pool[:MAX_LEN, :d])
     values = np.ascontiguousarray(pool[MAX_LEN:, d : 2 * d])
     q = np.ascontiguousarray(QUERIES[:d])
-    return [
+    strided_keys, strided_values = pool[::2, :d], pool[1::2, d : 2 * d]
+    cases = [
         ("float32", q, keys, values),
         ("float64", q.astype(np.float64), keys.astype(np.float64), values.astype(np.float64)),
-        ("row-strided", QUERIES[: 2 * d : 2], pool[::2, :d], pool[1::2, d : 2 * d]),
+        ("row-strided", QUERIES[: 2 * d : 2], strided_keys, strided_values),
         ("strided-query", QUERIES[: 2 * d : 2], keys, values),
         ("column-strided", q, pool[:MAX_LEN, : 2 * d : 2], pool[MAX_LEN:, 1 : 2 * d : 2]),
         ("fortran", q, np.asfortranarray(keys), np.asfortranarray(values)),
+        ("one-row", q, keys[None, 0], values[None, 0]),  # (1, d), row stride 0
+        ("reversed-rows", q, keys[::-1], values[::-1]),
+        ("broadcast-values", q, keys, np.broadcast_to(values[0], values.shape)),
+        ("contiguous-keys", q, keys, strided_values),
+        ("contiguous-values", q, strided_keys, values),
     ]
+    if d == 1:
+        cases.append(("column-vectors", q, keys[:, 0, None], values[:, 0, None]))  # (n, 1), column stride 0
+    return cases
 
 
 def assert_same_bits(got, want):
@@ -111,10 +135,20 @@ def assert_same_bits(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-def check_attention(d, lengths, strided_columns_every=1):
+# Layouts that only probe which product ``attend_full_precision`` picks. Each
+# of their products takes a path that "float32" (np.dot) or the reference
+# (@) covers at every length, so the every-length test samples them, and
+# ``row_l1_errors``, which has no such choice, skips them.
+DOT_BOUNDARY = ("reversed-rows", "broadcast-values", "contiguous-keys", "contiguous-values")
+
+
+def check_attention(d, lengths, sample_every=1):
     for name, q, keys, values in layouts(d):
-        # numpy's unblocked loop for column-strided operands is slow.
-        for n in lengths[::strided_columns_every] if name == "column-strided" else lengths:
+        # numpy's unblocked loop for column-strided operands is slow, so they are sampled too.
+        sample = name == "column-strided" or name in DOT_BOUNDARY
+        for n in lengths[::sample_every] if sample else lengths:
+            if n > len(keys):
+                continue
             got = attend_full_precision(q, keys[:n], values[:n])
             want = reference_attend_full_precision(q, keys[:n], values[:n])
             for field, w in zip(("output", "weights", "scores"), want):
@@ -171,7 +205,7 @@ class TestAttendFullPrecision:
 
     @pytest.mark.parametrize("d", SOME_HEAD_DIMS)
     def test_bit_equal_at_every_length(self, d):
-        check_attention(d, range(1, MAX_LEN + 1), strided_columns_every=10)
+        check_attention(d, range(1, MAX_LEN + 1), sample_every=10)
 
     @pytest.mark.parametrize(
         "q, keys, values",
@@ -243,6 +277,51 @@ class TestDecodeStep:
         assert all(np.array_equal(a, b) for a, b in zip(cache.attended_kv(), (keys, values)))
 
 
+class TestReplayFeedsNpDot:
+    """Every key and value matrix a replay attends over is C-contiguous.
+
+    So both products of every oracle and mixed step take ``np.dot``; a layout
+    change that sends them back to ``@`` fails here.
+    """
+
+    @pytest.mark.parametrize("source", ["synthetic", "file"])
+    def test_every_step_attends_c_contiguous_rows(self, source, monkeypatch, tmp_path):
+        # G + R = 19 rows at first, doubled four times by T = 200; 12 group
+        # writes; the pool has room to evict 4 members before it freezes.
+        cfg = EngineConfig(group_size=16, residual=3, outlier_num=2, aux_capacity=4, skip_layers=(), head_dim=8)
+        trace = generate_synthetic(SyntheticSpec(seed=6, m=12), 1, 2, 8, 200)
+        if source == "file":
+            write_trace(tmp_path / "t.kvt", trace)
+            trace = read_trace(tmp_path / "t.kvt")
+        seen = {"oracle": 0, "mixed": 0, "buffer_rows": set(), "evicted": 0}
+
+        def oracle_step(q, keys, values):
+            assert keys.flags.c_contiguous and values.flags.c_contiguous
+            seen["oracle"] += 1
+            return attend_full_precision(q, keys, values)
+
+        def mixed_step(q, cache):
+            assert all(a.flags.c_contiguous for a in cache.attended_kv())
+            seen["mixed"] += 1
+            seen["buffer_rows"].add(len(cache._k))
+            return attend_mixed(q, cache)
+
+        def update(pool, scores, first):
+            selected, evicted = real_update(pool, scores, first)
+            seen["evicted"] += evicted.size
+            return selected, evicted
+
+        real_update = OutlierPool.update
+        monkeypatch.setattr(kvtrace.replay, "attend_full_precision", oracle_step)
+        monkeypatch.setattr(kvtrace.replay, "attend_mixed", mixed_step)
+        monkeypatch.setattr(OutlierPool, "update", update)
+        caches = [cache for _, _, cache, _ in replay_caches(trace, cfg)]
+        assert seen["oracle"] == seen["mixed"] == 2 * 200
+        assert seen["buffer_rows"] == {19, 38, 76, 152, 304}
+        assert all(cache.quantized_tokens == 192 for cache in caches)
+        assert seen["evicted"] > 0
+
+
 class TestRowL1Errors:
     @pytest.mark.parametrize("d", range(1, 130))
     def test_bit_equal_at_every_head_dim(self, d):
@@ -257,16 +336,19 @@ class TestRowL1Errors:
         # Rows are independent, so the reference runs once over all of them,
         # and once per distinct set of values: several layouts hold the same ones.
         done = []  # (mixed, oracle, reference errors)
-        for _name, _q, mixed, oracle in layouts(d, WIDE):
+        for name, _q, mixed, oracle in layouts(d, WIDE):
+            if name in DOT_BOUNDARY:
+                continue
             for m, o, want in done:
                 if np.array_equal(m, mixed) and np.array_equal(o, oracle):
                     break
             else:
                 want = reference_row_l1_errors(mixed, oracle)
                 done.append((mixed, oracle, want))
-            for steps in lengths:
+            reachable = [n for n in lengths if n <= len(mixed)]
+            for steps in reachable:
                 assert_same_bits(row_l1_errors(mixed[:steps], oracle[:steps]), want[:steps])
-            for t in lengths:
+            for t in reachable:
                 assert row_l1_errors(mixed[t - 1], oracle[t - 1]) == want[t - 1]
 
     @pytest.mark.parametrize(

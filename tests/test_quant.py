@@ -642,6 +642,28 @@ class TestQuantizedBlockChecks:
         with pytest.raises(ContractViolation, match="parameter lines"):
             QuantizedBlock(**self.fields(**override))
 
+    # np.frombuffer raised a raw TypeError on a str, and a string axis was
+    # read as PER_TOKEN, since only ``is GroupAxis.PER_CHANNEL`` was tested.
+    @pytest.mark.parametrize("codes", ["ab", "x" * 12, 12, [0] * 12, None])
+    def test_rejects_codes_that_are_not_bytes_like(self, codes):
+        with pytest.raises(ContractViolation, match="codes must be bytes-like"):
+            QuantizedBlock(**self.fields(codes=codes))
+        with pytest.raises(ContractViolation, match="codes must be bytes-like"):
+            QuantizedBlock(codes=codes, group_axis=GroupAxis.PER_TOKEN, mins=[0.0], steps=[1.0],
+                           n_tokens=1, n_channels=2, bits=2)
+
+    @pytest.mark.parametrize("codes", [bytes(12), bytearray(12), memoryview(bytes(12))])
+    def test_accepts_each_bytes_like_codes_type(self, codes):
+        assert QuantizedBlock(**self.fields(codes=codes)).to_matrix().shape == (4, 3)
+
+    @pytest.mark.parametrize("axis", ["per_token", "per_channel", None, 0])
+    def test_rejects_group_axis_that_is_not_a_member(self, axis):
+        with pytest.raises(ContractViolation, match="group_axis must be a GroupAxis"):
+            QuantizedBlock(**self.fields(group_axis=axis))
+        with pytest.raises(ContractViolation, match="group_axis must be a GroupAxis"):
+            QuantizedBlock(codes=bytes(2), group_axis=axis, mins=[0.0], steps=[1.0],
+                           n_tokens=1, n_channels=2, bits=2)
+
     def test_rejects_packed_length_off_the_shape(self):
         # One byte per code: 3 bytes would hold the 12 codes packed.
         for size in (0, 3, 4, 11, 13):

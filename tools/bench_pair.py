@@ -4,6 +4,7 @@ Usage (from the repository root)::
 
     python3 tools/bench_pair.py HEAD~1 --label mychange --rounds 10
     python3 tools/bench_pair.py HEAD --current HEAD --label noise --rounds 10
+    python3 tools/bench_pair.py HEAD --current HEAD --label tier1_noise --tier1
 
 Each side is exported into its own temporary directory, removed at exit on
 success or failure: the base with ``git archive BASE_REV``, the current side
@@ -17,22 +18,33 @@ repository root with the environment, each side's ``correct`` per round and,
 per workload and end-to-end metric of ``BENCHMARK.json``, each side's values,
 median, quartiles and minimum, and the pairs each side won (ties count for
 neither; ``better`` gives the direction).
+
+With ``--tier1`` each round instead runs the Tier-1 suite, ``python -m pytest
+-q -p no:cacheprovider``, in each tree, with ``PYTHONPATH=src``,
+``PYTHONDONTWRITEBYTECODE=1`` and no ``.hypothesis/`` example database; the
+record's one workload, ``tier1``, holds each side's wall seconds (``wall_s``)
+and passed count (``passed``), and ``correct`` is pytest's exit status 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import platform
+import re
 import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("base", "current")
+TIER1_COMMAND = ("-m", "pytest", "-q", "-p", "no:cacheprovider")
+TIER1_BETTER = {"wall_s": "lower", "passed": "higher"}
 
 
 def git(*args: str, **kwargs) -> subprocess.CompletedProcess:
@@ -61,6 +73,24 @@ def run_side(tree: str, workload: str, seconds: float) -> dict:
         cwd=tree, env=env, stdout=subprocess.PIPE, text=True, check=True,
     )
     return parse_result(json.loads(proc.stdout.strip().splitlines()[-1]), workload)
+
+
+def run_tier1(tree: str) -> dict:
+    """One Tier-1 run in ``tree``; returns ``correct`` and {"tier1": {"wall_s", "passed"}}."""
+    shutil.rmtree(os.path.join(tree, ".hypothesis"), ignore_errors=True)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH="src")
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1_COMMAND], cwd=tree, env=env, stdout=subprocess.PIPE, text=True)
+    wall_s = time.perf_counter() - start
+    return {"correct": proc.returncode == 0,
+            "metrics": {"tier1": {"wall_s": wall_s, "passed": passed_count(proc.stdout)}}}
+
+
+def passed_count(stdout: str) -> int:
+    """The passed count on the last line of ``pytest -q``'s output, 0 if it names none."""
+    lines = stdout.strip().splitlines() or [""]
+    found = re.search(r"\b(\d+) passed\b", lines[-1])
+    return int(found.group(1)) if found else 0
 
 
 def parse_result(result: dict, workload: str) -> dict:
@@ -116,17 +146,29 @@ def environment() -> dict:
 def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         benchmark = json.load(f)
-    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base_rev", metavar="BASE_REV")
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
     parser.add_argument("--current", metavar="REV", help="benchmark REV instead of the working tree")
     parser.add_argument("--rounds", type=int, default=10)
-    parser.add_argument("--workload", default="all", choices=[*(w["name"] for w in benchmark["workloads"]), "all"])
-    parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--tier1", action="store_true", help="time the Tier-1 suite instead of perfbench")
+    parser.add_argument("--workload", choices=[*(w["name"] for w in benchmark["workloads"]), "all"],
+                        help="perfbench workload (default all)")
+    parser.add_argument("--seconds", type=float, help="perfbench seconds per workload (default 10)")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be >= 1")
+    if args.tier1:
+        if args.workload is not None or args.seconds is not None:
+            parser.error("--workload and --seconds set perfbench runs, not --tier1 runs")
+        better, measure = TIER1_BETTER, run_tier1
+        settings = {"tier1": " ".join(["python", *TIER1_COMMAND]), "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
+    else:
+        workload = "all" if args.workload is None else args.workload
+        seconds = 10.0 if args.seconds is None else args.seconds
+        better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+        measure = functools.partial(run_side, workload=workload, seconds=seconds)
+        settings = {"workload": workload, "seconds": seconds, "trace": 0, "PYTHONDONTWRITEBYTECODE": "1"}
     out_path = os.path.join(ROOT, f"BENCH_{args.label}.json")
     record = {
         "base_rev": args.base_rev,
@@ -135,7 +177,7 @@ def main(argv=None) -> int:
         "current_uncommitted_changes": args.current is None and bool(git("status", "--porcelain").stdout),
         "current_commit": git("rev-parse", args.current or "HEAD").stdout.decode().strip(),
         "environment": environment(),
-        "settings": {"workload": args.workload, "seconds": args.seconds, "trace": 0, "PYTHONDONTWRITEBYTECODE": "1"},
+        "settings": settings,
     }
     rounds, first, correct = [], [], {side: [] for side in SIDES}
     with tempfile.TemporaryDirectory(prefix="bench_pair_") as tmp:
@@ -145,7 +187,7 @@ def main(argv=None) -> int:
             export(rev, trees[side])
         for i in range(args.rounds):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
-            results = {side: run_side(trees[side], args.workload, args.seconds) for side in order}
+            results = {side: measure(trees[side]) for side in order}
             first.append(order[0])
             for side in SIDES:
                 correct[side].append(results[side]["correct"])
